@@ -178,11 +178,7 @@ def cmd_contour(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    x_col = xs[int(np.argmin(np.abs(xs - args.x0)))]
-    mask = data["cx"] == x_col
-    order = np.argsort(data["cy"][mask], kind="stable")
-    ys = data["cy"][mask][order]
-    values = data["u"][mask][order]
+    x_col, ys, values = simmod.column_profile(data["cx"], data["cy"], data["u"], args.x0)
     outmod.write_contour_csv(args.output, ys, values)
     log.info("wrote %d contour points at x=%g to %s", ys.size, x_col, args.output)
     return EXIT_OK

@@ -102,8 +102,14 @@ def validate_doc(doc: dict) -> None:
                 raise ConfigError(f"unknown key {key}.{sub!r}")
 
 
-def preset_doc(p: Preset) -> dict:
-    region = p.ic.region
+def _document(
+    x_range, y_range, nx, ny, model, ic, dt, t_final, scheme=None, output=None
+) -> dict:
+    """Config document of the given run values, sections in manifest order.
+
+    The scheme and output sections are left out when not given.
+    """
+    region = ic.region
     if region is None:
         region_doc = None
     elif isinstance(region, RectRegion):
@@ -121,30 +127,39 @@ def preset_doc(p: Preset) -> dict:
             "cy": region.cy,
             "radius": region.radius,
         }
-    return {
+    doc = {
         "domain": {
-            "x_range": [p.x_range[0], p.x_range[1]],
-            "y_range": [p.y_range[0], p.y_range[1]],
-            "nx": p.nx,
-            "ny": p.ny,
+            "x_range": [x_range[0], x_range[1]],
+            "y_range": [y_range[0], y_range[1]],
+            "nx": nx,
+            "ny": ny,
         },
         "model": {
-            "mu": p.model.cell_diffusion,
-            "chi": p.model.chemo_sensitivity,
-            "gamma": p.model.chem_decay,
-            "chem_dynamics": p.model.chem_dynamics,
-            "chem_source": p.model.chem_source,
-            "growth": p.model.growth,
-            "growth_rate": p.model.growth_rate,
+            "mu": model.cell_diffusion,
+            "chi": model.chemo_sensitivity,
+            "gamma": model.chem_decay,
+            "chem_dynamics": model.chem_dynamics,
+            "chem_source": model.chem_source,
+            "growth": model.growth,
+            "growth_rate": model.growth_rate,
         },
-        "time": {"dt": p.dt_default, "t_final": p.t_final},
+        "scheme": scheme,
+        "time": {"dt": dt, "t_final": t_final},
         "ic": {
-            "base_u": p.ic.base_u,
-            "base_c": p.ic.base_c,
+            "base_u": ic.base_u,
+            "base_c": ic.base_c,
             "region": region_doc,
-            "seed": p.ic.rng_seed,
+            "seed": ic.rng_seed,
         },
+        "output": output,
     }
+    return {key: section for key, section in doc.items() if section is not None}
+
+
+def preset_doc(p: Preset) -> dict:
+    return _document(
+        p.x_range, p.y_range, p.nx, p.ny, p.model, p.ic, p.dt_default, p.t_final
+    )
 
 
 def merge_docs(base: dict, overlay: dict) -> dict:
@@ -199,6 +214,14 @@ def _as_pair(value, what):
         raise ConfigError(f"{what} must be a pair of numbers, got {value!r}") from exc
 
 
+def _as_int(value, what):
+    """int(value), refusing booleans and numbers with a fractional part."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fractional:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _region_from_doc(region):
     if region is None:
         return None
@@ -235,8 +258,8 @@ def resolve(doc: dict) -> ResolvedRun:
     try:
         x_range = _as_pair(_need(doc, "domain", "x_range"), "domain.x_range")
         y_range = _as_pair(_need(doc, "domain", "y_range"), "domain.y_range")
-        nx = int(_need(doc, "domain", "nx"))
-        ny = int(_need(doc, "domain", "ny"))
+        nx = _as_int(_need(doc, "domain", "nx"), "domain.nx")
+        ny = _as_int(_need(doc, "domain", "ny"), "domain.ny")
         model = ModelSpec(
             cell_diffusion=float(_need(doc, "model", "mu")),
             chemo_sensitivity=float(_need(doc, "model", "chi")),
@@ -249,7 +272,7 @@ def resolve(doc: dict) -> ResolvedRun:
         ic = InitialConditionSpec(
             base_u=float(_get(doc, "ic", "base_u", 1.0)),
             region=_region_from_doc(_get(doc, "ic", "region", None)),
-            rng_seed=int(_get(doc, "ic", "seed", 42)),
+            rng_seed=_as_int(_get(doc, "ic", "seed", 42), "ic.seed"),
             base_c=float(_get(doc, "ic", "base_c", 0.0)),
         )
         variant = SchemeVariant(
@@ -262,8 +285,12 @@ def resolve(doc: dict) -> ResolvedRun:
         out_dir = str(
             _get(doc, "output", "directory", os.environ.get(OUTPUT_DIR_ENV, "chemofv-out"))
         )
-        snapshot_every = int(_get(doc, "output", "snapshot_every", 0))
-        diagnostics_every = int(_get(doc, "output", "diagnostics_every", 1))
+        snapshot_every = _as_int(
+            _get(doc, "output", "snapshot_every", 0), "output.snapshot_every"
+        )
+        diagnostics_every = _as_int(
+            _get(doc, "output", "diagnostics_every", 1), "output.diagnostics_every"
+        )
         output_format = str(_get(doc, "output", "format", "csv"))
         mesh = Mesh(x_range, y_range, nx, ny)
     except ConfigError:
@@ -275,59 +302,22 @@ def resolve(doc: dict) -> ResolvedRun:
             f"output.format must be one of {_OUTPUT_FORMATS}, got {output_format!r}"
         )
 
-    region = ic.region
-    if region is None:
-        region_doc = None
-    elif isinstance(region, RectRegion):
-        region_doc = {
-            "kind": "rect",
-            "x_min": region.x_min,
-            "x_max": region.x_max,
-            "y_min": region.y_min,
-            "y_max": region.y_max,
-        }
-    else:
-        region_doc = {
-            "kind": "disk",
-            "cx": region.cx,
-            "cy": region.cy,
-            "radius": region.radius,
-        }
     resolved_doc = {
         "version": __version__,
-        "domain": {
-            "x_range": [x_range[0], x_range[1]],
-            "y_range": [y_range[0], y_range[1]],
-            "nx": nx,
-            "ny": ny,
-        },
-        "model": {
-            "mu": model.cell_diffusion,
-            "chi": model.chemo_sensitivity,
-            "gamma": model.chem_decay,
-            "chem_dynamics": model.chem_dynamics,
-            "chem_source": model.chem_source,
-            "growth": model.growth,
-            "growth_rate": model.growth_rate,
-        },
-        "scheme": {
-            "variant": variant.kind,
-            "epsilon": epsilon,
-            "beta_policy": variant.beta_policy,
-        },
-        "time": {"dt": dt, "t_final": t_final},
-        "ic": {
-            "base_u": ic.base_u,
-            "base_c": ic.base_c,
-            "region": region_doc,
-            "seed": ic.rng_seed,
-        },
-        "output": {
-            "directory": out_dir,
-            "snapshot_every": snapshot_every,
-            "diagnostics_every": diagnostics_every,
-            "format": output_format,
-        },
+        **_document(
+            x_range, y_range, nx, ny, model, ic, dt, t_final,
+            scheme={
+                "variant": variant.kind,
+                "epsilon": epsilon,
+                "beta_policy": variant.beta_policy,
+            },
+            output={
+                "directory": out_dir,
+                "snapshot_every": snapshot_every,
+                "diagnostics_every": diagnostics_every,
+                "format": output_format,
+            },
+        ),
     }
     return ResolvedRun(
         mesh=mesh,

@@ -102,7 +102,6 @@ class Mesh:
         self.cell_measures = np.full(self.n_cells, self.dx * self.dy)
 
         self._build_edges()
-        self._build_adjacency()
 
         self.h = math.hypot(self.dx, self.dy)
         self.regularity = compute_regularity(self)
@@ -114,15 +113,12 @@ class Mesh:
     def _build_edges(self):
         nx, ny = self.nx, self.ny
         dx, dy = self.dx, self.dy
-        x0, _ = self.x_range
-        y0, _ = self.y_range
 
         # Interior vertical edges (x-normal) between (ix,iy) and (ix+1,iy),
         # then interior horizontal edges (y-normal), then boundary edges.
         # Center-to-edge distances are construction-exact (half a cell side
-        # for a centroid mesh) rather than recomputed from rounded midpoint
-        # coordinates, so regularity comes out exact.
-        ka, kb, meas, dist, cdist, mid_x, mid_y, axis = [], [], [], [], [], [], [], []
+        # for a centroid mesh), so regularity comes out exact.
+        ka, kb, meas, dist, cdist = [], [], [], [], []
         if nx > 1:
             iyv, ixv = np.meshgrid(np.arange(ny), np.arange(nx - 1), indexing="ij")
             k = iyv.ravel() * nx + ixv.ravel()
@@ -131,9 +127,6 @@ class Mesh:
             meas.append(np.full(k.size, dy))
             dist.append(np.full(k.size, dx))
             cdist.append(np.full(k.size, dx / 2.0))
-            mid_x.append(x0 + (ixv.ravel() + 1.0) * dx)
-            mid_y.append(y0 + (iyv.ravel() + 0.5) * dy)
-            axis.append(np.zeros(k.size, dtype=np.int8))
         if ny > 1:
             iyh, ixh = np.meshgrid(np.arange(ny - 1), np.arange(nx), indexing="ij")
             k = iyh.ravel() * nx + ixh.ravel()
@@ -142,31 +135,22 @@ class Mesh:
             meas.append(np.full(k.size, dx))
             dist.append(np.full(k.size, dy))
             cdist.append(np.full(k.size, dy / 2.0))
-            mid_x.append(x0 + (ixh.ravel() + 0.5) * dx)
-            mid_y.append(y0 + (iyh.ravel() + 1.0) * dy)
-            axis.append(np.ones(k.size, dtype=np.int8))
 
         n_int = sum(a.size for a in ka)
 
-        def boundary(cells, m, d, mx, my, ax):
+        def boundary(cells, m, d):
             ka.append(cells)
             kb.append(np.full(cells.size, -1))
             meas.append(np.full(cells.size, m))
             dist.append(np.full(cells.size, d))
             cdist.append(np.full(cells.size, d))
-            mid_x.append(mx)
-            mid_y.append(my)
-            axis.append(np.full(cells.size, ax, dtype=np.int8))
 
         iy = np.arange(ny)
         ix = np.arange(nx)
-        x1, y1 = self.x_range[1], self.y_range[1]
-        cxs = x0 + (ix + 0.5) * dx
-        cys = y0 + (iy + 0.5) * dy
-        boundary(iy * nx, dy, dx / 2.0, np.full(ny, x0), cys, 0)            # west
-        boundary(iy * nx + (nx - 1), dy, dx / 2.0, np.full(ny, x1), cys, 0)  # east
-        boundary(ix, dx, dy / 2.0, cxs, np.full(nx, y0), 1)                  # south
-        boundary((ny - 1) * nx + ix, dx, dy / 2.0, cxs, np.full(nx, y1), 1)  # north
+        boundary(iy * nx, dy, dx / 2.0)  # west
+        boundary(iy * nx + (nx - 1), dy, dx / 2.0)  # east
+        boundary(ix, dx, dy / 2.0)  # south
+        boundary((ny - 1) * nx + ix, dx, dy / 2.0)  # north
 
         self.edge_cell_a = np.concatenate(ka).astype(np.int64)
         self.edge_cell_b = np.concatenate(kb).astype(np.int64)
@@ -174,10 +158,6 @@ class Mesh:
         self.edge_distances = np.concatenate(dist)
         self.edge_center_dist = np.concatenate(cdist)  # d(x_K, sigma), per edge
         self.edge_tau = self.edge_measures / self.edge_distances
-        self.edge_midpoints = np.column_stack(
-            [np.concatenate(mid_x), np.concatenate(mid_y)]
-        )
-        self.edge_axis = np.concatenate(axis)
         self.n_edges = self.edge_cell_a.size
         self.n_interior_edges = n_int
 
@@ -191,28 +171,6 @@ class Mesh:
             self.interior_cell_b, weights=self.interior_tau, minlength=self.n_cells
         )
 
-    def _build_adjacency(self):
-        # E_K in fixed order west, east, south, north; N(K) in matching order.
-        cell_edges = [[] for _ in range(self.n_cells)]
-        cell_neighbors = [[] for _ in range(self.n_cells)]
-        order = {0: {}, 1: {}}  # axis -> cell -> (midpoint coord, edge, neighbor)
-        for e in range(self.n_edges):
-            a = int(self.edge_cell_a[e])
-            b = int(self.edge_cell_b[e])
-            ax = int(self.edge_axis[e])
-            mid = self.edge_midpoints[e, ax]
-            order[ax].setdefault(a, []).append((mid, e, b))
-            if b >= 0:
-                order[ax].setdefault(b, []).append((mid, e, a))
-        for k in range(self.n_cells):
-            for ax in (0, 1):
-                for _, e, nb in sorted(order[ax].get(k, [])):
-                    cell_edges[k].append(e)
-                    if nb >= 0:
-                        cell_neighbors[k].append(nb)
-        self.cell_edges = cell_edges
-        self.cell_neighbors = cell_neighbors
-
     def _validate(self):
         if np.any(self.cell_measures <= 0):
             raise MeshError("nonpositive cell measure")
@@ -224,13 +182,21 @@ class Mesh:
             raise MeshError(
                 f"cell measures sum to {total}, domain area is {self.domain_area}"
             )
-        counts = np.zeros(self.n_edges, dtype=int)
-        for edges in self.cell_edges:
-            for e in edges:
-                counts[e] += 1
-        interior = self.edge_cell_b >= 0
-        if not np.all(counts[interior] == 2) or not np.all(counts[~interior] == 1):
-            raise MeshError("edge incidence counts are inconsistent")
+        # The interior views are the leading block of the edge arrays, and
+        # the assemblies couple a cell only through the edges listed here.
+        n_int = self.n_interior_edges
+        if (
+            np.any(self.interior_cell_b < 0)
+            or np.any(self.interior_cell_b == self.interior_cell_a)
+            or np.any(self.edge_cell_b[n_int:] >= 0)
+        ):
+            raise MeshError("interior edges must join two distinct cells")
+        edges_per_cell = np.bincount(
+            np.concatenate([self.edge_cell_a, self.interior_cell_b]),
+            minlength=self.n_cells,
+        )
+        if edges_per_cell.size != self.n_cells or np.any(edges_per_cell != 4):
+            raise MeshError("every cell must have four edges")
         if not 0.0 < self.regularity <= 1.0:
             raise MeshError(f"mesh regularity {self.regularity} outside (0, 1]")
 
@@ -265,29 +231,19 @@ class Mesh:
         """Sparsity pattern shared by all operators assembled on this mesh."""
         if self._pattern_cache is not None:
             return self._pattern_cache
-        n = self.n_cells
-        cols = [[k] + self.cell_neighbors[k] for k in range(n)]
-        for c in cols:
-            c.sort()
-        counts = np.array([len(c) for c in cols])
+        # Diagonal plus both directions of every interior edge, sorted by
+        # (row, column); the inverse permutation maps each entry to its slot.
+        n, n_int = self.n_cells, self.n_interior_edges
+        diag = np.arange(n, dtype=np.int64)
+        rows = np.concatenate([diag, self.interior_cell_a, self.interior_cell_b])
+        cols = np.concatenate([diag, self.interior_cell_b, self.interior_cell_a])
+        order = np.lexsort((cols, rows))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.fromiter(
-            (c for row in cols for c in row), dtype=np.int64, count=int(indptr[-1])
-        )
-        slot = {}
-        for r in range(n):
-            for p in range(indptr[r], indptr[r + 1]):
-                slot[(r, int(indices[p]))] = p
-        diag_slots = np.array([slot[(k, k)] for k in range(n)], dtype=np.int64)
-        kl_slots = np.array(
-            [slot[(int(a), int(b))] for a, b in zip(self.interior_cell_a, self.interior_cell_b)],
-            dtype=np.int64,
-        )
-        lk_slots = np.array(
-            [slot[(int(b), int(a))] for a, b in zip(self.interior_cell_a, self.interior_cell_b)],
-            dtype=np.int64,
-        )
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        indices = cols[order]
+        slots = np.empty(order.size, dtype=np.int64)
+        slots[order] = np.arange(order.size)
+        diag_slots, kl_slots, lk_slots = np.split(slots, [n, n + n_int])
         self._pattern_cache = AdjacencyPattern(indptr, indices, diag_slots, kl_slots, lk_slots)
         return self._pattern_cache
 

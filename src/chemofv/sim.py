@@ -12,7 +12,7 @@ from . import scheme as _scheme
 from .linalg import LinearSolver
 from .mesh import Mesh
 from .model import InitialConditionSpec, ModelSpec, make_initial_state
-from .scheme import FluxLimiter, SchemeVariant, step, step_coupled_oracle
+from .scheme import FluxLimiter, SchemeVariant, step
 from .state import State
 
 log = logging.getLogger(__name__)
@@ -38,9 +38,6 @@ class RunConfig:
     diagnostics_every: int = 1  # 0 -> initial and final records only
     strict: bool = False
     check_matrices: bool = False
-    oracle_tol: float = 1e-12
-    oracle_max_iter: int = 200
-    oracle_cell_limit: int = _scheme.DEFAULT_ORACLE_CELL_LIMIT
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -63,7 +60,6 @@ class DiagnosticsRecord:
     min_c: float
     max_c: float
     l2_u: float
-    l2_c: float
     h1_u: float
 
 
@@ -132,7 +128,6 @@ def _record(state: State, mesh: Mesh) -> DiagnosticsRecord:
         min_c=float(state.c.min()),
         max_c=float(state.c.max()),
         l2_u=discrete_norm(state.u, mesh, 2.0),
-        l2_c=discrete_norm(state.c, mesh, 2.0),
         h1_u=discrete_h1_seminorm(state.u, mesh, 2.0),
     )
 
@@ -224,28 +219,16 @@ def run(
     snapshots: list[Snapshot] = []
 
     for n in range(n_steps):
-        if config.variant.kind == _scheme.VARIANT_ORACLE:
-            state = step_coupled_oracle(
-                state,
-                config.model,
-                mesh,
-                lim,
-                solver,
-                tol=config.oracle_tol,
-                max_iter=config.oracle_max_iter,
-                cell_limit=config.oracle_cell_limit,
-            )
-        else:
-            state = step(
-                state,
-                config.model,
-                mesh,
-                lim,
-                config.variant,
-                solver,
-                check_matrices=config.check_matrices,
-                debug_checks=config.strict,
-            )
+        state = step(
+            state,
+            config.model,
+            mesh,
+            lim,
+            config.variant,
+            solver,
+            check_matrices=config.check_matrices,
+            debug_checks=config.strict,
+        )
         monitor.check(state)
         if observer is not None:
             observer(state)
@@ -356,6 +339,19 @@ def convergence_study(
     return StudyReport(reference_dt=base.dt, field_name="u", tables=tables)
 
 
+def column_profile(cx, cy, values, x0) -> tuple[float, np.ndarray, np.ndarray]:
+    """Values of the cells whose center x is the one nearest x = x0.
+
+    ``cx``, ``cy`` and ``values`` are per-cell arrays. Returns the column's
+    x and its (y, value) pairs ordered by y.
+    """
+    xs = np.unique(cx)
+    x_col = xs[int(np.argmin(np.abs(xs - x0)))]
+    mask = cx == x_col
+    order = np.argsort(cy[mask], kind="stable")
+    return x_col, cy[mask][order], values[mask][order]
+
+
 def extract_contour(field_values, mesh: Mesh, x0: float) -> tuple[np.ndarray, np.ndarray]:
     """Profile of a cell field along the column of centers nearest x = x0.
 
@@ -364,7 +360,6 @@ def extract_contour(field_values, mesh: Mesh, x0: float) -> tuple[np.ndarray, np
     if not mesh.x_range[0] <= x0 <= mesh.x_range[1]:
         raise ValueError(f"x0={x0} outside the domain x-range {mesh.x_range}")
     v = np.asarray(field_values, dtype=float)
-    xs = mesh.cell_centers[: mesh.nx, 0]  # first row holds every center x once
-    ix = int(np.argmin(np.abs(xs - x0)))
-    cells = np.arange(mesh.ny) * mesh.nx + ix
-    return mesh.cell_centers[cells, 1].copy(), v[cells].copy()
+    centers = mesh.cell_centers
+    _, ys, values = column_profile(centers[:, 0], centers[:, 1], v, x0)
+    return ys, values

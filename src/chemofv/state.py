@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,3 @@ class State:
     @property
     def time(self) -> float:
         return self.step_index * self.dt
-
-    def with_dt(self, dt: float) -> "State":
-        return replace(self, dt=float(dt))

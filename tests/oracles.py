@@ -80,3 +80,32 @@ def random_dominant_m_matrix(rng, n, density=0.3, slack_scale=1.0):
     slack = slack_scale * (0.1 + rng.random(n))
     np.fill_diagonal(a, np.maximum(row_abs, col_abs) + slack)
     return a
+
+
+def adjacency_pattern_loops(mesh):
+    """Loop transcription of the operators' CSR pattern, read off mesh.edges.
+
+    Row k holds k and every cell across an interior edge of k, in increasing
+    column order. Returns int64 arrays (indptr, indices, diag_slots,
+    kl_slots, lk_slots), the last two listing the slots of (a, b) and
+    (b, a) for each interior edge in edge order.
+    """
+    n = mesh.n_cells
+    interior = [e for e in mesh.edges if not e.is_boundary]
+    rows = [[k] for k in range(n)]
+    for e in interior:
+        rows[e.cell_a].append(e.cell_b)
+        rows[e.cell_b].append(e.cell_a)
+    indptr, indices, slot = [0], [], {}
+    for r, cols in enumerate(rows):
+        for c in sorted(cols):
+            slot[(r, c)] = len(indices)
+            indices.append(c)
+        indptr.append(len(indices))
+    diag_slots = [slot[(k, k)] for k in range(n)]
+    kl_slots = [slot[(e.cell_a, e.cell_b)] for e in interior]
+    lk_slots = [slot[(e.cell_b, e.cell_a)] for e in interior]
+    return tuple(
+        np.array(v, dtype=np.int64)
+        for v in (indptr, indices, diag_slots, kl_slots, lk_slots)
+    )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from chemofv import config
 from chemofv.cli import main
 
 
@@ -118,6 +119,84 @@ class TestRun:
         assert text[3] == "DATASET STRUCTURED_POINTS"
         assert text[4] == "DIMENSIONS 6 6 1"
         assert len(text) == 10 + 36
+
+    @pytest.mark.parametrize(
+        "assignment",
+        ["domain.nx=6.9", "domain.ny=true", "output.snapshot_every=1.5", "ic.seed=2.5"],
+    )
+    def test_non_integral_integer_value_exits_2(self, tmp_path, assignment, capsys):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["run", str(cfg), "--set", assignment]) == 2
+        assert assignment.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_integer_values_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out", t_final=0.1)
+        overrides = ["domain.nx=4.0", "ic.seed=7.0", "output.diagnostics_every=1.0"]
+        argv = ["run", str(cfg)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        manifest = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
+        assert manifest["domain"]["nx"] == 4 and type(manifest["domain"]["nx"]) is int
+        assert manifest["ic"]["seed"] == 7 and type(manifest["ic"]["seed"]) is int
+        assert len(read_csv(tmp_path / "out" / "diagnostics.csv")) == 1 + 1 + 2
+
+
+TEST1_MANIFEST = """\
+version: 0.1.0
+domain:
+  x_range:
+  - -3.5
+  - 3.5
+  y_range:
+  - -35.0
+  - 35.0
+  nx: 35
+  ny: 350
+model:
+  mu: 0.25
+  chi: 2.0
+  gamma: 1.0
+  chem_dynamics: elliptic
+  chem_source: saturated
+  growth: none
+  growth_rate: 1.0
+scheme:
+  variant: corrected-decoupled
+  epsilon: 1.0e-06
+  beta_policy: fixed1
+time:
+  dt: 0.01
+  t_final: 150.0
+ic:
+  base_u: 1.0
+  base_c: 0.0
+  region:
+    kind: rect
+    x_min: -4.5
+    x_max: 4.5
+    y_min: -1.0
+    y_max: 1.0
+  seed: 42
+output:
+  directory: out
+  snapshot_every: 0
+  diagnostics_every: 1
+  format: csv
+"""
+
+
+class TestResolvedDocument:
+    def test_test1_manifest_text_pinned(self, tmp_path):
+        resolved = config.resolve({"preset": "test1", "output": {"directory": "out"}})
+        config.write_manifest(tmp_path / "manifest.yaml", resolved)
+        assert (tmp_path / "manifest.yaml").read_text() == TEST1_MANIFEST
+
+    @pytest.mark.parametrize("name", ["test1", "test2", "test3", "test4"])
+    def test_resolved_document_is_a_fixed_point(self, name):
+        doc = config.resolve({"preset": name}).doc
+        assert config.resolve(doc).doc == doc
 
 
 class TestRunExtras:

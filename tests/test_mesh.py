@@ -11,6 +11,8 @@ from chemofv import (
 )
 from chemofv.mesh import dump_cells_csv
 
+from oracles import adjacency_pattern_loops
+
 
 def test_single_cell_mesh():
     mesh = build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 1, 1)
@@ -65,24 +67,48 @@ def test_cell_measure_sum_matches_area():
 def test_edge_incidence_and_counts():
     nx, ny = 5, 3
     mesh = build_uniform_rect_mesh((0.0, 5.0), (0.0, 3.0), nx, ny)
-    seen = np.zeros(mesh.n_edges, dtype=int)
-    for edges in mesh.cell_edges:
-        for e in edges:
-            seen[e] += 1
+    interior = mesh.edge_cell_b >= 0
+    # (edge, cell) incidences: every edge has cell_a, interior edges cell_b too
+    edge_ids = np.concatenate([np.arange(mesh.n_edges), np.flatnonzero(interior)])
+    cell_ids = np.concatenate([mesh.edge_cell_a, mesh.edge_cell_b[interior]])
+    seen = np.bincount(edge_ids, minlength=mesh.n_edges)
     for edge in mesh.edges:
         assert seen[edge.index] == (1 if edge.is_boundary else 2)
+        assert edge.cell_a != edge.cell_b
     n_boundary = sum(1 for e in mesh.edges if e.is_boundary)
     assert n_boundary == 2 * (nx + ny)
     # interior cell of a rectangular grid touches 4 edges
     interior_cell = 1 * nx + 2
-    assert len(mesh.cell_edges[interior_cell]) == 4
+    assert np.bincount(cell_ids, minlength=mesh.n_cells)[interior_cell] == 4
+    # every stored entry is the diagonal or one side of exactly one edge
+    pattern = mesh.adjacency_csr()
+    owners = np.concatenate([pattern.diag_slots, pattern.kl_slots, pattern.lk_slots])
+    assert np.array_equal(np.bincount(owners, minlength=pattern.nnz), np.ones(pattern.nnz))
 
 
 def test_adjacency_neighbors_symmetric():
     mesh = build_uniform_rect_mesh((0.0, 4.0), (0.0, 4.0), 4, 4)
-    for k, neighbors in enumerate(mesh.cell_neighbors):
-        for nb in neighbors:
-            assert k in mesh.cell_neighbors[nb]
+    pattern = mesh.adjacency_csr()
+    neighbors = [
+        set(pattern.indices[pattern.indptr[k] : pattern.indptr[k + 1]].tolist()) - {k}
+        for k in range(mesh.n_cells)
+    ]
+    for k, nbs in enumerate(neighbors):
+        for nb in nbs:
+            assert k in neighbors[nb]
+
+
+@pytest.mark.parametrize(
+    "nx,ny", [(1, 1), (2, 1), (1, 5), (3, 5), (48, 48), (35, 350), (150, 150)]
+)
+def test_adjacency_pattern_matches_loop_reference(nx, ny):
+    mesh = build_uniform_rect_mesh((0.0, 1.0), (-2.0, 2.0), nx, ny)
+    pattern = mesh.adjacency_csr()
+    names = ("indptr", "indices", "diag_slots", "kl_slots", "lk_slots")
+    for name, expected in zip(names, adjacency_pattern_loops(mesh)):
+        actual = getattr(pattern, name)
+        assert actual.dtype == expected.dtype, name
+        np.testing.assert_array_equal(actual, expected, err_msg=name)
 
 
 @pytest.mark.parametrize(
