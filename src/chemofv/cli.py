@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from .config import ConfigError
 from .linalg import LinearSolver, SolverError
 from .model import make_initial_state
 from .scheme import FluxLimiter, SchemeError, SchemeVariant, step, step_coupled_oracle
-from .sim import InvariantError, RunConfig, discrete_norm
+from .sim import InvariantError, discrete_norm
 
 log = logging.getLogger(__name__)
 
@@ -47,18 +48,8 @@ def _build_doc(args) -> dict:
 
 def cmd_run(args) -> int:
     resolved = cfgmod.resolve(_build_doc(args))
-    run_cfg = RunConfig(
-        mesh=resolved.mesh,
-        model=resolved.model,
-        ic=resolved.ic,
-        variant=resolved.variant,
-        dt=resolved.dt,
-        t_final=resolved.t_final,
-        epsilon=resolved.epsilon,
-        snapshot_every=resolved.snapshot_every,
-        diagnostics_every=resolved.diagnostics_every,
-    )
-    final, diagnostics, snapshots = simmod.run(run_cfg)
+    mesh = resolved.run.mesh
+    final, diagnostics, snapshots = simmod.run(resolved.run)
 
     out_dir = Path(resolved.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -66,14 +57,10 @@ def cmd_run(args) -> int:
     outmod.write_diagnostics_csv(out_dir / "diagnostics.csv", diagnostics)
     for snap in snapshots:
         stem = f"snapshot_{snap.step:08d}"
-        outmod.write_snapshot_csv(out_dir / f"{stem}.csv", resolved.mesh, snap.u, snap.c)
+        outmod.write_snapshot_csv(out_dir / f"{stem}.csv", mesh, snap.u, snap.c)
         if resolved.output_format == "csv+vtk":
-            outmod.write_vtk_structured_points(
-                out_dir / f"{stem}_u.vtk", resolved.mesh, snap.u, "u"
-            )
-            outmod.write_vtk_structured_points(
-                out_dir / f"{stem}_c.vtk", resolved.mesh, snap.c, "c"
-            )
+            outmod.write_vtk_structured_points(out_dir / f"{stem}_u.vtk", mesh, snap.u, "u")
+            outmod.write_vtk_structured_points(out_dir / f"{stem}_c.vtk", mesh, snap.c, "c")
     log.info(
         "run finished at t=%g (%d steps); outputs in %s",
         final.time,
@@ -87,20 +74,14 @@ def cmd_study(args) -> int:
     if len(args.dt) < 2:
         raise ConfigError("a study needs at least two dt values")
     resolved = cfgmod.resolve(_build_doc(args))
-    reference_dt = args.reference_dt if args.reference_dt else resolved.dt
-    base = RunConfig(
-        mesh=resolved.mesh,
-        model=resolved.model,
-        ic=resolved.ic,
-        variant=resolved.variant,
-        dt=reference_dt,
-        t_final=resolved.t_final,
-        epsilon=resolved.epsilon,
+    base = dataclasses.replace(
+        resolved.run,
+        dt=args.reference_dt if args.reference_dt else resolved.run.dt,
         snapshot_every=0,
         diagnostics_every=0,
     )
     variants = [
-        SchemeVariant(kind=name, beta_policy=resolved.variant.beta_policy)
+        SchemeVariant(kind=name, beta_policy=base.variant.beta_policy)
         for name in args.variants
     ]
     try:
@@ -118,8 +99,8 @@ def cmd_study(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    resolved = cfgmod.resolve(_build_doc(args))
-    mesh = resolved.mesh
+    run = cfgmod.resolve(_build_doc(args)).run
+    mesh = run.mesh
     if mesh.n_cells > args.cell_limit:
         print(
             f"refusing oracle check: {mesh.n_cells} cells exceed the "
@@ -129,30 +110,30 @@ def cmd_oracle_check(args) -> int:
         return EXIT_USAGE
     solver = LinearSolver()
     lim = FluxLimiter(
-        resolved.model.cell_diffusion,
-        resolved.model.chemo_sensitivity,
-        resolved.epsilon,
+        run.model.cell_diffusion,
+        run.model.chemo_sensitivity,
+        run.epsilon,
     )
     corrected = SchemeVariant(
-        kind=schememod.VARIANT_CORRECTED, beta_policy=resolved.variant.beta_policy
+        kind=schememod.VARIANT_CORRECTED, beta_policy=run.variant.beta_policy
     )
     plain = SchemeVariant(kind=schememod.VARIANT_PLAIN)
 
-    state = make_initial_state(mesh, resolved.ic, dt=resolved.dt)
+    state = make_initial_state(mesh, run.ic, dt=run.dt)
     # The correction term is identically zero at step 0 (corrected == plain
     # there), so compare one step later unless asked otherwise.
     for _ in range(args.warmup):
-        state = step(state, resolved.model, mesh, lim, corrected, solver)
+        state = step(state, run.model, mesh, lim, corrected, solver)
 
     try:
         oracle = step_coupled_oracle(
-            state, resolved.model, mesh, lim, solver, cell_limit=args.cell_limit
+            state, run.model, mesh, lim, solver, cell_limit=args.cell_limit
         )
     except SchemeError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    step_corr = step(state, resolved.model, mesh, lim, corrected, solver)
-    step_plain = step(state, resolved.model, mesh, lim, plain, solver)
+    step_corr = step(state, run.model, mesh, lim, corrected, solver)
+    step_plain = step(state, run.model, mesh, lim, plain, solver)
 
     d_corr = discrete_norm(step_corr.u - oracle.u, mesh, 2.0)
     d_plain = discrete_norm(step_plain.u - oracle.u, mesh, 2.0)

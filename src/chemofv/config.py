@@ -25,7 +25,7 @@ from .model import (
     preset as load_preset,
 )
 from .scheme import SchemeVariant
-from .sim import EPSILON_PRODUCTION
+from .sim import EPSILON_PRODUCTION, RunConfig
 
 OUTPUT_DIR_ENV = "CHEMOFV_OUTPUT_DIR"
 
@@ -56,18 +56,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class ResolvedRun:
-    """A fully resolved configuration, ready to hand to sim.run."""
+    """A fully resolved configuration: the run to hand to sim.run and
+    where and how to write its outputs."""
 
-    mesh: Mesh
-    model: ModelSpec
-    ic: InitialConditionSpec
-    variant: SchemeVariant
-    dt: float
-    t_final: float
-    epsilon: float
+    run: RunConfig
     output_dir: str
-    snapshot_every: int
-    diagnostics_every: int
     output_format: str
     doc: dict  # the resolved document, manifest-ready
 
@@ -292,7 +285,17 @@ def resolve(doc: dict) -> ResolvedRun:
             _get(doc, "output", "diagnostics_every", 1), "output.diagnostics_every"
         )
         output_format = str(_get(doc, "output", "format", "csv"))
-        mesh = Mesh(x_range, y_range, nx, ny)
+        run = RunConfig(
+            mesh=Mesh(x_range, y_range, nx, ny),
+            model=model,
+            ic=ic,
+            variant=variant,
+            dt=dt,
+            t_final=t_final,
+            epsilon=epsilon,
+            snapshot_every=snapshot_every,
+            diagnostics_every=diagnostics_every,
+        )
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -320,18 +323,7 @@ def resolve(doc: dict) -> ResolvedRun:
         ),
     }
     return ResolvedRun(
-        mesh=mesh,
-        model=model,
-        ic=ic,
-        variant=variant,
-        dt=dt,
-        t_final=t_final,
-        epsilon=epsilon,
-        output_dir=out_dir,
-        snapshot_every=snapshot_every,
-        diagnostics_every=diagnostics_every,
-        output_format=output_format,
-        doc=resolved_doc,
+        run=run, output_dir=out_dir, output_format=output_format, doc=resolved_doc
     )
 
 

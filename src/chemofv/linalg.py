@@ -1,18 +1,18 @@
 """CSR sparse matrices, M-matrix structure checks, deterministic solves.
 
 The solve contract is a relative residual tolerance (default 1e-12), not a
-method: small systems go through a direct sparse LU (with a content-digest
-cache so a matrix that does not change between steps is factorized once),
-strongly diagonally dominant systems through Jacobi-preconditioned
-BiCGSTAB, and systems above the direct-size threshold through ILU-BiCGSTAB.
-Every result is residual-checked; iterative failures fall back to the
-direct path, and an unmet tolerance raises instead of returning silently.
+method. A system whose every row has a slack of at least half its diagonal
+goes through Jacobi-preconditioned BiCGSTAB; any other system, and any
+Krylov solve that misses the tolerance, goes through a direct sparse LU.
+The LU factor is kept on the matrix it factors, so an operator built once
+per run (the chem operator) is factorized once per run. Every result is
+residual-checked, and an unmet tolerance raises instead of returning
+silently.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,18 +52,13 @@ class StructureReport:
     def col_dominant(self) -> bool:
         return bool(np.all(self.col_slack > 0))
 
-    @property
-    def is_m_matrix_candidate(self) -> bool:
-        return self.diag_positive and self.offdiag_nonpositive and (
-            self.row_dominant or self.col_dominant
-        )
-
 
 class SparseMatrix:
     """Square CSR matrix with exactly one diagonal entry per row.
 
     Column indices are sorted within each row and explicit off-diagonal
-    zeros are pruned at construction. Instances are immutable.
+    zeros are pruned at construction. Instances are immutable; their
+    structure report and LU factor are computed on first use and kept.
     """
 
     def __init__(self, n: int, indptr, indices, data):
@@ -101,6 +96,7 @@ class SparseMatrix:
         self.data = data
         self._diag_slots = np.flatnonzero(~offdiag)
         self._structure: StructureReport | None = None
+        self._lu: spla.SuperLU | None = None
 
     @property
     def nnz(self) -> int:
@@ -193,23 +189,22 @@ def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
     return report
 
 
-class LinearSolver:
-    """Deterministic solver front end with a factorization cache.
+# Minimum row slack/|diagonal| at which Jacobi-BiCGSTAB is tried first.
+DOMINANCE_RATIO = 0.5
 
-    ``direct_threshold`` is the largest dimension still eligible for the
-    direct path; ``dominance_ratio`` is the minimum row slack/diagonal
-    ratio at which Jacobi-BiCGSTAB is attempted first.
+
+class LinearSolver:
+    """Deterministic solver front end with two paths.
+
+    Rows dominant by at least DOMINANCE_RATIO go to Jacobi-BiCGSTAB; other
+    matrices, and Krylov solves above ``tol``, use the matrix's own LU
+    factor, computed on its first direct solve.
     """
 
-    def __init__(self, tol: float = 1e-12, direct_threshold: int = 200_000,
-                 dominance_ratio: float = 0.5, cache_size: int = 4):
+    def __init__(self, tol: float = 1e-12):
         if tol <= 0:
             raise ValueError("tol must be positive")
         self.tol = tol
-        self.direct_threshold = direct_threshold
-        self.dominance_ratio = dominance_ratio
-        self._lu_cache: OrderedDict[bytes, object] = OrderedDict()
-        self._cache_size = cache_size
 
     def solve(self, m: SparseMatrix, rhs: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         rhs = np.asarray(rhs, dtype=float)
@@ -219,20 +214,14 @@ class LinearSolver:
         if rhs_norm == 0.0:
             return np.zeros(m.n), SolveReport(0, 0.0, "trivial")
 
-        if m.n > self.direct_threshold:
-            x, iters, method = self._ilu_bicgstab(m, rhs)
-        else:
-            struct = check_m_matrix_pattern(m)
-            diag = m.diagonal()
-            if np.all(diag != 0) and np.min(
-                struct.row_slack / np.abs(diag)
-            ) >= self.dominance_ratio:
-                x, iters, method = self._jacobi_bicgstab(m, rhs)
-            else:
-                x, iters, method = None, 0, "direct-lu"
-            if x is None:
-                x = self._direct(m, rhs)
-                iters, method = 0, "direct-lu"
+        struct = check_m_matrix_pattern(m)
+        diag = m.diagonal()
+        x = None
+        if np.all(diag != 0) and np.min(struct.row_slack / np.abs(diag)) >= DOMINANCE_RATIO:
+            x, iters, method = self._jacobi_bicgstab(m, rhs)
+        if x is None:
+            x = self._direct(m, rhs)
+            iters, method = 0, "direct-lu"
 
         residual = float(np.linalg.norm(spmv(m, x) - rhs)) / rhs_norm
         if residual > self.tol and method != "direct-lu":
@@ -247,19 +236,12 @@ class LinearSolver:
         return x, SolveReport(iters, residual, method)
 
     def _direct(self, m: SparseMatrix, rhs: np.ndarray) -> np.ndarray:
-        key = m.content_digest()
-        lu = self._lu_cache.get(key)
-        if lu is None:
+        if m._lu is None:
             try:
-                lu = spla.splu(m.to_scipy().tocsc())
+                m._lu = spla.splu(m.to_scipy().tocsc())
             except RuntimeError as exc:  # singular factor
                 raise SolverError(f"direct factorization failed: {exc}") from exc
-            self._lu_cache[key] = lu
-            if len(self._lu_cache) > self._cache_size:
-                self._lu_cache.popitem(last=False)
-        else:
-            self._lu_cache.move_to_end(key)
-        return lu.solve(rhs)
+        return m._lu.solve(rhs)
 
     def _jacobi_bicgstab(self, m, rhs):
         a = m.to_scipy()
@@ -276,26 +258,6 @@ class LinearSolver:
         if info != 0:
             return None, 0, "jacobi-bicgstab"
         return x, count[0], "jacobi-bicgstab"
-
-    def _ilu_bicgstab(self, m, rhs):
-        a = m.to_scipy().tocsc()
-        try:
-            ilu = spla.spilu(a, drop_tol=1e-5, fill_factor=10)
-        except RuntimeError as exc:
-            raise SolverError(f"ILU factorization failed: {exc}") from exc
-        precond = spla.LinearOperator((m.n, m.n), ilu.solve)
-        count = [0]
-
-        def tick(_):
-            count[0] += 1
-
-        x, info = spla.bicgstab(
-            a, rhs, rtol=max(self.tol * 0.1, 1e-14), atol=0.0,
-            maxiter=1000, M=precond, callback=tick,
-        )
-        if info != 0:
-            raise SolverError(f"ILU-BiCGSTAB did not converge (info={info})")
-        return x, count[0], "ilu-bicgstab"
 
 
 def solve(m: SparseMatrix, rhs, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:

@@ -12,6 +12,7 @@ serves as the accuracy reference in tests.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -74,29 +75,16 @@ def limiter_S(lim: FluxLimiter, x):
 
 @dataclass(frozen=True)
 class SchemeVariant:
-    """Which step driver to run and how to pick the correction factor.
-
-    ``chem_dynamics`` normally stays None and is inherited from the model;
-    setting it to a value that disagrees with the model is an error.
-    """
+    """Which step driver to run and how to pick the correction factor."""
 
     kind: str = VARIANT_CORRECTED
     beta_policy: str = BETA_FIXED
-    chem_dynamics: str | None = None
 
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown scheme variant {self.kind!r}")
         if self.beta_policy not in (BETA_FIXED, BETA_FORMULA):
             raise ValueError(f"unknown beta policy {self.beta_policy!r}")
-
-    def dynamics(self, model: ModelSpec) -> str:
-        if self.chem_dynamics is not None and self.chem_dynamics != model.chem_dynamics:
-            raise SchemeError(
-                f"variant pins {self.chem_dynamics} chem dynamics but the model "
-                f"is {model.chem_dynamics}"
-            )
-        return model.chem_dynamics
 
 
 def correction_term(state: State, model: ModelSpec, mesh: Mesh) -> np.ndarray:
@@ -133,6 +121,28 @@ def beta_n(state: State, mesh: Mesh) -> float:
     return float(min(1.0, np.min(g_now[mask] / denom)))
 
 
+@functools.lru_cache(maxsize=1)
+def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatrix:
+    """The chem operator B of a run: sum(tau) + gamma*m(K) on the diagonal
+    (plus m(K)/dt when ``dt`` is given, for parabolic dynamics) and -tau per
+    neighbor.
+
+    B depends on nothing else, so the operator of the last (mesh, gamma, dt)
+    is kept and every step of a run solves with the same object, which
+    carries its structure report and LU factor.
+    """
+    m = mesh.cell_measures
+    pattern = mesh.adjacency_csr()
+    diag = mesh.tau_sum_interior + chem_decay * m
+    if dt is not None:
+        diag = diag + m / dt
+    data = np.zeros(pattern.nnz)
+    data[pattern.diag_slots] = diag
+    data[pattern.kl_slots] = -mesh.interior_tau
+    data[pattern.lk_slots] = -mesh.interior_tau
+    return SparseMatrix(mesh.n_cells, pattern.indptr, pattern.indices, data)
+
+
 def assemble_chem_system(
     state: State,
     model: ModelSpec,
@@ -144,34 +154,25 @@ def assemble_chem_system(
 ) -> tuple[SparseMatrix, np.ndarray]:
     """Assemble the chemoattractant system B c^{n+1} = G.
 
-    B has diagonal sum(tau) + gamma*m(K) (plus m(K)/dt for parabolic
-    dynamics) and off-diagonal -tau per neighbor. G carries the source from
-    u^n, the correction term for the corrected variant, and m(K) c^n / dt
-    for parabolic dynamics. The lagged variant and the coupled oracle pass
-    the freshly solved density as ``u_source``. ``lim`` is unused here (the
+    B is the run's ``chem_operator``. G carries the source from u^n, the
+    correction term for the corrected variant, and m(K) c^n / dt for
+    parabolic dynamics. The lagged variant and the coupled oracle pass the
+    freshly solved density as ``u_source``. ``lim`` is unused here (the
     chem operator has no convective flux) and kept for assembly-call
     symmetry.
     """
     del lim
-    dynamics = variant.dynamics(model)
     m = mesh.cell_measures
-    pattern = mesh.adjacency_csr()
-
-    diag = mesh.tau_sum_interior + model.chem_decay * m
     rhs = m * chem_source_value(model, state.u if u_source is None else u_source)
-    if dynamics == _model.CHEM_PARABOLIC:
+    dt = None
+    if model.chem_dynamics == _model.CHEM_PARABOLIC:
         if state.dt <= 0:
             raise SchemeError("parabolic chem dynamics needs a positive dt")
-        diag = diag + m / state.dt
+        dt = state.dt
         rhs = rhs + m * state.c / state.dt
     if variant.kind == VARIANT_CORRECTED:
         rhs = rhs + beta * correction_term(state, model, mesh)
-
-    data = np.zeros(pattern.nnz)
-    data[pattern.diag_slots] = diag
-    data[pattern.kl_slots] = -mesh.interior_tau
-    data[pattern.lk_slots] = -mesh.interior_tau
-    return SparseMatrix(mesh.n_cells, pattern.indptr, pattern.indices, data), rhs
+    return chem_operator(mesh, model.chem_decay, dt), rhs
 
 
 def assemble_cell_system(
@@ -308,7 +309,7 @@ def step(
     if check_matrices:
         m = mesh.cell_measures
         expected_b = model.chem_decay * m
-        if variant.dynamics(model) == _model.CHEM_PARABOLIC:
+        if model.chem_dynamics == _model.CHEM_PARABOLIC:
             expected_b = expected_b + m / state.dt
         _check_structure(b_mat, expected_b, "rows", "chem matrix")
         expected_a = m / state.dt

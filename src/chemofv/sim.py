@@ -44,6 +44,9 @@ class RunConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_final < 0:
             raise ValueError(f"t_final must be >= 0, got {self.t_final}")
+        for name in ("snapshot_every", "diagnostics_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def n_steps(self) -> int:

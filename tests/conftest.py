@@ -5,12 +5,26 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `import oracles` work
 
-from chemofv import LinearSolver, build_uniform_rect_mesh
+from chemofv import LinearSolver, build_uniform_rect_mesh, linalg
 
 
 @pytest.fixture
 def solver():
     return LinearSolver()
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """List that gets one entry per LU factorization made by the solver."""
+    calls = []
+    splu = linalg.spla.splu
+
+    def counting_splu(a):
+        calls.append(a)
+        return splu(a)
+
+    monkeypatch.setattr(linalg.spla, "splu", counting_splu)
+    return calls
 
 
 @pytest.fixture

@@ -130,6 +130,14 @@ class TestRun:
         assert assignment.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["output.snapshot_every", "output.diagnostics_every"])
+    def test_negative_cadence_exits_2(self, tmp_path, key, capsys):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["run", str(cfg), "--set", f"{key}=-1"]) == 2
+        assert key.split(".")[1] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(["run", str(cfg), "--set", f"{key}=0"]) == 0
+
     def test_integral_float_integer_values_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out", t_final=0.1)
         overrides = ["domain.nx=4.0", "ic.seed=7.0", "output.diagnostics_every=1.0"]
@@ -281,6 +289,12 @@ class TestOracleCheck:
     def test_perturbed_data_passes(self, tmp_path):
         cfg = write_config(tmp_path / "o.yaml", tmp_path / "out", nx=8, ny=8, dt=0.1)
         assert main(["oracle-check", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("dt", [0.0, -0.05])
+    def test_nonpositive_dt_exits_2(self, tmp_path, dt, capsys):
+        cfg = write_config(tmp_path / "o.yaml", tmp_path / "out", dt=dt)
+        assert main(["oracle-check", str(cfg)]) == 2
+        assert "dt must be positive" in capsys.readouterr().err
 
     def test_oversized_grid_refused(self, tmp_path):
         cfg = write_config(tmp_path / "o.yaml", tmp_path / "out", nx=70, ny=70)

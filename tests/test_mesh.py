@@ -120,6 +120,16 @@ def test_invalid_ranges_rejected(x_range, y_range):
         build_uniform_rect_mesh(x_range, y_range, 2, 2)
 
 
+@pytest.mark.parametrize(
+    "x_range,y_range,nx,ny",
+    [((1.0, 1.0 + 1e-15), (0.0, 1.0), 100, 1), ((0.0, 1.0), (1e6, 1e6 + 1e-9), 1, 1000)],
+)
+def test_coincident_cell_centers_rejected(x_range, y_range, nx, ny):
+    # cells narrower than the float spacing of their coordinates
+    with pytest.raises(MeshError, match="not pairwise distinct"):
+        build_uniform_rect_mesh(x_range, y_range, nx, ny)
+
+
 def test_invalid_counts_rejected():
     with pytest.raises(MeshError):
         build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 0, 3)

@@ -190,6 +190,27 @@ class TestChemAssembly:
         with pytest.raises(SchemeError):
             assemble_chem_system(state, model, mesh_2cell, lim, PLAIN)
 
+    def test_operator_built_once_per_mesh_model_and_dt(self, mesh_small):
+        lim = FluxLimiter(0.25, 2.0)
+        n = mesh_small.n_cells
+        parabolic = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
+
+        def operator(model, dt, variant=PLAIN):
+            state = state_of(np.ones(n), u_prev=np.ones(n), dt=dt)
+            return assemble_chem_system(state, model, mesh_small, lim, variant)[0]
+
+        b = operator(elliptic_model(), 0.1)
+        assert operator(elliptic_model(), 0.1, CORRECTED) is b
+        assert operator(elliptic_model(), 0.01) is b  # elliptic B has no dt
+        p = operator(parabolic, 0.1)
+        assert operator(parabolic, 0.1, LAGGED) is p
+        assert operator(parabolic, 0.01) is not p
+        np.testing.assert_allclose(
+            operator(parabolic, 0.01).diagonal() - b.diagonal(),
+            mesh_small.cell_measures / 0.01,
+            rtol=1e-14,
+        )
+
     def test_corrected_rhs_is_plain_rhs_plus_beta_t(self, mesh_small):
         lim = FluxLimiter(0.25, 2.0)
         model = elliptic_model()
@@ -431,13 +452,6 @@ class TestStep:
             check_matrices=True,
             debug_checks=True,
         )
-
-    def test_dynamics_mismatch_raises(self, mesh_small, solver):
-        state = perturbed_state(mesh_small, dt=0.01)
-        lim = FluxLimiter(0.25, 2.0, 1e-6)
-        variant = SchemeVariant(kind=VARIANT_PLAIN, chem_dynamics=CHEM_PARABOLIC)
-        with pytest.raises(SchemeError):
-            step(state, elliptic_model(), mesh_small, lim, variant, solver)
 
 
 class TestCoupledOracle:

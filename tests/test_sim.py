@@ -6,6 +6,7 @@ import pytest
 from chemofv import (
     InitialConditionSpec,
     InvariantError,
+    LinearSolver,
     ModelSpec,
     RunConfig,
     SchemeVariant,
@@ -136,6 +137,27 @@ class TestRun:
         _, diagnostics, snapshots = run(cfg)
         assert [r.step for r in diagnostics.records] == [0, 3, 6, 9, 10]
         assert [s.step for s in snapshots] == [4, 8, 10]
+
+    @pytest.mark.parametrize("name", ["snapshot_every", "diagnostics_every"])
+    def test_negative_cadence_rejected(self, mesh_small, name):
+        with pytest.raises(ValueError, match=name):
+            desk_config(mesh_small, dt=0.1, t_final=0.5, **{name: -1})
+        desk_config(mesh_small, dt=0.1, t_final=0.5, **{name: 0})
+
+    def test_chem_operator_factored_once_per_run(self, splu_calls):
+        mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8)
+        reports = []
+
+        class TallySolver(LinearSolver):
+            def solve(self, m, rhs):
+                x, report = super().solve(m, rhs)
+                reports.append(report)
+                return x, report
+
+        run(desk_config(mesh, dt=0.01, t_final=0.05), solver=TallySolver())
+        # chem then cell solve per step; only the chem operator goes direct
+        assert [r.method for r in reports] == ["direct-lu", "jacobi-bicgstab"] * 5
+        assert len(splu_calls) == 1
 
     def test_final_snapshot_always_written(self, mesh_small):
         cfg = desk_config(mesh_small, dt=0.1, t_final=0.5, snapshot_every=0)
