@@ -1,13 +1,17 @@
 """CSR sparse matrices, M-matrix structure checks, deterministic solves.
 
 The solve contract is a relative residual tolerance (default 1e-12), not a
-method. A system whose every row has a slack of at least half its diagonal
-goes through Jacobi-preconditioned BiCGSTAB; any other system, and any
-Krylov solve that misses the tolerance, goes through a direct sparse LU.
-The LU factor is kept on the matrix it factors, so an operator built once
-per run (the chem operator) is factorized once per run. Every result is
-residual-checked, and an unmet tolerance raises instead of returning
-silently.
+method. A solve takes one of two paths, by what the operator is:
+
+- an operator built once per run (the chem operator) is factorized once,
+  by ``factorize``, and keeps its LU factor; every solve with it is a
+  direct LU solve;
+- any other matrix (the per-step cell operator) goes through
+  Jacobi-preconditioned BiCGSTAB first, and through a direct sparse LU
+  when that misses the tolerance.
+
+Every result is residual-checked, and an unmet tolerance raises instead of
+returning silently.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ class SparseMatrix:
 
     Column indices are sorted within each row and explicit off-diagonal
     zeros are pruned at construction. Instances are immutable; their
-    structure report and LU factor are computed on first use and kept.
+    scipy form, structure report and LU factor are computed on first use
+    and kept.
     """
 
     def __init__(self, n: int, indptr, indices, data):
@@ -95,6 +100,7 @@ class SparseMatrix:
         self.indices = indices
         self.data = data
         self._diag_slots = np.flatnonzero(~offdiag)
+        self._csr: sp.csr_matrix | None = None
         self._structure: StructureReport | None = None
         self._lu: spla.SuperLU | None = None
 
@@ -136,9 +142,12 @@ class SparseMatrix:
         return out
 
     def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(self.n, self.n)
-        )
+        """The matrix as scipy CSR; one shared, read-only object per matrix."""
+        if self._csr is None:
+            self._csr = sp.csr_matrix(
+                (self.data, self.indices, self.indptr), shape=(self.n, self.n)
+            )
+        return self._csr
 
     def content_digest(self) -> bytes:
         h = hashlib.sha1()
@@ -157,14 +166,12 @@ class SparseMatrix:
 
 
 def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product with fixed within-row accumulation order."""
+    """Sparse matrix-vector product with fixed within-row accumulation order
+    (scipy's CSR product sums each row's entries in storage order)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n,):
         raise ValueError(f"dimension mismatch: matrix is {m.n}, vector is {x.shape}")
-    if m.n == 0:
-        return np.zeros(0)
-    prods = m.data * x[m.indices]
-    return np.add.reduceat(prods, m.indptr[:-1])  # rows are never empty
+    return m.to_scipy() @ x
 
 
 def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
@@ -189,16 +196,29 @@ def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
     return report
 
 
-# Minimum row slack/|diagonal| at which Jacobi-BiCGSTAB is tried first.
-DOMINANCE_RATIO = 0.5
+def factorize(m: SparseMatrix) -> spla.SuperLU:
+    """The LU factor of ``m``, computed on first use and kept on the matrix.
+
+    Every operator shares one structurally symmetric 5-point pattern, so the
+    columns are ordered by minimum degree on A^T + A.
+    """
+    if m._lu is None:
+        try:
+            m._lu = spla.splu(m.to_scipy().tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # singular factor
+            raise SolverError(f"direct factorization failed: {exc}") from exc
+    return m._lu
 
 
 class LinearSolver:
     """Deterministic solver front end with two paths.
 
-    Rows dominant by at least DOMINANCE_RATIO go to Jacobi-BiCGSTAB; other
-    matrices, and Krylov solves above ``tol``, use the matrix's own LU
-    factor, computed on its first direct solve.
+    A matrix that carries an LU factor (see ``factorize``) is solved with
+    it. Any other matrix with a nonzero diagonal goes through
+    Jacobi-BiCGSTAB first; when that breaks down or misses ``tol`` the
+    matrix is factorized and the solve is reported as
+    ``direct-lu(fallback)``. A matrix with a zero on its diagonal is
+    factorized directly.
     """
 
     def __init__(self, tol: float = 1e-12):
@@ -214,20 +234,18 @@ class LinearSolver:
         if rhs_norm == 0.0:
             return np.zeros(m.n), SolveReport(0, 0.0, "trivial")
 
-        struct = check_m_matrix_pattern(m)
-        diag = m.diagonal()
-        x = None
-        if np.all(diag != 0) and np.min(struct.row_slack / np.abs(diag)) >= DOMINANCE_RATIO:
-            x, iters, method = self._jacobi_bicgstab(m, rhs)
-        if x is None:
-            x = self._direct(m, rhs)
-            iters, method = 0, "direct-lu"
+        def relative_residual(x):
+            return float(np.linalg.norm(spmv(m, x) - rhs)) / rhs_norm
 
-        residual = float(np.linalg.norm(spmv(m, x) - rhs)) / rhs_norm
-        if residual > self.tol and method != "direct-lu":
-            x = self._direct(m, rhs)
-            iters, method = 0, "direct-lu(fallback)"
-            residual = float(np.linalg.norm(spmv(m, x) - rhs)) / rhs_norm
+        method = "direct-lu"
+        if m._lu is None and np.all(m.diagonal() != 0):
+            x, iters = self._jacobi_bicgstab(m, rhs)
+            residual = np.inf if x is None else relative_residual(x)
+            # NaN compares false: a non-finite Krylov result falls back too
+            method = "jacobi-bicgstab" if residual <= self.tol else "direct-lu(fallback)"
+        if method != "jacobi-bicgstab":
+            x, iters = factorize(m).solve(rhs), 0
+            residual = relative_residual(x)
         if residual > self.tol or not np.all(np.isfinite(x)):
             raise SolverError(
                 f"residual {residual:.3e} above tolerance {self.tol:.3e} "
@@ -235,15 +253,9 @@ class LinearSolver:
             )
         return x, SolveReport(iters, residual, method)
 
-    def _direct(self, m: SparseMatrix, rhs: np.ndarray) -> np.ndarray:
-        if m._lu is None:
-            try:
-                m._lu = spla.splu(m.to_scipy().tocsc())
-            except RuntimeError as exc:  # singular factor
-                raise SolverError(f"direct factorization failed: {exc}") from exc
-        return m._lu.solve(rhs)
-
     def _jacobi_bicgstab(self, m, rhs):
+        """Jacobi-preconditioned BiCGSTAB: (solution, iterations), or
+        (None, 0) when it breaks down or runs out of iterations."""
         a = m.to_scipy()
         precond = sp.diags(1.0 / m.diagonal())
         count = [0]
@@ -256,8 +268,8 @@ class LinearSolver:
             maxiter=min(m.n, 300), M=precond, callback=tick,
         )
         if info != 0:
-            return None, 0, "jacobi-bicgstab"
-        return x, count[0], "jacobi-bicgstab"
+            return None, 0
+        return x, count[0]
 
 
 def solve(m: SparseMatrix, rhs, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:

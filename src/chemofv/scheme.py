@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as _model
-from .linalg import LinearSolver, SparseMatrix, check_m_matrix_pattern
+from .linalg import LinearSolver, SparseMatrix, check_m_matrix_pattern, factorize
 from .mesh import Mesh
 from .model import ModelSpec, chem_source_value
 from .state import State
@@ -128,8 +128,9 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     neighbor.
 
     B depends on nothing else, so the operator of the last (mesh, gamma, dt)
-    is kept and every step of a run solves with the same object, which
-    carries its structure report and LU factor.
+    is kept and every step of a run solves with the same object. It is
+    factorized here, once, and carries its LU factor and structure report;
+    a singular B raises ``SolverError``.
     """
     m = mesh.cell_measures
     pattern = mesh.adjacency_csr()
@@ -140,7 +141,9 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     data[pattern.diag_slots] = diag
     data[pattern.kl_slots] = -mesh.interior_tau
     data[pattern.lk_slots] = -mesh.interior_tau
-    return SparseMatrix(mesh.n_cells, pattern.indptr, pattern.indices, data)
+    b_mat = SparseMatrix(mesh.n_cells, pattern.indptr, pattern.indices, data)
+    factorize(b_mat)
+    return b_mat
 
 
 def assemble_chem_system(
@@ -205,21 +208,26 @@ def assemble_cell_system(
         model.cell_diffusion + model.chemo_sensitivity * limiter_S(lim, -dc)
     )
 
-    diag = (
-        m / state.dt
-        + np.bincount(ka, weights=w_plus, minlength=mesh.n_cells)
-        + np.bincount(kb, weights=w_minus, minlength=mesh.n_cells)
-    )
+    flux_out_a = np.bincount(ka, weights=w_plus, minlength=mesh.n_cells)
+    flux_out_b = np.bincount(kb, weights=w_minus, minlength=mesh.n_cells)
+    diag = m / state.dt + flux_out_a + flux_out_b
     rhs = m * u / state.dt
     if model.growth == _model.GROWTH_QUADRATIC:
         growth = model.growth_rate * m * u
         diag = diag + growth
         rhs = rhs + growth
     elif model.growth == _model.GROWTH_CUBIC:
-        diag = diag - m * u * (1.0 - u)
+        uptake = m * u * (1.0 - u)
+        diag = diag - uptake
         if np.any(diag <= 0):
+            # diag = m/dt - (uptake - flux) stays positive iff dt < m/(uptake - flux)
+            excess = uptake - (flux_out_a + flux_out_b)
+            binding = excess > 0
+            dt_max = float(np.min(m[binding] / excess[binding]))
             raise SchemeError(
-                "cubic growth made a diagonal entry nonpositive; reduce dt"
+                f"cubic growth made a diagonal entry nonpositive at step "
+                f"{state.step_index} (t={state.time:.6g}) with dt={state.dt:.6g}; "
+                f"reduce dt below the largest admissible dt {dt_max:.6g}"
             )
 
     data = np.zeros(pattern.nnz)

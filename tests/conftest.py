@@ -15,13 +15,15 @@ def solver():
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """List that gets one entry per LU factorization made by the solver."""
+    """List that gets one entry per LU factorization made by the solver:
+    the matrix and the column ordering it was factorized with."""
     calls = []
     splu = linalg.spla.splu
 
-    def counting_splu(a):
-        calls.append(a)
-        return splu(a)
+    def counting_splu(a, **kwargs):
+        calls.append((a, kwargs.get("permc_spec")))
+        assert kwargs.get("permc_spec") == "MMD_AT_PLUS_A"
+        return splu(a, **kwargs)
 
     monkeypatch.setattr(linalg.spla, "splu", counting_splu)
     return calls

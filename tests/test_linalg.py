@@ -9,6 +9,7 @@ from chemofv import (
     solve,
     spmv,
 )
+from chemofv.linalg import factorize
 from oracles import dense_gauss_solve, dense_spmv, random_dominant_m_matrix
 
 
@@ -185,10 +186,30 @@ class TestSolve:
 
     def test_factorization_cache_reuses_lu(self, splu_calls):
         rng = np.random.default_rng(31)
-        # slack far below half the diagonal: the direct path
         dense = random_dominant_m_matrix(rng, 20, slack_scale=0.01)
         m = SparseMatrix.from_dense(dense)
+        factorize(m)
         _, r1 = LinearSolver().solve(m, rng.random(20))
         _, r2 = LinearSolver().solve(m, rng.random(20))
         assert r1.method == r2.method == "direct-lu"
         assert len(splu_calls) == 1
+
+    def test_krylov_breakdown_falls_back_to_lu(self, splu_calls):
+        # not an M-matrix: Jacobi-BiCGSTAB breaks down on it
+        dense = [[1.0, 5.0, 0.0], [-5.0, 1.0, 5.0], [0.0, -5.0, 1.0]]
+        m = SparseMatrix.from_dense(dense)
+        b = np.ones(3)
+        x, report = LinearSolver().solve(m, b)
+        assert report.method == "direct-lu(fallback)"
+        assert len(splu_calls) == 1
+        assert np.max(np.abs(x - dense_gauss_solve(np.array(dense), b))) <= 1e-12
+
+    def test_unfactorized_matrix_goes_krylov_first(self, splu_calls):
+        # row slack far below half the diagonal: Krylov still goes first
+        rng = np.random.default_rng(37)
+        dense = random_dominant_m_matrix(rng, 20, slack_scale=0.01)
+        b = rng.random(20)
+        x, report = LinearSolver().solve(SparseMatrix.from_dense(dense), b)
+        assert report.method == "jacobi-bicgstab"
+        assert splu_calls == []
+        assert np.max(np.abs(x - dense_gauss_solve(dense, b))) <= 1e-9

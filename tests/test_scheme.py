@@ -7,6 +7,7 @@ from chemofv import (
     ModelSpec,
     SchemeError,
     SchemeVariant,
+    SolverError,
     State,
     assemble_cell_system,
     assemble_chem_system,
@@ -34,6 +35,7 @@ from chemofv.scheme import (
     VARIANT_LAGGED,
     VARIANT_ORACLE,
     VARIANT_PLAIN,
+    chem_operator,
 )
 from oracles import beta_brute_force
 
@@ -211,6 +213,11 @@ class TestChemAssembly:
             rtol=1e-14,
         )
 
+    def test_singular_operator_raises_when_built(self, mesh_2cell):
+        # gamma = 0, elliptic: the pure Neumann Laplacian [[1, -1], [-1, 1]]
+        with pytest.raises(SolverError):
+            chem_operator(mesh_2cell, 0.0, None)
+
     def test_corrected_rhs_is_plain_rhs_plus_beta_t(self, mesh_small):
         lim = FluxLimiter(0.25, 2.0)
         model = elliptic_model()
@@ -333,7 +340,10 @@ class TestCellAssembly:
             0.0625, 6.0, chem_decay=32.0, chem_source=SOURCE_LINEAR, growth=GROWTH_CUBIC
         )
         state = state_of([0.5], u_prev=[0.5], dt=5.0)
-        with pytest.raises(SchemeError, match="reduce dt"):
+        # m/dt > m u(1-u) = 1/4 admits dt < 4
+        with pytest.raises(
+            SchemeError, match=r"step 1 \(t=5\).*reduce dt.*largest admissible dt 4$"
+        ):
             assemble_cell_system(state, np.zeros(1), model, mesh, lim, PLAIN)
 
     def test_requires_positive_dt(self, mesh_2cell):

@@ -17,6 +17,7 @@ from chemofv import (
     discrete_norm,
     extract_contour,
     gradient_energy,
+    preset,
     relative_l2_error,
     run,
 )
@@ -26,6 +27,19 @@ from chemofv.sim import _InvariantMonitor, convergence_rates
 from oracles import h1_seminorm_direct
 
 CORRECTED = SchemeVariant(kind=VARIANT_CORRECTED)
+
+
+class TallySolver(LinearSolver):
+    """LinearSolver that keeps every SolveReport it hands back."""
+
+    def __init__(self):
+        super().__init__()
+        self.reports = []
+
+    def solve(self, m, rhs):
+        x, report = super().solve(m, rhs)
+        self.reports.append(report)
+        return x, report
 
 
 def desk_config(mesh, dt, t_final, **kwargs):
@@ -146,17 +160,28 @@ class TestRun:
 
     def test_chem_operator_factored_once_per_run(self, splu_calls):
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8)
-        reports = []
-
-        class TallySolver(LinearSolver):
-            def solve(self, m, rhs):
-                x, report = super().solve(m, rhs)
-                reports.append(report)
-                return x, report
-
-        run(desk_config(mesh, dt=0.01, t_final=0.05), solver=TallySolver())
+        solver = TallySolver()
+        run(desk_config(mesh, dt=0.01, t_final=0.05), solver=solver)
         # chem then cell solve per step; only the chem operator goes direct
-        assert [r.method for r in reports] == ["direct-lu", "jacobi-bicgstab"] * 5
+        assert [r.method for r in solver.reports] == ["direct-lu", "jacobi-bicgstab"] * 5
+        assert len(splu_calls) == 1
+
+    def test_cell_operator_goes_krylov_first(self, splu_calls):
+        # chi=80 upwinding breaks the cell matrix's row dominance; its column
+        # dominance keeps Jacobi-BiCGSTAB converging, so only B is factorized
+        p = preset("test4", chi=80.0)
+        cfg = RunConfig(
+            mesh=build_uniform_rect_mesh(p.x_range, p.y_range, 30, 30),
+            model=p.model,
+            ic=p.ic,
+            variant=CORRECTED,
+            dt=0.05,
+            t_final=0.25,
+            strict=True,
+        )
+        solver = TallySolver()
+        run(cfg, solver=solver)
+        assert [r.method for r in solver.reports] == ["direct-lu", "jacobi-bicgstab"] * 5
         assert len(splu_calls) == 1
 
     def test_final_snapshot_always_written(self, mesh_small):
