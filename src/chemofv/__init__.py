@@ -15,11 +15,9 @@ from .linalg import (
     SolverError,
     SparseMatrix,
     check_m_matrix_pattern,
-    solve,
     spmv,
 )
 from .mesh import (
-    ControlVolume,
     Edge,
     Mesh,
     MeshError,
@@ -71,7 +69,6 @@ __all__ = [
     "locate_cell",
     "Mesh",
     "MeshError",
-    "ControlVolume",
     "Edge",
     "ModelSpec",
     "InitialConditionSpec",
@@ -96,7 +93,6 @@ __all__ = [
     "LinearSolver",
     "SolveReport",
     "SolverError",
-    "solve",
     "spmv",
     "check_m_matrix_pattern",
     "RunConfig",

@@ -76,7 +76,7 @@ def cmd_study(args) -> int:
     resolved = cfgmod.resolve(_build_doc(args))
     base = dataclasses.replace(
         resolved.run,
-        dt=args.reference_dt if args.reference_dt else resolved.run.dt,
+        dt=resolved.run.dt if args.reference_dt is None else args.reference_dt,
         snapshot_every=0,
         diagnostics_every=0,
     )

@@ -1,4 +1,8 @@
-"""CSR sparse matrices, M-matrix structure checks, deterministic solves.
+"""Sparse operators, M-matrix structure checks, deterministic solves.
+
+An operator (``SparseMatrix``) is a ``CsrPattern``, validated once when it
+is built, plus its values in one scipy CSR matrix; arbitrary triplets enter
+through ``SparseMatrix.from_coo``.
 
 The solve contract is a relative residual tolerance (default 1e-12), not a
 method. A solve takes one of two paths, by what the operator is:
@@ -17,7 +21,7 @@ returning silently.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,50 +61,80 @@ class StructureReport:
         return bool(np.all(self.col_slack > 0))
 
 
-class SparseMatrix:
-    """Square CSR matrix with exactly one diagonal entry per row.
+@dataclass(frozen=True, eq=False)
+class CsrPattern:
+    """Validated sparsity pattern of an n-by-n CSR operator.
 
-    Column indices are sorted within each row and explicit off-diagonal
-    zeros are pruned at construction. Instances are immutable; their
-    scipy form, structure report and LU factor are computed on first use
-    and kept.
+    Column indices strictly increase within each row and every row stores
+    exactly one diagonal entry, possibly a zero. ``rows[s]`` is the row of
+    slot ``s``, ``diag_slots[k]`` the slot of entry (k, k) and
+    ``scipy_index`` the (indices, indptr) pair in scipy's index dtype. The
+    checks run once, at construction; every array is a read-only copy.
     """
 
-    def __init__(self, n: int, indptr, indices, data):
-        self.n = int(n)
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        data = np.array(data, dtype=float)  # own copy; assemblies reuse buffers
-        if indptr.shape != (self.n + 1,) or indptr[0] != 0:
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray = field(init=False, repr=False)
+    diag_slots: np.ndarray = field(init=False, repr=False)
+    scipy_index: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = int(self.n)
+        indptr = readonly_copy(self.indptr)
+        indices = readonly_copy(self.indices)
+        if indptr.shape != (n + 1,) or indptr[0] != 0:
             raise ValueError("malformed indptr")
-        if indices.shape != data.shape or indices.size != indptr[-1]:
-            raise ValueError("indices/data sizes do not match indptr")
-        rows = np.repeat(np.arange(self.n), np.diff(indptr))
-        offdiag = indices != rows
-        keep = ~(offdiag & (data == 0.0))
-        if not np.all(keep):
-            indices = indices[keep]
-            data = data[keep]
-            counts = np.bincount(rows[keep], minlength=self.n)
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            rows = rows[keep]
-            offdiag = indices != rows
-        # sorted columns within each row, no duplicates
-        order_ok = np.ones(indices.size, dtype=bool)
-        if indices.size > 1:
-            same_row = rows[1:] == rows[:-1]
-            order_ok[1:] = ~same_row | (indices[1:] > indices[:-1])
-        if not np.all(order_ok):
+        if indices.ndim != 1 or indices.size != indptr[-1]:
+            raise ValueError("indices size does not match indptr")
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise ValueError(f"column index outside [0, {n})")
+        rows = readonly_copy(np.repeat(np.arange(n), np.diff(indptr)))
+        if np.any((rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1])):
             raise ValueError("column indices must be strictly increasing per row")
-        diag_count = np.bincount(rows[~offdiag], minlength=self.n)
-        if not np.all(diag_count == 1):
+        on_diag = indices == rows
+        if not np.all(np.bincount(rows[on_diag], minlength=n) == 1):
             raise ValueError("every row must store exactly one diagonal entry")
-        self.indptr = indptr
-        self.indices = indices
+        index_dtype = sp.get_index_dtype((indices, indptr), maxval=n, check_contents=True)
+        fields = dict(
+            n=n,
+            indptr=indptr,
+            indices=indices,
+            rows=rows,
+            diag_slots=readonly_copy(np.flatnonzero(on_diag)),
+            scipy_index=(readonly_copy(indices, index_dtype), readonly_copy(indptr, index_dtype)),
+        )
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indices.size)
+
+
+def readonly_copy(a, dtype=np.int64) -> np.ndarray:
+    """Read-only copy of ``a`` as ``dtype``."""
+    out = np.array(a, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+class SparseMatrix:
+    """Square operator: a validated ``CsrPattern`` plus one value per slot.
+
+    The values live in one scipy CSR matrix, ``csr``, built at construction
+    on the pattern's index arrays. Instances are immutable; their structure
+    report and LU factor are computed on first use and kept.
+    """
+
+    def __init__(self, pattern: CsrPattern, data):
+        data = np.array(data, dtype=float)  # own copy; assemblies reuse buffers
+        if data.shape != (pattern.nnz,):
+            raise ValueError(f"data has shape {data.shape}, pattern has {pattern.nnz} entries")
+        self.pattern = pattern
+        self.n = pattern.n
         self.data = data
-        self._diag_slots = np.flatnonzero(~offdiag)
-        self._csr: sp.csr_matrix | None = None
+        self.csr = sp.csr_matrix((data, *pattern.scipy_index), shape=(self.n, self.n))
         self._structure: StructureReport | None = None
         self._lu: spla.SuperLU | None = None
 
@@ -110,15 +144,16 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, n, rows, cols, vals) -> "SparseMatrix":
-        """Build from triplets; duplicates are summed, missing diagonals
-        are stored as explicit zeros."""
+        """Build from triplets; duplicates are summed, explicit off-diagonal
+        zeros are then pruned and missing diagonals are stored as zeros."""
         rows = np.concatenate([np.asarray(rows, dtype=np.int64), np.arange(n)])
         cols = np.concatenate([np.asarray(cols, dtype=np.int64), np.arange(n)])
         vals = np.concatenate([np.asarray(vals, dtype=float), np.zeros(n)])
-        m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        m.sum_duplicates()
-        m.sort_indices()
-        return cls(n, m.indptr, m.indices, m.data)
+        coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+        coo.sum_duplicates()  # sorted by (row, column), one entry per pair
+        keep = (coo.row == coo.col) | (coo.data != 0.0)
+        m = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=(n, n))
+        return cls(CsrPattern(n, m.indptr, m.indices), m.data)
 
     @classmethod
     def from_dense(cls, a) -> "SparseMatrix":
@@ -133,35 +168,23 @@ class SparseMatrix:
         return cls.from_coo(n, r, r, np.ones(n))
 
     def diagonal(self) -> np.ndarray:
-        return self.data[self._diag_slots]
+        return self.data[self.pattern.diag_slots]
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        out[rows, self.indices] = self.data
-        return out
-
-    def to_scipy(self) -> sp.csr_matrix:
-        """The matrix as scipy CSR; one shared, read-only object per matrix."""
-        if self._csr is None:
-            self._csr = sp.csr_matrix(
-                (self.data, self.indices, self.indptr), shape=(self.n, self.n)
-            )
-        return self._csr
+        return self.csr.toarray()
 
     def content_digest(self) -> bytes:
         h = hashlib.sha1()
         h.update(np.int64(self.n).tobytes())
-        h.update(self.indptr.tobytes())
-        h.update(self.indices.tobytes())
+        h.update(self.pattern.indptr.tobytes())
+        h.update(self.pattern.indices.tobytes())
         h.update(self.data.tobytes())
         return h.digest()
 
     def dump_coo(self, path) -> None:
         """Write coordinate text format: one 'row col value' line per entry."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         with open(path, "w") as fh:
-            for r, c, v in zip(rows, self.indices, self.data):
+            for r, c, v in zip(self.pattern.rows, self.pattern.indices, self.data):
                 fh.write(f"{r} {c} {float(v)!r}\n")
 
 
@@ -171,7 +194,7 @@ def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n,):
         raise ValueError(f"dimension mismatch: matrix is {m.n}, vector is {x.shape}")
-    return m.to_scipy() @ x
+    return m.csr @ x
 
 
 def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
@@ -180,12 +203,11 @@ def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
         return m._structure
     diag = m.diagonal()
     absdata = np.abs(m.data)
-    rows = np.repeat(np.arange(m.n), np.diff(m.indptr))
-    row_abs = np.bincount(rows, weights=absdata, minlength=m.n)
-    col_abs = np.bincount(m.indices, weights=absdata, minlength=m.n)
+    row_abs = np.bincount(m.pattern.rows, weights=absdata, minlength=m.n)
+    col_abs = np.bincount(m.pattern.indices, weights=absdata, minlength=m.n)
     absdiag = np.abs(diag)
     offdiag_mask = np.ones(m.nnz, dtype=bool)
-    offdiag_mask[m._diag_slots] = False
+    offdiag_mask[m.pattern.diag_slots] = False
     report = StructureReport(
         diag_positive=bool(np.all(diag > 0)),
         offdiag_nonpositive=bool(np.all(m.data[offdiag_mask] <= 0)),
@@ -204,7 +226,7 @@ def factorize(m: SparseMatrix) -> spla.SuperLU:
     """
     if m._lu is None:
         try:
-            m._lu = spla.splu(m.to_scipy().tocsc(), permc_spec="MMD_AT_PLUS_A")
+            m._lu = spla.splu(m.csr.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # singular factor
             raise SolverError(f"direct factorization failed: {exc}") from exc
     return m._lu
@@ -256,7 +278,7 @@ class LinearSolver:
     def _jacobi_bicgstab(self, m, rhs):
         """Jacobi-preconditioned BiCGSTAB: (solution, iterations), or
         (None, 0) when it breaks down or runs out of iterations."""
-        a = m.to_scipy()
+        a = m.csr
         precond = sp.diags(1.0 / m.diagonal())
         count = [0]
 
@@ -270,8 +292,3 @@ class LinearSolver:
         if info != 0:
             return None, 0
         return x, count[0]
-
-
-def solve(m: SparseMatrix, rhs, tol: float = 1e-12) -> tuple[np.ndarray, SolveReport]:
-    """One-shot solve with a fresh LinearSolver at the given tolerance."""
-    return LinearSolver(tol=tol).solve(m, np.asarray(rhs, dtype=float))

@@ -3,8 +3,8 @@
 Cells are open rectangles indexed row-major (x fastest), centers at the
 centroids, so the center-segment/edge orthogonality required by two-point
 flux approximations holds by construction. The Mesh type itself is general
-(cells, edges, transmissibilities); only the uniform rectangular builder is
-provided.
+(cell and edge arrays, transmissibilities); only the uniform rectangular
+builder is provided.
 """
 
 from __future__ import annotations
@@ -15,16 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import CsrPattern, readonly_copy
+
 
 class MeshError(ValueError):
     """Invalid mesh construction or point lookup."""
-
-
-@dataclass(frozen=True)
-class ControlVolume:
-    index: int
-    center: tuple[float, float]
-    measure: float
 
 
 @dataclass(frozen=True)
@@ -48,32 +43,31 @@ class Edge:
         return self.cell_b is None
 
 
-@dataclass(frozen=True)
-class AdjacencyPattern:
+@dataclass(frozen=True, eq=False)
+class AdjacencyPattern(CsrPattern):
     """CSR sparsity pattern of the cell-coupling operators on a mesh.
 
-    ``diag_slots[k]`` is the position of entry (k, k) in the value array;
-    ``kl_slots[e]`` / ``lk_slots[e]`` are the positions of (K, L) and (L, K)
-    for interior edge e, aligned with Mesh.interior_cell_a/b.
+    A validated ``CsrPattern`` (its ``diag_slots[k]`` is the position of
+    entry (k, k) in the value array) plus ``kl_slots[e]`` / ``lk_slots[e]``,
+    the read-only positions of (K, L) and (L, K) for interior edge e,
+    aligned with Mesh.interior_cell_a/b.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    diag_slots: np.ndarray
     kl_slots: np.ndarray
     lk_slots: np.ndarray
 
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "kl_slots", readonly_copy(self.kl_slots))
+        object.__setattr__(self, "lk_slots", readonly_copy(self.lk_slots))
 
 
 class Mesh:
     """Admissible two-point-flux mesh over a rectangular domain.
 
     Immutable after construction; safe to share across workers. Geometric
-    quantities are exposed both as numpy arrays (used by the assemblies) and
-    as ControlVolume/Edge object lists.
+    quantities are exposed as numpy arrays (used by the assemblies); the
+    edges are also listed as Edge objects.
     """
 
     def __init__(self, x_range, y_range, nx, ny):
@@ -106,7 +100,6 @@ class Mesh:
         self.h = math.hypot(self.dx, self.dy)
         self.regularity = compute_regularity(self)
         self._validate()
-        self._cells_cache = None
         self._edges_cache = None
         self._pattern_cache = None
 
@@ -204,17 +197,6 @@ class Mesh:
             raise MeshError(f"mesh regularity {self.regularity} outside (0, 1]")
 
     @property
-    def cells(self) -> list[ControlVolume]:
-        if self._cells_cache is None:
-            self._cells_cache = [
-                ControlVolume(k, (float(cx), float(cy)), float(m))
-                for k, ((cx, cy), m) in enumerate(
-                    zip(self.cell_centers, self.cell_measures)
-                )
-            ]
-        return self._cells_cache
-
-    @property
     def edges(self) -> list[Edge]:
         if self._edges_cache is None:
             self._edges_cache = [
@@ -235,19 +217,19 @@ class Mesh:
         if self._pattern_cache is not None:
             return self._pattern_cache
         # Diagonal plus both directions of every interior edge, sorted by
-        # (row, column); the inverse permutation maps each entry to its slot.
-        n, n_int = self.n_cells, self.n_interior_edges
+        # (row, column); the inverse permutation maps each edge entry to its
+        # slot (the pattern finds the diagonal slots itself).
+        n = self.n_cells
         diag = np.arange(n, dtype=np.int64)
         rows = np.concatenate([diag, self.interior_cell_a, self.interior_cell_b])
         cols = np.concatenate([diag, self.interior_cell_b, self.interior_cell_a])
         order = np.lexsort((cols, rows))
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        indices = cols[order]
         slots = np.empty(order.size, dtype=np.int64)
         slots[order] = np.arange(order.size)
-        diag_slots, kl_slots, lk_slots = np.split(slots, [n, n + n_int])
-        self._pattern_cache = AdjacencyPattern(indptr, indices, diag_slots, kl_slots, lk_slots)
+        kl_slots, lk_slots = np.split(slots[n:], 2)
+        self._pattern_cache = AdjacencyPattern(n, indptr, cols[order], kl_slots, lk_slots)
         return self._pattern_cache
 
 

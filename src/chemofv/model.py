@@ -42,6 +42,9 @@ class ModelSpec:
     growth_rate: float = 1.0  # rate r of r*u*(1-u); unused for other kinds
 
     def __post_init__(self):
+        for name in ("cell_diffusion", "chemo_sensitivity", "chem_decay", "growth_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.cell_diffusion <= 0:
             raise ValueError(f"cell_diffusion must be > 0, got {self.cell_diffusion}")
         if self.chemo_sensitivity <= 0:

@@ -141,7 +141,7 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     data[pattern.diag_slots] = diag
     data[pattern.kl_slots] = -mesh.interior_tau
     data[pattern.lk_slots] = -mesh.interior_tau
-    b_mat = SparseMatrix(mesh.n_cells, pattern.indptr, pattern.indices, data)
+    b_mat = SparseMatrix(pattern, data)
     factorize(b_mat)
     return b_mat
 
@@ -150,7 +150,6 @@ def assemble_chem_system(
     state: State,
     model: ModelSpec,
     mesh: Mesh,
-    lim: FluxLimiter,
     variant: SchemeVariant,
     beta: float = 1.0,
     u_source: np.ndarray | None = None,
@@ -160,11 +159,8 @@ def assemble_chem_system(
     B is the run's ``chem_operator``. G carries the source from u^n, the
     correction term for the corrected variant, and m(K) c^n / dt for
     parabolic dynamics. The lagged variant and the coupled oracle pass the
-    freshly solved density as ``u_source``. ``lim`` is unused here (the
-    chem operator has no convective flux) and kept for assembly-call
-    symmetry.
+    freshly solved density as ``u_source``.
     """
-    del lim
     m = mesh.cell_measures
     rhs = m * chem_source_value(model, state.u if u_source is None else u_source)
     dt = None
@@ -184,7 +180,6 @@ def assemble_cell_system(
     model: ModelSpec,
     mesh: Mesh,
     lim: FluxLimiter,
-    variant: SchemeVariant,
 ) -> tuple[SparseMatrix, np.ndarray]:
     """Assemble the cell-density system A u^{n+1} = F.
 
@@ -234,7 +229,7 @@ def assemble_cell_system(
     data[pattern.diag_slots] = diag
     data[pattern.kl_slots] = -w_minus
     data[pattern.lk_slots] = -w_plus
-    return SparseMatrix(mesh.n_cells, pattern.indptr, pattern.indices, data), rhs
+    return SparseMatrix(pattern, data), rhs
 
 
 def _require_nonnegative(field: np.ndarray, name: str):
@@ -300,15 +295,15 @@ def step(
             beta = beta_n(state, mesh)
         else:
             beta = 1.0
-        b_mat, g_vec = assemble_chem_system(state, model, mesh, lim, variant, beta)
+        b_mat, g_vec = assemble_chem_system(state, model, mesh, variant, beta)
         c_new, _ = solver.solve(b_mat, g_vec)
-        a_mat, f_vec = assemble_cell_system(state, c_new, model, mesh, lim, variant)
+        a_mat, f_vec = assemble_cell_system(state, c_new, model, mesh, lim)
         u_new, _ = solver.solve(a_mat, f_vec)
     elif variant.kind == VARIANT_LAGGED:
-        a_mat, f_vec = assemble_cell_system(state, state.c, model, mesh, lim, variant)
+        a_mat, f_vec = assemble_cell_system(state, state.c, model, mesh, lim)
         u_new, _ = solver.solve(a_mat, f_vec)
         b_mat, g_vec = assemble_chem_system(
-            state, model, mesh, lim, variant, 1.0, u_source=u_new
+            state, model, mesh, variant, 1.0, u_source=u_new
         )
         c_new, _ = solver.solve(b_mat, g_vec)
     else:  # pragma: no cover - guarded by SchemeVariant validation
@@ -369,15 +364,15 @@ def step_coupled_oracle(
     if state.dt <= 0:
         raise SchemeError("step needs a positive dt")
     plain = SchemeVariant(kind=VARIANT_PLAIN)
-    b_mat, g_vec = assemble_chem_system(state, model, mesh, lim, plain, 1.0)
+    b_mat, g_vec = assemble_chem_system(state, model, mesh, plain, 1.0)
     c_k, _ = solver.solve(b_mat, g_vec)
     u_k = state.u
     delta = np.inf
     for _ in range(max_iter):
-        a_mat, f_vec = assemble_cell_system(state, c_k, model, mesh, lim, plain)
+        a_mat, f_vec = assemble_cell_system(state, c_k, model, mesh, lim)
         u_next, _ = solver.solve(a_mat, f_vec)
         b_mat, g_vec = assemble_chem_system(
-            state, model, mesh, lim, plain, 1.0, u_source=u_next
+            state, model, mesh, plain, 1.0, u_source=u_next
         )
         c_next, _ = solver.solve(b_mat, g_vec)
         delta = max(

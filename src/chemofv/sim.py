@@ -40,10 +40,10 @@ class RunConfig:
     check_matrices: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_final < 0:
-            raise ValueError(f"t_final must be >= 0, got {self.t_final}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (np.isfinite(self.t_final) and self.t_final >= 0):
+            raise ValueError(f"t_final must be >= 0 and finite, got {self.t_final}")
         for name in ("snapshot_every", "diagnostics_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -290,18 +290,22 @@ def convergence_study(
 ) -> StudyReport:
     """Temporal convergence study against a fine corrected-scheme reference.
 
-    ``base.dt`` is the reference step size, run with the corrected variant
-    and ``epsilon_reference``; every requested variant is then run at every
-    dt in ``dt_list`` (sorted decreasing) with ``epsilon_members``, and the
-    relative L2 error of u at t_final is tabulated together with the
-    observed orders between consecutive step sizes.
+    ``base.dt`` is the reference step size, below every dt in ``dt_list``
+    (a single-dt study may use the reference dt itself), run with the
+    corrected variant and ``epsilon_reference``; every requested variant is
+    then run at every dt in ``dt_list`` (sorted decreasing) with
+    ``epsilon_members``, and the relative L2 error of u at t_final is
+    tabulated together with the observed orders between consecutive step
+    sizes.
     """
     dt_list = [float(d) for d in dt_list]
     if any(dt_list[i] <= dt_list[i + 1] for i in range(len(dt_list) - 1)):
         raise ValueError("dt_list must be sorted in decreasing order")
-    if dt_list and base.dt > min(dt_list):
+    # a member at the reference dt has error 0: no order between it and the next
+    smallest = min(dt_list, default=np.inf)
+    if base.dt > smallest or (base.dt == smallest and len(dt_list) > 1):
         raise ValueError(
-            f"reference dt {base.dt} must not exceed the smallest study dt"
+            f"reference dt {base.dt} must be below the smallest study dt {smallest}"
         )
     solver = solver or LinearSolver()
 

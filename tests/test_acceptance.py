@@ -304,8 +304,8 @@ def test_criterion_08_matrix_structure(desk_run, desk_study, capsys):
                     dt=dt,
                 )
                 beta = beta_n(state, mesh)
-                b_mat, _ = assemble_chem_system(state, model, mesh, lim, CORRECTED, beta)
-                a_mat, _ = assemble_cell_system(state, state.c, model, mesh, lim, CORRECTED)
+                b_mat, _ = assemble_chem_system(state, model, mesh, CORRECTED, beta)
+                a_mat, _ = assemble_cell_system(state, state.c, model, mesh, lim)
                 m = mesh.cell_measures
                 b_report = check_m_matrix_pattern(b_mat)
                 a_report = check_m_matrix_pattern(a_mat)
@@ -322,7 +322,6 @@ def test_criterion_09_beta_contract(capsys):
     # 100 random states x 100 cells = 1e4 nonnegative (u^n, u^{n-1}) pairs
     mesh = build_uniform_rect_mesh((0.0, 10.0), (0.0, 10.0), 10, 10)  # m(K) = 1
     model = desk_model()
-    lim = FluxLimiter(model.cell_diffusion, model.chemo_sensitivity, 1e-6)
     variant = SchemeVariant(kind=VARIANT_CORRECTED, beta_policy=BETA_FORMULA)
     rng = np.random.default_rng(SEED)
     with criterion(capsys, 9, "beta in (0, 1] and corrected chem RHS nonnegative"):
@@ -337,7 +336,7 @@ def test_criterion_09_beta_contract(capsys):
             )
             beta = beta_n(state, mesh)
             assert 0.0 < beta <= 1.0
-            _, g_vec = assemble_chem_system(state, model, mesh, lim, variant, beta)
+            _, g_vec = assemble_chem_system(state, model, mesh, variant, beta)
             assert g_vec.min() >= -1e-15, f"min RHS {g_vec.min()}"
 
 
@@ -361,8 +360,8 @@ def test_criterion_10_solver_oracle_equivalence(capsys):
                 step_index=1,
                 dt=dt,
             )
-            b_mat, g_vec = assemble_chem_system(state, model, mesh, lim, PLAIN)
-            a_mat, f_vec = assemble_cell_system(state, state.c, model, mesh, lim, PLAIN)
+            b_mat, g_vec = assemble_chem_system(state, model, mesh, PLAIN)
+            a_mat, f_vec = assemble_cell_system(state, state.c, model, mesh, lim)
             for matrix, rhs in ((b_mat, g_vec), (a_mat, f_vec)):
                 x, _ = solver.solve(matrix, rhs)
                 want = dense_gauss_solve(matrix.to_dense(), rhs)

@@ -138,6 +138,16 @@ class TestRun:
         assert not (tmp_path / "out").exists()
         assert main(["run", str(cfg), "--set", f"{key}=0"]) == 0
 
+    @pytest.mark.parametrize(
+        "assignment",
+        ["time.t_final=.inf", "time.dt=.inf", "time.dt=.nan", "model.chi=.nan", "model.mu=.inf"],
+    )
+    def test_non_finite_value_exits_2(self, tmp_path, assignment, capsys):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["run", str(cfg), "--set", assignment]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_integral_float_integer_values_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out", t_final=0.1)
         overrides = ["domain.nx=4.0", "ic.seed=7.0", "output.diagnostics_every=1.0"]
@@ -271,6 +281,14 @@ class TestStudy:
         table = capsys.readouterr().out
         assert "L2-error corrected-decoupled" in table
         assert (tmp_path / "out" / "study.txt").exists()
+
+    @pytest.mark.parametrize("reference_dt", ["0.05", "0"])
+    def test_reference_dt_not_below_members_exits_2(self, tmp_path, reference_dt, capsys):
+        cfg = write_config(tmp_path / "s.yaml", tmp_path / "out", t_final=0.1)
+        argv = ["study", str(cfg), "--dt", "0.1", "0.05", "--reference-dt", reference_dt]
+        assert main(argv) == 2
+        assert "dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestOracleCheck:

@@ -6,10 +6,9 @@ from chemofv import (
     SolverError,
     SparseMatrix,
     check_m_matrix_pattern,
-    solve,
     spmv,
 )
-from chemofv.linalg import factorize
+from chemofv.linalg import CsrPattern, factorize
 from oracles import dense_gauss_solve, dense_spmv, random_dominant_m_matrix
 
 
@@ -21,24 +20,45 @@ class TestSparseMatrix:
 
     def test_zero_offdiagonals_pruned(self):
         dense = np.array([[2.0, 0.0], [-1.0, 3.0]])
-        m = SparseMatrix(
-            2, [0, 2, 4], [0, 1, 0, 1], [2.0, 0.0, -1.0, 3.0]
-        )
+        m = SparseMatrix.from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [2.0, 0.0, -1.0, 3.0])
         assert m.nnz == 3  # the explicit (0,1) zero is gone
         np.testing.assert_array_equal(m.to_dense(), dense)
 
     def test_zero_diagonal_kept(self):
-        m = SparseMatrix(2, [0, 1, 2], [0, 1], [0.0, 1.0])
+        m = SparseMatrix(CsrPattern(2, [0, 1, 2], [0, 1]), [0.0, 1.0])
         assert m.nnz == 2
         np.testing.assert_array_equal(m.diagonal(), [0.0, 1.0])
 
     def test_missing_diagonal_rejected(self):
         with pytest.raises(ValueError):
-            SparseMatrix(2, [0, 1, 2], [1, 0], [1.0, 1.0])
+            CsrPattern(2, [0, 1, 2], [1, 0])
 
     def test_unsorted_columns_rejected(self):
         with pytest.raises(ValueError):
-            SparseMatrix(2, [0, 2, 3], [1, 0, 1], [5.0, 2.0, 3.0])
+            CsrPattern(2, [0, 2, 3], [1, 0, 1])
+
+    def test_data_size_must_match_pattern(self):
+        pattern = CsrPattern(2, [0, 1, 2], [0, 1])
+        for data in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="pattern has 2 entries"):
+                SparseMatrix(pattern, data)
+
+    def test_pattern_arrays_read_only(self):
+        indptr, indices = np.array([0, 2, 4]), np.array([0, 1, 0, 1])
+        pattern = CsrPattern(2, indptr, indices)
+        indices[0] = 1  # the pattern holds its own copy
+        np.testing.assert_array_equal(pattern.indices, [0, 1, 0, 1])
+        arrays = [pattern.indptr, pattern.indices, pattern.rows, pattern.diag_slots]
+        for array in arrays + list(pattern.scipy_index):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        m = SparseMatrix(pattern, [2.0, -1.0, -1.0, 2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            m.csr.indices[0] = 1
+
+    def test_column_outside_matrix_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            CsrPattern(2, [0, 1, 3], [0, 1, 2])
 
     def test_from_coo_sums_duplicates_and_adds_diagonal(self):
         m = SparseMatrix.from_coo(2, [0, 0, 0], [1, 1, 0], [1.0, 2.0, 4.0])
@@ -109,7 +129,7 @@ class TestStructureChecks:
 class TestSolve:
     def test_identity(self):
         b = np.array([1.0, -2.0, 0.5])
-        x, report = solve(SparseMatrix.identity(3), b)
+        x, report = LinearSolver().solve(SparseMatrix.identity(3), b)
         np.testing.assert_allclose(x, b, rtol=1e-14)
         assert report.residual <= 1e-12
 
@@ -118,20 +138,20 @@ class TestSolve:
         m_k, u = 2.5, 4.0
         g = u / (u + 1.0)
         mat = SparseMatrix.from_dense([[m_k]])
-        x, _ = solve(mat, np.array([m_k * g]))
+        x, _ = LinearSolver().solve(mat, np.array([m_k * g]))
         assert x[0] == pytest.approx(g, rel=1e-14)
 
     def test_random_dominant_50x50_vs_dense_oracle(self):
         rng = np.random.default_rng(5)
         dense = random_dominant_m_matrix(rng, 50)
         b = rng.random(50)
-        x, _ = solve(SparseMatrix.from_dense(dense), b)
+        x, _ = LinearSolver().solve(SparseMatrix.from_dense(dense), b)
         want = dense_gauss_solve(dense, b)
         assert np.max(np.abs(x - want)) <= 1e-10
 
     def test_zero_rhs_gives_zero(self):
         m = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
-        x, report = solve(m, np.zeros(2))
+        x, report = LinearSolver().solve(m, np.zeros(2))
         np.testing.assert_array_equal(x, np.zeros(2))
         assert report.method == "trivial"
 
@@ -171,11 +191,11 @@ class TestSolve:
     def test_singular_matrix_raises(self):
         m = SparseMatrix.from_dense([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SolverError):
-            solve(m, np.array([1.0, 2.0]))
+            LinearSolver().solve(m, np.array([1.0, 2.0]))
 
     def test_rhs_shape_mismatch(self):
         with pytest.raises(ValueError):
-            solve(SparseMatrix.identity(3), np.ones(2))
+            LinearSolver().solve(SparseMatrix.identity(3), np.ones(2))
 
     def test_krylov_path_matches_dense_oracle(self):
         rng = np.random.default_rng(29)

@@ -109,6 +109,11 @@ class TestModelValidation:
             {"cell_diffusion": 1.0, "chemo_sensitivity": -2.0},
             {"cell_diffusion": 1.0, "chemo_sensitivity": 1.0, "chem_decay": 0.0},
             {"cell_diffusion": 1.0, "chemo_sensitivity": 1.0, "growth": "exp"},
+        ]
+        + [
+            {"cell_diffusion": 1.0, "chemo_sensitivity": 1.0, name: value}
+            for name in ("cell_diffusion", "chemo_sensitivity", "chem_decay", "growth_rate")
+            for value in (float("nan"), float("inf"))
         ],
     )
     def test_bad_specs_rejected(self, kwargs):

@@ -150,9 +150,8 @@ class TestBetaN:
 class TestChemAssembly:
     def test_one_cell_zero_density(self):
         mesh = build_uniform_rect_mesh((0.0, 1.5), (0.0, 1.0), 1, 1)
-        lim = FluxLimiter(0.25, 2.0)
         state = state_of([0.0], step_index=0, dt=0.1)
-        b, g = assemble_chem_system(state, elliptic_model(), mesh, lim, PLAIN)
+        b, g = assemble_chem_system(state, elliptic_model(), mesh, PLAIN)
         np.testing.assert_allclose(b.to_dense(), [[1.5]])
         np.testing.assert_array_equal(g, [0.0])
         x, _ = LinearSolver().solve(b, g)
@@ -161,45 +160,40 @@ class TestChemAssembly:
     def test_one_cell_saturated_limit(self, solver):
         # u = 1e6 stands in for the u -> inf limit: c = g(1e6) ~ 1
         mesh = build_uniform_rect_mesh((0.0, 1.5), (0.0, 1.0), 1, 1)
-        lim = FluxLimiter(0.25, 2.0)
         u = 1e6
         state = state_of([u], step_index=0, dt=0.1)
-        b, g = assemble_chem_system(state, elliptic_model(), mesh, lim, PLAIN)
+        b, g = assemble_chem_system(state, elliptic_model(), mesh, PLAIN)
         c, _ = solver.solve(b, g)
         assert c[0] == pytest.approx(u / (u + 1.0), rel=1e-13)
 
     def test_row_dominance_slack_is_gamma_m(self, mesh_2cell):
-        lim = FluxLimiter(0.25, 2.0)
         state = state_of([1.0, 2.0], u_prev=[1.0, 2.0], dt=0.1)
-        b, _ = assemble_chem_system(state, elliptic_model(), mesh_2cell, lim, PLAIN)
+        b, _ = assemble_chem_system(state, elliptic_model(), mesh_2cell, PLAIN)
         np.testing.assert_allclose(b.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
         report = check_m_matrix_pattern(b)
         np.testing.assert_allclose(report.row_slack, mesh_2cell.cell_measures)
 
     def test_parabolic_adds_time_terms(self, mesh_2cell):
-        lim = FluxLimiter(0.25, 2.0)
         model = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
         c0 = np.array([0.5, 0.25])
         state = state_of([1.0, 1.0], c=c0, u_prev=[1.0, 1.0], dt=0.5)
-        b, g = assemble_chem_system(state, model, mesh_2cell, lim, PLAIN)
+        b, g = assemble_chem_system(state, model, mesh_2cell, PLAIN)
         np.testing.assert_allclose(b.to_dense(), [[4.0, -1.0], [-1.0, 4.0]])
         np.testing.assert_allclose(g, 0.5 + c0 / 0.5)
 
     def test_parabolic_requires_positive_dt(self, mesh_2cell):
-        lim = FluxLimiter(0.25, 2.0)
         model = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
         state = state_of([1.0, 1.0], u_prev=[1.0, 1.0], dt=0.0)
         with pytest.raises(SchemeError):
-            assemble_chem_system(state, model, mesh_2cell, lim, PLAIN)
+            assemble_chem_system(state, model, mesh_2cell, PLAIN)
 
     def test_operator_built_once_per_mesh_model_and_dt(self, mesh_small):
-        lim = FluxLimiter(0.25, 2.0)
         n = mesh_small.n_cells
         parabolic = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
 
         def operator(model, dt, variant=PLAIN):
             state = state_of(np.ones(n), u_prev=np.ones(n), dt=dt)
-            return assemble_chem_system(state, model, mesh_small, lim, variant)[0]
+            return assemble_chem_system(state, model, mesh_small, variant)[0]
 
         b = operator(elliptic_model(), 0.1)
         assert operator(elliptic_model(), 0.1, CORRECTED) is b
@@ -219,7 +213,6 @@ class TestChemAssembly:
             chem_operator(mesh_2cell, 0.0, None)
 
     def test_corrected_rhs_is_plain_rhs_plus_beta_t(self, mesh_small):
-        lim = FluxLimiter(0.25, 2.0)
         model = elliptic_model()
         rng = np.random.default_rng(12)
         state = state_of(
@@ -228,16 +221,15 @@ class TestChemAssembly:
             dt=0.1,
         )
         beta = beta_n(state, mesh_small)
-        _, g_plain = assemble_chem_system(state, model, mesh_small, lim, PLAIN)
-        _, g_corr = assemble_chem_system(state, model, mesh_small, lim, CORRECTED, beta)
+        _, g_plain = assemble_chem_system(state, model, mesh_small, PLAIN)
+        _, g_corr = assemble_chem_system(state, model, mesh_small, CORRECTED, beta)
         t = correction_term(state, model, mesh_small)
         assert np.array_equal(g_corr, g_plain + beta * t)
 
     def test_gamma_scales_diagonal(self, mesh_2cell):
-        lim = FluxLimiter(0.0625, 6.0)
         model = ModelSpec(0.0625, 6.0, chem_decay=16.0, chem_source=SOURCE_LINEAR)
         state = state_of([1.0, 1.0], u_prev=[1.0, 1.0], dt=0.1)
-        b, _ = assemble_chem_system(state, model, mesh_2cell, lim, PLAIN)
+        b, _ = assemble_chem_system(state, model, mesh_2cell, PLAIN)
         np.testing.assert_allclose(b.to_dense(), [[17.0, -1.0], [-1.0, 17.0]])
 
 
@@ -249,7 +241,7 @@ class TestCellAssembly:
         lim = FluxLimiter(0.25, 2.0, 0.0)
         state = state_of([1.0, 1.0], u_prev=[1.0, 1.0], dt=0.5)
         c_new = np.array([0.0, 0.3])
-        a, f = assemble_cell_system(state, c_new, elliptic_model(), mesh_2cell, lim, PLAIN)
+        a, f = assemble_cell_system(state, c_new, elliptic_model(), mesh_2cell, lim)
         dense = a.to_dense()
         assert dense[0, 1] == pytest.approx(-0.25)
         assert dense[1, 0] == pytest.approx(-0.85)
@@ -265,7 +257,7 @@ class TestCellAssembly:
         n = mesh_small.n_cells
         state = state_of(np.full(n, 1.5), u_prev=np.full(n, 1.5), dt=0.1)
         c_new = np.full(n, 0.7)
-        a, f = assemble_cell_system(state, c_new, model, mesh_small, lim, PLAIN)
+        a, f = assemble_cell_system(state, c_new, model, mesh_small, lim)
         dense = a.to_dense()
         # off-diagonals reduce to -tau*mu
         for e in mesh_small.edges:
@@ -289,7 +281,7 @@ class TestCellAssembly:
         u = rng.random(n) * 2.0
         c_new = rng.random(n)
         state = state_of(u, u_prev=u, dt=0.05)
-        a, f = assemble_cell_system(state, c_new, model, mesh_small, lim, PLAIN)
+        a, f = assemble_cell_system(state, c_new, model, mesh_small, lim)
 
         # independent edge-by-edge transcription of the discretization
         dense = np.zeros((n, n))
@@ -323,9 +315,9 @@ class TestCellAssembly:
         u = np.full(n, 0.5)
         state = state_of(u, u_prev=u, dt=0.1)
         c_new = np.zeros(n)
-        a, f = assemble_cell_system(state, c_new, model, mesh_small, lim, PLAIN)
+        a, f = assemble_cell_system(state, c_new, model, mesh_small, lim)
         none_model = ModelSpec(0.0625, 6.0, chem_decay=32.0, chem_source=SOURCE_LINEAR)
-        a0, f0 = assemble_cell_system(state, c_new, none_model, mesh_small, lim, PLAIN)
+        a0, f0 = assemble_cell_system(state, c_new, none_model, mesh_small, lim)
         m = mesh_small.cell_measures
         np.testing.assert_allclose(
             a.diagonal(), a0.diagonal() - m * u * (1.0 - u), rtol=1e-14
@@ -344,13 +336,22 @@ class TestCellAssembly:
         with pytest.raises(
             SchemeError, match=r"step 1 \(t=5\).*reduce dt.*largest admissible dt 4$"
         ):
-            assemble_cell_system(state, np.zeros(1), model, mesh, lim, PLAIN)
+            assemble_cell_system(state, np.zeros(1), model, mesh, lim)
 
     def test_requires_positive_dt(self, mesh_2cell):
         lim = FluxLimiter(0.25, 2.0)
         state = state_of([1.0, 1.0], u_prev=[1.0, 1.0], dt=0.0)
         with pytest.raises(SchemeError):
-            assemble_cell_system(state, np.zeros(2), elliptic_model(), mesh_2cell, lim, PLAIN)
+            assemble_cell_system(state, np.zeros(2), elliptic_model(), mesh_2cell, lim)
+
+    def test_operators_share_the_mesh_pattern(self):
+        mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 5, 7)
+        state = perturbed_state(mesh, dt=0.1)
+        model = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
+        b_mat, _ = assemble_chem_system(state, model, mesh, CORRECTED)
+        a_mat, _ = assemble_cell_system(state, state.c, model, mesh, FluxLimiter(0.25, 2.0))
+        assert b_mat.pattern is mesh.adjacency_csr()
+        assert a_mat.pattern is mesh.adjacency_csr()
 
 
 def perturbed_state(mesh, dt, seed=42):
@@ -435,7 +436,7 @@ class TestStep:
             step_index=1,
             dt=0.5,
         )
-        a_lagged, _ = assemble_cell_system(state, state.c, model, mesh_2cell, lim, LAGGED)
+        a_lagged, _ = assemble_cell_system(state, state.c, model, mesh_2cell, lim)
         assert a_lagged.to_dense()[1, 0] == pytest.approx(-0.85)
         new = step(state, model, mesh_2cell, lim, LAGGED, solver)
         # chem solve then uses u^{n+1}: B c = m g(u^{n+1})
@@ -443,7 +444,6 @@ class TestStep:
             State(u=new.u, c=c_old, u_prev=state.u, step_index=1, dt=0.5),
             model,
             mesh_2cell,
-            lim,
             LAGGED,
         )
         c_expect, _ = solver.solve(b, g)
@@ -485,7 +485,6 @@ class TestCoupledOracle:
             State(u=new.u, c=state.c, u_prev=state.u, step_index=1, dt=0.1),
             model,
             mesh,
-            lim,
             PLAIN,
         )
         residual = np.max(np.abs(spmv(b, new.c) - g))

@@ -158,6 +158,13 @@ class TestRun:
             desk_config(mesh_small, dt=0.1, t_final=0.5, **{name: -1})
         desk_config(mesh_small, dt=0.1, t_final=0.5, **{name: 0})
 
+    @pytest.mark.parametrize("name", ["dt", "t_final"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, mesh_small, name, value):
+        times = {"dt": 0.1, "t_final": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+            desk_config(mesh_small, **times)
+
     def test_chem_operator_factored_once_per_run(self, splu_calls):
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8)
         solver = TallySolver()
@@ -278,6 +285,9 @@ class TestConvergenceStudy:
 
     def test_reference_dt_must_not_exceed_members(self, mesh_small):
         base = desk_config(mesh_small, dt=0.2, t_final=0.4)
+        with pytest.raises(ValueError, match="reference"):
+            convergence_study(base, [0.1, 0.05], [CORRECTED])
+        base = desk_config(mesh_small, dt=0.05, t_final=0.4)
         with pytest.raises(ValueError, match="reference"):
             convergence_study(base, [0.1, 0.05], [CORRECTED])
 
