@@ -17,14 +17,7 @@ from .linalg import (
     check_m_matrix_pattern,
     spmv,
 )
-from .mesh import (
-    Edge,
-    Mesh,
-    MeshError,
-    build_uniform_rect_mesh,
-    compute_regularity,
-    locate_cell,
-)
+from .mesh import Mesh, MeshError, build_uniform_rect_mesh
 from .model import (
     DiskRegion,
     InitialConditionSpec,
@@ -65,11 +58,8 @@ from .state import State
 __all__ = [
     "__version__",
     "build_uniform_rect_mesh",
-    "compute_regularity",
-    "locate_cell",
     "Mesh",
     "MeshError",
-    "Edge",
     "ModelSpec",
     "InitialConditionSpec",
     "RectRegion",

@@ -244,10 +244,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, FileNotFoundError too
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SchemeError, SolverError, InvariantError) as exc:

@@ -95,14 +95,15 @@ class CsrPattern:
         on_diag = indices == rows
         if not np.all(np.bincount(rows[on_diag], minlength=n) == 1):
             raise ValueError("every row must store exactly one diagonal entry")
-        index_dtype = sp.get_index_dtype((indices, indptr), maxval=n, check_contents=True)
+        # scipy picks its index dtype when it builds a CSR on the pattern
+        csr = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=(n, n))
         fields = dict(
             n=n,
             indptr=indptr,
             indices=indices,
             rows=rows,
             diag_slots=readonly_copy(np.flatnonzero(on_diag)),
-            scipy_index=(readonly_copy(indices, index_dtype), readonly_copy(indptr, index_dtype)),
+            scipy_index=tuple(readonly_copy(a, a.dtype) for a in (csr.indices, csr.indptr)),
         )
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -180,12 +181,6 @@ class SparseMatrix:
         h.update(self.pattern.indices.tobytes())
         h.update(self.data.tobytes())
         return h.digest()
-
-    def dump_coo(self, path) -> None:
-        """Write coordinate text format: one 'row col value' line per entry."""
-        with open(path, "w") as fh:
-            for r, c, v in zip(self.pattern.rows, self.pattern.indices, self.data):
-                fh.write(f"{r} {c} {float(v)!r}\n")
 
 
 def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -96,13 +96,12 @@ def discrete_norm(field_values, mesh: Mesh, p: float = 2.0) -> float:
 
 
 def discrete_h1_seminorm(field_values, mesh: Mesh, p: float = 2.0) -> float:
-    """Edge-jump W^{1,p} seminorm; jumps vanish on boundary edges."""
+    """Interior edge-jump W^{1,p} seminorm; boundary edges carry no jump."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     v = np.asarray(field_values, dtype=float)
     jumps = np.abs(v[mesh.interior_cell_b] - v[mesh.interior_cell_a])
-    n_int = mesh.n_interior_edges
-    weights = mesh.edge_measures[:n_int] / mesh.edge_distances[:n_int] ** (p - 1.0)
+    weights = mesh.interior_measures / mesh.interior_distances ** (p - 1.0)
     return float(np.sum(weights * jumps**p) ** (1.0 / p))
 
 
@@ -310,18 +309,13 @@ def convergence_study(
     solver = solver or LinearSolver()
 
     def member(dt, variant, epsilon):
-        cfg = RunConfig(
-            mesh=base.mesh,
-            model=base.model,
-            ic=base.ic,
-            variant=variant,
+        cfg = replace(
+            base,
             dt=dt,
-            t_final=base.t_final,
+            variant=variant,
             epsilon=epsilon,
             snapshot_every=0,
             diagnostics_every=0,
-            strict=base.strict,
-            check_matrices=base.check_matrices,
         )
         final, _, _ = run(cfg, solver=solver)
         return final

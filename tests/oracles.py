@@ -61,13 +61,14 @@ def beta_brute_force(u, u_prev):
 
 
 def h1_seminorm_direct(values, mesh, p=2.0):
-    """Edge-by-edge transcription of the W^{1,p} seminorm."""
+    """Edge-by-edge transcription of the W^{1,p} seminorm (boundary edges
+    carry no jump, so the interior edges are the whole sum)."""
     total = 0.0
-    for edge in mesh.edges:
-        if edge.is_boundary:
-            continue  # boundary jumps vanish
-        jump = abs(values[edge.cell_b] - values[edge.cell_a])
-        total += edge.measure / edge.distance ** (p - 1.0) * jump**p
+    for e in range(mesh.n_interior_edges):
+        jump = abs(values[mesh.interior_cell_b[e]] - values[mesh.interior_cell_a[e]])
+        total += (
+            mesh.interior_measures[e] / mesh.interior_distances[e] ** (p - 1.0) * jump**p
+        )
     return total ** (1.0 / p)
 
 
@@ -83,7 +84,8 @@ def random_dominant_m_matrix(rng, n, density=0.3, slack_scale=1.0):
 
 
 def adjacency_pattern_loops(mesh):
-    """Loop transcription of the operators' CSR pattern, read off mesh.edges.
+    """Loop transcription of the operators' CSR pattern, read off the
+    mesh's interior edge list.
 
     Row k holds k and every cell across an interior edge of k, in increasing
     column order. Returns int64 arrays (indptr, indices, diag_slots,
@@ -91,11 +93,13 @@ def adjacency_pattern_loops(mesh):
     (b, a) for each interior edge in edge order.
     """
     n = mesh.n_cells
-    interior = [e for e in mesh.edges if not e.is_boundary]
+    edges = [
+        (int(a), int(b)) for a, b in zip(mesh.interior_cell_a, mesh.interior_cell_b)
+    ]
     rows = [[k] for k in range(n)]
-    for e in interior:
-        rows[e.cell_a].append(e.cell_b)
-        rows[e.cell_b].append(e.cell_a)
+    for a, b in edges:
+        rows[a].append(b)
+        rows[b].append(a)
     indptr, indices, slot = [0], [], {}
     for r, cols in enumerate(rows):
         for c in sorted(cols):
@@ -103,8 +107,8 @@ def adjacency_pattern_loops(mesh):
             indices.append(c)
         indptr.append(len(indices))
     diag_slots = [slot[(k, k)] for k in range(n)]
-    kl_slots = [slot[(e.cell_a, e.cell_b)] for e in interior]
-    lk_slots = [slot[(e.cell_b, e.cell_a)] for e in interior]
+    kl_slots = [slot[(a, b)] for a, b in edges]
+    lk_slots = [slot[(b, a)] for a, b in edges]
     return tuple(
         np.array(v, dtype=np.int64)
         for v in (indptr, indices, diag_slots, kl_slots, lk_slots)

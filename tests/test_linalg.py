@@ -65,14 +65,6 @@ class TestSparseMatrix:
         np.testing.assert_array_equal(m.to_dense(), [[4.0, 3.0], [0.0, 0.0]])
         assert m.diagonal()[1] == 0.0
 
-    def test_dump_coo_format(self, tmp_path):
-        m = SparseMatrix.from_dense([[2.0, -1.0], [0.0, 1.5]])
-        path = tmp_path / "matrix.txt"
-        m.dump_coo(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split() == ["0", "0", "2.0"]
-        assert len(lines) == m.nnz
-
 
 class TestSpmv:
     def test_identity(self):

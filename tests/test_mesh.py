@@ -1,15 +1,7 @@
-import csv
-
 import numpy as np
 import pytest
 
-from chemofv import (
-    MeshError,
-    build_uniform_rect_mesh,
-    compute_regularity,
-    locate_cell,
-)
-from chemofv.mesh import dump_cells_csv
+from chemofv import MeshError, build_uniform_rect_mesh
 
 from oracles import adjacency_pattern_loops
 
@@ -19,18 +11,15 @@ def test_single_cell_mesh():
     assert mesh.n_cells == 1
     assert mesh.cell_measures[0] == 1.0
     assert mesh.n_interior_edges == 0
-    assert mesh.n_edges == 4
-    assert all(e.is_boundary for e in mesh.edges)
+    assert mesh.interior_cell_a.size == mesh.interior_tau.size == 0
 
 
 def test_two_cell_interior_edge_geometry(mesh_2cell):
-    interior = [e for e in mesh_2cell.edges if not e.is_boundary]
-    assert len(interior) == 1
-    edge = interior[0]
-    assert edge.measure == 1.0
-    assert edge.distance == 1.0
-    assert edge.tau == 1.0
-    assert {edge.cell_a, edge.cell_b} == {0, 1}
+    assert mesh_2cell.n_interior_edges == 1
+    assert mesh_2cell.interior_measures[0] == 1.0
+    assert mesh_2cell.interior_distances[0] == 1.0
+    assert mesh_2cell.interior_tau[0] == 1.0
+    assert {mesh_2cell.interior_cell_a[0], mesh_2cell.interior_cell_b[0]} == {0, 1}
 
 
 def test_test1_grid_total_measure():
@@ -42,20 +31,31 @@ def test_test1_grid_total_measure():
 
 @pytest.mark.parametrize("nx,ny", [(2, 2), (3, 5), (48, 48), (2, 1)])
 def test_regularity_uniform_grids_exactly_half(nx, ny):
-    mesh = build_uniform_rect_mesh((0.0, 7.0), (-1.0, 3.0), nx, ny)
-    assert compute_regularity(mesh) == 0.5
-    assert mesh.regularity == 0.5
-
-
-def test_regularity_single_cell_convention():
-    mesh = build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 1, 1)
-    assert compute_regularity(mesh) == 1.0
+    # Regularity: min over interior edges sigma = K|L, and over both of its
+    # cells, of d(x_K, sigma) / d(x_K, x_L). Centroid centers give 1/2.
+    x0, y0 = 0.0, -1.0
+    mesh = build_uniform_rect_mesh((x0, 7.0), (y0, 3.0), nx, ny)
+    a, b = mesh.interior_cell_a, mesh.interior_cell_b
+    ca, cb = mesh.cell_centers[a], mesh.cell_centers[b]
+    x_normal = ca[:, 1] == cb[:, 1]
+    assert np.all(x_normal | (ca[:, 0] == cb[:, 0]))
+    face = np.where(x_normal, x0 + (a % nx + 1) * mesh.dx, y0 + (a // nx + 1) * mesh.dy)
+    axis = np.where(x_normal, 0, 1)
+    rows = np.arange(a.size)
+    center_dist = np.linalg.norm(cb - ca, axis=1)
+    ratios = np.concatenate(
+        [face - ca[rows, axis], cb[rows, axis] - face]
+    ) / np.tile(center_dist, 2)
+    np.testing.assert_allclose(center_dist, mesh.interior_distances, rtol=1e-14)
+    assert ratios.min() == pytest.approx(0.5, rel=1e-12)
+    assert ratios.max() == pytest.approx(0.5, rel=1e-12)
 
 
 def test_tau_matches_measure_over_distance():
     mesh = build_uniform_rect_mesh((0.0, 3.0), (0.0, 2.0), 3, 4)
-    for edge in mesh.edges:
-        assert edge.tau == edge.measure / edge.distance
+    assert mesh.n_interior_edges > 0
+    for e in range(mesh.n_interior_edges):
+        assert mesh.interior_tau[e] == mesh.interior_measures[e] / mesh.interior_distances[e]
 
 
 def test_cell_measure_sum_matches_area():
@@ -67,19 +67,20 @@ def test_cell_measure_sum_matches_area():
 def test_edge_incidence_and_counts():
     nx, ny = 5, 3
     mesh = build_uniform_rect_mesh((0.0, 5.0), (0.0, 3.0), nx, ny)
-    interior = mesh.edge_cell_b >= 0
-    # (edge, cell) incidences: every edge has cell_a, interior edges cell_b too
-    edge_ids = np.concatenate([np.arange(mesh.n_edges), np.flatnonzero(interior)])
-    cell_ids = np.concatenate([mesh.edge_cell_a, mesh.edge_cell_b[interior]])
-    seen = np.bincount(edge_ids, minlength=mesh.n_edges)
-    for edge in mesh.edges:
-        assert seen[edge.index] == (1 if edge.is_boundary else 2)
-        assert edge.cell_a != edge.cell_b
-    n_boundary = sum(1 for e in mesh.edges if e.is_boundary)
-    assert n_boundary == 2 * (nx + ny)
-    # interior cell of a rectangular grid touches 4 edges
+    a, b = mesh.interior_cell_a, mesh.interior_cell_b
+    assert mesh.n_interior_edges == a.size == b.size == (nx - 1) * ny + nx * (ny - 1)
+    assert np.all(a != b)
+    # a cell's four edges are its interior edges plus its sides on the
+    # domain boundary (zero-flux edges, not stored)
+    degree = np.bincount(np.concatenate([a, b]), minlength=mesh.n_cells)
+    ix, iy = np.arange(mesh.n_cells) % nx, np.arange(mesh.n_cells) // nx
+    boundary_sides = (
+        (ix == 0).astype(int) + (ix == nx - 1) + (iy == 0) + (iy == ny - 1)
+    )
+    np.testing.assert_array_equal(degree + boundary_sides, np.full(mesh.n_cells, 4))
+    assert boundary_sides.sum() == 2 * (nx + ny)
     interior_cell = 1 * nx + 2
-    assert np.bincount(cell_ids, minlength=mesh.n_cells)[interior_cell] == 4
+    assert degree[interior_cell] == 4
     # every stored entry is the diagonal or one side of exactly one edge
     pattern = mesh.adjacency_csr()
     owners = np.concatenate([pattern.diag_slots, pattern.kl_slots, pattern.lk_slots])
@@ -135,43 +136,8 @@ def test_invalid_counts_rejected():
         build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 0, 3)
 
 
-class TestLocateCell:
-    def test_cell_center_maps_to_itself(self, mesh_small):
-        for k in (0, 5, 15):
-            assert locate_cell(mesh_small, mesh_small.cell_centers[k]) == k
-
-    def test_domain_corner(self, mesh_small):
-        assert locate_cell(mesh_small, (0.0, 0.0)) == 0
-        assert locate_cell(mesh_small, (1.0, 1.0)) == mesh_small.n_cells - 1
-
-    def test_interior_face_resolves_to_smaller_index(self):
-        mesh = build_uniform_rect_mesh((0.0, 5.0), (0.0, 1.0), 5, 1)
-        # face between cells 3 and 4 sits at x = 4.0 exactly
-        assert locate_cell(mesh, (4.0, 0.5)) == 3
-
-    def test_outside_domain_raises(self, mesh_small):
-        with pytest.raises(MeshError):
-            locate_cell(mesh_small, (1.5, 0.5))
-
-
 def test_row_major_indexing_x_fastest():
     mesh = build_uniform_rect_mesh((0.0, 3.0), (0.0, 2.0), 3, 2)
     np.testing.assert_allclose(mesh.cell_centers[0], [0.5, 0.5])
     np.testing.assert_allclose(mesh.cell_centers[1], [1.5, 0.5])
     np.testing.assert_allclose(mesh.cell_centers[3], [0.5, 1.5])
-
-
-def test_h_is_cell_diagonal():
-    mesh = build_uniform_rect_mesh((0.0, 3.0), (0.0, 8.0), 3, 4)
-    assert mesh.h == pytest.approx(np.hypot(1.0, 2.0))
-
-
-def test_dump_cells_csv(tmp_path):
-    mesh = build_uniform_rect_mesh((0.0, 2.0), (0.0, 1.0), 2, 1)
-    path = tmp_path / "mesh.csv"
-    dump_cells_csv(mesh, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["cell_index", "cx", "cy", "measure"]
-    assert len(rows) == 1 + mesh.n_cells
-    assert float(rows[1][3]) == 1.0

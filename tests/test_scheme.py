@@ -260,9 +260,10 @@ class TestCellAssembly:
         a, f = assemble_cell_system(state, c_new, model, mesh_small, lim)
         dense = a.to_dense()
         # off-diagonals reduce to -tau*mu
-        for e in mesh_small.edges:
-            if not e.is_boundary:
-                assert dense[e.cell_a, e.cell_b] == pytest.approx(-e.tau * 0.25)
+        for k, l, tau in zip(
+            mesh_small.interior_cell_a, mesh_small.interior_cell_b, mesh_small.interior_tau
+        ):
+            assert dense[k, l] == pytest.approx(-tau * 0.25)
         u_next, _ = solver.solve(a, f)
         np.testing.assert_allclose(u_next, state.u, rtol=1e-13)
 
@@ -287,13 +288,12 @@ class TestCellAssembly:
         dense = np.zeros((n, n))
         for k in range(n):
             dense[k, k] = mesh_small.cell_measures[k] / state.dt
-        for e in mesh_small.edges:
-            if e.is_boundary:
-                continue
-            k, l = e.cell_a, e.cell_b
+        for k, l, tau in zip(
+            mesh_small.interior_cell_a, mesh_small.interior_cell_b, mesh_small.interior_tau
+        ):
             dc = c_new[l] - c_new[k]
-            wp = e.tau * (model.cell_diffusion + model.chemo_sensitivity * limiter_S(lim, dc))
-            wm = e.tau * (model.cell_diffusion + model.chemo_sensitivity * limiter_S(lim, -dc))
+            wp = tau * (model.cell_diffusion + model.chemo_sensitivity * limiter_S(lim, dc))
+            wm = tau * (model.cell_diffusion + model.chemo_sensitivity * limiter_S(lim, -dc))
             dense[k, k] += wp
             dense[l, l] += wm
             dense[k, l] -= wm
