@@ -11,16 +11,23 @@ method. A solve takes one of two paths, by what the operator is:
   by ``factorize``, and keeps its LU factor; every solve with it is a
   direct LU solve;
 - any other matrix (the per-step cell operator) goes through
-  Jacobi-preconditioned BiCGSTAB first, and through a direct sparse LU
-  when that misses the tolerance.
+  right-Jacobi-preconditioned BiCGSTAB first, and through a direct sparse
+  LU when that misses the tolerance.
 
 Every result is residual-checked, and an unmet tolerance raises instead of
 returning silently.
+
+Every inner product and norm, in the Krylov loop and in the residual
+check, is ``np.add.reduce`` over an elementwise product (``fixed_dot``).
+numpy sums that in one fixed pairwise order, where BLAS ``ddot``/``dnrm2``
+split the sum by thread, so a run ends in the same bits at any BLAS or
+OpenMP thread count.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,6 +199,17 @@ def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
     return m.csr @ x
 
 
+def fixed_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Inner product summed in numpy's fixed pairwise order, not by BLAS;
+    ``out`` takes the elementwise product when given."""
+    return float(np.add.reduce(np.multiply(a, b, out=out)))
+
+
+def fixed_norm(a: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Euclidean norm through ``fixed_dot``."""
+    return math.sqrt(fixed_dot(a, a, out))
+
+
 def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
     """Sign pattern plus row/column dominance slacks (cached on the matrix)."""
     if m._structure is not None:
@@ -231,11 +249,14 @@ class LinearSolver:
     """Deterministic solver front end with two paths.
 
     A matrix that carries an LU factor (see ``factorize``) is solved with
-    it. Any other matrix with a nonzero diagonal goes through
-    Jacobi-BiCGSTAB first; when that breaks down or misses ``tol`` the
-    matrix is factorized and the solve is reported as
-    ``direct-lu(fallback)``. A matrix with a zero on its diagonal is
-    factorized directly.
+    it. Any other matrix with a nonzero diagonal goes through the in-house
+    Jacobi-BiCGSTAB (``_jacobi_bicgstab``) first; when that breaks down,
+    returns a non-finite result or misses ``tol`` the matrix is factorized
+    and the solve is reported as ``direct-lu(fallback)``. A matrix with a
+    zero on its diagonal is factorized directly. The Krylov loop and the
+    residual check reduce in a fixed order (``fixed_dot``), so the result,
+    its reported residual and the path taken do not depend on the BLAS
+    thread count.
     """
 
     def __init__(self, tol: float = 1e-12):
@@ -247,12 +268,12 @@ class LinearSolver:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (m.n,):
             raise ValueError(f"rhs has shape {rhs.shape}, matrix is {m.n}x{m.n}")
-        rhs_norm = float(np.linalg.norm(rhs))
+        rhs_norm = fixed_norm(rhs)
         if rhs_norm == 0.0:
             return np.zeros(m.n), SolveReport(0, 0.0, "trivial")
 
         def relative_residual(x):
-            return float(np.linalg.norm(spmv(m, x) - rhs)) / rhs_norm
+            return fixed_norm(spmv(m, x) - rhs) / rhs_norm
 
         method = "direct-lu"
         if m._lu is None and np.all(m.diagonal() != 0):
@@ -271,19 +292,54 @@ class LinearSolver:
         return x, SolveReport(iters, residual, method)
 
     def _jacobi_bicgstab(self, m, rhs):
-        """Jacobi-preconditioned BiCGSTAB: (solution, iterations), or
-        (None, 0) when it breaks down or runs out of iterations."""
+        """Right-Jacobi-preconditioned BiCGSTAB (van der Vorst 1992) from
+        x = 0: (solution, full iterations), or (None, 0) when it breaks down
+        or runs out of iterations.
+
+        The recurrence, stopping rule (||r|| < max(tol/10, 1e-14)·||b||) and
+        breakdown tests are those of ``scipy.sparse.linalg.bicgstab``; the
+        inner products are ``fixed_dot``. The work vectors live for the
+        solve and are updated in place; s = r - alpha·v overwrites r.
+        """
         a = m.csr
-        precond = sp.diags(1.0 / m.diagonal())
-        count = [0]
-
-        def tick(_):
-            count[0] += 1
-
-        x, info = spla.bicgstab(
-            a, rhs, rtol=max(self.tol * 0.1, 1e-14), atol=0.0,
-            maxiter=min(m.n, 300), M=precond, callback=tick,
-        )
-        if info != 0:
-            return None, 0
-        return x, count[0]
+        inv_diag = 1.0 / m.diagonal()
+        atol = max(self.tol * 0.1, 1e-14) * fixed_norm(rhs)
+        breakdown = np.finfo(float).eps ** 2
+        x = np.zeros(m.n)
+        r = rhs.copy()
+        r_tilde = rhs  # the shadow residual stays r_0 = b; never written
+        p = rhs.copy()
+        p_hat, s_hat, work = np.empty(m.n), np.empty(m.n), np.empty(m.n)
+        for iteration in range(min(m.n, 300)):
+            if fixed_norm(r, work) < atol:
+                return x, iteration
+            rho = fixed_dot(r_tilde, r, work)
+            if abs(rho) < breakdown:
+                return None, 0
+            if iteration > 0:
+                if abs(omega) < breakdown:
+                    return None, 0
+                p -= np.multiply(v, omega, out=work)
+                p *= (rho / rho_prev) * (alpha / omega)
+                p += r
+            np.multiply(p, inv_diag, out=p_hat)
+            v = a @ p_hat
+            rv = fixed_dot(r_tilde, v, work)
+            if rv == 0.0:
+                return None, 0
+            alpha = rho / rv
+            r -= np.multiply(v, alpha, out=work)
+            if fixed_norm(r, work) < atol:
+                x += np.multiply(p_hat, alpha, out=work)
+                return x, iteration
+            np.multiply(r, inv_diag, out=s_hat)
+            t = a @ s_hat
+            tt = fixed_dot(t, t, work)
+            if tt == 0.0:  # scipy's omega turns NaN here and never recovers
+                return None, 0
+            omega = fixed_dot(t, r, work) / tt
+            x += np.multiply(p_hat, alpha, out=work)
+            x += np.multiply(s_hat, omega, out=work)
+            r -= np.multiply(t, omega, out=work)
+            rho_prev = rho
+        return None, 0

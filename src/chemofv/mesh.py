@@ -43,11 +43,12 @@ class AdjacencyPattern(CsrPattern):
 class Mesh:
     """Uniform nx-by-ny rectangular mesh over x_range x y_range.
 
-    Immutable after construction; safe to share across workers. Interior
-    edge e joins cells ``interior_cell_a[e]`` and ``interior_cell_b[e]``:
-    first the x-normal edges (K, K+1), then the y-normal edges (K, K+nx),
-    each in row-major order of K. The zero-flux boundary edges are not
-    stored.
+    Immutable after construction: every array is a read-only copy, so
+    derived arrays and operators cached on the mesh cannot go stale. Safe
+    to share across workers. Interior edge e joins cells
+    ``interior_cell_a[e]`` and ``interior_cell_b[e]``: first the x-normal
+    edges (K, K+1), then the y-normal edges (K, K+nx), each in row-major
+    order of K. The zero-flux boundary edges are not stored.
     """
 
     def __init__(self, x_range, y_range, nx, ny):
@@ -72,27 +73,33 @@ class Mesh:
         cx = x0 + (ix + 0.5) * self.dx
         cy = y0 + (iy + 0.5) * self.dy
         gx, gy = np.meshgrid(cx, cy)  # row-major: index = iy*nx + ix
-        self.cell_centers = np.column_stack([gx.ravel(), gy.ravel()])
-        self.cell_measures = np.full(self.n_cells, self.dx * self.dy)
+        centers = np.column_stack([gx.ravel(), gy.ravel()])
+        self.cell_centers = readonly_copy(centers, float)
+        self.cell_measures = readonly_copy(np.full(self.n_cells, self.dx * self.dy), float)
 
         k = np.arange(self.n_cells, dtype=np.int64).reshape(self.ny, self.nx)
         x_normal = k[:, :-1].ravel()
         y_normal = k[:-1, :].ravel()
-        self.interior_cell_a = np.concatenate([x_normal, y_normal])
-        self.interior_cell_b = np.concatenate([x_normal + 1, y_normal + self.nx])
-        self.interior_measures = np.concatenate(
+        self.interior_cell_a = readonly_copy(np.concatenate([x_normal, y_normal]))
+        self.interior_cell_b = readonly_copy(
+            np.concatenate([x_normal + 1, y_normal + self.nx])
+        )
+        measures = np.concatenate(
             [np.full(x_normal.size, self.dy), np.full(y_normal.size, self.dx)]
         )
-        self.interior_distances = np.concatenate(
+        distances = np.concatenate(
             [np.full(x_normal.size, self.dx), np.full(y_normal.size, self.dy)]
         )
-        self.interior_tau = self.interior_measures / self.interior_distances
+        self.interior_measures = readonly_copy(measures, float)
+        self.interior_distances = readonly_copy(distances, float)
+        self.interior_tau = readonly_copy(measures / distances, float)
         self.n_interior_edges = self.interior_cell_a.size
-        self.tau_sum_interior = np.bincount(
+        tau_sum = np.bincount(
             self.interior_cell_a, weights=self.interior_tau, minlength=self.n_cells
         ) + np.bincount(
             self.interior_cell_b, weights=self.interior_tau, minlength=self.n_cells
         )
+        self.tau_sum_interior = readonly_copy(tau_sum, float)
 
         self._validate()
         self._pattern_cache = None

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used only by the tests.
 
 Everything here is deliberately written without touching the production
-code paths (no SparseMatrix, no scipy solvers), so that agreement between
-the two sides is meaningful.
+code paths (no SparseMatrix; the only scipy solver is the reference
+BiCGSTAB that production no longer calls), so that agreement between the
+two sides is meaningful.
 """
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 def dense_gauss_solve(a, b):
@@ -113,3 +116,19 @@ def adjacency_pattern_loops(mesh):
         np.array(v, dtype=np.int64)
         for v in (indptr, indices, diag_slots, kl_slots, lk_slots)
     )
+
+
+def scipy_jacobi_bicgstab(a, b, tol=1e-12):
+    """scipy's Jacobi-preconditioned BiCGSTAB with the production stopping
+    rule: (solution, full iterations, info). ``a`` is a scipy sparse matrix;
+    info 0 means converged."""
+    count = [0]
+
+    def tick(_):
+        count[0] += 1
+
+    x, info = spla.bicgstab(
+        a, b, rtol=max(tol * 0.1, 1e-14), atol=0.0,
+        maxiter=min(a.shape[0], 300), M=sp.diags(1.0 / a.diagonal()), callback=tick,
+    )
+    return x, count[0], info

@@ -9,7 +9,12 @@ from chemofv import (
     spmv,
 )
 from chemofv.linalg import CsrPattern, factorize
-from oracles import dense_gauss_solve, dense_spmv, random_dominant_m_matrix
+from oracles import (
+    dense_gauss_solve,
+    dense_spmv,
+    random_dominant_m_matrix,
+    scipy_jacobi_bicgstab,
+)
 
 
 class TestSparseMatrix:
@@ -225,3 +230,18 @@ class TestSolve:
         assert report.method == "jacobi-bicgstab"
         assert splu_calls == []
         assert np.max(np.abs(x - dense_gauss_solve(dense, b))) <= 1e-9
+
+    @pytest.mark.parametrize("n,slack_scale", [(20, 1.0), (40, 0.01), (200, 1.0)])
+    def test_krylov_path_matches_scipy_bicgstab(self, n, slack_scale):
+        rng = np.random.default_rng(41 + n)
+        dense = random_dominant_m_matrix(rng, n, density=0.1, slack_scale=slack_scale)
+        m = SparseMatrix.from_dense(dense)
+        b = rng.random(n)
+        solver = LinearSolver()
+        x, report = solver.solve(m, b)
+        want, iterations, info = scipy_jacobi_bicgstab(m.csr, b, solver.tol)
+        assert info == 0
+        assert report.method == "jacobi-bicgstab"
+        assert report.iterations == iterations
+        assert report.residual <= solver.tol
+        assert np.linalg.norm(dense @ (x - want)) <= 2 * solver.tol * np.linalg.norm(b)

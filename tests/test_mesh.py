@@ -141,3 +141,24 @@ def test_row_major_indexing_x_fastest():
     np.testing.assert_allclose(mesh.cell_centers[0], [0.5, 0.5])
     np.testing.assert_allclose(mesh.cell_centers[1], [1.5, 0.5])
     np.testing.assert_allclose(mesh.cell_centers[3], [0.5, 1.5])
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "cell_centers",
+        "cell_measures",
+        "interior_cell_a",
+        "interior_cell_b",
+        "interior_measures",
+        "interior_distances",
+        "interior_tau",
+        "tau_sum_interior",
+    ],
+)
+def test_mesh_arrays_read_only(name):
+    # a write would leave tau_sum_interior and operators built from the
+    # mesh (the cached chem operator) stale
+    mesh = build_uniform_rect_mesh((0.0, 3.0), (0.0, 3.0), 3, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(mesh, name)[0] = 7

@@ -1,8 +1,13 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chemofv
 from chemofv import (
     InitialConditionSpec,
     InvariantError,
@@ -24,22 +29,38 @@ from chemofv import (
 from chemofv.model import RectRegion
 from chemofv.scheme import VARIANT_CORRECTED, VARIANT_PLAIN
 from chemofv.sim import _InvariantMonitor, convergence_rates
-from oracles import h1_seminorm_direct
+from oracles import h1_seminorm_direct, scipy_jacobi_bicgstab
 
 CORRECTED = SchemeVariant(kind=VARIANT_CORRECTED)
 
 
 class TallySolver(LinearSolver):
-    """LinearSolver that keeps every SolveReport it hands back."""
+    """LinearSolver that keeps every system it solves, as (matrix, rhs,
+    solution), and every SolveReport it hands back."""
 
     def __init__(self):
         super().__init__()
+        self.systems = []
         self.reports = []
 
     def solve(self, m, rhs):
         x, report = super().solve(m, rhs)
+        self.systems.append((m, rhs, x))
         self.reports.append(report)
         return x, report
+
+
+def spots_30x30_config():
+    p = preset("test4", chi=80.0)
+    return RunConfig(
+        mesh=build_uniform_rect_mesh(p.x_range, p.y_range, 30, 30),
+        model=p.model,
+        ic=p.ic,
+        variant=CORRECTED,
+        dt=0.05,
+        t_final=0.25,
+        strict=True,
+    )
 
 
 def desk_config(mesh, dt, t_final, **kwargs):
@@ -176,20 +197,22 @@ class TestRun:
     def test_cell_operator_goes_krylov_first(self, splu_calls):
         # chi=80 upwinding breaks the cell matrix's row dominance; its column
         # dominance keeps Jacobi-BiCGSTAB converging, so only B is factorized
-        p = preset("test4", chi=80.0)
-        cfg = RunConfig(
-            mesh=build_uniform_rect_mesh(p.x_range, p.y_range, 30, 30),
-            model=p.model,
-            ic=p.ic,
-            variant=CORRECTED,
-            dt=0.05,
-            t_final=0.25,
-            strict=True,
-        )
         solver = TallySolver()
-        run(cfg, solver=solver)
+        run(spots_30x30_config(), solver=solver)
         assert [r.method for r in solver.reports] == ["direct-lu", "jacobi-bicgstab"] * 5
         assert len(splu_calls) == 1
+
+    def test_cell_solves_match_scipy_bicgstab(self):
+        # the in-house Krylov loop is scipy's recurrence with fixed-order
+        # inner products: same iteration count, both within the contract
+        solver = TallySolver()
+        run(spots_30x30_config(), solver=solver)
+        for (m, rhs, x), report in list(zip(solver.systems, solver.reports))[1::2]:
+            want, iterations, info = scipy_jacobi_bicgstab(m.csr, rhs, solver.tol)
+            assert info == 0
+            assert report.iterations == iterations
+            assert report.residual <= solver.tol
+            assert np.linalg.norm(m.csr @ (x - want)) <= 2 * solver.tol * np.linalg.norm(rhs)
 
     def test_final_snapshot_always_written(self, mesh_small):
         cfg = desk_config(mesh_small, dt=0.1, t_final=0.5, snapshot_every=0)
@@ -222,6 +245,42 @@ class TestRun:
         )
         final, _, _ = run(cfg)
         assert final.step_index == 3
+
+
+# Runs 4 steps of test1 (dt=1e-2) and of test4 at chi=80 (dt=0.05,
+# strict), both from seed 42, and prints a digest of each final u and c.
+THREAD_PROBE = """
+from dataclasses import replace
+import hashlib
+from chemofv import RunConfig, SchemeVariant, build_uniform_rect_mesh, preset, run
+
+for p, dt, strict in ((preset("test1"), 1e-2, False), (preset("test4", chi=80.0), 0.05, True)):
+    final, _, _ = run(RunConfig(
+        mesh=build_uniform_rect_mesh(p.x_range, p.y_range, p.nx, p.ny),
+        model=p.model, ic=replace(p.ic, rng_seed=42),
+        variant=SchemeVariant(kind="corrected-decoupled"), dt=dt, t_final=4 * dt,
+        strict=strict,
+    ))
+    print(p.name, *(hashlib.sha256(a.tobytes()).hexdigest() for a in (final.u, final.c)))
+"""
+
+
+def thread_probe_digests(threads: int) -> str:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    src = str(Path(chemofv.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_final_state_independent_of_blas_threads():
+    one = thread_probe_digests(1)
+    assert [line.split()[0] for line in one.splitlines()] == ["test1", "test4"]
+    assert thread_probe_digests(2) == one
 
 
 class TestInvariantMonitor:
