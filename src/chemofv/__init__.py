@@ -9,6 +9,7 @@ checks.
 
 __version__ = "0.1.0"
 
+from .config import Preset, preset
 from .linalg import (
     LinearSolver,
     SolveReport,
@@ -22,11 +23,9 @@ from .model import (
     DiskRegion,
     InitialConditionSpec,
     ModelSpec,
-    Preset,
     RectRegion,
     chem_source_value,
     make_initial_state,
-    preset,
 )
 from .scheme import (
     FluxLimiter,

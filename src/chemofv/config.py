@@ -1,57 +1,199 @@
-"""YAML run configuration: schema, preset resolution, overrides, manifests.
+"""YAML run configuration: the key table, the paper's presets, overrides and
+manifests.
 
-A config document holds the sections domain/model/scheme/time/ic/output,
-optionally seeded from a named preset (`preset: test1`); unknown sections
-or keys are rejected. `--set section.key=value` assignments beat file
-values, which beat preset values. The manifest written next to a run's
-outputs is itself a valid config that reproduces the run bit-identically.
+A config document holds the sections domain/model/scheme/time/ic/output.
+Every key is read through one table, ``_KEYS``, which gives its reader and
+its default in manifest order; unknown sections or keys are rejected. A
+document may start from one of the ``PRESETS`` documents, the paper's four
+experiments (``preset: test1``). `--set section.key=value` assignments beat
+file values, which beat preset values.
+
+The resolved document is the values read, every key with its default filled
+in. Written next to a run's outputs as its manifest, it is itself a valid
+config that reproduces the run bit-identically.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import yaml
 
 from . import __version__
 from .mesh import Mesh
 from .model import (
+    CHEM_ELLIPTIC,
+    GROWTH_NONE,
+    SOURCE_SATURATED,
     DiskRegion,
     InitialConditionSpec,
     ModelSpec,
-    Preset,
     RectRegion,
-    preset as load_preset,
 )
-from .scheme import SchemeVariant
+from .scheme import BETA_FIXED, VARIANT_CORRECTED, SchemeVariant
 from .sim import EPSILON_PRODUCTION, RunConfig
 
 OUTPUT_DIR_ENV = "CHEMOFV_OUTPUT_DIR"
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "domain": ("x_range", "y_range", "nx", "ny"),
-    "model": (
-        "mu",
-        "chi",
-        "gamma",
-        "chem_dynamics",
-        "chem_source",
-        "growth",
-        "growth_rate",
-    ),
-    "scheme": ("variant", "epsilon", "beta_policy"),
-    "time": ("dt", "t_final"),
-    "ic": ("base_u", "base_c", "region", "seed"),
-    "output": ("directory", "snapshot_every", "diagnostics_every", "format"),
-}
-_TOP_LEVEL = set(_SCHEMA) | {"preset", "version"}
-
 _OUTPUT_FORMATS = ("csv", "csv+vtk")
+_REGIONS = {"rect": RectRegion, "disk": DiskRegion}
 
 
 class ConfigError(ValueError):
     """Malformed, unknown or inconsistent configuration input."""
+
+
+def _float(value, what):
+    return float(value)
+
+
+def _str(value, what):
+    return str(value)
+
+
+def _int(value, what):
+    """int(value), refusing booleans and numbers with a fractional part."""
+    fractional = isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fractional:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _pair(value, what):
+    try:
+        lo, hi = value
+        return [float(lo), float(hi)]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a pair of numbers, got {value!r}") from exc
+
+
+def _region(value, what):
+    """The region mapping: its kind, then its shape's fields as floats."""
+    if not isinstance(value, dict) or "kind" not in value:
+        raise ConfigError(f"{what} must be null or a mapping with a kind, got {value!r}")
+    kind = value["kind"]
+    if not isinstance(kind, str) or kind not in _REGIONS:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    try:
+        return {"kind": kind, **{f.name: float(value[f.name]) for f in fields(_REGIONS[kind])}}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {what} {value!r}: {exc}") from exc
+
+
+def _format(value, what):
+    value = str(value)
+    if value not in _OUTPUT_FORMATS:
+        raise ConfigError(f"{what} must be one of {_OUTPUT_FORMATS}, got {value!r}")
+    return value
+
+
+def _output_directory():
+    return os.environ.get(OUTPUT_DIR_ENV, "chemofv-out")
+
+
+_REQUIRED = object()
+
+# section -> key -> (reader, default), in manifest order. An absent or null
+# value takes the default (a callable default is called at read time);
+# a _REQUIRED key has none.
+_KEYS = {
+    "domain": {
+        "x_range": (_pair, _REQUIRED),
+        "y_range": (_pair, _REQUIRED),
+        "nx": (_int, _REQUIRED),
+        "ny": (_int, _REQUIRED),
+    },
+    "model": {
+        "mu": (_float, _REQUIRED),
+        "chi": (_float, _REQUIRED),
+        "gamma": (_float, 1.0),
+        "chem_dynamics": (_str, CHEM_ELLIPTIC),
+        "chem_source": (_str, SOURCE_SATURATED),
+        "growth": (_str, GROWTH_NONE),
+        "growth_rate": (_float, 1.0),
+    },
+    "scheme": {
+        "variant": (_str, VARIANT_CORRECTED),
+        "epsilon": (_float, EPSILON_PRODUCTION),
+        "beta_policy": (_str, BETA_FIXED),
+    },
+    "time": {"dt": (_float, _REQUIRED), "t_final": (_float, _REQUIRED)},
+    "ic": {
+        "base_u": (_float, 1.0),
+        "base_c": (_float, 0.0),
+        "region": (_region, None),
+        "seed": (_int, 42),
+    },
+    "output": {
+        "directory": (_str, _output_directory),
+        "snapshot_every": (_int, 0),
+        "diagnostics_every": (_int, 1),
+        "format": (_format, "csv"),
+    },
+}
+_TOP_LEVEL = set(_KEYS) | {"preset", "version"}
+
+
+def merge_docs(base: dict, overlay: dict) -> dict:
+    merged = {k: dict(v) if isinstance(v, dict) else v for k, v in base.items()}
+    for key, section in overlay.items():
+        if isinstance(section, dict) and isinstance(merged.get(key), dict):
+            merged[key].update(section)
+        else:
+            merged[key] = dict(section) if isinstance(section, dict) else section
+    return merged
+
+
+_TEST1 = {
+    "domain": {"x_range": [-3.5, 3.5], "y_range": [-35.0, 35.0], "nx": 35, "ny": 350},
+    "model": {"mu": 0.25, "chi": 2.0, "gamma": 1.0, "chem_source": "saturated"},
+    "time": {"dt": 1e-2, "t_final": 150.0},
+    "ic": {"region": {"kind": "rect", "x_min": -4.5, "x_max": 4.5, "y_min": -1.0, "y_max": 1.0}},
+}
+
+# The paper's four experiments, keys left out taking their defaults: stripe
+# formation with elliptic (test1) and parabolic (test2) chemoattractant
+# dynamics, rings with logistic growth (test3) and spots with cubic growth
+# (test4). Read-only: resolve copies what it changes.
+PRESETS = {
+    "test1": _TEST1,
+    "test2": merge_docs(
+        _TEST1, {"model": {"chem_dynamics": "parabolic"}, "ic": {"base_c": 1 / 32}}
+    ),
+    "test3": {
+        "domain": {"x_range": [-8.0, 8.0], "y_range": [-8.0, 8.0], "nx": 100, "ny": 100},
+        "model": {"mu": 0.0625, "chi": 6.0, "gamma": 16.0, "chem_dynamics": "parabolic",
+                  "chem_source": "linear", "growth": "quadratic_logistic", "growth_rate": 2.0},
+        "time": {"dt": 1e-3, "t_final": 30.0},
+        "ic": {"base_c": 1 / 32, "region": {"kind": "disk", "cx": 0.0, "cy": 0.0, "radius": 0.7}},
+    },
+    "test4": {
+        "domain": {"x_range": [-10.0, 10.0], "y_range": [-10.0, 10.0], "nx": 150, "ny": 150},
+        "model": {"mu": 0.0625, "chi": 6.0, "gamma": 32.0, "chem_dynamics": "parabolic",
+                  "chem_source": "linear", "growth": "cubic_logistic"},
+        "time": {"dt": 1e-1, "t_final": 150.0},
+        "ic": {"base_c": 1 / 32, "region": {"kind": "disk", "cx": 0.0, "cy": 0.0, "radius": 1.0}},
+    },
+}
+
+
+@dataclass(frozen=True)
+class Preset:
+    """An experiment: its domain, model, initial state and time span."""
+
+    name: str
+    x_range: tuple[float, float]
+    y_range: tuple[float, float]
+    nx: int
+    ny: int
+    t_final: float
+    dt_default: float
+    model: ModelSpec
+    ic: InitialConditionSpec
+
+    def build_mesh(self) -> Mesh:
+        return Mesh(self.x_range, self.y_range, self.nx, self.ny)
 
 
 @dataclass
@@ -84,85 +226,13 @@ def validate_doc(doc: dict) -> None:
     for key, section in doc.items():
         if key not in _TOP_LEVEL:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in ("preset", "version"):
-            continue
-        if section is None:
+        if key in ("preset", "version") or section is None:
             continue
         if not isinstance(section, dict):
             raise ConfigError(f"section {key!r} must be a mapping")
         for sub in section:
-            if sub not in _SCHEMA[key]:
+            if sub not in _KEYS[key]:
                 raise ConfigError(f"unknown key {key}.{sub!r}")
-
-
-def _document(
-    x_range, y_range, nx, ny, model, ic, dt, t_final, scheme=None, output=None
-) -> dict:
-    """Config document of the given run values, sections in manifest order.
-
-    The scheme and output sections are left out when not given.
-    """
-    region = ic.region
-    if region is None:
-        region_doc = None
-    elif isinstance(region, RectRegion):
-        region_doc = {
-            "kind": "rect",
-            "x_min": region.x_min,
-            "x_max": region.x_max,
-            "y_min": region.y_min,
-            "y_max": region.y_max,
-        }
-    else:
-        region_doc = {
-            "kind": "disk",
-            "cx": region.cx,
-            "cy": region.cy,
-            "radius": region.radius,
-        }
-    doc = {
-        "domain": {
-            "x_range": [x_range[0], x_range[1]],
-            "y_range": [y_range[0], y_range[1]],
-            "nx": nx,
-            "ny": ny,
-        },
-        "model": {
-            "mu": model.cell_diffusion,
-            "chi": model.chemo_sensitivity,
-            "gamma": model.chem_decay,
-            "chem_dynamics": model.chem_dynamics,
-            "chem_source": model.chem_source,
-            "growth": model.growth,
-            "growth_rate": model.growth_rate,
-        },
-        "scheme": scheme,
-        "time": {"dt": dt, "t_final": t_final},
-        "ic": {
-            "base_u": ic.base_u,
-            "base_c": ic.base_c,
-            "region": region_doc,
-            "seed": ic.rng_seed,
-        },
-        "output": output,
-    }
-    return {key: section for key, section in doc.items() if section is not None}
-
-
-def preset_doc(p: Preset) -> dict:
-    return _document(
-        p.x_range, p.y_range, p.nx, p.ny, p.model, p.ic, p.dt_default, p.t_final
-    )
-
-
-def merge_docs(base: dict, overlay: dict) -> dict:
-    merged = {k: dict(v) if isinstance(v, dict) else v for k, v in base.items()}
-    for key, section in overlay.items():
-        if isinstance(section, dict) and isinstance(merged.get(key), dict):
-            merged[key].update(section)
-        else:
-            merged[key] = dict(section) if isinstance(section, dict) else section
-    return merged
 
 
 def apply_overrides(doc: dict, assignments) -> dict:
@@ -186,144 +256,96 @@ def apply_overrides(doc: dict, assignments) -> dict:
     return doc
 
 
-def _need(doc, section, key):
-    sec = doc.get(section) or {}
-    if key not in sec or sec[key] is None:
-        raise ConfigError(f"missing required config value {section}.{key}")
-    return sec[key]
+def _read(doc: dict) -> dict:
+    """Every key of the table read from ``doc``: the resolved sections."""
+    values = {}
+    for section, keys in _KEYS.items():
+        given = doc.get(section) or {}
+        read = values[section] = {}
+        for key, (reader, default) in keys.items():
+            value = given.get(key)
+            if value is not None:
+                read[key] = reader(value, f"{section}.{key}")
+            elif default is _REQUIRED:
+                raise ConfigError(f"missing required config value {section}.{key}")
+            else:
+                read[key] = default() if callable(default) else default
+    return values
 
 
-def _get(doc, section, key, default):
-    sec = doc.get(section) or {}
-    value = sec.get(key, default)
-    return default if value is None else value
+def _experiment(name: str, values: dict) -> Preset:
+    """The experiment that read ``values`` describe."""
+    domain, model, ic, time = (values[s] for s in ("domain", "model", "ic", "time"))
+    region = ic["region"]
+    if region is not None:
+        region = _REGIONS[region["kind"]](**{k: v for k, v in region.items() if k != "kind"})
+    return Preset(
+        name=name,
+        x_range=tuple(domain["x_range"]),
+        y_range=tuple(domain["y_range"]),
+        nx=domain["nx"],
+        ny=domain["ny"],
+        t_final=time["t_final"],
+        dt_default=time["dt"],
+        model=ModelSpec(
+            cell_diffusion=model["mu"],
+            chemo_sensitivity=model["chi"],
+            chem_decay=model["gamma"],
+            chem_dynamics=model["chem_dynamics"],
+            chem_source=model["chem_source"],
+            growth=model["growth"],
+            growth_rate=model["growth_rate"],
+        ),
+        ic=InitialConditionSpec(
+            base_u=ic["base_u"], region=region, rng_seed=ic["seed"], base_c=ic["base_c"]
+        ),
+    )
 
 
-def _as_pair(value, what):
-    try:
-        lo, hi = value
-        return float(lo), float(hi)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a pair of numbers, got {value!r}") from exc
+def _preset_doc(name: str) -> dict:
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; expected test1, test2, test3 or test4")
+    return PRESETS[name]
 
 
-def _as_int(value, what):
-    """int(value), refusing booleans and numbers with a fractional part."""
-    fractional = isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or fractional:
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _region_from_doc(region):
-    if region is None:
-        return None
-    if not isinstance(region, dict) or "kind" not in region:
-        raise ConfigError(f"ic.region must be null or a mapping with a kind, got {region!r}")
-    kind = region["kind"]
-    try:
-        if kind == "rect":
-            return RectRegion(
-                float(region["x_min"]),
-                float(region["x_max"]),
-                float(region["y_min"]),
-                float(region["y_max"]),
-            )
-        if kind == "disk":
-            return DiskRegion(
-                float(region["cx"]), float(region["cy"]), float(region["radius"])
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed ic.region {region!r}: {exc}") from exc
-    raise ConfigError(f"unknown ic.region kind {kind!r}")
+def preset(name: str, chi: float | None = None) -> Preset:
+    """Experiment presets test1..test4; ``chi`` only applies to test4."""
+    doc = _preset_doc(name)
+    if name == "test4" and chi is not None:
+        doc = merge_docs(doc, {"model": {"chi": chi}})
+    return _experiment(name, _read(doc))
 
 
 def resolve(doc: dict) -> ResolvedRun:
-    """Expand the preset, validate every key, and build the run objects."""
+    """Expand the preset, read every key, and build the run objects."""
     validate_doc(doc)
-    if "preset" in doc and doc["preset"] is not None:
-        base = preset_doc(load_preset(str(doc["preset"])))
-        overlay = {k: v for k, v in doc.items() if k not in ("preset", "version")}
-        doc = merge_docs(base, overlay)
-    else:
-        doc = {k: v for k, v in doc.items() if k != "version"}
-
+    name = doc.get("preset")
+    if name is not None:
+        doc = merge_docs(_preset_doc(str(name)), doc)
     try:
-        x_range = _as_pair(_need(doc, "domain", "x_range"), "domain.x_range")
-        y_range = _as_pair(_need(doc, "domain", "y_range"), "domain.y_range")
-        nx = _as_int(_need(doc, "domain", "nx"), "domain.nx")
-        ny = _as_int(_need(doc, "domain", "ny"), "domain.ny")
-        model = ModelSpec(
-            cell_diffusion=float(_need(doc, "model", "mu")),
-            chemo_sensitivity=float(_need(doc, "model", "chi")),
-            chem_decay=float(_get(doc, "model", "gamma", 1.0)),
-            chem_dynamics=str(_get(doc, "model", "chem_dynamics", "elliptic")),
-            chem_source=str(_get(doc, "model", "chem_source", "saturated")),
-            growth=str(_get(doc, "model", "growth", "none")),
-            growth_rate=float(_get(doc, "model", "growth_rate", 1.0)),
-        )
-        ic = InitialConditionSpec(
-            base_u=float(_get(doc, "ic", "base_u", 1.0)),
-            region=_region_from_doc(_get(doc, "ic", "region", None)),
-            rng_seed=_as_int(_get(doc, "ic", "seed", 42), "ic.seed"),
-            base_c=float(_get(doc, "ic", "base_c", 0.0)),
-        )
-        variant = SchemeVariant(
-            kind=str(_get(doc, "scheme", "variant", "corrected-decoupled")),
-            beta_policy=str(_get(doc, "scheme", "beta_policy", "fixed1")),
-        )
-        epsilon = float(_get(doc, "scheme", "epsilon", EPSILON_PRODUCTION))
-        dt = float(_need(doc, "time", "dt"))
-        t_final = float(_need(doc, "time", "t_final"))
-        out_dir = str(
-            _get(doc, "output", "directory", os.environ.get(OUTPUT_DIR_ENV, "chemofv-out"))
-        )
-        snapshot_every = _as_int(
-            _get(doc, "output", "snapshot_every", 0), "output.snapshot_every"
-        )
-        diagnostics_every = _as_int(
-            _get(doc, "output", "diagnostics_every", 1), "output.diagnostics_every"
-        )
-        output_format = str(_get(doc, "output", "format", "csv"))
+        values = _read(doc)
+        experiment = _experiment(str(name or ""), values)
+        scheme, output = values["scheme"], values["output"]
         run = RunConfig(
-            mesh=Mesh(x_range, y_range, nx, ny),
-            model=model,
-            ic=ic,
-            variant=variant,
-            dt=dt,
-            t_final=t_final,
-            epsilon=epsilon,
-            snapshot_every=snapshot_every,
-            diagnostics_every=diagnostics_every,
+            mesh=experiment.build_mesh(),
+            model=experiment.model,
+            ic=experiment.ic,
+            variant=SchemeVariant(kind=scheme["variant"], beta_policy=scheme["beta_policy"]),
+            dt=experiment.dt_default,
+            t_final=experiment.t_final,
+            epsilon=scheme["epsilon"],
+            snapshot_every=output["snapshot_every"],
+            diagnostics_every=output["diagnostics_every"],
         )
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if output_format not in _OUTPUT_FORMATS:
-        raise ConfigError(
-            f"output.format must be one of {_OUTPUT_FORMATS}, got {output_format!r}"
-        )
-
-    resolved_doc = {
-        "version": __version__,
-        **_document(
-            x_range, y_range, nx, ny, model, ic, dt, t_final,
-            scheme={
-                "variant": variant.kind,
-                "epsilon": epsilon,
-                "beta_policy": variant.beta_policy,
-            },
-            output={
-                "directory": out_dir,
-                "snapshot_every": snapshot_every,
-                "diagnostics_every": diagnostics_every,
-                "format": output_format,
-            },
-        ),
-    }
     return ResolvedRun(
-        run=run, output_dir=out_dir, output_format=output_format, doc=resolved_doc
+        run=run,
+        output_dir=output["directory"],
+        output_format=output["format"],
+        doc={"version": __version__, **values},
     )
 
 

@@ -4,8 +4,8 @@ An operator (``SparseMatrix``) is a ``CsrPattern``, validated once when it
 is built, plus its values in one scipy CSR matrix; arbitrary triplets enter
 through ``SparseMatrix.from_coo``.
 
-The solve contract is a relative residual tolerance (default 1e-12), not a
-method. A solve takes one of two paths, by what the operator is:
+The solve contract is a relative residual tolerance (``LinearSolver.tol``,
+1e-12), not a method. A solve takes one of two paths, by what the operator is:
 
 - an operator built once per run (the chem operator) is factorized once,
   by ``factorize``, and keeps its LU factor; every solve with it is a
@@ -259,10 +259,7 @@ class LinearSolver:
     thread count.
     """
 
-    def __init__(self, tol: float = 1e-12):
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        self.tol = tol
+    tol = 1e-12  # relative residual every solve must reach
 
     def solve(self, m: SparseMatrix, rhs: np.ndarray) -> tuple[np.ndarray, SolveReport]:
         rhs = np.asarray(rhs, dtype=float)

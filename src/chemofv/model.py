@@ -1,4 +1,4 @@
-"""Chemotaxis model declarations, initial states and experiment presets.
+"""Chemotaxis model declarations and initial states.
 
 A ModelSpec describes one continuous system: cell diffusion mu, chemotactic
 sensitivity (a or chi), chemoattractant decay gamma, whether the
@@ -9,7 +9,7 @@ growth term for the cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,6 @@ GROWTH_CUBIC = "cubic_logistic"
 _CHEM_DYNAMICS = (CHEM_ELLIPTIC, CHEM_PARABOLIC)
 _CHEM_SOURCES = (SOURCE_SATURATED, SOURCE_LINEAR)
 _GROWTHS = (GROWTH_NONE, GROWTH_QUADRATIC, GROWTH_CUBIC)
-
-TEST4_CHI_VALUES = (6.0, 7.4, 20.0, 70.0, 80.0)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -103,7 +100,6 @@ class InitialConditionSpec:
 
     base_u: float = 1.0
     region: RectRegion | DiskRegion | None = None
-    perturbation_amplitude: float = 1.0
     rng_seed: int = 42
     base_c: float = 0.0
 
@@ -143,104 +139,6 @@ def make_initial_state(mesh: Mesh, ic: InitialConditionSpec, dt: float = 0.0) ->
         n_hit = int(mask.sum())
         if n_hit:
             rng = np.random.default_rng(ic.rng_seed)  # PCG64
-            eps = rng.random((n_hit, 10)).mean(axis=1)
-            u[mask] += ic.perturbation_amplitude * eps
+            u[mask] += rng.random((n_hit, 10)).mean(axis=1)
     c = np.full(mesh.n_cells, float(ic.base_c))
     return State(u=u, c=c, u_prev=u.copy(), step_index=0, dt=float(dt))
-
-
-@dataclass(frozen=True)
-class Preset:
-    """One of the four published experiments, with its exact parameters."""
-
-    name: str
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    nx: int
-    ny: int
-    t_final: float
-    dt_default: float
-    dt_reference: float | None
-    dt_study: tuple[float, ...]
-    model: ModelSpec
-    ic: InitialConditionSpec = field(default_factory=InitialConditionSpec)
-
-    def build_mesh(self) -> Mesh:
-        return Mesh(self.x_range, self.y_range, self.nx, self.ny)
-
-
-def preset(name: str, chi: float | None = None) -> Preset:
-    """Experiment presets test1..test4; ``chi`` only applies to test4."""
-    if name == "test1" or name == "test2":
-        parabolic = name == "test2"
-        return Preset(
-            name=name,
-            x_range=(-3.5, 3.5),
-            y_range=(-35.0, 35.0),
-            nx=35,
-            ny=350,  # 12250 control volumes
-            t_final=150.0,
-            dt_default=1e-2,
-            dt_reference=1e-3,
-            dt_study=(5.0, 1.0, 5e-1, 1e-1, 5e-2, 1e-2),
-            model=ModelSpec(
-                cell_diffusion=0.25,
-                chemo_sensitivity=2.0,
-                chem_decay=1.0,
-                chem_dynamics=CHEM_PARABOLIC if parabolic else CHEM_ELLIPTIC,
-                chem_source=SOURCE_SATURATED,
-            ),
-            ic=InitialConditionSpec(
-                base_u=1.0,
-                region=RectRegion(-4.5, 4.5, -1.0, 1.0),
-                base_c=1.0 / 32.0 if parabolic else 0.0,
-            ),
-        )
-    if name == "test3":
-        return Preset(
-            name=name,
-            x_range=(-8.0, 8.0),
-            y_range=(-8.0, 8.0),
-            nx=100,
-            ny=100,
-            t_final=30.0,
-            dt_default=1e-3,
-            dt_reference=1e-4,
-            dt_study=(5e-1, 1e-1, 5e-2, 1e-2, 5e-3, 1e-3),
-            model=ModelSpec(
-                cell_diffusion=0.0625,
-                chemo_sensitivity=6.0,
-                chem_decay=16.0,
-                chem_dynamics=CHEM_PARABOLIC,
-                chem_source=SOURCE_LINEAR,
-                growth=GROWTH_QUADRATIC,
-                growth_rate=2.0,
-            ),
-            ic=InitialConditionSpec(
-                base_u=1.0, region=DiskRegion(0.0, 0.0, 0.7), base_c=1.0 / 32.0
-            ),
-        )
-    if name == "test4":
-        return Preset(
-            name=name,
-            x_range=(-10.0, 10.0),
-            y_range=(-10.0, 10.0),
-            nx=150,
-            ny=150,
-            t_final=150.0,
-            dt_default=1e-1,
-            dt_reference=None,
-            dt_study=(),
-            model=ModelSpec(
-                cell_diffusion=0.0625,
-                chemo_sensitivity=6.0 if chi is None else float(chi),
-                chem_decay=32.0,
-                chem_dynamics=CHEM_PARABOLIC,
-                chem_source=SOURCE_LINEAR,
-                growth=GROWTH_CUBIC,
-            ),
-            ic=InitialConditionSpec(
-                base_u=1.0, region=DiskRegion(0.0, 0.0, 1.0), base_c=1.0 / 32.0
-            ),
-        )
-    raise ValueError(f"unknown preset {name!r}; expected test1, test2, test3 or test4")

@@ -325,9 +325,8 @@ def step(
     _require_nonnegative(u_new, "u")
     _check_chem_positivity(c_new, g_vec)
     if debug_checks and model.growth == _model.GROWTH_NONE:
-        m = mesh.cell_measures
-        mass_new = float(m @ u_new)
-        mass_old = float(m @ state.u)
+        mass_new = mesh.integral(u_new)
+        mass_old = mesh.integral(state.u)
         if abs(mass_new - mass_old) > 1e-10 * max(abs(mass_old), 1e-300):
             raise SchemeError(
                 f"mass drifted within one step: {mass_old} -> {mass_new}"

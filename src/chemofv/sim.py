@@ -124,7 +124,7 @@ def _record(state: State, mesh: Mesh) -> DiagnosticsRecord:
     return DiagnosticsRecord(
         step=state.step_index,
         time=state.time,
-        mass=float(mesh.cell_measures @ state.u),
+        mass=mesh.integral(state.u),
         min_u=float(state.u.min()),
         max_u=float(state.u.max()),
         min_c=float(state.c.min()),
@@ -146,7 +146,7 @@ class _InvariantMonitor:
         model = self.config.model
         found = []
         if model.growth == _model.GROWTH_NONE:
-            mass = float(self.config.mesh.cell_measures @ state.u)
+            mass = self.config.mesh.integral(state.u)
             if abs(mass - self.mass0) > 1e-10 * abs(self.mass0):
                 found.append(
                     f"mass drift at step {state.step_index}: "
@@ -214,7 +214,7 @@ def run(
         config.model.cell_diffusion, config.model.chemo_sensitivity, config.epsilon
     )
     state = make_initial_state(mesh, config.ic, dt=config.dt)
-    monitor = _InvariantMonitor(config, float(mesh.cell_measures @ state.u))
+    monitor = _InvariantMonitor(config, mesh.integral(state.u))
 
     diagnostics = Diagnostics()
     diagnostics.append(_record(state, mesh))

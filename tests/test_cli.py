@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+import chemofv
 from chemofv import config
 from chemofv.cli import main
 
@@ -204,12 +205,76 @@ output:
   format: csv
 """
 
+TEST3_MANIFEST = """\
+version: 0.1.0
+domain:
+  x_range:
+  - -8.0
+  - 8.0
+  y_range:
+  - -8.0
+  - 8.0
+  nx: 100
+  ny: 100
+model:
+  mu: 0.0625
+  chi: 6.0
+  gamma: 16.0
+  chem_dynamics: parabolic
+  chem_source: linear
+  growth: quadratic_logistic
+  growth_rate: 2.0
+scheme:
+  variant: corrected-decoupled
+  epsilon: 1.0e-06
+  beta_policy: fixed1
+time:
+  dt: 0.001
+  t_final: 30.0
+ic:
+  base_u: 1.0
+  base_c: 0.03125
+  region:
+    kind: disk
+    cx: 0.0
+    cy: 0.0
+    radius: 0.7
+  seed: 42
+output:
+  directory: out
+  snapshot_every: 0
+  diagnostics_every: 1
+  format: csv
+"""
+
 
 class TestResolvedDocument:
     def test_test1_manifest_text_pinned(self, tmp_path):
         resolved = config.resolve({"preset": "test1", "output": {"directory": "out"}})
         config.write_manifest(tmp_path / "manifest.yaml", resolved)
         assert (tmp_path / "manifest.yaml").read_text() == TEST1_MANIFEST
+
+    def test_test3_manifest_text_pinned(self, tmp_path):
+        # a disk region, parabolic dynamics and logistic growth
+        resolved = config.resolve({"preset": "test3", "output": {"directory": "out"}})
+        config.write_manifest(tmp_path / "manifest.yaml", resolved)
+        assert (tmp_path / "manifest.yaml").read_text() == TEST3_MANIFEST
+
+    @pytest.mark.parametrize(
+        "name, chi", [(n, None) for n in ("test1", "test2", "test3", "test4")] + [("test4", 80.0)]
+    )
+    def test_preset_matches_resolved_run(self, name, chi):
+        p = chemofv.preset(name, chi=chi)
+        doc = {"preset": name} if chi is None else {"preset": name, "model": {"chi": chi}}
+        run = config.resolve(doc).run
+        assert (run.mesh.x_range, run.mesh.y_range) == (p.x_range, p.y_range)
+        assert (run.mesh.nx, run.mesh.ny) == (p.nx, p.ny)
+        assert (run.model, run.ic) == (p.model, p.ic)
+        assert (run.dt, run.t_final) == (p.dt_default, p.t_final)
+
+    @pytest.mark.parametrize("name", ["test1", "test2", "test3", "test4"])
+    def test_preset_document_resolves_like_its_name(self, name):
+        assert config.resolve(config.PRESETS[name]).doc == config.resolve({"preset": name}).doc
 
     @pytest.mark.parametrize("name", ["test1", "test2", "test3", "test4"])
     def test_resolved_document_is_a_fixed_point(self, name):

@@ -132,7 +132,6 @@ class TestPresets:
         assert p.x_range == (-3.5, 3.5)
         assert p.y_range == (-35.0, 35.0)
         assert p.t_final == 150.0
-        assert p.dt_reference == 1e-3
         assert isinstance(p.ic.region, RectRegion)
         assert (p.ic.region.x_min, p.ic.region.x_max) == (-4.5, 4.5)
 

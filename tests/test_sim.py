@@ -248,20 +248,22 @@ class TestRun:
 
 
 # Runs 4 steps of test1 (dt=1e-2) and of test4 at chi=80 (dt=0.05,
-# strict), both from seed 42, and prints a digest of each final u and c.
+# strict), both from seed 42, and prints a digest of each final u and c and
+# of the recorded mass column.
 THREAD_PROBE = """
 from dataclasses import replace
 import hashlib
 from chemofv import RunConfig, SchemeVariant, build_uniform_rect_mesh, preset, run
 
 for p, dt, strict in ((preset("test1"), 1e-2, False), (preset("test4", chi=80.0), 0.05, True)):
-    final, _, _ = run(RunConfig(
+    final, diagnostics, _ = run(RunConfig(
         mesh=build_uniform_rect_mesh(p.x_range, p.y_range, p.nx, p.ny),
         model=p.model, ic=replace(p.ic, rng_seed=42),
         variant=SchemeVariant(kind="corrected-decoupled"), dt=dt, t_final=4 * dt,
         strict=strict,
     ))
-    print(p.name, *(hashlib.sha256(a.tobytes()).hexdigest() for a in (final.u, final.c)))
+    arrays = (final.u, final.c, diagnostics.column("mass"))
+    print(p.name, *(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays))
 """
 
 
