@@ -309,9 +309,10 @@ def _preset_doc(name: str) -> dict:
 
 
 def preset(name: str, chi: float | None = None) -> Preset:
-    """Experiment presets test1..test4; ``chi`` only applies to test4."""
+    """Experiment presets test1..test4; ``chi``, when given, replaces the
+    preset's chemo-sensitivity."""
     doc = _preset_doc(name)
-    if name == "test4" and chi is not None:
+    if chi is not None:
         doc = merge_docs(doc, {"model": {"chi": chi}})
     return _experiment(name, _read(doc))
 

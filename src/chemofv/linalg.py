@@ -136,7 +136,7 @@ class SparseMatrix:
     """
 
     def __init__(self, pattern: CsrPattern, data):
-        data = np.array(data, dtype=float)  # own copy; assemblies reuse buffers
+        data = np.array(data, dtype=float)  # own copy keeps the operator immutable
         if data.shape != (pattern.nnz,):
             raise ValueError(f"data has shape {data.shape}, pattern has {pattern.nnz} entries")
         self.pattern = pattern

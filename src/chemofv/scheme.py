@@ -36,6 +36,8 @@ BETA_FIXED = "fixed1"
 BETA_FORMULA = "formula"
 
 DEFAULT_ORACLE_CELL_LIMIT = 4096
+ORACLE_TOL = 1e-12  # max-norm change of (u, c) that ends the fixed point
+ORACLE_MAX_ITER = 200
 
 
 class SchemeError(RuntimeError):
@@ -277,13 +279,16 @@ def step(
     solver: LinearSolver,
     *,
     check_matrices: bool = False,
-    debug_checks: bool = False,
 ) -> State:
     """Advance one time step with the requested decoupled variant.
 
     Corrected/plain: chem solve first, then the cell solve against the new
     field. Lagged: cell solve against c^n first, then the chem solve with
     the u^{n+1} source. Returns a new State with u_prev <- u^n.
+
+    The step checks what only it sees: positivity of the new u and c and,
+    with ``check_matrices``, the structure of the two assembled matrices.
+    The run's invariants (mass, the bounds on c) are the run monitor's.
     """
     if variant.kind == VARIANT_ORACLE:
         return step_coupled_oracle(state, model, mesh, lim, solver)
@@ -324,14 +329,6 @@ def step(
 
     _require_nonnegative(u_new, "u")
     _check_chem_positivity(c_new, g_vec)
-    if debug_checks and model.growth == _model.GROWTH_NONE:
-        mass_new = mesh.integral(u_new)
-        mass_old = mesh.integral(state.u)
-        if abs(mass_new - mass_old) > 1e-10 * max(abs(mass_old), 1e-300):
-            raise SchemeError(
-                f"mass drifted within one step: {mass_old} -> {mass_new}"
-            )
-
     return State(
         u=u_new, c=c_new, u_prev=state.u, step_index=state.step_index + 1, dt=state.dt
     )
@@ -343,23 +340,20 @@ def step_coupled_oracle(
     mesh: Mesh,
     lim: FluxLimiter,
     solver: LinearSolver,
-    tol: float = 1e-12,
-    max_iter: int = 200,
     cell_limit: int = DEFAULT_ORACLE_CELL_LIMIT,
 ) -> State:
     """One step of the fully coupled scheme via fixed-point iteration.
 
     Starts from the plain decoupled chem solve, then alternates cell and
     chem solves (the latter sourced from the current u iterate) until the
-    max-norm change of (u, c) drops to ``tol``. Intended as a small-scale
-    accuracy reference; refuses meshes above ``cell_limit`` cells.
+    max-norm change of (u, c) drops to ``ORACLE_TOL``, within
+    ``ORACLE_MAX_ITER`` iterations. Intended as a small-scale accuracy
+    reference; refuses meshes above ``cell_limit`` cells.
     """
     if mesh.n_cells > cell_limit:
         raise SchemeError(
             f"coupled oracle limited to {cell_limit} cells, mesh has {mesh.n_cells}"
         )
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if state.dt <= 0:
         raise SchemeError("step needs a positive dt")
     plain = SchemeVariant(kind=VARIANT_PLAIN)
@@ -367,7 +361,7 @@ def step_coupled_oracle(
     c_k, _ = solver.solve(b_mat, g_vec)
     u_k = state.u
     delta = np.inf
-    for _ in range(max_iter):
+    for _ in range(ORACLE_MAX_ITER):
         a_mat, f_vec = assemble_cell_system(state, c_k, model, mesh, lim)
         u_next, _ = solver.solve(a_mat, f_vec)
         b_mat, g_vec = assemble_chem_system(
@@ -378,7 +372,7 @@ def step_coupled_oracle(
             float(np.max(np.abs(u_next - u_k))), float(np.max(np.abs(c_next - c_k)))
         )
         u_k, c_k = u_next, c_next
-        if delta <= tol:
+        if delta <= ORACLE_TOL:
             _require_nonnegative(u_k, "u")
             _require_nonnegative(c_k, "c")
             return State(
@@ -389,6 +383,6 @@ def step_coupled_oracle(
                 dt=state.dt,
             )
     raise SchemeError(
-        f"coupled oracle did not converge in {max_iter} iterations "
-        f"(last change {delta:.3e}, tol {tol:.3e})"
+        f"coupled oracle did not converge in {ORACLE_MAX_ITER} iterations "
+        f"(last change {delta:.3e}, tol {ORACLE_TOL:.3e})"
     )

@@ -1,4 +1,5 @@
-"""Time-loop driver, discrete norms, diagnostics and convergence studies."""
+"""Time-loop driver, the run's invariant monitor, discrete norms,
+diagnostics and convergence studies."""
 
 from __future__ import annotations
 
@@ -135,46 +136,46 @@ def _record(state: State, mesh: Mesh) -> DiagnosticsRecord:
 
 
 class _InvariantMonitor:
-    """Per-run invariant checks: raise in strict mode, log otherwise."""
+    """The run's invariants after each step: mass without growth (within
+    the step and since step 0), and c <= 2 with a gradient energy of at
+    most 4*area for the elliptic saturated model. Strict mode raises
+    ``InvariantError``; otherwise the first violation of each is logged."""
 
     def __init__(self, config: RunConfig, mass0: float):
+        model = config.model
         self.config = config
-        self.mass0 = mass0
-        self._logged: set[str] = set()
-
-    def _violations(self, state: State) -> list[str]:
-        model = self.config.model
-        found = []
-        if model.growth == _model.GROWTH_NONE:
-            mass = self.config.mesh.integral(state.u)
-            if abs(mass - self.mass0) > 1e-10 * abs(self.mass0):
-                found.append(
-                    f"mass drift at step {state.step_index}: "
-                    f"{self.mass0} -> {mass}"
-                )
-        if (
+        self.mass0 = self.mass_prev = mass0
+        self.conserves_mass = model.growth == _model.GROWTH_NONE
+        self.bounds_c = (
             model.chem_dynamics == _model.CHEM_ELLIPTIC
             and model.chem_source == _model.SOURCE_SATURATED
-        ):
+        )
+        self._logged: set[str] = set()
+
+    def _violations(self, state: State):
+        """Yield (invariant, message) for each invariant the state breaks."""
+        n, mesh = state.step_index, self.config.mesh
+        if self.conserves_mass:
+            mass, prev = mesh.integral(state.u), self.mass_prev
+            self.mass_prev = mass
+            if abs(mass - prev) > 1e-10 * max(abs(prev), 1e-300):
+                yield "step mass", f"mass drifted within step {n}: {prev} -> {mass}"
+            if abs(mass - self.mass0) > 1e-10 * abs(self.mass0):
+                yield "mass", f"mass drift at step {n}: {self.mass0} -> {mass}"
+        if self.bounds_c:
             max_c = float(state.c.max())
             if max_c > 2.0 + 1e-12:
-                found.append(
-                    f"chemoattractant bound violated at step "
-                    f"{state.step_index}: max c = {max_c}"
+                yield "c", f"chemoattractant bound violated at step {n}: max c = {max_c}"
+            energy = gradient_energy(state.c, mesh)
+            if energy > 4.0 * mesh.domain_area:
+                yield "energy", (
+                    f"chemoattractant gradient energy {energy} exceeds 4*area at step {n}"
                 )
-            energy = gradient_energy(state.c, self.config.mesh)
-            if energy > 4.0 * self.config.mesh.domain_area:
-                found.append(
-                    f"chemoattractant gradient energy {energy} exceeds "
-                    f"4*area at step {state.step_index}"
-                )
-        return found
 
     def check(self, state: State):
-        for violation in self._violations(state):
+        for kind, violation in self._violations(state):
             if self.config.strict:
                 raise InvariantError(violation)
-            kind = violation.split(" at step")[0]
             if kind not in self._logged:
                 self._logged.add(kind)
                 log.warning("%s", violation)
@@ -190,8 +191,10 @@ def run(
     Diagnostics are recorded at step 0, every ``diagnostics_every`` steps
     and at the final step; snapshots follow ``snapshot_every`` with the
     final snapshot always emitted. ``observer``, when given, is called with
-    each new State. Strict mode aborts on any monitored invariant
-    violation (positivity is always enforced by the stepper itself).
+    each new State. Every step checks positivity (and, with
+    ``check_matrices``, matrix structure) itself and raises on a failure;
+    the run's invariants (mass, c <= 2, the gradient energy) raise
+    ``InvariantError`` in strict mode and are logged once otherwise.
     """
     n_steps = config.n_steps
     if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(config.t_final, config.dt):
@@ -229,7 +232,6 @@ def run(
             config.variant,
             solver,
             check_matrices=config.check_matrices,
-            debug_checks=config.strict,
         )
         monitor.check(state)
         if observer is not None:

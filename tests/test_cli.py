@@ -261,7 +261,9 @@ class TestResolvedDocument:
         assert (tmp_path / "manifest.yaml").read_text() == TEST3_MANIFEST
 
     @pytest.mark.parametrize(
-        "name, chi", [(n, None) for n in ("test1", "test2", "test3", "test4")] + [("test4", 80.0)]
+        "name, chi",
+        [(n, None) for n in ("test1", "test2", "test3", "test4")]
+        + [("test4", 80.0), ("test1", 80.0), ("test3", 3.0)],
     )
     def test_preset_matches_resolved_run(self, name, chi):
         p = chemofv.preset(name, chi=chi)

@@ -8,6 +8,7 @@ from chemofv import (
     SchemeError,
     SchemeVariant,
     SolverError,
+    SparseMatrix,
     State,
     assemble_cell_system,
     assemble_chem_system,
@@ -21,6 +22,7 @@ from chemofv import (
     step,
     step_coupled_oracle,
 )
+from chemofv import scheme
 from chemofv.model import (
     CHEM_PARABOLIC,
     GROWTH_CUBIC,
@@ -460,8 +462,37 @@ class TestStep:
             CORRECTED,
             solver,
             check_matrices=True,
-            debug_checks=True,
         )
+
+    @pytest.mark.parametrize("broken", ["positive off-diagonal", "weak diagonal"])
+    def test_check_matrices_mode_catches_broken_cell_matrix(
+        self, mesh_small, solver, monkeypatch, broken
+    ):
+        dt = 0.01
+        assemble = scheme.assemble_cell_system
+
+        def assemble_broken(*args):
+            a, f = assemble(*args)
+            data = a.data.copy()
+            if broken == "positive off-diagonal":
+                off = np.setdiff1d(np.arange(a.nnz), a.pattern.diag_slots)
+                data[off[0]] = 1e-3
+            else:  # the column slack is m/dt; this halves it in column 0
+                data[a.pattern.diag_slots[0]] -= mesh_small.cell_measures[0] / (2.0 * dt)
+            return SparseMatrix(a.pattern, data), f
+
+        monkeypatch.setattr(scheme, "assemble_cell_system", assemble_broken)
+        match = "sign pattern" if broken == "positive off-diagonal" else "dominance slack"
+        with pytest.raises(SchemeError, match=match):
+            step(
+                perturbed_state(mesh_small, dt=dt),
+                elliptic_model(),
+                mesh_small,
+                FluxLimiter(0.25, 2.0, 1e-6),
+                CORRECTED,
+                solver,
+                check_matrices=True,
+            )
 
 
 class TestCoupledOracle:
@@ -477,7 +508,7 @@ class TestCoupledOracle:
         state = perturbed_state(mesh, dt=0.1)
         lim = FluxLimiter(0.25, 2.0, 0.0)
         model = elliptic_model()
-        new = step_coupled_oracle(state, model, mesh, lim, solver, tol=1e-12)
+        new = step_coupled_oracle(state, model, mesh, lim, solver)
         # residual of the coupled chem equation with the u^{n+1} source
         from chemofv.linalg import spmv
 
@@ -497,7 +528,7 @@ class TestCoupledOracle:
         model = elliptic_model()
         state = perturbed_state(mesh, dt=0.1)
         state = step(state, model, mesh, lim, CORRECTED, solver)  # warm-up: T != 0
-        oracle = step_coupled_oracle(state, model, mesh, lim, solver, tol=1e-12)
+        oracle = step_coupled_oracle(state, model, mesh, lim, solver)
         corr = step(state, model, mesh, lim, CORRECTED, solver)
         plain = step(state, model, mesh, lim, PLAIN, solver)
         d_corr = discrete_norm(corr.u - oracle.u, mesh, 2.0)
@@ -512,14 +543,13 @@ class TestCoupledOracle:
                 state, elliptic_model(), mesh, FluxLimiter(0.25, 2.0), solver
             )
 
-    def test_non_convergence_reports_residual(self, solver):
+    def test_non_convergence_reports_residual(self, solver, monkeypatch):
         mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 8, 8)
         state = perturbed_state(mesh, dt=0.5)
         lim = FluxLimiter(0.25, 2.0, 0.0)
+        monkeypatch.setattr(scheme, "ORACLE_MAX_ITER", 1)
         with pytest.raises(SchemeError, match="did not converge"):
-            step_coupled_oracle(
-                state, elliptic_model(), mesh, lim, solver, tol=1e-16, max_iter=1
-            )
+            step_coupled_oracle(state, elliptic_model(), mesh, lim, solver)
 
     def test_step_dispatches_oracle_variant(self, mesh_small, solver):
         state = make_initial_state(mesh_small, InitialConditionSpec(base_u=1.0), dt=0.1)

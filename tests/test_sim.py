@@ -304,15 +304,33 @@ class TestInvariantMonitor:
         cfg = self._config(mesh_small, strict=False)
         monitor = _InvariantMonitor(cfg, mass0=float(mesh_small.n_cells))
         n = mesh_small.n_cells
-        bad = State(
-            u=np.full(n, 16.0), c=np.full(n, 2.5), u_prev=np.full(n, 16.0),
-            step_index=0, dt=0.1,
-        )
+        checker = (np.arange(n) + np.arange(n) // 4) % 2  # steep, non-uniform c
         with caplog.at_level(logging.WARNING, logger="chemofv.sim"):
-            monitor.check(bad)
-            monitor.check(bad)  # second occurrence is not re-logged
-        hits = [r for r in caplog.records if "bound" in r.message]
-        assert len(hits) == 1
+            for k, (u, c_top) in enumerate([(17.0, 2.5), (18.0, 3.0), (19.0, 3.5)]):
+                # every step breaks all four invariants, each with new values
+                bad = State(
+                    u=np.full(n, u), c=c_top * checker, u_prev=np.full(n, u),
+                    step_index=k + 1, dt=0.1,
+                )
+                monitor.check(bad)
+        for invariant in ("within step", "mass drift at", "bound", "gradient energy"):
+            hits = [r for r in caplog.records if invariant in r.message]
+            assert len(hits) == 1, invariant
+
+    def test_strict_raises_on_mass_drift_within_one_step(self, mesh_small):
+        cfg = self._config(mesh_small, strict=True)
+        mass0 = float(mesh_small.n_cells)
+        monitor = _InvariantMonitor(cfg, mass0=mass0)
+        n = mesh_small.n_cells
+
+        def state(mass, k):
+            u = np.full(n, mass)  # the 4x4 unit square: mass = u
+            return State(u=u, c=np.full(n, 0.5), u_prev=u, step_index=k, dt=0.1)
+
+        monitor.check(state(mass0 * (1.0 - 0.9e-10), 1))
+        # drift 1.8e-10 within the step, 0.9e-10 since step 0
+        with pytest.raises(InvariantError, match="within step 2"):
+            monitor.check(state(mass0 * (1.0 + 0.9e-10), 2))
 
 
 class TestConvergenceStudy:
