@@ -5,14 +5,16 @@ is built, plus its values in one scipy CSR matrix; arbitrary triplets enter
 through ``SparseMatrix.from_coo``.
 
 The solve contract is a relative residual tolerance (``LinearSolver.tol``,
-1e-12), not a method. A solve takes one of two paths, by what the operator is:
+1e-12), not a method. A matrix may keep one exact solve, and a solve takes
+one of three paths:
 
-- an operator built once per run (the chem operator) is factorized once,
-  by ``factorize``, and keeps its LU factor; every solve with it is a
-  direct LU solve;
+- the chem operator, built once per run, keeps a solve by the 2-D discrete
+  cosine transform that diagonalises it (``keep_dct_solve``), and every
+  solve with it is that transform solve;
 - any other matrix (the per-step cell operator) goes through
-  right-Jacobi-preconditioned BiCGSTAB first, and through a direct sparse
-  LU when that misses the tolerance.
+  right-Jacobi-preconditioned BiCGSTAB first;
+- only when that misses the tolerance, or the diagonal holds a zero, is
+  the matrix LU-factorized (``factorize``) and solved directly.
 
 Every result is residual-checked, and an unmet tolerance raises instead of
 returning silently.
@@ -20,19 +22,20 @@ returning silently.
 Every inner product and norm, in the Krylov loop and in the residual
 check, is ``np.add.reduce`` over an elementwise product (``fixed_dot``).
 numpy sums that in one fixed pairwise order, where BLAS ``ddot``/``dnrm2``
-split the sum by thread, so a run ends in the same bits at any BLAS or
-OpenMP thread count.
+split the sum by thread, and the transforms run on one worker, so a run
+ends in the same bits at any BLAS, OpenMP or ``scipy.fft`` worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 class SolverError(RuntimeError):
@@ -132,7 +135,9 @@ class SparseMatrix:
 
     The values live in one scipy CSR matrix, ``csr``, built at construction
     on the pattern's index arrays. Instances are immutable; their structure
-    report and LU factor are computed on first use and kept.
+    report is computed on first use and kept, and so is their exact solve,
+    a (solve, method label) pair: an LU solve (``factorize``) or the
+    transform solve the operator's builder keeps (``keep_dct_solve``).
     """
 
     def __init__(self, pattern: CsrPattern, data):
@@ -144,7 +149,7 @@ class SparseMatrix:
         self.data = data
         self.csr = sp.csr_matrix((data, *pattern.scipy_index), shape=(self.n, self.n))
         self._structure: StructureReport | None = None
-        self._lu: spla.SuperLU | None = None
+        self._exact: tuple[Callable[[np.ndarray], np.ndarray], str] | None = None
 
     @property
     def nnz(self) -> int:
@@ -231,32 +236,69 @@ def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
     return report
 
 
-def factorize(m: SparseMatrix) -> spla.SuperLU:
-    """The LU factor of ``m``, computed on first use and kept on the matrix.
+def factorize(m: SparseMatrix) -> None:
+    """Keep an LU solve on ``m``, labelled ``direct-lu``, unless it keeps an
+    exact solve already. Only a cell operator that Jacobi-BiCGSTAB cannot
+    solve, or a matrix with a zero on its diagonal, is factorized.
 
     Every operator shares one structurally symmetric 5-point pattern, so the
     columns are ordered by minimum degree on A^T + A.
     """
-    if m._lu is None:
+    if m._exact is None:
+        # imported on first use: it adds ~10 MiB to a process's RSS, and a
+        # run whose cell solves all converge never factorizes
+        import scipy.sparse.linalg as spla
+
         try:
-            m._lu = spla.splu(m.csr.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(m.csr.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # singular factor
             raise SolverError(f"direct factorization failed: {exc}") from exc
-    return m._lu
+        m._exact = (lu.solve, "direct-lu")
+
+
+def keep_dct_solve(m: SparseMatrix, eigenvalues: np.ndarray) -> None:
+    """Keep on ``m`` its exact solve by the orthonormal 2-D DCT-II,
+    labelled ``direct-dct``.
+
+    ``m`` must act on row-major cells of an (ny, nx) grid and be
+    diagonalised by the DCT-II along both axes, with ``eigenvalues`` (shape
+    (ny, nx)) its eigenvalues: a constant-coefficient Neumann operator on a
+    uniform rectangle. A solve is ``dctn``, a divide by the eigenvalues and
+    ``idctn``, each on one worker whatever ``scipy.fft.set_workers`` says.
+    An eigenvalue that is not positive raises ``SolverError`` here.
+    """
+    eigenvalues = readonly_copy(eigenvalues, float)
+    if not np.all(eigenvalues > 0):  # NaN fails too
+        raise SolverError(
+            f"operator is not positive definite: smallest eigenvalue "
+            f"{np.min(eigenvalues):.3e} (n={m.n})"
+        )
+
+    def solve(rhs):
+        coeffs = scipy.fft.dctn(
+            rhs.reshape(eigenvalues.shape), type=2, norm="ortho", workers=1
+        )
+        coeffs /= eigenvalues
+        x = scipy.fft.idctn(coeffs, type=2, norm="ortho", overwrite_x=True, workers=1)
+        return x.ravel()
+
+    m._exact = (solve, "direct-dct")
 
 
 class LinearSolver:
-    """Deterministic solver front end with two paths.
+    """Deterministic solver front end with three paths.
 
-    A matrix that carries an LU factor (see ``factorize``) is solved with
-    it. Any other matrix with a nonzero diagonal goes through the in-house
-    Jacobi-BiCGSTAB (``_jacobi_bicgstab``) first; when that breaks down,
-    returns a non-finite result or misses ``tol`` the matrix is factorized
-    and the solve is reported as ``direct-lu(fallback)``. A matrix with a
-    zero on its diagonal is factorized directly. The Krylov loop and the
-    residual check reduce in a fixed order (``fixed_dot``), so the result,
-    its reported residual and the path taken do not depend on the BLAS
-    thread count.
+    A matrix that keeps an exact solve is solved with it: the chem
+    operator's DCT solve (``keep_dct_solve``), or an LU solve kept by an
+    earlier ``factorize``. Any other matrix with a nonzero diagonal (the
+    cell operator) goes through the in-house Jacobi-BiCGSTAB
+    (``_jacobi_bicgstab``) first; when that breaks down, returns a
+    non-finite result or misses ``tol`` the matrix is LU-factorized and the
+    solve is reported as ``direct-lu(fallback)``. A matrix with a zero on
+    its diagonal is factorized directly. The Krylov loop and the residual
+    check reduce in a fixed order (``fixed_dot``) and the transforms run on
+    one worker, so the result, its reported residual and the path taken do
+    not depend on the BLAS or FFT thread count.
     """
 
     tol = 1e-12  # relative residual every solve must reach
@@ -272,14 +314,17 @@ class LinearSolver:
         def relative_residual(x):
             return fixed_norm(spmv(m, x) - rhs) / rhs_norm
 
-        method = "direct-lu"
-        if m._lu is None and np.all(m.diagonal() != 0):
+        method = None
+        if m._exact is None and np.all(m.diagonal() != 0):
             x, iters = self._jacobi_bicgstab(m, rhs)
             residual = np.inf if x is None else relative_residual(x)
             # NaN compares false: a non-finite Krylov result falls back too
             method = "jacobi-bicgstab" if residual <= self.tol else "direct-lu(fallback)"
         if method != "jacobi-bicgstab":
-            x, iters = factorize(m).solve(rhs), 0
+            factorize(m)
+            exact_solve, label = m._exact
+            x, iters = exact_solve(rhs), 0
+            method = method or label
             residual = relative_residual(x)
         if residual > self.tol or not np.all(np.isfinite(x)):
             raise SolverError(

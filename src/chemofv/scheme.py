@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as _model
-from .linalg import LinearSolver, SparseMatrix, check_m_matrix_pattern, factorize
+from .linalg import LinearSolver, SparseMatrix, check_m_matrix_pattern, keep_dct_solve
 from .mesh import Mesh
 from .model import ModelSpec, chem_source_value
 from .state import State
@@ -130,9 +130,14 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     neighbor.
 
     B depends on nothing else, so the operator of the last (mesh, gamma, dt)
-    is kept and every step of a run solves with the same object. It is
-    factorized here, once, and carries its LU factor and structure report;
-    a singular B raises ``SolverError``.
+    is kept and every step of a run solves with the same object. On the
+    uniform rectangle B is (hy/hx) T_nx (x) I + (hx/hy) I (x) T_ny plus
+    (gamma + [1/dt]) hx hy I, with T_n the 1-D Neumann second difference,
+    which the DCT-II diagonalises with eigenvalues 2(1 - cos(pi k / n)).
+    The eigenvalue grid is built here, once, and B keeps its exact solve by
+    the transform (``keep_dct_solve``); B is never factorized. B stays
+    assembled for the residual check and the structure checks. A singular
+    B (gamma = 0, elliptic) raises ``SolverError`` here.
     """
     m = mesh.cell_measures
     pattern = mesh.adjacency_csr()
@@ -144,7 +149,18 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     data[pattern.kl_slots] = -mesh.interior_tau
     data[pattern.lk_slots] = -mesh.interior_tau
     b_mat = SparseMatrix(pattern, data)
-    factorize(b_mat)
+
+    def neumann_eigenvalues(n):
+        return 2.0 * (1.0 - np.cos(np.pi * np.arange(n) / n))
+
+    hx, hy = mesh.dx, mesh.dy
+    shift = chem_decay if dt is None else chem_decay + 1.0 / dt
+    eigenvalues = (
+        (hy / hx) * neumann_eigenvalues(mesh.nx)[None, :]
+        + (hx / hy) * neumann_eigenvalues(mesh.ny)[:, None]
+        + shift * hx * hy
+    )
+    keep_dct_solve(b_mat, eigenvalues)
     return b_mat
 
 

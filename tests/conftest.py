@@ -2,10 +2,11 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg as spla
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes `import oracles` work
 
-from chemofv import LinearSolver, build_uniform_rect_mesh, linalg
+from chemofv import LinearSolver, build_uniform_rect_mesh
 
 
 @pytest.fixture
@@ -18,14 +19,14 @@ def splu_calls(monkeypatch):
     """List that gets one entry per LU factorization made by the solver:
     the matrix and the column ordering it was factorized with."""
     calls = []
-    splu = linalg.spla.splu
+    splu = spla.splu
 
     def counting_splu(a, **kwargs):
         calls.append((a, kwargs.get("permc_spec")))
         assert kwargs.get("permc_spec") == "MMD_AT_PLUS_A"
         return splu(a, **kwargs)
 
-    monkeypatch.setattr(linalg.spla, "splu", counting_splu)
+    monkeypatch.setattr(spla, "splu", counting_splu)
     return calls
 
 

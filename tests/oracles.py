@@ -1,9 +1,9 @@
 """Independent brute-force oracles used only by the tests.
 
 Everything here is deliberately written without touching the production
-code paths (no SparseMatrix; the only scipy solver is the reference
-BiCGSTAB that production no longer calls), so that agreement between the
-two sides is meaningful.
+code paths (no SparseMatrix; the scipy solvers are the reference BiCGSTAB
+and the sparse LU that production calls only as the cell operator's
+fallback), so that agreement between the two sides is meaningful.
 """
 
 import numpy as np
@@ -132,3 +132,9 @@ def scipy_jacobi_bicgstab(a, b, tol=1e-12):
         maxiter=min(a.shape[0], 300), M=sp.diags(1.0 / a.diagonal()), callback=tick,
     )
     return x, count[0], info
+
+
+def splu_solve(a, b):
+    """Direct solve by scipy's SuperLU with its default column ordering;
+    ``a`` is a scipy sparse matrix."""
+    return spla.splu(sp.csc_matrix(a)).solve(np.asarray(b, dtype=float))

@@ -8,7 +8,7 @@ from chemofv import (
     check_m_matrix_pattern,
     spmv,
 )
-from chemofv.linalg import CsrPattern, factorize
+from chemofv.linalg import CsrPattern, factorize, keep_dct_solve
 from oracles import (
     dense_gauss_solve,
     dense_spmv,
@@ -230,6 +230,15 @@ class TestSolve:
         assert report.method == "jacobi-bicgstab"
         assert splu_calls == []
         assert np.max(np.abs(x - dense_gauss_solve(dense, b))) <= 1e-9
+
+    def test_dct_solve_rejects_nonpositive_grid(self):
+        m = SparseMatrix.from_dense([[3.0, -1.0], [-1.0, 3.0]])
+        with pytest.raises(SolverError):
+            keep_dct_solve(m, [[2.0, np.nan]])
+        keep_dct_solve(m, [[2.0, 4.0]])  # T_2 + 2I: eigenvalues 2 and 4
+        x, report = LinearSolver().solve(m, np.array([1.0, 2.0]))
+        assert report.method == "direct-dct"
+        np.testing.assert_allclose(x, [5.0 / 8.0, 7.0 / 8.0], rtol=1e-15)
 
     @pytest.mark.parametrize("n,slack_scale", [(20, 1.0), (40, 0.01), (200, 1.0)])
     def test_krylov_path_matches_scipy_bicgstab(self, n, slack_scale):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from chemofv import (
     FluxLimiter,
@@ -19,6 +20,7 @@ from chemofv import (
     discrete_norm,
     limiter_S,
     make_initial_state,
+    preset,
     step,
     step_coupled_oracle,
 )
@@ -39,7 +41,7 @@ from chemofv.scheme import (
     VARIANT_PLAIN,
     chem_operator,
 )
-from oracles import beta_brute_force
+from oracles import beta_brute_force, splu_solve
 
 CORRECTED = SchemeVariant(kind=VARIANT_CORRECTED)
 PLAIN = SchemeVariant(kind=VARIANT_PLAIN)
@@ -233,6 +235,61 @@ class TestChemAssembly:
         state = state_of([1.0, 1.0], u_prev=[1.0, 1.0], dt=0.1)
         b, _ = assemble_chem_system(state, model, mesh_2cell, PLAIN)
         np.testing.assert_allclose(b.to_dense(), [[17.0, -1.0], [-1.0, 17.0]])
+
+
+DCT_SMALL_MESHES = {
+    "1x1": ((0.0, 1.5), (0.0, 1.0), 1, 1),
+    "2x1": ((0.0, 2.0), (0.0, 1.0), 2, 1),
+    "1x7": ((0.0, 0.5), (0.0, 7.0), 1, 7),
+    "5x3": ((0.0, 1.0), (0.0, 2.0), 5, 3),  # hx = 0.2, hy = 2/3
+}
+
+
+def dct_mesh(name):
+    """A degenerate or anisotropic mesh, or a preset's (test1 35x350,
+    test4 150x150), for the chem DCT solve."""
+    if name in DCT_SMALL_MESHES:
+        return build_uniform_rect_mesh(*DCT_SMALL_MESHES[name])
+    return preset(name).build_mesh()
+
+
+class TestChemDctSolve:
+    # (gamma, dt): test1's elliptic operator and test4's parabolic one
+    OPERATORS = {"elliptic": (1.0, None), "parabolic": (32.0, 0.05)}
+
+    @pytest.mark.parametrize("kind", sorted(OPERATORS))
+    @pytest.mark.parametrize("name", ["1x1", "2x1", "1x7", "5x3", "test1", "test4"])
+    def test_matches_lu_oracle(self, name, kind):
+        mesh = dct_mesh(name)
+        b = chem_operator(mesh, *self.OPERATORS[kind])
+        rng = np.random.default_rng(sum(map(ord, name + kind)))
+        for rhs in (rng.random(mesh.n_cells), rng.standard_normal(mesh.n_cells)):
+            x, report = LinearSolver().solve(b, rhs)
+            assert report.method == "direct-dct"
+            residual = np.linalg.norm(b.csr @ x - rhs) / np.linalg.norm(rhs)
+            assert residual <= 1e-12
+            want = splu_solve(b.csr, rhs)
+            assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_point_source_stays_nonnegative(self):
+        # test4's parabolic B: the far field of a one-cell source lies below
+        # round-off, so any sign the transform leaves there shows
+        mesh = dct_mesh("test4")
+        b = chem_operator(mesh, 32.0, 0.05)
+        rhs = np.zeros(mesh.n_cells)
+        rhs[75 * mesh.nx + 75] = mesh.cell_measures[0]
+        c, report = LinearSolver().solve(b, rhs)
+        assert report.method == "direct-dct"
+        assert c.min() >= -1e-12 * c.max()
+
+    def test_pinned_to_one_worker(self):
+        mesh = build_uniform_rect_mesh((0.0, 4.0), (0.0, 3.0), 64, 48)
+        b = chem_operator(mesh, 1.0, 0.1)
+        rhs = np.random.default_rng(5).random(mesh.n_cells)
+        x1, _ = LinearSolver().solve(b, rhs)
+        with scipy.fft.set_workers(2):
+            x2, _ = LinearSolver().solve(b, rhs)
+        assert np.array_equal(x1, x2)
 
 
 class TestCellAssembly:

@@ -186,21 +186,21 @@ class TestRun:
         with pytest.raises(ValueError, match=f"{name} must be .* finite"):
             desk_config(mesh_small, **times)
 
-    def test_chem_operator_factored_once_per_run(self, splu_calls):
+    def test_chem_operator_never_factored(self, splu_calls):
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8)
         solver = TallySolver()
         run(desk_config(mesh, dt=0.01, t_final=0.05), solver=solver)
-        # chem then cell solve per step; only the chem operator goes direct
-        assert [r.method for r in solver.reports] == ["direct-lu", "jacobi-bicgstab"] * 5
-        assert len(splu_calls) == 1
+        # chem then cell solve per step; the chem operator goes by its DCT
+        assert [r.method for r in solver.reports] == ["direct-dct", "jacobi-bicgstab"] * 5
+        assert splu_calls == []
 
     def test_cell_operator_goes_krylov_first(self, splu_calls):
         # chi=80 upwinding breaks the cell matrix's row dominance; its column
-        # dominance keeps Jacobi-BiCGSTAB converging, so only B is factorized
+        # dominance keeps Jacobi-BiCGSTAB converging, so nothing is factorized
         solver = TallySolver()
         run(spots_30x30_config(), solver=solver)
-        assert [r.method for r in solver.reports] == ["direct-lu", "jacobi-bicgstab"] * 5
-        assert len(splu_calls) == 1
+        assert [r.method for r in solver.reports] == ["direct-dct", "jacobi-bicgstab"] * 5
+        assert splu_calls == []
 
     def test_cell_solves_match_scipy_bicgstab(self):
         # the in-house Krylov loop is scipy's recurrence with fixed-order
@@ -267,22 +267,45 @@ for p, dt, strict in ((preset("test1"), 1e-2, False), (preset("test4", chi=80.0)
 """
 
 
-def thread_probe_digests(threads: int) -> str:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+def python_probe(code: str, **env_vars: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter on this chemofv."""
+    env = dict(os.environ, **env_vars)
     src = str(Path(chemofv.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
+def thread_probe_digests(threads: int) -> str:
+    return python_probe(
+        THREAD_PROBE, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads)
+    )
+
+
 def test_final_state_independent_of_blas_threads():
     one = thread_probe_digests(1)
     assert [line.split()[0] for line in one.splitlines()] == ["test1", "test4"]
     assert thread_probe_digests(2) == one
+
+
+def test_run_without_fallback_never_loads_sparse_factorization():
+    # scipy.sparse.linalg adds ~10 MiB of RSS and only an LU solve needs it
+    probe = """
+import sys
+from chemofv import RunConfig, SchemeVariant, build_uniform_rect_mesh, preset, run
+
+p = preset("test1")
+run(RunConfig(
+    mesh=build_uniform_rect_mesh(p.x_range, p.y_range, 8, 40), model=p.model,
+    ic=p.ic, variant=SchemeVariant(), dt=1e-2, t_final=5e-2, strict=True,
+))
+print("scipy.sparse.linalg" in sys.modules)
+"""
+    assert python_probe(probe).split() == ["False"]
 
 
 class TestInvariantMonitor:
