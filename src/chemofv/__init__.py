@@ -31,6 +31,7 @@ from .scheme import (
     FluxLimiter,
     SchemeError,
     SchemeVariant,
+    StepPlan,
     assemble_cell_system,
     assemble_chem_system,
     beta_n,
@@ -71,6 +72,7 @@ __all__ = [
     "FluxLimiter",
     "SchemeVariant",
     "SchemeError",
+    "StepPlan",
     "limiter_S",
     "correction_term",
     "beta_n",

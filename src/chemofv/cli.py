@@ -20,9 +20,9 @@ from . import output as outmod
 from . import scheme as schememod
 from . import sim as simmod
 from .config import ConfigError
-from .linalg import LinearSolver, SolverError
+from .linalg import SolverError
 from .model import make_initial_state
-from .scheme import FluxLimiter, SchemeError, SchemeVariant, step, step_coupled_oracle
+from .scheme import SchemeError, SchemeVariant, step, step_coupled_oracle
 from .sim import InvariantError, discrete_norm
 
 log = logging.getLogger(__name__)
@@ -108,32 +108,27 @@ def cmd_oracle_check(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    solver = LinearSolver()
-    lim = FluxLimiter(
-        run.model.cell_diffusion,
-        run.model.chemo_sensitivity,
-        run.epsilon,
+    corrected, plain = (
+        simmod.plan_for(dataclasses.replace(run, variant=SchemeVariant(kind, policy)))
+        for kind, policy in (
+            (schememod.VARIANT_CORRECTED, run.variant.beta_policy),
+            (schememod.VARIANT_PLAIN, schememod.BETA_FIXED),
+        )
     )
-    corrected = SchemeVariant(
-        kind=schememod.VARIANT_CORRECTED, beta_policy=run.variant.beta_policy
-    )
-    plain = SchemeVariant(kind=schememod.VARIANT_PLAIN)
 
     state = make_initial_state(mesh, run.ic, dt=run.dt)
     # The correction term is identically zero at step 0 (corrected == plain
     # there), so compare one step later unless asked otherwise.
     for _ in range(args.warmup):
-        state = step(state, run.model, mesh, lim, corrected, solver)
+        state = step(state, corrected)
 
     try:
-        oracle = step_coupled_oracle(
-            state, run.model, mesh, lim, solver, cell_limit=args.cell_limit
-        )
+        oracle = step_coupled_oracle(state, plain, cell_limit=args.cell_limit)
     except SchemeError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    step_corr = step(state, run.model, mesh, lim, corrected, solver)
-    step_plain = step(state, run.model, mesh, lim, plain, solver)
+    step_corr = step(state, corrected)
+    step_plain = step(state, plain)
 
     d_corr = discrete_norm(step_corr.u - oracle.u, mesh, 2.0)
     d_plain = discrete_norm(step_plain.u - oracle.u, mesh, 2.0)

@@ -53,22 +53,16 @@ class SolveReport:
 class StructureReport:
     """Sign pattern and diagonal-dominance slacks of a square matrix.
 
-    Slack vectors hold |diag| - sum|offdiag| per row / per column; strict
-    dominance means every slack is positive.
+    The slack vectors are the signed row and column sums. Whenever the sign
+    pattern holds (positive diagonal, nonpositive off-diagonals) these
+    equal |diag| - sum|offdiag| per row / per column, and strict dominance
+    means every slack is positive; otherwise they are only sums.
     """
 
     diag_positive: bool
     offdiag_nonpositive: bool
     row_slack: np.ndarray
     col_slack: np.ndarray
-
-    @property
-    def row_dominant(self) -> bool:
-        return bool(np.all(self.row_slack > 0))
-
-    @property
-    def col_dominant(self) -> bool:
-        return bool(np.all(self.col_slack > 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +71,12 @@ class CsrPattern:
 
     Column indices strictly increase within each row and every row stores
     exactly one diagonal entry, possibly a zero. ``rows[s]`` is the row of
-    slot ``s``, ``diag_slots[k]`` the slot of entry (k, k) and
-    ``scipy_index`` the (indices, indptr) pair in scipy's index dtype. The
-    checks run once, at construction; every array is a read-only copy.
+    slot ``s``, ``diag_slots[k]`` the slot of entry (k, k), ``off_slots``
+    every other slot in increasing order and ``scipy_index`` the
+    (indices, indptr) pair. ``scipy_index`` and the two arrays only the
+    structure checks read, ``rows`` and ``off_slots``, are in scipy's index
+    dtype. The checks run once, at construction; every array is a read-only
+    copy.
     """
 
     n: int
@@ -87,6 +84,7 @@ class CsrPattern:
     indices: np.ndarray
     rows: np.ndarray = field(init=False, repr=False)
     diag_slots: np.ndarray = field(init=False, repr=False)
+    off_slots: np.ndarray = field(init=False, repr=False)
     scipy_index: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -99,7 +97,7 @@ class CsrPattern:
             raise ValueError("indices size does not match indptr")
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise ValueError(f"column index outside [0, {n})")
-        rows = readonly_copy(np.repeat(np.arange(n), np.diff(indptr)))
+        rows = np.repeat(np.arange(n), np.diff(indptr))
         if np.any((rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1])):
             raise ValueError("column indices must be strictly increasing per row")
         on_diag = indices == rows
@@ -111,8 +109,9 @@ class CsrPattern:
             n=n,
             indptr=indptr,
             indices=indices,
-            rows=rows,
+            rows=readonly_copy(rows, csr.indices.dtype),
             diag_slots=readonly_copy(np.flatnonzero(on_diag)),
+            off_slots=readonly_copy(np.flatnonzero(~on_diag), csr.indices.dtype),
             scipy_index=tuple(readonly_copy(a, a.dtype) for a in (csr.indices, csr.indptr)),
         )
         for name, value in fields.items():
@@ -134,10 +133,10 @@ class SparseMatrix:
     """Square operator: a validated ``CsrPattern`` plus one value per slot.
 
     The values live in one scipy CSR matrix, ``csr``, built at construction
-    on the pattern's index arrays. Instances are immutable; their structure
-    report is computed on first use and kept, and so is their exact solve,
-    a (solve, method label) pair: an LU solve (``factorize``) or the
-    transform solve the operator's builder keeps (``keep_dct_solve``).
+    on the pattern's index arrays. Instances are immutable; their exact
+    solve, a (solve, method label) pair, is kept once made: an LU solve
+    (``factorize``) or the transform solve kept when the operator is built
+    (``keep_dct_solve``).
     """
 
     def __init__(self, pattern: CsrPattern, data):
@@ -148,7 +147,6 @@ class SparseMatrix:
         self.n = pattern.n
         self.data = data
         self.csr = sp.csr_matrix((data, *pattern.scipy_index), shape=(self.n, self.n))
-        self._structure: StructureReport | None = None
         self._exact: tuple[Callable[[np.ndarray], np.ndarray], str] | None = None
 
     @property
@@ -216,24 +214,15 @@ def fixed_norm(a: np.ndarray, out: np.ndarray | None = None) -> float:
 
 
 def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
-    """Sign pattern plus row/column dominance slacks (cached on the matrix)."""
-    if m._structure is not None:
-        return m._structure
-    diag = m.diagonal()
-    absdata = np.abs(m.data)
-    row_abs = np.bincount(m.pattern.rows, weights=absdata, minlength=m.n)
-    col_abs = np.bincount(m.pattern.indices, weights=absdata, minlength=m.n)
-    absdiag = np.abs(diag)
-    offdiag_mask = np.ones(m.nnz, dtype=bool)
-    offdiag_mask[m.pattern.diag_slots] = False
-    report = StructureReport(
-        diag_positive=bool(np.all(diag > 0)),
-        offdiag_nonpositive=bool(np.all(m.data[offdiag_mask] <= 0)),
-        row_slack=2.0 * absdiag - row_abs,
-        col_slack=2.0 * absdiag - col_abs,
+    """Sign pattern on the pattern's slots plus the signed row and column
+    sums, which are the dominance slacks whenever the sign pattern holds."""
+    pattern = m.pattern
+    return StructureReport(
+        diag_positive=bool(np.all(m.diagonal() > 0)),
+        offdiag_nonpositive=bool(np.all(m.data[pattern.off_slots] <= 0)),
+        row_slack=np.bincount(pattern.rows, weights=m.data, minlength=m.n),
+        col_slack=np.bincount(pattern.indices, weights=m.data, minlength=m.n),
     )
-    m._structure = report
-    return report
 
 
 def factorize(m: SparseMatrix) -> None:

@@ -8,13 +8,16 @@ chem-equation right-hand side; the plain decoupled step omits it; the
 lagged step solves the cell equation first against the old chemoattractant
 field; the coupled oracle iterates the two solves to a fixed point and
 serves as the accuracy reference in tests.
+
+What stays constant for a run, the chem operator included, is one
+``StepPlan``; the step functions and assemblies take a state and that plan.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -123,19 +126,18 @@ def beta_n(state: State, mesh: Mesh) -> float:
     return float(min(1.0, np.min(g_now[mask] / denom)))
 
 
-@functools.lru_cache(maxsize=1)
 def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatrix:
     """The chem operator B of a run: sum(tau) + gamma*m(K) on the diagonal
     (plus m(K)/dt when ``dt`` is given, for parabolic dynamics) and -tau per
     neighbor.
 
-    B depends on nothing else, so the operator of the last (mesh, gamma, dt)
-    is kept and every step of a run solves with the same object. On the
+    B depends on nothing else, so a run's ``StepPlan`` builds it once and
+    every step solves with that object; each call builds a new B. On the
     uniform rectangle B is (hy/hx) T_nx (x) I + (hx/hy) I (x) T_ny plus
     (gamma + [1/dt]) hx hy I, with T_n the 1-D Neumann second difference,
     which the DCT-II diagonalises with eigenvalues 2(1 - cos(pi k / n)).
-    The eigenvalue grid is built here, once, and B keeps its exact solve by
-    the transform (``keep_dct_solve``); B is never factorized. B stays
+    The eigenvalue grid is built here and B keeps its exact solve by the
+    transform (``keep_dct_solve``); B is never factorized. B stays
     assembled for the residual check and the structure checks. A singular
     B (gamma = 0, elliptic) raises ``SolverError`` here.
     """
@@ -164,40 +166,62 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     return b_mat
 
 
+@dataclass(frozen=True, eq=False)
+class StepPlan:
+    """What stays constant for a run: its mesh, model, flux limiter,
+    variant, dt, solver and matrix-check flag, and the chem operator B
+    (``chem_matrix``, with its DCT solve). Building the plan checks that dt
+    is positive and finite and, with ``check_matrices``, checks B's sign
+    pattern and row slack (gamma + [1/dt]) m(K) once, since B is the same
+    matrix at every step.
+    """
+
+    mesh: Mesh
+    model: ModelSpec
+    limiter: FluxLimiter
+    variant: SchemeVariant
+    dt: float
+    solver: LinearSolver = field(default_factory=LinearSolver)
+    check_matrices: bool = False
+    chem_matrix: SparseMatrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise SchemeError(f"a step plan needs a positive, finite dt, got {self.dt}")
+        gamma = self.model.chem_decay
+        chem_dt = self.dt if self.model.chem_dynamics == _model.CHEM_PARABOLIC else None
+        b_mat = chem_operator(self.mesh, gamma, chem_dt)
+        if self.check_matrices:
+            shift = gamma if chem_dt is None else gamma + 1.0 / chem_dt
+            _check_structure(b_mat, shift * self.mesh.cell_measures, "rows", "chem matrix")
+        object.__setattr__(self, "chem_matrix", b_mat)
+
+
 def assemble_chem_system(
     state: State,
-    model: ModelSpec,
-    mesh: Mesh,
-    variant: SchemeVariant,
-    beta: float = 1.0,
+    plan: StepPlan,
+    beta: float = 0.0,
     u_source: np.ndarray | None = None,
 ) -> tuple[SparseMatrix, np.ndarray]:
     """Assemble the chemoattractant system B c^{n+1} = G.
 
-    B is the run's ``chem_operator``. G carries the source from u^n, the
-    correction term for the corrected variant, and m(K) c^n / dt for
-    parabolic dynamics. The lagged variant and the coupled oracle pass the
-    freshly solved density as ``u_source``.
+    B is the plan's ``chem_matrix``. G carries the source from u^n, beta
+    times the correction term (the corrected variant's step passes a
+    nonzero beta), and m(K) c^n / dt for parabolic dynamics. The lagged
+    variant and the coupled oracle pass the freshly solved density as
+    ``u_source``.
     """
-    m = mesh.cell_measures
-    rhs = m * chem_source_value(model, state.u if u_source is None else u_source)
-    dt = None
-    if model.chem_dynamics == _model.CHEM_PARABOLIC:
-        if state.dt <= 0:
-            raise SchemeError("parabolic chem dynamics needs a positive dt")
-        dt = state.dt
-        rhs = rhs + m * state.c / state.dt
-    if variant.kind == VARIANT_CORRECTED:
-        rhs = rhs + beta * correction_term(state, model, mesh)
-    return chem_operator(mesh, model.chem_decay, dt), rhs
+    m = plan.mesh.cell_measures
+    rhs = m * chem_source_value(plan.model, state.u if u_source is None else u_source)
+    if plan.model.chem_dynamics == _model.CHEM_PARABOLIC:
+        rhs = rhs + m * state.c / plan.dt
+    if beta:
+        rhs = rhs + beta * correction_term(state, plan.model, plan.mesh)
+    return plan.chem_matrix, rhs
 
 
 def assemble_cell_system(
-    state: State,
-    c_new: np.ndarray,
-    model: ModelSpec,
-    mesh: Mesh,
-    lim: FluxLimiter,
+    state: State, c_new: np.ndarray, plan: StepPlan
 ) -> tuple[SparseMatrix, np.ndarray]:
     """Assemble the cell-density system A u^{n+1} = F.
 
@@ -207,8 +231,7 @@ def assemble_cell_system(
     diagonal and F; the cubic kind adds -m*u^n(1-u^n) to the diagonal only
     and requires the diagonal to stay positive.
     """
-    if state.dt <= 0:
-        raise SchemeError("cell system needs a positive dt")
+    mesh, model, dt = plan.mesh, plan.model, plan.dt
     m = mesh.cell_measures
     u = state.u
     pattern = mesh.adjacency_csr()
@@ -216,15 +239,15 @@ def assemble_cell_system(
     tau = mesh.interior_tau
 
     dc = c_new[kb] - c_new[ka]
-    w_plus = tau * (model.cell_diffusion + model.chemo_sensitivity * limiter_S(lim, dc))
-    w_minus = tau * (
-        model.cell_diffusion + model.chemo_sensitivity * limiter_S(lim, -dc)
-    )
+    s_plus = limiter_S(plan.limiter, dc)
+    w_plus = tau * (model.cell_diffusion + model.chemo_sensitivity * s_plus)
+    # S(-x) = S(x) - x holds exactly in floating point on every branch
+    w_minus = tau * (model.cell_diffusion + model.chemo_sensitivity * (s_plus - dc))
 
     flux_out_a = np.bincount(ka, weights=w_plus, minlength=mesh.n_cells)
     flux_out_b = np.bincount(kb, weights=w_minus, minlength=mesh.n_cells)
-    diag = m / state.dt + flux_out_a + flux_out_b
-    rhs = m * u / state.dt
+    diag = m / dt + flux_out_a + flux_out_b
+    rhs = m * u / dt
     if model.growth == _model.GROWTH_QUADRATIC:
         growth = model.growth_rate * m * u
         diag = diag + growth
@@ -239,7 +262,7 @@ def assemble_cell_system(
             dt_max = float(np.min(m[binding] / excess[binding]))
             raise SchemeError(
                 f"cubic growth made a diagonal entry nonpositive at step "
-                f"{state.step_index} (t={state.time:.6g}) with dt={state.dt:.6g}; "
+                f"{state.step_index} (t={state.time:.6g}) with dt={dt:.6g}; "
                 f"reduce dt below the largest admissible dt {dt_max:.6g}"
             )
 
@@ -286,57 +309,45 @@ def _check_structure(matrix, expected_slack, by, what):
         raise SchemeError(f"{what} dominance slack fell below the assembled value")
 
 
-def step(
-    state: State,
-    model: ModelSpec,
-    mesh: Mesh,
-    lim: FluxLimiter,
-    variant: SchemeVariant,
-    solver: LinearSolver,
-    *,
-    check_matrices: bool = False,
-) -> State:
-    """Advance one time step with the requested decoupled variant.
+def _require_plan_dt(state: State, plan: StepPlan):
+    if state.dt != plan.dt:
+        raise SchemeError(f"state has dt={state.dt!r}, its step plan dt={plan.dt!r}")
+
+
+def step(state: State, plan: StepPlan) -> State:
+    """Advance one time step, of the plan's dt, with the plan's variant.
 
     Corrected/plain: chem solve first, then the cell solve against the new
     field. Lagged: cell solve against c^n first, then the chem solve with
     the u^{n+1} source. Returns a new State with u_prev <- u^n.
 
     The step checks what only it sees: positivity of the new u and c and,
-    with ``check_matrices``, the structure of the two assembled matrices.
-    The run's invariants (mass, the bounds on c) are the run monitor's.
+    with ``check_matrices``, the cell matrix's structure (B's was checked
+    when the plan was built). The run's invariants are the run monitor's.
     """
-    if variant.kind == VARIANT_ORACLE:
-        return step_coupled_oracle(state, model, mesh, lim, solver)
-    if state.dt <= 0:
-        raise SchemeError("step needs a positive dt")
+    kind = plan.variant.kind
+    if kind == VARIANT_ORACLE:
+        return step_coupled_oracle(state, plan)
+    _require_plan_dt(state, plan)
+    solve = plan.solver.solve
 
-    if variant.kind in (VARIANT_CORRECTED, VARIANT_PLAIN):
-        if variant.kind == VARIANT_CORRECTED and variant.beta_policy == BETA_FORMULA:
-            beta = beta_n(state, mesh)
-        else:
-            beta = 1.0
-        b_mat, g_vec = assemble_chem_system(state, model, mesh, variant, beta)
-        c_new, _ = solver.solve(b_mat, g_vec)
-        a_mat, f_vec = assemble_cell_system(state, c_new, model, mesh, lim)
-        u_new, _ = solver.solve(a_mat, f_vec)
-    elif variant.kind == VARIANT_LAGGED:
-        a_mat, f_vec = assemble_cell_system(state, state.c, model, mesh, lim)
-        u_new, _ = solver.solve(a_mat, f_vec)
-        b_mat, g_vec = assemble_chem_system(
-            state, model, mesh, variant, 1.0, u_source=u_new
-        )
-        c_new, _ = solver.solve(b_mat, g_vec)
-    else:  # pragma: no cover - guarded by SchemeVariant validation
-        raise SchemeError(f"unhandled variant {variant.kind!r}")
+    if kind == VARIANT_LAGGED:
+        a_mat, f_vec = assemble_cell_system(state, state.c, plan)
+        u_new, _ = solve(a_mat, f_vec)
+        b_mat, g_vec = assemble_chem_system(state, plan, u_source=u_new)
+        c_new, _ = solve(b_mat, g_vec)
+    else:
+        beta = 1.0 if kind == VARIANT_CORRECTED else 0.0
+        if kind == VARIANT_CORRECTED and plan.variant.beta_policy == BETA_FORMULA:
+            beta = beta_n(state, plan.mesh)
+        b_mat, g_vec = assemble_chem_system(state, plan, beta)
+        c_new, _ = solve(b_mat, g_vec)
+        a_mat, f_vec = assemble_cell_system(state, c_new, plan)
+        u_new, _ = solve(a_mat, f_vec)
 
-    if check_matrices:
-        m = mesh.cell_measures
-        expected_b = model.chem_decay * m
-        if model.chem_dynamics == _model.CHEM_PARABOLIC:
-            expected_b = expected_b + m / state.dt
-        _check_structure(b_mat, expected_b, "rows", "chem matrix")
-        expected_a = m / state.dt
+    if plan.check_matrices:
+        model, m = plan.model, plan.mesh.cell_measures
+        expected_a = m / plan.dt
         if model.growth == _model.GROWTH_QUADRATIC:
             expected_a = expected_a + model.growth_rate * m * state.u
         elif model.growth == _model.GROWTH_CUBIC:
@@ -345,45 +356,37 @@ def step(
 
     _require_nonnegative(u_new, "u")
     _check_chem_positivity(c_new, g_vec)
-    return State(
-        u=u_new, c=c_new, u_prev=state.u, step_index=state.step_index + 1, dt=state.dt
-    )
+    return State(u_new, c_new, state.u, state.step_index + 1, state.dt)
 
 
 def step_coupled_oracle(
-    state: State,
-    model: ModelSpec,
-    mesh: Mesh,
-    lim: FluxLimiter,
-    solver: LinearSolver,
-    cell_limit: int = DEFAULT_ORACLE_CELL_LIMIT,
+    state: State, plan: StepPlan, cell_limit: int = DEFAULT_ORACLE_CELL_LIMIT
 ) -> State:
     """One step of the fully coupled scheme via fixed-point iteration.
 
     Starts from the plain decoupled chem solve, then alternates cell and
     chem solves (the latter sourced from the current u iterate) until the
     max-norm change of (u, c) drops to ``ORACLE_TOL``, within
-    ``ORACLE_MAX_ITER`` iterations. Intended as a small-scale accuracy
-    reference; refuses meshes above ``cell_limit`` cells.
+    ``ORACLE_MAX_ITER`` iterations. The plan's variant is not read.
+    Intended as a small-scale accuracy reference; refuses meshes above
+    ``cell_limit`` cells.
     """
-    if mesh.n_cells > cell_limit:
+    n_cells = plan.mesh.n_cells
+    if n_cells > cell_limit:
         raise SchemeError(
-            f"coupled oracle limited to {cell_limit} cells, mesh has {mesh.n_cells}"
+            f"coupled oracle limited to {cell_limit} cells, mesh has {n_cells}"
         )
-    if state.dt <= 0:
-        raise SchemeError("step needs a positive dt")
-    plain = SchemeVariant(kind=VARIANT_PLAIN)
-    b_mat, g_vec = assemble_chem_system(state, model, mesh, plain, 1.0)
-    c_k, _ = solver.solve(b_mat, g_vec)
+    _require_plan_dt(state, plan)
+    solve = plan.solver.solve
+    b_mat, g_vec = assemble_chem_system(state, plan)
+    c_k, _ = solve(b_mat, g_vec)
     u_k = state.u
     delta = np.inf
     for _ in range(ORACLE_MAX_ITER):
-        a_mat, f_vec = assemble_cell_system(state, c_k, model, mesh, lim)
-        u_next, _ = solver.solve(a_mat, f_vec)
-        b_mat, g_vec = assemble_chem_system(
-            state, model, mesh, plain, 1.0, u_source=u_next
-        )
-        c_next, _ = solver.solve(b_mat, g_vec)
+        a_mat, f_vec = assemble_cell_system(state, c_k, plan)
+        u_next, _ = solve(a_mat, f_vec)
+        b_mat, g_vec = assemble_chem_system(state, plan, u_source=u_next)
+        c_next, _ = solve(b_mat, g_vec)
         delta = max(
             float(np.max(np.abs(u_next - u_k))), float(np.max(np.abs(c_next - c_k)))
         )
@@ -391,13 +394,7 @@ def step_coupled_oracle(
         if delta <= ORACLE_TOL:
             _require_nonnegative(u_k, "u")
             _require_nonnegative(c_k, "c")
-            return State(
-                u=u_k,
-                c=c_k,
-                u_prev=state.u,
-                step_index=state.step_index + 1,
-                dt=state.dt,
-            )
+            return State(u_k, c_k, state.u, state.step_index + 1, state.dt)
     raise SchemeError(
         f"coupled oracle did not converge in {ORACLE_MAX_ITER} iterations "
         f"(last change {delta:.3e}, tol {ORACLE_TOL:.3e})"

@@ -13,7 +13,7 @@ from . import scheme as _scheme
 from .linalg import LinearSolver
 from .mesh import Mesh
 from .model import InitialConditionSpec, ModelSpec, make_initial_state
-from .scheme import FluxLimiter, SchemeVariant, step
+from .scheme import FluxLimiter, SchemeVariant, StepPlan, step
 from .state import State
 
 log = logging.getLogger(__name__)
@@ -135,10 +135,30 @@ def _record(state: State, mesh: Mesh) -> DiagnosticsRecord:
     )
 
 
+def plan_for(config: RunConfig, solver: LinearSolver | None = None) -> StepPlan:
+    """The ``StepPlan`` of a run of ``config``, solving with ``solver`` (a
+    fresh ``LinearSolver`` by default)."""
+    model = config.model
+    lim = FluxLimiter(model.cell_diffusion, model.chemo_sensitivity, config.epsilon)
+    return StepPlan(
+        config.mesh, model, lim, config.variant, config.dt, solver or LinearSolver(),
+        config.check_matrices,
+    )
+
+
 class _InvariantMonitor:
     """The run's invariants after each step: mass without growth (within
-    the step and since step 0), and c <= 2 with a gradient energy of at
-    most 4*area for the elliptic saturated model. Strict mode raises
+    the step and since step 0), and for the elliptic saturated model
+    c <= 2/gamma and a gradient energy of at most 4*area/gamma.
+
+    Both bounds follow from B c = m(K) f, B an M-matrix with row sums
+    gamma m(K), where f = (1+beta) g(u^n) - beta g(u^{n-1}), beta in
+    [0, 1], lies in (-1, 2) for the saturated g(u) = u/(u+1) in [0, 1).
+    Maximum principle: at the cell K where c is largest, (B c)_K >=
+    gamma m(K) c_K, so max c < 2/gamma. Energy identity: testing with c,
+    sum tau |Dc|^2 + gamma sum m c^2 = sum m f c <= sum m f^2 / (4 gamma)
+    + gamma sum m c^2, so the energy is below area/gamma, which implies
+    4*area/gamma. c may exceed its bound by 1e-12 of it. Strict mode raises
     ``InvariantError``; otherwise the first violation of each is logged."""
 
     def __init__(self, config: RunConfig, mass0: float):
@@ -150,6 +170,8 @@ class _InvariantMonitor:
             model.chem_dynamics == _model.CHEM_ELLIPTIC
             and model.chem_source == _model.SOURCE_SATURATED
         )
+        self.c_bound = 2.0 / model.chem_decay
+        self.energy_bound = 4.0 * config.mesh.domain_area / model.chem_decay
         self._logged: set[str] = set()
 
     def _violations(self, state: State):
@@ -164,13 +186,11 @@ class _InvariantMonitor:
                 yield "mass", f"mass drift at step {n}: {self.mass0} -> {mass}"
         if self.bounds_c:
             max_c = float(state.c.max())
-            if max_c > 2.0 + 1e-12:
-                yield "c", f"chemoattractant bound violated at step {n}: max c = {max_c}"
+            if max_c > self.c_bound * (1.0 + 1e-12):
+                yield "c", f"max c = {max_c} breaks the bound 2/gamma = {self.c_bound} at step {n}"
             energy = gradient_energy(state.c, mesh)
-            if energy > 4.0 * mesh.domain_area:
-                yield "energy", (
-                    f"chemoattractant gradient energy {energy} exceeds 4*area at step {n}"
-                )
+            if energy > self.energy_bound:
+                yield "energy", f"c's gradient energy {energy} exceeds 4*area/gamma at step {n}"
 
     def check(self, state: State):
         for kind, violation in self._violations(state):
@@ -191,10 +211,11 @@ def run(
     Diagnostics are recorded at step 0, every ``diagnostics_every`` steps
     and at the final step; snapshots follow ``snapshot_every`` with the
     final snapshot always emitted. ``observer``, when given, is called with
-    each new State. Every step checks positivity (and, with
-    ``check_matrices``, matrix structure) itself and raises on a failure;
-    the run's invariants (mass, c <= 2, the gradient energy) raise
-    ``InvariantError`` in strict mode and are logged once otherwise.
+    each new State. The run's ``StepPlan`` (``plan_for``) is built once.
+    Every step checks positivity (and, with ``check_matrices``, matrix
+    structure) itself and raises on a failure; the run's invariants (mass,
+    c <= 2/gamma, the gradient energy) raise ``InvariantError`` in strict
+    mode and are logged once otherwise.
     """
     n_steps = config.n_steps
     if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(config.t_final, config.dt):
@@ -212,10 +233,7 @@ def run(
         )
 
     mesh = config.mesh
-    solver = solver or LinearSolver()
-    lim = FluxLimiter(
-        config.model.cell_diffusion, config.model.chemo_sensitivity, config.epsilon
-    )
+    plan = plan_for(config, solver)
     state = make_initial_state(mesh, config.ic, dt=config.dt)
     monitor = _InvariantMonitor(config, mesh.integral(state.u))
 
@@ -224,15 +242,7 @@ def run(
     snapshots: list[Snapshot] = []
 
     for n in range(n_steps):
-        state = step(
-            state,
-            config.model,
-            mesh,
-            lim,
-            config.variant,
-            solver,
-            check_matrices=config.check_matrices,
-        )
+        state = step(state, plan)
         monitor.check(state)
         if observer is not None:
             observer(state)

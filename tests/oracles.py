@@ -86,6 +86,15 @@ def random_dominant_m_matrix(rng, n, density=0.3, slack_scale=1.0):
     return a
 
 
+def abs_sum_slacks(a):
+    """Dominance slacks |a_kk| - sum_{l != k} |a_kl| of a dense square
+    array: (per row, per column)."""
+    a = np.asarray(a, dtype=float)
+    absdiag = np.abs(np.diag(a))
+    off = np.abs(a) - np.diag(absdiag)
+    return absdiag - off.sum(axis=1), absdiag - off.sum(axis=0)
+
+
 def adjacency_pattern_loops(mesh):
     """Loop transcription of the operators' CSR pattern, read off the
     mesh's interior edge list.

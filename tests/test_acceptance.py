@@ -29,6 +29,7 @@ from chemofv import (
     RunConfig,
     SchemeVariant,
     State,
+    StepPlan,
     assemble_cell_system,
     assemble_chem_system,
     beta_n,
@@ -293,8 +294,9 @@ def test_criterion_08_matrix_structure(desk_run, desk_study, capsys):
             mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 8, 8)
             lim = FluxLimiter(model.cell_diffusion, model.chemo_sensitivity, 1e-6)
             for dt in (0.5, 1e-2, 1e-4):
+                plan = StepPlan(mesh, model, lim, CORRECTED, dt, solver)
                 state = make_initial_state(mesh, desk_ic(base_c=1.0 / 32.0), dt=dt)
-                state = step(state, model, mesh, lim, CORRECTED, solver)
+                state = step(state, plan)
                 n = mesh.n_cells
                 state = State(
                     u=rng.random(n) * 2.0,
@@ -304,8 +306,8 @@ def test_criterion_08_matrix_structure(desk_run, desk_study, capsys):
                     dt=dt,
                 )
                 beta = beta_n(state, mesh)
-                b_mat, _ = assemble_chem_system(state, model, mesh, CORRECTED, beta)
-                a_mat, _ = assemble_cell_system(state, state.c, model, mesh, lim)
+                b_mat, _ = assemble_chem_system(state, plan, beta)
+                a_mat, _ = assemble_cell_system(state, state.c, plan)
                 m = mesh.cell_measures
                 b_report = check_m_matrix_pattern(b_mat)
                 a_report = check_m_matrix_pattern(a_mat)
@@ -323,6 +325,8 @@ def test_criterion_09_beta_contract(capsys):
     mesh = build_uniform_rect_mesh((0.0, 10.0), (0.0, 10.0), 10, 10)  # m(K) = 1
     model = desk_model()
     variant = SchemeVariant(kind=VARIANT_CORRECTED, beta_policy=BETA_FORMULA)
+    lim = FluxLimiter(model.cell_diffusion, model.chemo_sensitivity)
+    plan = StepPlan(mesh, model, lim, variant, 0.1)
     rng = np.random.default_rng(SEED)
     with criterion(capsys, 9, "beta in (0, 1] and corrected chem RHS nonnegative"):
         for _ in range(100):
@@ -336,7 +340,7 @@ def test_criterion_09_beta_contract(capsys):
             )
             beta = beta_n(state, mesh)
             assert 0.0 < beta <= 1.0
-            _, g_vec = assemble_chem_system(state, model, mesh, variant, beta)
+            _, g_vec = assemble_chem_system(state, plan, beta)
             assert g_vec.min() >= -1e-15, f"min RHS {g_vec.min()}"
 
 
@@ -360,8 +364,9 @@ def test_criterion_10_solver_oracle_equivalence(capsys):
                 step_index=1,
                 dt=dt,
             )
-            b_mat, g_vec = assemble_chem_system(state, model, mesh, PLAIN)
-            a_mat, f_vec = assemble_cell_system(state, state.c, model, mesh, lim)
+            plan = StepPlan(mesh, model, lim, PLAIN, dt, solver)
+            b_mat, g_vec = assemble_chem_system(state, plan)
+            a_mat, f_vec = assemble_cell_system(state, state.c, plan)
             for matrix, rhs in ((b_mat, g_vec), (a_mat, f_vec)):
                 x, _ = solver.solve(matrix, rhs)
                 want = dense_gauss_solve(matrix.to_dense(), rhs)

@@ -10,6 +10,7 @@ from chemofv import (
 )
 from chemofv.linalg import CsrPattern, factorize, keep_dct_solve
 from oracles import (
+    abs_sum_slacks,
     dense_gauss_solve,
     dense_spmv,
     random_dominant_m_matrix,
@@ -53,7 +54,8 @@ class TestSparseMatrix:
         pattern = CsrPattern(2, indptr, indices)
         indices[0] = 1  # the pattern holds its own copy
         np.testing.assert_array_equal(pattern.indices, [0, 1, 0, 1])
-        arrays = [pattern.indptr, pattern.indices, pattern.rows, pattern.diag_slots]
+        arrays = [pattern.indptr, pattern.indices, pattern.rows]
+        arrays += [pattern.diag_slots, pattern.off_slots]
         for array in arrays + list(pattern.scipy_index):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
@@ -104,7 +106,7 @@ class TestStructureChecks:
         assert report.offdiag_nonpositive
         np.testing.assert_array_equal(report.row_slack, np.ones(3))
         np.testing.assert_array_equal(report.col_slack, np.ones(3))
-        assert report.row_dominant and report.col_dominant
+        assert np.all(report.row_slack > 0) and np.all(report.col_slack > 0)
 
     def test_sign_pattern_violations_detected(self):
         report = check_m_matrix_pattern(
@@ -115,6 +117,17 @@ class TestStructureChecks:
             SparseMatrix.from_dense([[-1.0, 0.0], [0.0, 1.0]])
         )
         assert not report.diag_positive
+
+    def test_slacks_match_abs_sum_formula(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(2, 30))
+            dense = random_dominant_m_matrix(rng, n, slack_scale=rng.random() * 10 + 0.01)
+            report = check_m_matrix_pattern(SparseMatrix.from_dense(dense))
+            assert report.diag_positive and report.offdiag_nonpositive
+            tol = 1e-14 * np.abs(np.diag(dense)).max()
+            for got, want in zip((report.row_slack, report.col_slack), abs_sum_slacks(dense)):
+                assert np.max(np.abs(got - want)) <= tol
 
     def test_slack_values(self):
         m = SparseMatrix.from_dense([[3.0, -1.0], [-2.0, 4.0]])

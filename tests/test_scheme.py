@@ -11,6 +11,7 @@ from chemofv import (
     SolverError,
     SparseMatrix,
     State,
+    StepPlan,
     assemble_cell_system,
     assemble_chem_system,
     beta_n,
@@ -41,7 +42,7 @@ from chemofv.scheme import (
     VARIANT_PLAIN,
     chem_operator,
 )
-from oracles import beta_brute_force, splu_solve
+from oracles import abs_sum_slacks, beta_brute_force, splu_solve
 
 CORRECTED = SchemeVariant(kind=VARIANT_CORRECTED)
 PLAIN = SchemeVariant(kind=VARIANT_PLAIN)
@@ -50,6 +51,13 @@ LAGGED = SchemeVariant(kind=VARIANT_LAGGED)
 
 def elliptic_model(**kwargs):
     return ModelSpec(cell_diffusion=0.25, chemo_sensitivity=2.0, **kwargs)
+
+
+def plan_of(mesh, model, dt=0.1, lim=None, variant=CORRECTED, **kwargs):
+    """The StepPlan of ``model`` on ``mesh``; the limiter defaults to the
+    model's mu and a with eps = 0."""
+    lim = lim or FluxLimiter(model.cell_diffusion, model.chemo_sensitivity)
+    return StepPlan(mesh, model, lim, variant, dt, **kwargs)
 
 
 def state_of(u, c=None, u_prev=None, step_index=1, dt=0.1):
@@ -151,11 +159,67 @@ class TestBetaN:
             assert got == pytest.approx(beta_brute_force(u, u_prev), rel=1e-14)
 
 
+class TestStepPlan:
+    def test_alternating_plans_build_each_operator_once(self, monkeypatch):
+        builds = []
+        keep = scheme.keep_dct_solve
+
+        def counting_keep(m, eigenvalues):
+            builds.append(m.n)
+            keep(m, eigenvalues)
+
+        monkeypatch.setattr(scheme, "keep_dct_solve", counting_keep)
+        meshes = [
+            build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 8, 8),
+            build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 6, 10),
+        ]
+        plans = [plan_of(mesh, elliptic_model(), 0.01) for mesh in meshes]
+        states = [perturbed_state(mesh, dt=0.01) for mesh in meshes]
+        for _ in range(5):
+            states = [step(state, plan) for state, plan in zip(states, plans)]
+        assert [state.step_index for state in states] == [5, 5]
+        assert builds == [64, 60]
+
+    def test_state_dt_must_match_plan(self, mesh_small):
+        state = perturbed_state(mesh_small, dt=0.01)
+        for kind in (VARIANT_CORRECTED, VARIANT_ORACLE):
+            variant = SchemeVariant(kind=kind)
+            plan = plan_of(mesh_small, elliptic_model(), 0.02, variant=variant)
+            with pytest.raises(SchemeError, match="dt=0.01"):
+                step(state, plan)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+    def test_plan_rejects_nonpositive_or_non_finite_dt(self, mesh_small, dt):
+        with pytest.raises(SchemeError, match="positive, finite dt"):
+            plan_of(mesh_small, elliptic_model(), dt)
+
+    @pytest.mark.parametrize("dynamics", ["elliptic", CHEM_PARABOLIC])
+    def test_broken_chem_operator_caught_when_plan_built(
+        self, mesh_small, monkeypatch, dynamics
+    ):
+        # B's row slack is (gamma + [1/dt]) m; this halves it in row 0
+        model = elliptic_model(chem_dynamics=dynamics)
+        dt = 0.01
+        build = scheme.chem_operator
+
+        def broken_operator(mesh, chem_decay, dt_or_none):
+            b = build(mesh, chem_decay, dt_or_none)
+            slack = chem_decay + (0.0 if dt_or_none is None else 1.0 / dt_or_none)
+            data = b.data.copy()
+            data[b.pattern.diag_slots[0]] -= 0.5 * slack * mesh.cell_measures[0]
+            return SparseMatrix(b.pattern, data)
+
+        monkeypatch.setattr(scheme, "chem_operator", broken_operator)
+        plan_of(mesh_small, model, dt)  # unchecked plans do not look
+        with pytest.raises(SchemeError, match="chem matrix dominance slack"):
+            plan_of(mesh_small, model, dt, check_matrices=True)
+
+
 class TestChemAssembly:
     def test_one_cell_zero_density(self):
         mesh = build_uniform_rect_mesh((0.0, 1.5), (0.0, 1.0), 1, 1)
         state = state_of([0.0], step_index=0, dt=0.1)
-        b, g = assemble_chem_system(state, elliptic_model(), mesh, PLAIN)
+        b, g = assemble_chem_system(state, plan_of(mesh, elliptic_model()))
         np.testing.assert_allclose(b.to_dense(), [[1.5]])
         np.testing.assert_array_equal(g, [0.0])
         x, _ = LinearSolver().solve(b, g)
@@ -166,13 +230,13 @@ class TestChemAssembly:
         mesh = build_uniform_rect_mesh((0.0, 1.5), (0.0, 1.0), 1, 1)
         u = 1e6
         state = state_of([u], step_index=0, dt=0.1)
-        b, g = assemble_chem_system(state, elliptic_model(), mesh, PLAIN)
+        b, g = assemble_chem_system(state, plan_of(mesh, elliptic_model()))
         c, _ = solver.solve(b, g)
         assert c[0] == pytest.approx(u / (u + 1.0), rel=1e-13)
 
     def test_row_dominance_slack_is_gamma_m(self, mesh_2cell):
         state = state_of([1.0, 2.0], u_prev=[1.0, 2.0], dt=0.1)
-        b, _ = assemble_chem_system(state, elliptic_model(), mesh_2cell, PLAIN)
+        b, _ = assemble_chem_system(state, plan_of(mesh_2cell, elliptic_model()))
         np.testing.assert_allclose(b.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
         report = check_m_matrix_pattern(b)
         np.testing.assert_allclose(report.row_slack, mesh_2cell.cell_measures)
@@ -181,32 +245,34 @@ class TestChemAssembly:
         model = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
         c0 = np.array([0.5, 0.25])
         state = state_of([1.0, 1.0], c=c0, u_prev=[1.0, 1.0], dt=0.5)
-        b, g = assemble_chem_system(state, model, mesh_2cell, PLAIN)
+        b, g = assemble_chem_system(state, plan_of(mesh_2cell, model, 0.5))
         np.testing.assert_allclose(b.to_dense(), [[4.0, -1.0], [-1.0, 4.0]])
         np.testing.assert_allclose(g, 0.5 + c0 / 0.5)
 
     def test_parabolic_requires_positive_dt(self, mesh_2cell):
         model = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
-        state = state_of([1.0, 1.0], u_prev=[1.0, 1.0], dt=0.0)
         with pytest.raises(SchemeError):
-            assemble_chem_system(state, model, mesh_2cell, PLAIN)
+            plan_of(mesh_2cell, model, dt=0.0)
 
-    def test_operator_built_once_per_mesh_model_and_dt(self, mesh_small):
+    def test_operator_built_once_per_plan(self, mesh_small):
         n = mesh_small.n_cells
         parabolic = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
 
-        def operator(model, dt, variant=PLAIN):
-            state = state_of(np.ones(n), u_prev=np.ones(n), dt=dt)
-            return assemble_chem_system(state, model, mesh_small, variant)[0]
+        def operator(plan, beta=0.0):
+            state = state_of(np.ones(n), u_prev=np.ones(n), dt=plan.dt)
+            return assemble_chem_system(state, plan, beta)[0]
 
-        b = operator(elliptic_model(), 0.1)
-        assert operator(elliptic_model(), 0.1, CORRECTED) is b
-        assert operator(elliptic_model(), 0.01) is b  # elliptic B has no dt
-        p = operator(parabolic, 0.1)
-        assert operator(parabolic, 0.1, LAGGED) is p
-        assert operator(parabolic, 0.01) is not p
+        plan = plan_of(mesh_small, elliptic_model(), 0.1)
+        b = plan.chem_matrix
+        assert operator(plan) is b
+        assert operator(plan, 1.0) is b
+        other = plan_of(mesh_small, elliptic_model(), 0.01)
+        assert operator(other) is not b  # each plan builds its own B
+        np.testing.assert_array_equal(other.chem_matrix.data, b.data)  # elliptic B has no dt
+        p = plan_of(mesh_small, parabolic, 0.01)
+        assert operator(p) is p.chem_matrix
         np.testing.assert_allclose(
-            operator(parabolic, 0.01).diagonal() - b.diagonal(),
+            operator(p).diagonal() - b.diagonal(),
             mesh_small.cell_measures / 0.01,
             rtol=1e-14,
         )
@@ -225,15 +291,16 @@ class TestChemAssembly:
             dt=0.1,
         )
         beta = beta_n(state, mesh_small)
-        _, g_plain = assemble_chem_system(state, model, mesh_small, PLAIN)
-        _, g_corr = assemble_chem_system(state, model, mesh_small, CORRECTED, beta)
+        plan = plan_of(mesh_small, model)
+        _, g_plain = assemble_chem_system(state, plan)
+        _, g_corr = assemble_chem_system(state, plan, beta)
         t = correction_term(state, model, mesh_small)
         assert np.array_equal(g_corr, g_plain + beta * t)
 
     def test_gamma_scales_diagonal(self, mesh_2cell):
         model = ModelSpec(0.0625, 6.0, chem_decay=16.0, chem_source=SOURCE_LINEAR)
         state = state_of([1.0, 1.0], u_prev=[1.0, 1.0], dt=0.1)
-        b, _ = assemble_chem_system(state, model, mesh_2cell, PLAIN)
+        b, _ = assemble_chem_system(state, plan_of(mesh_2cell, model))
         np.testing.assert_allclose(b.to_dense(), [[17.0, -1.0], [-1.0, 17.0]])
 
 
@@ -300,7 +367,8 @@ class TestCellAssembly:
         lim = FluxLimiter(0.25, 2.0, 0.0)
         state = state_of([1.0, 1.0], u_prev=[1.0, 1.0], dt=0.5)
         c_new = np.array([0.0, 0.3])
-        a, f = assemble_cell_system(state, c_new, elliptic_model(), mesh_2cell, lim)
+        plan = plan_of(mesh_2cell, elliptic_model(), 0.5, lim)
+        a, f = assemble_cell_system(state, c_new, plan)
         dense = a.to_dense()
         assert dense[0, 1] == pytest.approx(-0.25)
         assert dense[1, 0] == pytest.approx(-0.85)
@@ -316,7 +384,7 @@ class TestCellAssembly:
         n = mesh_small.n_cells
         state = state_of(np.full(n, 1.5), u_prev=np.full(n, 1.5), dt=0.1)
         c_new = np.full(n, 0.7)
-        a, f = assemble_cell_system(state, c_new, model, mesh_small, lim)
+        a, f = assemble_cell_system(state, c_new, plan_of(mesh_small, model, 0.1, lim))
         dense = a.to_dense()
         # off-diagonals reduce to -tau*mu
         for k, l, tau in zip(
@@ -341,7 +409,7 @@ class TestCellAssembly:
         u = rng.random(n) * 2.0
         c_new = rng.random(n)
         state = state_of(u, u_prev=u, dt=0.05)
-        a, f = assemble_cell_system(state, c_new, model, mesh_small, lim)
+        a, f = assemble_cell_system(state, c_new, plan_of(mesh_small, model, 0.05, lim))
 
         # independent edge-by-edge transcription of the discretization
         dense = np.zeros((n, n))
@@ -374,9 +442,9 @@ class TestCellAssembly:
         u = np.full(n, 0.5)
         state = state_of(u, u_prev=u, dt=0.1)
         c_new = np.zeros(n)
-        a, f = assemble_cell_system(state, c_new, model, mesh_small, lim)
+        a, f = assemble_cell_system(state, c_new, plan_of(mesh_small, model, 0.1, lim))
         none_model = ModelSpec(0.0625, 6.0, chem_decay=32.0, chem_source=SOURCE_LINEAR)
-        a0, f0 = assemble_cell_system(state, c_new, none_model, mesh_small, lim)
+        a0, f0 = assemble_cell_system(state, c_new, plan_of(mesh_small, none_model, 0.1, lim))
         m = mesh_small.cell_measures
         np.testing.assert_allclose(
             a.diagonal(), a0.diagonal() - m * u * (1.0 - u), rtol=1e-14
@@ -395,20 +463,40 @@ class TestCellAssembly:
         with pytest.raises(
             SchemeError, match=r"step 1 \(t=5\).*reduce dt.*largest admissible dt 4$"
         ):
-            assemble_cell_system(state, np.zeros(1), model, mesh, lim)
+            assemble_cell_system(state, np.zeros(1), plan_of(mesh, model, 5.0, lim))
 
     def test_requires_positive_dt(self, mesh_2cell):
         lim = FluxLimiter(0.25, 2.0)
-        state = state_of([1.0, 1.0], u_prev=[1.0, 1.0], dt=0.0)
         with pytest.raises(SchemeError):
-            assemble_cell_system(state, np.zeros(2), elliptic_model(), mesh_2cell, lim)
+            plan_of(mesh_2cell, elliptic_model(), 0.0, lim)
+
+    @pytest.mark.parametrize("dynamics", ["elliptic", CHEM_PARABOLIC])
+    @pytest.mark.parametrize("dt", [0.5, 1e-3])
+    def test_slacks_match_abs_sum_formula(self, dynamics, dt):
+        # random c puts the limiter on all three branches
+        mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 2.0), 12, 9)
+        model = elliptic_model(chem_dynamics=dynamics)
+        rng = np.random.default_rng(7)
+        n = mesh.n_cells
+        state = state_of(rng.random(n) * 2.0, u_prev=rng.random(n) * 2.0, dt=dt)
+        plan = plan_of(mesh, model, dt, FluxLimiter(0.25, 2.0, 1e-6))
+        b_mat, _ = assemble_chem_system(state, plan, 1.0)
+        a_mat, _ = assemble_cell_system(state, rng.random(n), plan)
+        for mat in (b_mat, a_mat):
+            report = check_m_matrix_pattern(mat)
+            assert report.diag_positive and report.offdiag_nonpositive
+            tol = 1e-14 * np.abs(mat.diagonal()).max()
+            want = abs_sum_slacks(mat.to_dense())
+            for got, expected in zip((report.row_slack, report.col_slack), want):
+                assert np.max(np.abs(got - expected)) <= tol
 
     def test_operators_share_the_mesh_pattern(self):
         mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 5, 7)
         state = perturbed_state(mesh, dt=0.1)
         model = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
-        b_mat, _ = assemble_chem_system(state, model, mesh, CORRECTED)
-        a_mat, _ = assemble_cell_system(state, state.c, model, mesh, FluxLimiter(0.25, 2.0))
+        plan = plan_of(mesh, model, 0.1, FluxLimiter(0.25, 2.0))
+        b_mat, _ = assemble_chem_system(state, plan)
+        a_mat, _ = assemble_cell_system(state, state.c, plan)
         assert b_mat.pattern is mesh.adjacency_csr()
         assert a_mat.pattern is mesh.adjacency_csr()
 
@@ -427,7 +515,7 @@ class TestStep:
         n = mesh_small.n_cells
         state = make_initial_state(mesh_small, InitialConditionSpec(base_u=2.0), dt=0.1)
         for variant in (CORRECTED, PLAIN, LAGGED):
-            new = step(state, model, mesh_small, lim, variant, solver)
+            new = step(state, plan_of(mesh_small, model, 0.1, lim, variant, solver=solver))
             np.testing.assert_allclose(new.u, np.full(n, 2.0), rtol=1e-12)
             np.testing.assert_allclose(new.c, np.full(n, 2.0 / 3.0), rtol=1e-12)
 
@@ -435,7 +523,7 @@ class TestStep:
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 16, 16)
         state = perturbed_state(mesh, dt=1e-2)
         lim = FluxLimiter(0.25, 2.0, 1e-6)
-        new = step(state, elliptic_model(), mesh, lim, CORRECTED, solver)
+        new = step(state, plan_of(mesh, elliptic_model(), 1e-2, lim, solver=solver))
         m = mesh.cell_measures
         mass0, mass1 = float(m @ state.u), float(m @ new.u)
         assert abs(mass1 - mass0) <= 1e-10 * mass0
@@ -445,13 +533,14 @@ class TestStep:
         rng = np.random.default_rng(5)
         u = rng.random(mesh.n_cells) * 50.0
         state = State(u=u, c=np.zeros_like(u), u_prev=u.copy(), step_index=0, dt=0.1)
-        new = step(state, elliptic_model(), mesh, FluxLimiter(0.25, 2.0), CORRECTED, solver)
+        plan = plan_of(mesh, elliptic_model(), 0.1, FluxLimiter(0.25, 2.0), solver=solver)
+        new = step(state, plan)
         assert new.c.max() <= 2.0 + 1e-12
 
     def test_step_bookkeeping(self, mesh_small, solver):
         state = perturbed_state(mesh_small, dt=0.05)
         lim = FluxLimiter(0.25, 2.0, 1e-6)
-        new = step(state, elliptic_model(), mesh_small, lim, CORRECTED, solver)
+        new = step(state, plan_of(mesh_small, elliptic_model(), 0.05, lim, solver=solver))
         assert new.step_index == 1
         assert new.dt == 0.05
         assert np.array_equal(new.u_prev, state.u)
@@ -479,7 +568,9 @@ class TestStep:
                 kind=VARIANT_CORRECTED,
                 beta_policy=BETA_FORMULA if trial % 2 else "fixed1",
             )
-            new = step(state, model, mesh_small, lim := FluxLimiter(mu, a, 1e-6), variant, solver)
+            lim = FluxLimiter(mu, a, 1e-6)
+            plan = plan_of(mesh_small, model, state.dt, lim, variant, solver=solver)
+            new = step(state, plan)
             assert new.u.min() >= -1e-12 * max(new.u.max(), 0.0)
             assert new.c.min() >= -1e-12 * max(new.c.max(), 0.0)
 
@@ -495,15 +586,13 @@ class TestStep:
             step_index=1,
             dt=0.5,
         )
-        a_lagged, _ = assemble_cell_system(state, state.c, model, mesh_2cell, lim)
+        plan = plan_of(mesh_2cell, model, 0.5, lim, LAGGED, solver=solver)
+        a_lagged, _ = assemble_cell_system(state, state.c, plan)
         assert a_lagged.to_dense()[1, 0] == pytest.approx(-0.85)
-        new = step(state, model, mesh_2cell, lim, LAGGED, solver)
+        new = step(state, plan)
         # chem solve then uses u^{n+1}: B c = m g(u^{n+1})
         b, g = assemble_chem_system(
-            State(u=new.u, c=c_old, u_prev=state.u, step_index=1, dt=0.5),
-            model,
-            mesh_2cell,
-            LAGGED,
+            State(u=new.u, c=c_old, u_prev=state.u, step_index=1, dt=0.5), plan
         )
         c_expect, _ = solver.solve(b, g)
         np.testing.assert_allclose(new.c, c_expect, rtol=1e-12)
@@ -511,15 +600,10 @@ class TestStep:
     def test_check_matrices_mode_passes_on_valid_assembly(self, mesh_small, solver):
         state = perturbed_state(mesh_small, dt=0.01)
         lim = FluxLimiter(0.25, 2.0, 1e-6)
-        step(
-            state,
-            elliptic_model(),
-            mesh_small,
-            lim,
-            CORRECTED,
-            solver,
-            check_matrices=True,
+        plan = plan_of(
+            mesh_small, elliptic_model(), 0.01, lim, solver=solver, check_matrices=True
         )
+        step(state, plan)
 
     @pytest.mark.parametrize("broken", ["positive off-diagonal", "weak diagonal"])
     def test_check_matrices_mode_catches_broken_cell_matrix(
@@ -543,12 +627,14 @@ class TestStep:
         with pytest.raises(SchemeError, match=match):
             step(
                 perturbed_state(mesh_small, dt=dt),
-                elliptic_model(),
-                mesh_small,
-                FluxLimiter(0.25, 2.0, 1e-6),
-                CORRECTED,
-                solver,
-                check_matrices=True,
+                plan_of(
+                    mesh_small,
+                    elliptic_model(),
+                    dt,
+                    FluxLimiter(0.25, 2.0, 1e-6),
+                    solver=solver,
+                    check_matrices=True,
+                ),
             )
 
 
@@ -556,7 +642,8 @@ class TestCoupledOracle:
     def test_uniform_data_converges_immediately(self, mesh_small, solver):
         lim = FluxLimiter(0.25, 2.0, 0.0)
         state = make_initial_state(mesh_small, InitialConditionSpec(base_u=1.0), dt=0.1)
-        new = step_coupled_oracle(state, elliptic_model(), mesh_small, lim, solver)
+        plan = plan_of(mesh_small, elliptic_model(), 0.1, lim, solver=solver)
+        new = step_coupled_oracle(state, plan)
         np.testing.assert_allclose(new.u, state.u, rtol=1e-12)
         np.testing.assert_allclose(new.c, np.full(mesh_small.n_cells, 0.5), rtol=1e-12)
 
@@ -565,15 +652,13 @@ class TestCoupledOracle:
         state = perturbed_state(mesh, dt=0.1)
         lim = FluxLimiter(0.25, 2.0, 0.0)
         model = elliptic_model()
-        new = step_coupled_oracle(state, model, mesh, lim, solver)
+        plan = plan_of(mesh, model, 0.1, lim, solver=solver)
+        new = step_coupled_oracle(state, plan)
         # residual of the coupled chem equation with the u^{n+1} source
         from chemofv.linalg import spmv
 
         b, g = assemble_chem_system(
-            State(u=new.u, c=state.c, u_prev=state.u, step_index=1, dt=0.1),
-            model,
-            mesh,
-            PLAIN,
+            State(u=new.u, c=state.c, u_prev=state.u, step_index=1, dt=0.1), plan
         )
         residual = np.max(np.abs(spmv(b, new.c) - g))
         assert residual <= 1e-10
@@ -584,38 +669,43 @@ class TestCoupledOracle:
         lim = FluxLimiter(0.25, 2.0, 0.0)
         model = elliptic_model()
         state = perturbed_state(mesh, dt=0.1)
-        state = step(state, model, mesh, lim, CORRECTED, solver)  # warm-up: T != 0
-        oracle = step_coupled_oracle(state, model, mesh, lim, solver)
-        corr = step(state, model, mesh, lim, CORRECTED, solver)
-        plain = step(state, model, mesh, lim, PLAIN, solver)
+        corrected_plan = plan_of(mesh, model, 0.1, lim, solver=solver)
+        plain_plan = plan_of(mesh, model, 0.1, lim, PLAIN, solver=solver)
+        state = step(state, corrected_plan)  # warm-up: T != 0
+        oracle = step_coupled_oracle(state, corrected_plan)
+        corr = step(state, corrected_plan)
+        plain = step(state, plain_plan)
         d_corr = discrete_norm(corr.u - oracle.u, mesh, 2.0)
         d_plain = discrete_norm(plain.u - oracle.u, mesh, 2.0)
         assert d_corr < d_plain
 
-    def test_cell_limit_refusal(self, solver):
+    def test_cell_limit_refusal(self):
         mesh = build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 70, 70)
         state = make_initial_state(mesh, InitialConditionSpec(), dt=0.1)
         with pytest.raises(SchemeError, match="limited"):
             step_coupled_oracle(
-                state, elliptic_model(), mesh, FluxLimiter(0.25, 2.0), solver
+                state, plan_of(mesh, elliptic_model(), 0.1, FluxLimiter(0.25, 2.0))
             )
 
-    def test_non_convergence_reports_residual(self, solver, monkeypatch):
+    def test_non_convergence_reports_residual(self, monkeypatch):
         mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 8, 8)
         state = perturbed_state(mesh, dt=0.5)
         lim = FluxLimiter(0.25, 2.0, 0.0)
         monkeypatch.setattr(scheme, "ORACLE_MAX_ITER", 1)
         with pytest.raises(SchemeError, match="did not converge"):
-            step_coupled_oracle(state, elliptic_model(), mesh, lim, solver)
+            step_coupled_oracle(state, plan_of(mesh, elliptic_model(), 0.5, lim))
 
     def test_step_dispatches_oracle_variant(self, mesh_small, solver):
         state = make_initial_state(mesh_small, InitialConditionSpec(base_u=1.0), dt=0.1)
         new = step(
             state,
-            elliptic_model(),
-            mesh_small,
-            FluxLimiter(0.25, 2.0),
-            SchemeVariant(kind=VARIANT_ORACLE),
-            solver,
+            plan_of(
+                mesh_small,
+                elliptic_model(),
+                0.1,
+                FluxLimiter(0.25, 2.0),
+                SchemeVariant(kind=VARIANT_ORACLE),
+                solver=solver,
+            ),
         )
         assert new.step_index == 1

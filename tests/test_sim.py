@@ -355,6 +355,39 @@ class TestInvariantMonitor:
         with pytest.raises(InvariantError, match="within step 2"):
             monitor.check(state(mass0 * (1.0 + 0.9e-10), 2))
 
+    def test_strict_run_with_small_gamma_passes(self):
+        # c = g(3)/gamma = 3 everywhere: above 2, below the bound 2/gamma = 8
+        model = ModelSpec(cell_diffusion=1.0, chemo_sensitivity=0.1, chem_decay=0.25)
+        cfg = RunConfig(
+            mesh=build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 16, 16),
+            model=model,
+            ic=InitialConditionSpec(base_u=3.0),
+            variant=CORRECTED,
+            dt=0.01,
+            t_final=0.1,
+            strict=True,
+        )
+        final, _, _ = run(cfg)
+        np.testing.assert_allclose(final.c, 3.0, rtol=1e-12)
+
+    def test_large_gamma_tightens_the_chem_bound(self, mesh_small):
+        # gamma = 4: c <= 2/gamma = 0.5, so max c = 1 breaks it
+        cfg = desk_config(mesh_small, dt=0.1, t_final=1.0, strict=True)
+        cfg = RunConfig(**{**cfg.__dict__, "model": ModelSpec(0.25, 2.0, chem_decay=4.0)})
+        monitor = _InvariantMonitor(cfg, mass0=mesh_small.domain_area)  # u = 1
+        n = mesh_small.n_cells
+        state = State(
+            u=np.ones(n), c=np.linspace(0.0, 1.0, n), u_prev=np.ones(n),
+            step_index=1, dt=0.1,
+        )
+        with pytest.raises(InvariantError, match="bound 2/gamma = 0.5"):
+            monitor.check(state)
+
+    def test_unit_gamma_keeps_the_published_bounds(self, mesh_small):
+        monitor = _InvariantMonitor(self._config(mesh_small, strict=True), mass0=1.0)
+        assert monitor.c_bound == 2.0
+        assert monitor.energy_bound == 4.0 * mesh_small.domain_area
+
 
 class TestConvergenceStudy:
     def test_rate_helper_exact_first_order(self):
