@@ -45,7 +45,13 @@ class ConfigError(ValueError):
 
 
 def _float(value, what):
-    return float(value)
+    """float(value), refusing booleans, which float() would read as 0 or 1."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 def _str(value, what):
@@ -63,7 +69,7 @@ def _int(value, what):
 def _pair(value, what):
     try:
         lo, hi = value
-        return [float(lo), float(hi)]
+        return [_float(lo, what), _float(hi, what)]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a pair of numbers, got {value!r}") from exc
 
@@ -76,7 +82,9 @@ def _region(value, what):
     if not isinstance(kind, str) or kind not in _REGIONS:
         raise ConfigError(f"unknown {what} kind {kind!r}")
     try:
-        return {"kind": kind, **{f.name: float(value[f.name]) for f in fields(_REGIONS[kind])}}
+        return {"kind": kind} | {
+            f.name: _float(value[f.name], f"{what}.{f.name}") for f in fields(_REGIONS[kind])
+        }
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {what} {value!r}: {exc}") from exc
 

@@ -5,16 +5,15 @@ is built, plus its values in one scipy CSR matrix; arbitrary triplets enter
 through ``SparseMatrix.from_coo``.
 
 The solve contract is a relative residual tolerance (``LinearSolver.tol``,
-1e-12), not a method. A matrix may keep one exact solve, and a solve takes
-one of three paths:
+1e-12), not a method. A solve takes one of two paths:
 
-- the chem operator, built once per run, keeps a solve by the 2-D discrete
-  cosine transform that diagonalises it (``keep_dct_solve``), and every
-  solve with it is that transform solve;
+- the chem operator, built once per run, keeps an exact solve by the 2-D
+  discrete cosine transform that diagonalises it (``keep_dct_solve``), and
+  every solve with it is that transform solve;
 - any other matrix (the per-step cell operator) goes through
-  right-Jacobi-preconditioned BiCGSTAB first;
-- only when that misses the tolerance, or the diagonal holds a zero, is
-  the matrix LU-factorized (``factorize``) and solved directly.
+  right-Jacobi-preconditioned BiCGSTAB; only when that misses the
+  tolerance, or the diagonal holds a zero, is the matrix LU-factorized for
+  that one solve, and nothing of the factorization is kept.
 
 Every result is residual-checked, and an unmet tolerance raises instead of
 returning silently.
@@ -133,10 +132,9 @@ class SparseMatrix:
     """Square operator: a validated ``CsrPattern`` plus one value per slot.
 
     The values live in one scipy CSR matrix, ``csr``, built at construction
-    on the pattern's index arrays. Instances are immutable; their exact
-    solve, a (solve, method label) pair, is kept once made: an LU solve
-    (``factorize``) or the transform solve kept when the operator is built
-    (``keep_dct_solve``).
+    on the pattern's index arrays. Instances are immutable; the chem
+    operator also keeps its exact transform solve, a (solve, method label)
+    pair, from ``keep_dct_solve``.
     """
 
     def __init__(self, pattern: CsrPattern, data):
@@ -225,24 +223,21 @@ def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
     )
 
 
-def factorize(m: SparseMatrix) -> None:
-    """Keep an LU solve on ``m``, labelled ``direct-lu``, unless it keeps an
-    exact solve already. Only a cell operator that Jacobi-BiCGSTAB cannot
-    solve, or a matrix with a zero on its diagonal, is factorized.
+def _lu_solve(m: SparseMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve of a fresh LU factorization of ``m``, for the one solve
+    that needed it; nothing is kept on ``m``.
 
     Every operator shares one structurally symmetric 5-point pattern, so the
     columns are ordered by minimum degree on A^T + A.
     """
-    if m._exact is None:
-        # imported on first use: it adds ~10 MiB to a process's RSS, and a
-        # run whose cell solves all converge never factorizes
-        import scipy.sparse.linalg as spla
+    # imported on first use: it adds ~10 MiB to a process's RSS, and a run
+    # whose cell solves all converge never factorizes
+    import scipy.sparse.linalg as spla
 
-        try:
-            lu = spla.splu(m.csr.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # singular factor
-            raise SolverError(f"direct factorization failed: {exc}") from exc
-        m._exact = (lu.solve, "direct-lu")
+    try:
+        return spla.splu(m.csr.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    except RuntimeError as exc:  # singular factor
+        raise SolverError(f"direct factorization failed: {exc}") from exc
 
 
 def keep_dct_solve(m: SparseMatrix, eigenvalues: np.ndarray) -> None:
@@ -275,19 +270,19 @@ def keep_dct_solve(m: SparseMatrix, eigenvalues: np.ndarray) -> None:
 
 
 class LinearSolver:
-    """Deterministic solver front end with three paths.
+    """Deterministic solver front end: an exact DCT solve, or Krylov with a
+    per-solve LU fallback.
 
-    A matrix that keeps an exact solve is solved with it: the chem
-    operator's DCT solve (``keep_dct_solve``), or an LU solve kept by an
-    earlier ``factorize``. Any other matrix with a nonzero diagonal (the
-    cell operator) goes through the in-house Jacobi-BiCGSTAB
-    (``_jacobi_bicgstab``) first; when that breaks down, returns a
-    non-finite result or misses ``tol`` the matrix is LU-factorized and the
-    solve is reported as ``direct-lu(fallback)``. A matrix with a zero on
-    its diagonal is factorized directly. The Krylov loop and the residual
-    check reduce in a fixed order (``fixed_dot``) and the transforms run on
-    one worker, so the result, its reported residual and the path taken do
-    not depend on the BLAS or FFT thread count.
+    A matrix that keeps an exact solve, the chem operator's DCT solve
+    (``keep_dct_solve``), is solved with it. Any other matrix with a
+    nonzero diagonal (the cell operator) goes through the in-house
+    Jacobi-BiCGSTAB (``_jacobi_bicgstab``); when that breaks down, returns
+    a non-finite result or misses ``tol``, or when the diagonal holds a
+    zero, the solve LU-factorizes the matrix (``_lu_solve``), is reported
+    as ``direct-lu(fallback)`` and keeps nothing on the matrix. The Krylov
+    loop and the residual check reduce in a fixed order (``fixed_dot``) and
+    the transforms run on one worker, so the result, its reported residual
+    and the path taken do not depend on the BLAS or FFT thread count.
     """
 
     tol = 1e-12  # relative residual every solve must reach
@@ -308,12 +303,11 @@ class LinearSolver:
             x, iters = self._jacobi_bicgstab(m, rhs)
             residual = np.inf if x is None else relative_residual(x)
             # NaN compares false: a non-finite Krylov result falls back too
-            method = "jacobi-bicgstab" if residual <= self.tol else "direct-lu(fallback)"
-        if method != "jacobi-bicgstab":
-            factorize(m)
-            exact_solve, label = m._exact
+            if residual <= self.tol:
+                method = "jacobi-bicgstab"
+        if method is None:
+            exact_solve, method = m._exact or (_lu_solve(m), "direct-lu(fallback)")
             x, iters = exact_solve(rhs), 0
-            method = method or label
             residual = relative_residual(x)
         if residual > self.tol or not np.all(np.isfinite(x)):
             raise SolverError(

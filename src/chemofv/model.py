@@ -128,7 +128,7 @@ def chem_source_value(spec: ModelSpec, u):
     return out
 
 
-def make_initial_state(mesh: Mesh, ic: InitialConditionSpec, dt: float = 0.0) -> State:
+def make_initial_state(mesh: Mesh, ic: InitialConditionSpec) -> State:
     """Realize the initial cell averages on a mesh.
 
     Pure function of (mesh, ic): equal inputs give bit-identical states.
@@ -141,4 +141,4 @@ def make_initial_state(mesh: Mesh, ic: InitialConditionSpec, dt: float = 0.0) ->
             rng = np.random.default_rng(ic.rng_seed)  # PCG64
             u[mask] += rng.random((n_hit, 10)).mean(axis=1)
     c = np.full(mesh.n_cells, float(ic.base_c))
-    return State(u=u, c=c, u_prev=u.copy(), step_index=0, dt=float(dt))
+    return State(u=u, c=c, u_prev=u.copy(), step_index=0)

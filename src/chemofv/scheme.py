@@ -168,32 +168,38 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
 
 @dataclass(frozen=True, eq=False)
 class StepPlan:
-    """What stays constant for a run: its mesh, model, flux limiter,
-    variant, dt, solver and matrix-check flag, and the chem operator B
-    (``chem_matrix``, with its DCT solve). Building the plan checks that dt
-    is positive and finite and, with ``check_matrices``, checks B's sign
-    pattern and row slack (gamma + [1/dt]) m(K) once, since B is the same
-    matrix at every step.
+    """What stays constant for a run: its mesh, model, limiter constant
+    ``epsilon``, variant, dt, solver and matrix-check flag, and what they
+    determine: the flux limiter (``limiter``, with the model's mu and chi)
+    and the chem operator B (``chem_matrix``, with its DCT solve). A state
+    carries no dt; every step of it is the plan's. Building the plan checks
+    that dt is positive and finite and that epsilon lies in [0, mu] and,
+    with ``check_matrices``, checks B's sign pattern and row slack
+    (gamma + [1/dt]) m(K) once, since B is the same matrix at every step.
     """
 
     mesh: Mesh
     model: ModelSpec
-    limiter: FluxLimiter
+    epsilon: float
     variant: SchemeVariant
     dt: float
     solver: LinearSolver = field(default_factory=LinearSolver)
     check_matrices: bool = False
+    limiter: FluxLimiter = field(init=False, repr=False)
     chem_matrix: SparseMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise SchemeError(f"a step plan needs a positive, finite dt, got {self.dt}")
-        gamma = self.model.chem_decay
-        chem_dt = self.dt if self.model.chem_dynamics == _model.CHEM_PARABOLIC else None
+        model = self.model
+        limiter = FluxLimiter(model.cell_diffusion, model.chemo_sensitivity, self.epsilon)
+        gamma = model.chem_decay
+        chem_dt = self.dt if model.chem_dynamics == _model.CHEM_PARABOLIC else None
         b_mat = chem_operator(self.mesh, gamma, chem_dt)
         if self.check_matrices:
             shift = gamma if chem_dt is None else gamma + 1.0 / chem_dt
             _check_structure(b_mat, shift * self.mesh.cell_measures, "rows", "chem matrix")
+        object.__setattr__(self, "limiter", limiter)
         object.__setattr__(self, "chem_matrix", b_mat)
 
 
@@ -262,7 +268,7 @@ def assemble_cell_system(
             dt_max = float(np.min(m[binding] / excess[binding]))
             raise SchemeError(
                 f"cubic growth made a diagonal entry nonpositive at step "
-                f"{state.step_index} (t={state.time:.6g}) with dt={dt:.6g}; "
+                f"{state.step_index} (t={state.step_index * dt:.6g}) with dt={dt:.6g}; "
                 f"reduce dt below the largest admissible dt {dt_max:.6g}"
             )
 
@@ -309,11 +315,6 @@ def _check_structure(matrix, expected_slack, by, what):
         raise SchemeError(f"{what} dominance slack fell below the assembled value")
 
 
-def _require_plan_dt(state: State, plan: StepPlan):
-    if state.dt != plan.dt:
-        raise SchemeError(f"state has dt={state.dt!r}, its step plan dt={plan.dt!r}")
-
-
 def step(state: State, plan: StepPlan) -> State:
     """Advance one time step, of the plan's dt, with the plan's variant.
 
@@ -328,7 +329,6 @@ def step(state: State, plan: StepPlan) -> State:
     kind = plan.variant.kind
     if kind == VARIANT_ORACLE:
         return step_coupled_oracle(state, plan)
-    _require_plan_dt(state, plan)
     solve = plan.solver.solve
 
     if kind == VARIANT_LAGGED:
@@ -356,7 +356,7 @@ def step(state: State, plan: StepPlan) -> State:
 
     _require_nonnegative(u_new, "u")
     _check_chem_positivity(c_new, g_vec)
-    return State(u_new, c_new, state.u, state.step_index + 1, state.dt)
+    return State(u_new, c_new, state.u, state.step_index + 1)
 
 
 def step_coupled_oracle(
@@ -376,7 +376,6 @@ def step_coupled_oracle(
         raise SchemeError(
             f"coupled oracle limited to {cell_limit} cells, mesh has {n_cells}"
         )
-    _require_plan_dt(state, plan)
     solve = plan.solver.solve
     b_mat, g_vec = assemble_chem_system(state, plan)
     c_k, _ = solve(b_mat, g_vec)
@@ -394,7 +393,7 @@ def step_coupled_oracle(
         if delta <= ORACLE_TOL:
             _require_nonnegative(u_k, "u")
             _require_nonnegative(c_k, "c")
-            return State(u_k, c_k, state.u, state.step_index + 1, state.dt)
+            return State(u_k, c_k, state.u, state.step_index + 1)
     raise SchemeError(
         f"coupled oracle did not converge in {ORACLE_MAX_ITER} iterations "
         f"(last change {delta:.3e}, tol {ORACLE_TOL:.3e})"

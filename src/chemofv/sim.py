@@ -13,7 +13,7 @@ from . import scheme as _scheme
 from .linalg import LinearSolver
 from .mesh import Mesh
 from .model import InitialConditionSpec, ModelSpec, make_initial_state
-from .scheme import FluxLimiter, SchemeVariant, StepPlan, step
+from .scheme import SchemeVariant, StepPlan, step
 from .state import State
 
 log = logging.getLogger(__name__)
@@ -83,7 +83,6 @@ class Diagnostics:
 @dataclass(frozen=True)
 class Snapshot:
     step: int
-    time: float
     u: np.ndarray
     c: np.ndarray
 
@@ -121,10 +120,10 @@ def relative_l2_error(field_values, reference, mesh: Mesh) -> float:
     return discrete_norm(diff, mesh, 2.0) / ref_norm
 
 
-def _record(state: State, mesh: Mesh) -> DiagnosticsRecord:
+def _record(state: State, mesh: Mesh, dt: float) -> DiagnosticsRecord:
     return DiagnosticsRecord(
         step=state.step_index,
-        time=state.time,
+        time=state.step_index * dt,
         mass=mesh.integral(state.u),
         min_u=float(state.u.min()),
         max_u=float(state.u.max()),
@@ -138,28 +137,31 @@ def _record(state: State, mesh: Mesh) -> DiagnosticsRecord:
 def plan_for(config: RunConfig, solver: LinearSolver | None = None) -> StepPlan:
     """The ``StepPlan`` of a run of ``config``, solving with ``solver`` (a
     fresh ``LinearSolver`` by default)."""
-    model = config.model
-    lim = FluxLimiter(model.cell_diffusion, model.chemo_sensitivity, config.epsilon)
     return StepPlan(
-        config.mesh, model, lim, config.variant, config.dt, solver or LinearSolver(),
-        config.check_matrices,
+        config.mesh, config.model, config.epsilon, config.variant, config.dt,
+        solver or LinearSolver(), config.check_matrices,
     )
 
 
 class _InvariantMonitor:
     """The run's invariants after each step: mass without growth (within
-    the step and since step 0), and for the elliptic saturated model
-    c <= 2/gamma and a gradient energy of at most 4*area/gamma.
+    the step and since step 0), and for the elliptic saturated model a bound
+    on c and on its gradient energy: c <= 2/gamma and 4*area/gamma for the
+    corrected variant, c <= 1/gamma and area/(4*gamma) for the others.
 
-    Both bounds follow from B c = m(K) f, B an M-matrix with row sums
-    gamma m(K), where f = (1+beta) g(u^n) - beta g(u^{n-1}), beta in
-    [0, 1], lies in (-1, 2) for the saturated g(u) = u/(u+1) in [0, 1).
-    Maximum principle: at the cell K where c is largest, (B c)_K >=
-    gamma m(K) c_K, so max c < 2/gamma. Energy identity: testing with c,
-    sum tau |Dc|^2 + gamma sum m c^2 = sum m f c <= sum m f^2 / (4 gamma)
-    + gamma sum m c^2, so the energy is below area/gamma, which implies
-    4*area/gamma. c may exceed its bound by 1e-12 of it. Strict mode raises
-    ``InvariantError``; otherwise the first violation of each is logged."""
+    The bounds follow from B c = m(K) f, B an M-matrix with row sums
+    gamma m(K), and the saturated g(u) = u/(u+1) in [0, 1). The corrected
+    variant's f = (1+beta) g(u^n) - beta g(u^{n-1}), beta in [0, 1], lies
+    in (-1, 2); the plain variant's f = g(u^n), and the lagged variant's
+    and the coupled oracle's f = g(u^{n+1}), lie in [0, 1). Maximum
+    principle: at the cell K where c is largest, (B c)_K >= gamma m(K) c_K,
+    so max c < max f / gamma: 2/gamma, or 1/gamma. Energy identity: testing
+    with c, sum tau |Dc|^2 + gamma sum m c^2 = sum m f c <= sum m f^2 /
+    (4 gamma) + gamma sum m c^2, so the energy is below area max f^2 /
+    (4 gamma): area/(4 gamma), or area/gamma for the corrected variant,
+    which keeps the published 4*area/gamma. c may exceed its bound by 1e-12
+    of it. Strict mode raises ``InvariantError``; otherwise the first
+    violation of each is logged."""
 
     def __init__(self, config: RunConfig, mass0: float):
         model = config.model
@@ -170,8 +172,13 @@ class _InvariantMonitor:
             model.chem_dynamics == _model.CHEM_ELLIPTIC
             and model.chem_source == _model.SOURCE_SATURATED
         )
-        self.c_bound = 2.0 / model.chem_decay
-        self.energy_bound = 4.0 * config.mesh.domain_area / model.chem_decay
+        gamma, area = model.chem_decay, config.mesh.domain_area
+        if config.variant.kind == _scheme.VARIANT_CORRECTED:
+            self.c_bound, self.c_bound_name = 2.0 / gamma, "2/gamma"
+            self.energy_bound, self.energy_bound_name = 4.0 * area / gamma, "4*area/gamma"
+        else:
+            self.c_bound, self.c_bound_name = 1.0 / gamma, "1/gamma"
+            self.energy_bound, self.energy_bound_name = area / (4.0 * gamma), "area/(4*gamma)"
         self._logged: set[str] = set()
 
     def _violations(self, state: State):
@@ -187,10 +194,16 @@ class _InvariantMonitor:
         if self.bounds_c:
             max_c = float(state.c.max())
             if max_c > self.c_bound * (1.0 + 1e-12):
-                yield "c", f"max c = {max_c} breaks the bound 2/gamma = {self.c_bound} at step {n}"
+                yield "c", (
+                    f"max c = {max_c} breaks the bound {self.c_bound_name} = "
+                    f"{self.c_bound} at step {n}"
+                )
             energy = gradient_energy(state.c, mesh)
             if energy > self.energy_bound:
-                yield "energy", f"c's gradient energy {energy} exceeds 4*area/gamma at step {n}"
+                yield "energy", (
+                    f"c's gradient energy {energy} exceeds {self.energy_bound_name} = "
+                    f"{self.energy_bound} at step {n}"
+                )
 
     def check(self, state: State):
         for kind, violation in self._violations(state):
@@ -214,8 +227,8 @@ def run(
     each new State. The run's ``StepPlan`` (``plan_for``) is built once.
     Every step checks positivity (and, with ``check_matrices``, matrix
     structure) itself and raises on a failure; the run's invariants (mass,
-    c <= 2/gamma, the gradient energy) raise ``InvariantError`` in strict
-    mode and are logged once otherwise.
+    the bounds on c and its gradient energy) raise ``InvariantError`` in
+    strict mode and are logged once otherwise.
     """
     n_steps = config.n_steps
     if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(config.t_final, config.dt):
@@ -234,11 +247,11 @@ def run(
 
     mesh = config.mesh
     plan = plan_for(config, solver)
-    state = make_initial_state(mesh, config.ic, dt=config.dt)
+    state = make_initial_state(mesh, config.ic)
     monitor = _InvariantMonitor(config, mesh.integral(state.u))
 
     diagnostics = Diagnostics()
-    diagnostics.append(_record(state, mesh))
+    diagnostics.append(_record(state, mesh, config.dt))
     snapshots: list[Snapshot] = []
 
     for n in range(n_steps):
@@ -248,14 +261,12 @@ def run(
             observer(state)
         done = n + 1 == n_steps
         if done or (config.diagnostics_every > 0 and (n + 1) % config.diagnostics_every == 0):
-            diagnostics.append(_record(state, mesh))
+            diagnostics.append(_record(state, mesh, config.dt))
         if done or (config.snapshot_every > 0 and (n + 1) % config.snapshot_every == 0):
-            snapshots.append(
-                Snapshot(state.step_index, state.time, state.u.copy(), state.c.copy())
-            )
+            snapshots.append(Snapshot(state.step_index, state.u.copy(), state.c.copy()))
 
     if n_steps == 0:
-        snapshots.append(Snapshot(0, 0.0, state.u.copy(), state.c.copy()))
+        snapshots.append(Snapshot(0, state.u.copy(), state.c.copy()))
     return state, diagnostics, snapshots
 
 

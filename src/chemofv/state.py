@@ -9,7 +9,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class State:
-    """Cell-averaged fields after ``step_index`` steps of size ``dt``.
+    """Cell-averaged fields after ``step_index`` steps; the step size is
+    the run's ``StepPlan.dt``.
 
     ``u_prev`` holds the previous time level of u, needed by the correction
     term; at step 0 it must equal u so the correction starts at zero.
@@ -20,7 +21,6 @@ class State:
     c: np.ndarray
     u_prev: np.ndarray
     step_index: int = 0
-    dt: float = 0.0
 
     def __post_init__(self):
         n = self.u.shape[0]
@@ -32,7 +32,3 @@ class State:
     @property
     def n_cells(self) -> int:
         return self.u.shape[0]
-
-    @property
-    def time(self) -> float:
-        return self.step_index * self.dt

@@ -180,6 +180,7 @@ def test_criterion_02_chemoattractant_bounds(desk_run, capsys):
         assert energies.max() <= 4.0 * mesh.domain_area
 
 
+@pytest.mark.slow
 def test_criterion_03_temporal_convergence_orders(desk_study, capsys):
     report, elapsed = desk_study
     with criterion(capsys, 3, "temporal convergence orders"):
@@ -196,6 +197,7 @@ def test_criterion_03_temporal_convergence_orders(desk_study, capsys):
         )
 
 
+@pytest.mark.slow
 def test_criterion_04_correction_advantage(desk_study, capsys):
     report, _ = desk_study
     with criterion(capsys, 4, "corrected error <= 0.5 x plain error at every dt"):
@@ -212,6 +214,7 @@ def test_criterion_04_correction_advantage(desk_study, capsys):
         print(f"  accuracy advantage {[f'{r:.1f}x' for r in ratios]}")
 
 
+@pytest.mark.slow
 def test_criterion_05_parabolic_variant_ordering(desk_study_parabolic, capsys):
     report, _ = desk_study_parabolic
     with criterion(capsys, 5, "parabolic ordering corrected < plain <= 1.05 lagged"):
@@ -281,6 +284,7 @@ def test_criterion_07_limiter_property_suite(capsys):
             assert limiter_S(lim, np.nextafter(-t, -2 * t)) == 0.0
 
 
+@pytest.mark.slow
 def test_criterion_08_matrix_structure(desk_run, desk_study, capsys):
     # The heavy runs behind criteria 1-5 all executed with per-step matrix
     # checking enabled (check_matrices=True), which raises on any slack or
@@ -292,10 +296,9 @@ def test_criterion_08_matrix_structure(desk_run, desk_study, capsys):
         for dynamics in ("elliptic", "parabolic"):
             model = desk_model(chem_dynamics=dynamics)
             mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 8, 8)
-            lim = FluxLimiter(model.cell_diffusion, model.chemo_sensitivity, 1e-6)
             for dt in (0.5, 1e-2, 1e-4):
-                plan = StepPlan(mesh, model, lim, CORRECTED, dt, solver)
-                state = make_initial_state(mesh, desk_ic(base_c=1.0 / 32.0), dt=dt)
+                plan = StepPlan(mesh, model, 1e-6, CORRECTED, dt, solver)
+                state = make_initial_state(mesh, desk_ic(base_c=1.0 / 32.0))
                 state = step(state, plan)
                 n = mesh.n_cells
                 state = State(
@@ -303,7 +306,6 @@ def test_criterion_08_matrix_structure(desk_run, desk_study, capsys):
                     c=state.c,
                     u_prev=state.u,
                     step_index=state.step_index,
-                    dt=dt,
                 )
                 beta = beta_n(state, mesh)
                 b_mat, _ = assemble_chem_system(state, plan, beta)
@@ -325,8 +327,7 @@ def test_criterion_09_beta_contract(capsys):
     mesh = build_uniform_rect_mesh((0.0, 10.0), (0.0, 10.0), 10, 10)  # m(K) = 1
     model = desk_model()
     variant = SchemeVariant(kind=VARIANT_CORRECTED, beta_policy=BETA_FORMULA)
-    lim = FluxLimiter(model.cell_diffusion, model.chemo_sensitivity)
-    plan = StepPlan(mesh, model, lim, variant, 0.1)
+    plan = StepPlan(mesh, model, 0.0, variant, 0.1)
     rng = np.random.default_rng(SEED)
     with criterion(capsys, 9, "beta in (0, 1] and corrected chem RHS nonnegative"):
         for _ in range(100):
@@ -336,7 +337,6 @@ def test_criterion_09_beta_contract(capsys):
                 c=rng.random(n),
                 u_prev=rng.random(n) * 4.0,
                 step_index=1,
-                dt=0.1,
             )
             beta = beta_n(state, mesh)
             assert 0.0 < beta <= 1.0
@@ -356,15 +356,13 @@ def test_criterion_10_solver_oracle_equivalence(capsys):
             dt = float(rng.choice([5.0, 0.1, 1e-3]))
             parabolic = bool(rng.integers(2))
             model = desk_model(chem_dynamics="parabolic" if parabolic else "elliptic")
-            lim = FluxLimiter(model.cell_diffusion, model.chemo_sensitivity, 1e-6)
             state = State(
                 u=rng.random(n) * 3.0,
                 c=rng.random(n),
                 u_prev=rng.random(n) * 3.0,
                 step_index=1,
-                dt=dt,
             )
-            plan = StepPlan(mesh, model, lim, PLAIN, dt, solver)
+            plan = StepPlan(mesh, model, 1e-6, PLAIN, dt, solver)
             b_mat, g_vec = assemble_chem_system(state, plan)
             a_mat, f_vec = assemble_cell_system(state, state.c, plan)
             for matrix, rhs in ((b_mat, g_vec), (a_mat, f_vec)):

@@ -149,6 +149,32 @@ class TestRun:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            "model.mu=true",
+            "time.dt=true",
+            "scheme.epsilon=false",
+            "domain.x_range=[true, 5]",
+            "ic.region={kind: disk, cx: 0.0, cy: false, radius: 0.5}",
+        ],
+    )
+    def test_boolean_float_value_exits_2(self, tmp_path, assignment, capsys):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["run", str(cfg), "--set", assignment]) == 2
+        assert assignment.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_and_string_float_values_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out", t_final=0.1)
+        argv = ["run", str(cfg), "--set", "model.chi=2", "--set", "domain.x_range=[-1, '1.0']"]
+        argv += ["--set", "time.dt='0.05'"]
+        assert main(argv) == 0
+        manifest = yaml.safe_load((tmp_path / "out" / "manifest.yaml").read_text())
+        assert manifest["model"]["chi"] == 2.0 and type(manifest["model"]["chi"]) is float
+        assert manifest["domain"]["x_range"] == [-1.0, 1.0]
+        assert manifest["time"]["dt"] == 0.05
+
     def test_integral_float_integer_values_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out", t_final=0.1)
         overrides = ["domain.nx=4.0", "ic.seed=7.0", "output.diagnostics_every=1.0"]

@@ -8,7 +8,7 @@ from chemofv import (
     check_m_matrix_pattern,
     spmv,
 )
-from chemofv.linalg import CsrPattern, factorize, keep_dct_solve
+from chemofv.linalg import CsrPattern, keep_dct_solve
 from oracles import (
     abs_sum_slacks,
     dense_gauss_solve,
@@ -214,16 +214,6 @@ class TestSolve:
         x, _ = LinearSolver().solve(SparseMatrix.from_dense(dense), b)
         assert np.max(np.abs(x - dense_gauss_solve(dense, b))) <= 1e-9
 
-    def test_factorization_cache_reuses_lu(self, splu_calls):
-        rng = np.random.default_rng(31)
-        dense = random_dominant_m_matrix(rng, 20, slack_scale=0.01)
-        m = SparseMatrix.from_dense(dense)
-        factorize(m)
-        _, r1 = LinearSolver().solve(m, rng.random(20))
-        _, r2 = LinearSolver().solve(m, rng.random(20))
-        assert r1.method == r2.method == "direct-lu"
-        assert len(splu_calls) == 1
-
     def test_krylov_breakdown_falls_back_to_lu(self, splu_calls):
         # not an M-matrix: Jacobi-BiCGSTAB breaks down on it
         dense = [[1.0, 5.0, 0.0], [-5.0, 1.0, 5.0], [0.0, -5.0, 1.0]]
@@ -233,6 +223,26 @@ class TestSolve:
         assert report.method == "direct-lu(fallback)"
         assert len(splu_calls) == 1
         assert np.max(np.abs(x - dense_gauss_solve(np.array(dense), b))) <= 1e-12
+
+    def test_zero_diagonal_is_solved_by_one_lu(self, splu_calls):
+        # Jacobi needs the diagonal: the permutation [[0, 2], [3, 0]] goes to LU
+        dense = np.array([[0.0, 2.0], [3.0, 0.0]])
+        x, report = LinearSolver().solve(SparseMatrix.from_dense(dense), np.array([4.0, 9.0]))
+        assert report.method == "direct-lu(fallback)"
+        assert report.iterations == 0
+        assert len(splu_calls) == 1
+        np.testing.assert_allclose(x, [3.0, 2.0], rtol=1e-15)
+
+    def test_fallback_lu_is_made_per_solve_and_not_kept(self, splu_calls):
+        dense = [[1.0, 5.0, 0.0], [-5.0, 1.0, 5.0], [0.0, -5.0, 1.0]]
+        m = SparseMatrix.from_dense(dense)
+        solver = LinearSolver()
+        b = np.ones(3)  # Jacobi-BiCGSTAB breaks down on it, as above
+        solves = [solver.solve(m, b) for _ in range(2)]
+        assert [report.method for _, report in solves] == ["direct-lu(fallback)"] * 2
+        assert np.array_equal(solves[0][0], solves[1][0])
+        assert len(splu_calls) == 2
+        assert m._exact is None
 
     def test_unfactorized_matrix_goes_krylov_first(self, splu_calls):
         # row slack far below half the diagonal: Krylov still goes first

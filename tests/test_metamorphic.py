@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from chemofv import (
-    FluxLimiter,
     LinearSolver,
     ModelSpec,
     SchemeVariant,
@@ -67,9 +66,9 @@ def advance(state, mesh, model, kind, steps):
     plan = StepPlan(
         mesh=mesh,
         model=model,
-        limiter=FluxLimiter(model.cell_diffusion, model.chemo_sensitivity, 1e-6),
+        epsilon=1e-6,
         variant=SchemeVariant(kind=kind),
-        dt=state.dt,
+        dt=DT,
     )
     for _ in range(steps):
         state = step(state, plan)
@@ -84,7 +83,6 @@ def random_state(mesh, seed):
         c=0.5 * rng.random(n),
         u_prev=0.5 + rng.random(n),
         step_index=1,
-        dt=DT,
     )
 
 
@@ -111,7 +109,6 @@ def mapped(state, f):
         c=f(state.c),
         u_prev=f(state.u_prev),
         step_index=state.step_index,
-        dt=state.dt,
     )
 
 
@@ -149,7 +146,7 @@ def test_uniform_state_stays_uniform(kind, dynamics, growth):
     n = mesh.n_cells
     # u^{n-1} != u^n: the corrected variant's increment is nonzero, but uniform
     state = State(
-        u=np.full(n, 1.3), c=np.full(n, 0.2), u_prev=np.full(n, 1.1), step_index=1, dt=DT
+        u=np.full(n, 1.3), c=np.full(n, 0.2), u_prev=np.full(n, 1.1), step_index=1
     )
     model = model_of(dynamics, growth)
     for steps in (1, RUN_STEPS):

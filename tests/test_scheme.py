@@ -53,18 +53,16 @@ def elliptic_model(**kwargs):
     return ModelSpec(cell_diffusion=0.25, chemo_sensitivity=2.0, **kwargs)
 
 
-def plan_of(mesh, model, dt=0.1, lim=None, variant=CORRECTED, **kwargs):
-    """The StepPlan of ``model`` on ``mesh``; the limiter defaults to the
-    model's mu and a with eps = 0."""
-    lim = lim or FluxLimiter(model.cell_diffusion, model.chemo_sensitivity)
-    return StepPlan(mesh, model, lim, variant, dt, **kwargs)
+def plan_of(mesh, model, dt=0.1, eps=0.0, variant=CORRECTED, **kwargs):
+    """The StepPlan of ``model`` on ``mesh`` with limiter constant ``eps``."""
+    return StepPlan(mesh, model, eps, variant, dt, **kwargs)
 
 
-def state_of(u, c=None, u_prev=None, step_index=1, dt=0.1):
+def state_of(u, c=None, u_prev=None, step_index=1):
     u = np.asarray(u, dtype=float)
     c = np.zeros_like(u) if c is None else np.asarray(c, dtype=float)
     u_prev = (u.copy() if step_index == 0 else np.asarray(u_prev, dtype=float))
-    return State(u=u, c=c, u_prev=u_prev, step_index=step_index, dt=dt)
+    return State(u=u, c=c, u_prev=u_prev, step_index=step_index)
 
 
 class TestLimiter:
@@ -174,19 +172,22 @@ class TestStepPlan:
             build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 6, 10),
         ]
         plans = [plan_of(mesh, elliptic_model(), 0.01) for mesh in meshes]
-        states = [perturbed_state(mesh, dt=0.01) for mesh in meshes]
+        states = [perturbed_state(mesh) for mesh in meshes]
         for _ in range(5):
             states = [step(state, plan) for state, plan in zip(states, plans)]
         assert [state.step_index for state in states] == [5, 5]
         assert builds == [64, 60]
 
-    def test_state_dt_must_match_plan(self, mesh_small):
-        state = perturbed_state(mesh_small, dt=0.01)
-        for kind in (VARIANT_CORRECTED, VARIANT_ORACLE):
-            variant = SchemeVariant(kind=kind)
-            plan = plan_of(mesh_small, elliptic_model(), 0.02, variant=variant)
-            with pytest.raises(SchemeError, match="dt=0.01"):
-                step(state, plan)
+    def test_limiter_takes_mu_and_chi_from_the_model(self, mesh_small):
+        plan = plan_of(mesh_small, ModelSpec(0.0625, 6.0), 0.1, 1e-6)
+        assert plan.limiter == FluxLimiter(0.0625, 6.0, 1e-6)
+        assert plan.epsilon == 1e-6
+
+    @pytest.mark.parametrize("eps", [-1e-9, 0.25 + 1e-9, float("nan")])
+    def test_plan_rejects_eps_outside_zero_mu(self, mesh_small, eps):
+        # elliptic_model() has mu = 0.25
+        with pytest.raises(ValueError, match="eps must lie in"):
+            plan_of(mesh_small, elliptic_model(), 0.1, eps)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
     def test_plan_rejects_nonpositive_or_non_finite_dt(self, mesh_small, dt):
@@ -218,7 +219,7 @@ class TestStepPlan:
 class TestChemAssembly:
     def test_one_cell_zero_density(self):
         mesh = build_uniform_rect_mesh((0.0, 1.5), (0.0, 1.0), 1, 1)
-        state = state_of([0.0], step_index=0, dt=0.1)
+        state = state_of([0.0], step_index=0)
         b, g = assemble_chem_system(state, plan_of(mesh, elliptic_model()))
         np.testing.assert_allclose(b.to_dense(), [[1.5]])
         np.testing.assert_array_equal(g, [0.0])
@@ -229,13 +230,13 @@ class TestChemAssembly:
         # u = 1e6 stands in for the u -> inf limit: c = g(1e6) ~ 1
         mesh = build_uniform_rect_mesh((0.0, 1.5), (0.0, 1.0), 1, 1)
         u = 1e6
-        state = state_of([u], step_index=0, dt=0.1)
+        state = state_of([u], step_index=0)
         b, g = assemble_chem_system(state, plan_of(mesh, elliptic_model()))
         c, _ = solver.solve(b, g)
         assert c[0] == pytest.approx(u / (u + 1.0), rel=1e-13)
 
     def test_row_dominance_slack_is_gamma_m(self, mesh_2cell):
-        state = state_of([1.0, 2.0], u_prev=[1.0, 2.0], dt=0.1)
+        state = state_of([1.0, 2.0], u_prev=[1.0, 2.0])
         b, _ = assemble_chem_system(state, plan_of(mesh_2cell, elliptic_model()))
         np.testing.assert_allclose(b.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
         report = check_m_matrix_pattern(b)
@@ -244,7 +245,7 @@ class TestChemAssembly:
     def test_parabolic_adds_time_terms(self, mesh_2cell):
         model = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
         c0 = np.array([0.5, 0.25])
-        state = state_of([1.0, 1.0], c=c0, u_prev=[1.0, 1.0], dt=0.5)
+        state = state_of([1.0, 1.0], c=c0, u_prev=[1.0, 1.0])
         b, g = assemble_chem_system(state, plan_of(mesh_2cell, model, 0.5))
         np.testing.assert_allclose(b.to_dense(), [[4.0, -1.0], [-1.0, 4.0]])
         np.testing.assert_allclose(g, 0.5 + c0 / 0.5)
@@ -259,7 +260,7 @@ class TestChemAssembly:
         parabolic = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
 
         def operator(plan, beta=0.0):
-            state = state_of(np.ones(n), u_prev=np.ones(n), dt=plan.dt)
+            state = state_of(np.ones(n), u_prev=np.ones(n))
             return assemble_chem_system(state, plan, beta)[0]
 
         plan = plan_of(mesh_small, elliptic_model(), 0.1)
@@ -288,7 +289,6 @@ class TestChemAssembly:
         state = state_of(
             rng.random(mesh_small.n_cells),
             u_prev=rng.random(mesh_small.n_cells),
-            dt=0.1,
         )
         beta = beta_n(state, mesh_small)
         plan = plan_of(mesh_small, model)
@@ -299,7 +299,7 @@ class TestChemAssembly:
 
     def test_gamma_scales_diagonal(self, mesh_2cell):
         model = ModelSpec(0.0625, 6.0, chem_decay=16.0, chem_source=SOURCE_LINEAR)
-        state = state_of([1.0, 1.0], u_prev=[1.0, 1.0], dt=0.1)
+        state = state_of([1.0, 1.0], u_prev=[1.0, 1.0])
         b, _ = assemble_chem_system(state, plan_of(mesh_2cell, model))
         np.testing.assert_allclose(b.to_dense(), [[17.0, -1.0], [-1.0, 17.0]])
 
@@ -364,10 +364,9 @@ class TestCellAssembly:
         # tau=1, mu=0.25, a=2, eps=0, Dc(cell 0) = 0.3:
         # row 0 off-diagonal -(0.25 + 2 S(-0.3)) = -0.25
         # row 1 off-diagonal -(0.25 + 2 S(0.3))  = -0.85
-        lim = FluxLimiter(0.25, 2.0, 0.0)
-        state = state_of([1.0, 1.0], u_prev=[1.0, 1.0], dt=0.5)
+        state = state_of([1.0, 1.0], u_prev=[1.0, 1.0])
         c_new = np.array([0.0, 0.3])
-        plan = plan_of(mesh_2cell, elliptic_model(), 0.5, lim)
+        plan = plan_of(mesh_2cell, elliptic_model(), 0.5)
         a, f = assemble_cell_system(state, c_new, plan)
         dense = a.to_dense()
         assert dense[0, 1] == pytest.approx(-0.25)
@@ -379,12 +378,11 @@ class TestCellAssembly:
         np.testing.assert_allclose(report.col_slack, [2.0, 2.0])  # m(K)/dt
 
     def test_constant_chem_yields_pure_diffusion(self, mesh_small, solver):
-        lim = FluxLimiter(0.25, 2.0, 0.0)
         model = elliptic_model()
         n = mesh_small.n_cells
-        state = state_of(np.full(n, 1.5), u_prev=np.full(n, 1.5), dt=0.1)
+        state = state_of(np.full(n, 1.5), u_prev=np.full(n, 1.5))
         c_new = np.full(n, 0.7)
-        a, f = assemble_cell_system(state, c_new, plan_of(mesh_small, model, 0.1, lim))
+        a, f = assemble_cell_system(state, c_new, plan_of(mesh_small, model, 0.1))
         dense = a.to_dense()
         # off-diagonals reduce to -tau*mu
         for k, l, tau in zip(
@@ -408,13 +406,14 @@ class TestCellAssembly:
         n = mesh_small.n_cells
         u = rng.random(n) * 2.0
         c_new = rng.random(n)
-        state = state_of(u, u_prev=u, dt=0.05)
-        a, f = assemble_cell_system(state, c_new, plan_of(mesh_small, model, 0.05, lim))
+        dt = 0.05
+        state = state_of(u, u_prev=u)
+        a, f = assemble_cell_system(state, c_new, plan_of(mesh_small, model, dt, lim.eps))
 
         # independent edge-by-edge transcription of the discretization
         dense = np.zeros((n, n))
         for k in range(n):
-            dense[k, k] = mesh_small.cell_measures[k] / state.dt
+            dense[k, k] = mesh_small.cell_measures[k] / dt
         for k, l, tau in zip(
             mesh_small.interior_cell_a, mesh_small.interior_cell_b, mesh_small.interior_tau
         ):
@@ -425,7 +424,7 @@ class TestCellAssembly:
             dense[l, l] += wm
             dense[k, l] -= wm
             dense[l, k] -= wp
-        rhs = mesh_small.cell_measures * u / state.dt
+        rhs = mesh_small.cell_measures * u / dt
         for k in range(n):
             dense[k, k] += 2.0 * mesh_small.cell_measures[k] * u[k]
             rhs[k] += 2.0 * mesh_small.cell_measures[k] * u[k]
@@ -434,17 +433,16 @@ class TestCellAssembly:
         np.testing.assert_allclose(f, rhs, rtol=1e-14)
 
     def test_cubic_growth_diagonal_contribution(self, mesh_small):
-        lim = FluxLimiter(0.0625, 6.0, 1e-6)
         model = ModelSpec(
             0.0625, 6.0, chem_decay=32.0, chem_source=SOURCE_LINEAR, growth=GROWTH_CUBIC
         )
         n = mesh_small.n_cells
         u = np.full(n, 0.5)
-        state = state_of(u, u_prev=u, dt=0.1)
+        state = state_of(u, u_prev=u)
         c_new = np.zeros(n)
-        a, f = assemble_cell_system(state, c_new, plan_of(mesh_small, model, 0.1, lim))
+        a, f = assemble_cell_system(state, c_new, plan_of(mesh_small, model, 0.1, 1e-6))
         none_model = ModelSpec(0.0625, 6.0, chem_decay=32.0, chem_source=SOURCE_LINEAR)
-        a0, f0 = assemble_cell_system(state, c_new, plan_of(mesh_small, none_model, 0.1, lim))
+        a0, f0 = assemble_cell_system(state, c_new, plan_of(mesh_small, none_model, 0.1, 1e-6))
         m = mesh_small.cell_measures
         np.testing.assert_allclose(
             a.diagonal(), a0.diagonal() - m * u * (1.0 - u), rtol=1e-14
@@ -454,21 +452,19 @@ class TestCellAssembly:
     def test_cubic_growth_rejects_nonpositive_diagonal(self):
         # single cell: diagonal m/dt - m u(1-u) <= 0 once dt > 1/(u(1-u))
         mesh = build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 1, 1)
-        lim = FluxLimiter(0.0625, 6.0)
         model = ModelSpec(
             0.0625, 6.0, chem_decay=32.0, chem_source=SOURCE_LINEAR, growth=GROWTH_CUBIC
         )
-        state = state_of([0.5], u_prev=[0.5], dt=5.0)
+        state = state_of([0.5], u_prev=[0.5])
         # m/dt > m u(1-u) = 1/4 admits dt < 4
         with pytest.raises(
             SchemeError, match=r"step 1 \(t=5\).*reduce dt.*largest admissible dt 4$"
         ):
-            assemble_cell_system(state, np.zeros(1), plan_of(mesh, model, 5.0, lim))
+            assemble_cell_system(state, np.zeros(1), plan_of(mesh, model, 5.0))
 
     def test_requires_positive_dt(self, mesh_2cell):
-        lim = FluxLimiter(0.25, 2.0)
         with pytest.raises(SchemeError):
-            plan_of(mesh_2cell, elliptic_model(), 0.0, lim)
+            plan_of(mesh_2cell, elliptic_model(), 0.0)
 
     @pytest.mark.parametrize("dynamics", ["elliptic", CHEM_PARABOLIC])
     @pytest.mark.parametrize("dt", [0.5, 1e-3])
@@ -478,8 +474,8 @@ class TestCellAssembly:
         model = elliptic_model(chem_dynamics=dynamics)
         rng = np.random.default_rng(7)
         n = mesh.n_cells
-        state = state_of(rng.random(n) * 2.0, u_prev=rng.random(n) * 2.0, dt=dt)
-        plan = plan_of(mesh, model, dt, FluxLimiter(0.25, 2.0, 1e-6))
+        state = state_of(rng.random(n) * 2.0, u_prev=rng.random(n) * 2.0)
+        plan = plan_of(mesh, model, dt, 1e-6)
         b_mat, _ = assemble_chem_system(state, plan, 1.0)
         a_mat, _ = assemble_cell_system(state, rng.random(n), plan)
         for mat in (b_mat, a_mat):
@@ -492,38 +488,36 @@ class TestCellAssembly:
 
     def test_operators_share_the_mesh_pattern(self):
         mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 5, 7)
-        state = perturbed_state(mesh, dt=0.1)
+        state = perturbed_state(mesh)
         model = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
-        plan = plan_of(mesh, model, 0.1, FluxLimiter(0.25, 2.0))
+        plan = plan_of(mesh, model, 0.1)
         b_mat, _ = assemble_chem_system(state, plan)
         a_mat, _ = assemble_cell_system(state, state.c, plan)
         assert b_mat.pattern is mesh.adjacency_csr()
         assert a_mat.pattern is mesh.adjacency_csr()
 
 
-def perturbed_state(mesh, dt, seed=42):
+def perturbed_state(mesh, seed=42):
     ic = InitialConditionSpec(
         base_u=1.0, region=RectRegion(-10.0, 10.0, -0.5, 0.5), rng_seed=seed
     )
-    return make_initial_state(mesh, ic, dt=dt)
+    return make_initial_state(mesh, ic)
 
 
 class TestStep:
     def test_uniform_state_is_fixed_point(self, mesh_small, solver):
-        lim = FluxLimiter(0.25, 2.0, 0.0)
         model = elliptic_model()
         n = mesh_small.n_cells
-        state = make_initial_state(mesh_small, InitialConditionSpec(base_u=2.0), dt=0.1)
+        state = make_initial_state(mesh_small, InitialConditionSpec(base_u=2.0))
         for variant in (CORRECTED, PLAIN, LAGGED):
-            new = step(state, plan_of(mesh_small, model, 0.1, lim, variant, solver=solver))
+            new = step(state, plan_of(mesh_small, model, 0.1, 0.0, variant, solver=solver))
             np.testing.assert_allclose(new.u, np.full(n, 2.0), rtol=1e-12)
             np.testing.assert_allclose(new.c, np.full(n, 2.0 / 3.0), rtol=1e-12)
 
     def test_one_step_mass_conservation_test1_coefficients(self, solver):
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 16, 16)
-        state = perturbed_state(mesh, dt=1e-2)
-        lim = FluxLimiter(0.25, 2.0, 1e-6)
-        new = step(state, plan_of(mesh, elliptic_model(), 1e-2, lim, solver=solver))
+        state = perturbed_state(mesh)
+        new = step(state, plan_of(mesh, elliptic_model(), 1e-2, 1e-6, solver=solver))
         m = mesh.cell_measures
         mass0, mass1 = float(m @ state.u), float(m @ new.u)
         assert abs(mass1 - mass0) <= 1e-10 * mass0
@@ -532,17 +526,15 @@ class TestStep:
         mesh = build_uniform_rect_mesh((-2.0, 2.0), (-2.0, 2.0), 12, 12)
         rng = np.random.default_rng(5)
         u = rng.random(mesh.n_cells) * 50.0
-        state = State(u=u, c=np.zeros_like(u), u_prev=u.copy(), step_index=0, dt=0.1)
-        plan = plan_of(mesh, elliptic_model(), 0.1, FluxLimiter(0.25, 2.0), solver=solver)
+        state = State(u=u, c=np.zeros_like(u), u_prev=u.copy(), step_index=0)
+        plan = plan_of(mesh, elliptic_model(), 0.1, solver=solver)
         new = step(state, plan)
         assert new.c.max() <= 2.0 + 1e-12
 
     def test_step_bookkeeping(self, mesh_small, solver):
-        state = perturbed_state(mesh_small, dt=0.05)
-        lim = FluxLimiter(0.25, 2.0, 1e-6)
-        new = step(state, plan_of(mesh_small, elliptic_model(), 0.05, lim, solver=solver))
+        state = perturbed_state(mesh_small)
+        new = step(state, plan_of(mesh_small, elliptic_model(), 0.05, 1e-6, solver=solver))
         assert new.step_index == 1
-        assert new.dt == 0.05
         assert np.array_equal(new.u_prev, state.u)
 
     def test_positivity_fuzz_random_states(self, mesh_small, solver):
@@ -562,21 +554,19 @@ class TestStep:
                 c=rng.random(n),
                 u_prev=rng.random(n) * 3.0,
                 step_index=1,
-                dt=float(rng.choice([1e-3, 1e-2, 1e-1])),
             )
+            dt = float(rng.choice([1e-3, 1e-2, 1e-1]))
             variant = SchemeVariant(
                 kind=VARIANT_CORRECTED,
                 beta_policy=BETA_FORMULA if trial % 2 else "fixed1",
             )
-            lim = FluxLimiter(mu, a, 1e-6)
-            plan = plan_of(mesh_small, model, state.dt, lim, variant, solver=solver)
+            plan = plan_of(mesh_small, model, dt, 1e-6, variant, solver=solver)
             new = step(state, plan)
             assert new.u.min() >= -1e-12 * max(new.u.max(), 0.0)
             assert new.c.min() >= -1e-12 * max(new.c.max(), 0.0)
 
     def test_lagged_variant_uses_old_chem_field(self, mesh_2cell, solver):
         # with a deliberately steep c^n, the lagged cell matrix must see it
-        lim = FluxLimiter(0.25, 2.0, 0.0)
         model = elliptic_model()
         c_old = np.array([0.0, 0.3])
         state = State(
@@ -584,24 +574,22 @@ class TestStep:
             c=c_old,
             u_prev=np.array([1.0, 1.0]),
             step_index=1,
-            dt=0.5,
         )
-        plan = plan_of(mesh_2cell, model, 0.5, lim, LAGGED, solver=solver)
+        plan = plan_of(mesh_2cell, model, 0.5, 0.0, LAGGED, solver=solver)
         a_lagged, _ = assemble_cell_system(state, state.c, plan)
         assert a_lagged.to_dense()[1, 0] == pytest.approx(-0.85)
         new = step(state, plan)
         # chem solve then uses u^{n+1}: B c = m g(u^{n+1})
         b, g = assemble_chem_system(
-            State(u=new.u, c=c_old, u_prev=state.u, step_index=1, dt=0.5), plan
+            State(u=new.u, c=c_old, u_prev=state.u, step_index=1), plan
         )
         c_expect, _ = solver.solve(b, g)
         np.testing.assert_allclose(new.c, c_expect, rtol=1e-12)
 
     def test_check_matrices_mode_passes_on_valid_assembly(self, mesh_small, solver):
-        state = perturbed_state(mesh_small, dt=0.01)
-        lim = FluxLimiter(0.25, 2.0, 1e-6)
+        state = perturbed_state(mesh_small)
         plan = plan_of(
-            mesh_small, elliptic_model(), 0.01, lim, solver=solver, check_matrices=True
+            mesh_small, elliptic_model(), 0.01, 1e-6, solver=solver, check_matrices=True
         )
         step(state, plan)
 
@@ -626,12 +614,12 @@ class TestStep:
         match = "sign pattern" if broken == "positive off-diagonal" else "dominance slack"
         with pytest.raises(SchemeError, match=match):
             step(
-                perturbed_state(mesh_small, dt=dt),
+                perturbed_state(mesh_small),
                 plan_of(
                     mesh_small,
                     elliptic_model(),
                     dt,
-                    FluxLimiter(0.25, 2.0, 1e-6),
+                    1e-6,
                     solver=solver,
                     check_matrices=True,
                 ),
@@ -640,25 +628,23 @@ class TestStep:
 
 class TestCoupledOracle:
     def test_uniform_data_converges_immediately(self, mesh_small, solver):
-        lim = FluxLimiter(0.25, 2.0, 0.0)
-        state = make_initial_state(mesh_small, InitialConditionSpec(base_u=1.0), dt=0.1)
-        plan = plan_of(mesh_small, elliptic_model(), 0.1, lim, solver=solver)
+        state = make_initial_state(mesh_small, InitialConditionSpec(base_u=1.0))
+        plan = plan_of(mesh_small, elliptic_model(), 0.1, solver=solver)
         new = step_coupled_oracle(state, plan)
         np.testing.assert_allclose(new.u, state.u, rtol=1e-12)
         np.testing.assert_allclose(new.c, np.full(mesh_small.n_cells, 0.5), rtol=1e-12)
 
     def test_oracle_matches_coupled_equation_residual(self, solver):
         mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 8, 8)
-        state = perturbed_state(mesh, dt=0.1)
-        lim = FluxLimiter(0.25, 2.0, 0.0)
+        state = perturbed_state(mesh)
         model = elliptic_model()
-        plan = plan_of(mesh, model, 0.1, lim, solver=solver)
+        plan = plan_of(mesh, model, 0.1, solver=solver)
         new = step_coupled_oracle(state, plan)
         # residual of the coupled chem equation with the u^{n+1} source
         from chemofv.linalg import spmv
 
         b, g = assemble_chem_system(
-            State(u=new.u, c=state.c, u_prev=state.u, step_index=1, dt=0.1), plan
+            State(u=new.u, c=state.c, u_prev=state.u, step_index=1), plan
         )
         residual = np.max(np.abs(spmv(b, new.c) - g))
         assert residual <= 1e-10
@@ -666,11 +652,10 @@ class TestCoupledOracle:
     def test_corrected_closer_than_plain_after_warmup(self, solver):
         # desk-scale analogue of the accuracy comparison
         mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 8, 8)
-        lim = FluxLimiter(0.25, 2.0, 0.0)
         model = elliptic_model()
-        state = perturbed_state(mesh, dt=0.1)
-        corrected_plan = plan_of(mesh, model, 0.1, lim, solver=solver)
-        plain_plan = plan_of(mesh, model, 0.1, lim, PLAIN, solver=solver)
+        state = perturbed_state(mesh)
+        corrected_plan = plan_of(mesh, model, 0.1, solver=solver)
+        plain_plan = plan_of(mesh, model, 0.1, 0.0, PLAIN, solver=solver)
         state = step(state, corrected_plan)  # warm-up: T != 0
         oracle = step_coupled_oracle(state, corrected_plan)
         corr = step(state, corrected_plan)
@@ -681,29 +666,26 @@ class TestCoupledOracle:
 
     def test_cell_limit_refusal(self):
         mesh = build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 70, 70)
-        state = make_initial_state(mesh, InitialConditionSpec(), dt=0.1)
+        state = make_initial_state(mesh, InitialConditionSpec())
         with pytest.raises(SchemeError, match="limited"):
-            step_coupled_oracle(
-                state, plan_of(mesh, elliptic_model(), 0.1, FluxLimiter(0.25, 2.0))
-            )
+            step_coupled_oracle(state, plan_of(mesh, elliptic_model(), 0.1))
 
     def test_non_convergence_reports_residual(self, monkeypatch):
         mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 8, 8)
-        state = perturbed_state(mesh, dt=0.5)
-        lim = FluxLimiter(0.25, 2.0, 0.0)
+        state = perturbed_state(mesh)
         monkeypatch.setattr(scheme, "ORACLE_MAX_ITER", 1)
         with pytest.raises(SchemeError, match="did not converge"):
-            step_coupled_oracle(state, plan_of(mesh, elliptic_model(), 0.5, lim))
+            step_coupled_oracle(state, plan_of(mesh, elliptic_model(), 0.5))
 
     def test_step_dispatches_oracle_variant(self, mesh_small, solver):
-        state = make_initial_state(mesh_small, InitialConditionSpec(base_u=1.0), dt=0.1)
+        state = make_initial_state(mesh_small, InitialConditionSpec(base_u=1.0))
         new = step(
             state,
             plan_of(
                 mesh_small,
                 elliptic_model(),
                 0.1,
-                FluxLimiter(0.25, 2.0),
+                0.0,
                 SchemeVariant(kind=VARIANT_ORACLE),
                 solver=solver,
             ),

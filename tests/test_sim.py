@@ -27,11 +27,12 @@ from chemofv import (
     run,
 )
 from chemofv.model import RectRegion
-from chemofv.scheme import VARIANT_CORRECTED, VARIANT_PLAIN
+from chemofv.scheme import VARIANT_CORRECTED, VARIANT_LAGGED, VARIANT_ORACLE, VARIANT_PLAIN
 from chemofv.sim import _InvariantMonitor, convergence_rates
 from oracles import h1_seminorm_direct, scipy_jacobi_bicgstab
 
 CORRECTED = SchemeVariant(kind=VARIANT_CORRECTED)
+PLAIN = SchemeVariant(kind=VARIANT_PLAIN)
 
 
 class TallySolver(LinearSolver):
@@ -318,7 +319,7 @@ class TestInvariantMonitor:
         n = mesh_small.n_cells
         bad = State(
             u=np.full(n, 16.0), c=np.full(n, 2.5), u_prev=np.full(n, 16.0),
-            step_index=0, dt=0.1,
+            step_index=0,
         )
         with pytest.raises(InvariantError, match="bound"):
             monitor.check(bad)
@@ -333,7 +334,7 @@ class TestInvariantMonitor:
                 # every step breaks all four invariants, each with new values
                 bad = State(
                     u=np.full(n, u), c=c_top * checker, u_prev=np.full(n, u),
-                    step_index=k + 1, dt=0.1,
+                    step_index=k + 1,
                 )
                 monitor.check(bad)
         for invariant in ("within step", "mass drift at", "bound", "gradient energy"):
@@ -348,7 +349,7 @@ class TestInvariantMonitor:
 
         def state(mass, k):
             u = np.full(n, mass)  # the 4x4 unit square: mass = u
-            return State(u=u, c=np.full(n, 0.5), u_prev=u, step_index=k, dt=0.1)
+            return State(u=u, c=np.full(n, 0.5), u_prev=u, step_index=k)
 
         monitor.check(state(mass0 * (1.0 - 0.9e-10), 1))
         # drift 1.8e-10 within the step, 0.9e-10 since step 0
@@ -378,10 +379,56 @@ class TestInvariantMonitor:
         n = mesh_small.n_cells
         state = State(
             u=np.ones(n), c=np.linspace(0.0, 1.0, n), u_prev=np.ones(n),
-            step_index=1, dt=0.1,
+            step_index=1,
         )
         with pytest.raises(InvariantError, match="bound 2/gamma = 0.5"):
             monitor.check(state)
+
+    @pytest.mark.parametrize("kind", [VARIANT_PLAIN, VARIANT_LAGGED, VARIANT_ORACLE])
+    def test_uncorrected_variants_bound_c_by_one_over_gamma(self, mesh_small, kind):
+        # gamma = 1: c = 1.5 is above 1/gamma, below the corrected 2/gamma
+        n = mesh_small.n_cells
+        state = State(
+            u=np.ones(n), c=np.full(n, 1.5), u_prev=np.ones(n), step_index=1,
+        )
+        cfg = desk_config(mesh_small, dt=0.1, t_final=1.0, strict=True)
+        _InvariantMonitor(cfg, mass0=mesh_small.domain_area).check(state)
+        cfg = RunConfig(**{**cfg.__dict__, "variant": SchemeVariant(kind=kind)})
+        monitor = _InvariantMonitor(cfg, mass0=mesh_small.domain_area)
+        with pytest.raises(InvariantError, match="bound 1/gamma = 1.0 at step 1"):
+            monitor.check(state)
+
+    def test_uncorrected_energy_bound_is_area_over_four_gamma(self, mesh_small):
+        # 24 edges with tau = 1 and jump 0.15: energy 0.54, above area/4 = 0.25
+        n = mesh_small.n_cells
+        checker = (np.arange(n) + np.arange(n) // 4) % 2
+        state = State(
+            u=np.ones(n), c=0.5 + 0.15 * checker, u_prev=np.ones(n), step_index=1,
+        )
+        assert gradient_energy(state.c, mesh_small) == pytest.approx(0.54)
+        cfg = desk_config(mesh_small, dt=0.1, t_final=1.0, strict=True)
+        _InvariantMonitor(cfg, mass0=mesh_small.domain_area).check(state)
+        cfg = RunConfig(**{**cfg.__dict__, "variant": PLAIN})
+        monitor = _InvariantMonitor(cfg, mass0=mesh_small.domain_area)
+        with pytest.raises(InvariantError, match=r"exceeds area/\(4\*gamma\) = 0.25"):
+            monitor.check(state)
+
+    @pytest.mark.parametrize("kind", [VARIANT_PLAIN, VARIANT_LAGGED])
+    def test_strict_uncorrected_desk_runs_pass(self, kind):
+        mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 48, 48)
+        cfg = desk_config(
+            mesh, dt=1e-2, t_final=0.5, strict=True, check_matrices=True, epsilon=1e-6
+        )
+        final, _, _ = run(RunConfig(**{**cfg.__dict__, "variant": SchemeVariant(kind=kind)}))
+        assert final.step_index == 50
+        assert final.c.max() <= 1.0
+
+    def test_strict_coupled_oracle_run_passes(self):
+        mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 12, 12)
+        cfg = desk_config(mesh, dt=0.05, t_final=0.25, strict=True)
+        oracle = SchemeVariant(kind=VARIANT_ORACLE)
+        final, _, _ = run(RunConfig(**{**cfg.__dict__, "variant": oracle}))
+        assert final.step_index == 5
 
     def test_unit_gamma_keeps_the_published_bounds(self, mesh_small):
         monitor = _InvariantMonitor(self._config(mesh_small, strict=True), mass0=1.0)
