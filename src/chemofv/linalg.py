@@ -1,8 +1,12 @@
 """Sparse operators, M-matrix structure checks, deterministic solves.
 
-An operator (``SparseMatrix``) is a ``CsrPattern``, validated once when it
-is built, plus its values in one scipy CSR matrix; arbitrary triplets enter
-through ``SparseMatrix.from_coo``.
+An operator (``SparseMatrix``) is square and stored in scipy's DIA layout:
+sorted diagonal offsets that include 0, and one row of values per offset.
+The five-point operators of the uniform rectangle have offsets
+(-nx, -1, 0, 1, nx), written by slices. The Krylov products, the residual
+check and the structure check (``check_m_matrix_pattern``) all read that
+one ``dia_matrix``; no CSR or CSC matrix is built in a run unless a solve
+falls back to LU.
 
 The solve contract is a relative residual tolerance (``LinearSolver.tol``,
 1e-12), not a method. A solve takes one of two paths:
@@ -30,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -64,63 +68,6 @@ class StructureReport:
     col_slack: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class CsrPattern:
-    """Validated sparsity pattern of an n-by-n CSR operator.
-
-    Column indices strictly increase within each row and every row stores
-    exactly one diagonal entry, possibly a zero. ``rows[s]`` is the row of
-    slot ``s``, ``diag_slots[k]`` the slot of entry (k, k), ``off_slots``
-    every other slot in increasing order and ``scipy_index`` the
-    (indices, indptr) pair. ``scipy_index`` and the two arrays only the
-    structure checks read, ``rows`` and ``off_slots``, are in scipy's index
-    dtype. The checks run once, at construction; every array is a read-only
-    copy.
-    """
-
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    rows: np.ndarray = field(init=False, repr=False)
-    diag_slots: np.ndarray = field(init=False, repr=False)
-    off_slots: np.ndarray = field(init=False, repr=False)
-    scipy_index: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n = int(self.n)
-        indptr = readonly_copy(self.indptr)
-        indices = readonly_copy(self.indices)
-        if indptr.shape != (n + 1,) or indptr[0] != 0:
-            raise ValueError("malformed indptr")
-        if indices.ndim != 1 or indices.size != indptr[-1]:
-            raise ValueError("indices size does not match indptr")
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise ValueError(f"column index outside [0, {n})")
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        if np.any((rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1])):
-            raise ValueError("column indices must be strictly increasing per row")
-        on_diag = indices == rows
-        if not np.all(np.bincount(rows[on_diag], minlength=n) == 1):
-            raise ValueError("every row must store exactly one diagonal entry")
-        # scipy picks its index dtype when it builds a CSR on the pattern
-        csr = sp.csr_matrix((np.zeros(indices.size), indices, indptr), shape=(n, n))
-        fields = dict(
-            n=n,
-            indptr=indptr,
-            indices=indices,
-            rows=readonly_copy(rows, csr.indices.dtype),
-            diag_slots=readonly_copy(np.flatnonzero(on_diag)),
-            off_slots=readonly_copy(np.flatnonzero(~on_diag), csr.indices.dtype),
-            scipy_index=tuple(readonly_copy(a, a.dtype) for a in (csr.indices, csr.indptr)),
-        )
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-
 def readonly_copy(a, dtype=np.int64) -> np.ndarray:
     """Read-only copy of ``a`` as ``dtype``."""
     out = np.array(a, dtype=dtype)
@@ -129,75 +76,60 @@ def readonly_copy(a, dtype=np.int64) -> np.ndarray:
 
 
 class SparseMatrix:
-    """Square operator: a validated ``CsrPattern`` plus one value per slot.
+    """Square n-by-n operator in scipy's DIA layout.
 
-    The values live in one scipy CSR matrix, ``csr``, built at construction
-    on the pattern's index arrays. Instances are immutable; the chem
-    operator also keeps its exact transform solve, a (solve, method label)
-    pair, from ``keep_dct_solve``.
+    ``offsets`` are sorted, unique and include 0; ``data`` holds one row per
+    offset, ``data[d, j] = A[j - offsets[d], j]``, and an entry that falls
+    outside the matrix must be zero. The constructor checks all of this and
+    keeps read-only copies of both arrays, on which it builds the one scipy
+    ``dia_matrix``, ``dia``, that every product reads. Instances are
+    immutable; the chem operator also keeps its exact transform solve, a
+    (solve, method label) pair, from ``keep_dct_solve``.
     """
 
-    def __init__(self, pattern: CsrPattern, data):
-        data = np.array(data, dtype=float)  # own copy keeps the operator immutable
-        if data.shape != (pattern.nnz,):
-            raise ValueError(f"data has shape {data.shape}, pattern has {pattern.nnz} entries")
-        self.pattern = pattern
-        self.n = pattern.n
+    def __init__(self, offsets, data):
+        offsets = readonly_copy(offsets)
+        data = readonly_copy(data, float)  # own copy keeps the operator immutable
+        listed = offsets.tolist()
+        if offsets.ndim != 1 or listed != sorted(set(listed)) or 0 not in listed:
+            raise ValueError(f"offsets {offsets} must be sorted, unique and include 0")
+        if data.ndim != 2 or data.shape[0] != offsets.size:
+            raise ValueError(f"data has shape {data.shape}, need ({offsets.size}, n)")
+        n = data.shape[1]
+        for offset, row in zip(listed, data):
+            # columns j with 0 <= j - offset < n lie inside the matrix
+            head, tail = row[: max(offset, 0)], row[max(n + offset, 0) :]
+            if np.count_nonzero(head) or np.count_nonzero(tail):
+                raise ValueError(f"nonzero entry outside the matrix on diagonal {offset}")
+        self.n = n
+        self.offsets = offsets
         self.data = data
-        self.csr = sp.csr_matrix((data, *pattern.scipy_index), shape=(self.n, self.n))
+        self.dia = sp.dia_matrix((data, offsets), shape=(n, n))
+        self.dia.offsets.setflags(write=False)
         self._exact: tuple[Callable[[np.ndarray], np.ndarray], str] | None = None
 
-    @property
-    def nnz(self) -> int:
-        return int(self.data.size)
-
-    @classmethod
-    def from_coo(cls, n, rows, cols, vals) -> "SparseMatrix":
-        """Build from triplets; duplicates are summed, explicit off-diagonal
-        zeros are then pruned and missing diagonals are stored as zeros."""
-        rows = np.concatenate([np.asarray(rows, dtype=np.int64), np.arange(n)])
-        cols = np.concatenate([np.asarray(cols, dtype=np.int64), np.arange(n)])
-        vals = np.concatenate([np.asarray(vals, dtype=float), np.zeros(n)])
-        coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-        coo.sum_duplicates()  # sorted by (row, column), one entry per pair
-        keep = (coo.row == coo.col) | (coo.data != 0.0)
-        m = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])), shape=(n, n))
-        return cls(CsrPattern(n, m.indptr, m.indices), m.data)
-
-    @classmethod
-    def from_dense(cls, a) -> "SparseMatrix":
-        a = np.asarray(a, dtype=float)
-        n = a.shape[0]
-        rows, cols = np.nonzero(a)
-        return cls.from_coo(n, rows, cols, a[rows, cols])
-
-    @classmethod
-    def identity(cls, n) -> "SparseMatrix":
-        r = np.arange(n)
-        return cls.from_coo(n, r, r, np.ones(n))
-
     def diagonal(self) -> np.ndarray:
-        return self.data[self.pattern.diag_slots]
+        return self.data[np.searchsorted(self.offsets, 0)]
 
     def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
+        return self.dia.toarray()
 
     def content_digest(self) -> bytes:
         h = hashlib.sha1()
         h.update(np.int64(self.n).tobytes())
-        h.update(self.pattern.indptr.tobytes())
-        h.update(self.pattern.indices.tobytes())
+        h.update(self.offsets.tobytes())
         h.update(self.data.tobytes())
         return h.digest()
 
 
 def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
     """Sparse matrix-vector product with fixed within-row accumulation order
-    (scipy's CSR product sums each row's entries in storage order)."""
+    (scipy's DIA product sums each row's entries by increasing offset, that
+    is by increasing column, as a sorted CSR product does)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n,):
         raise ValueError(f"dimension mismatch: matrix is {m.n}, vector is {x.shape}")
-    return m.csr @ x
+    return m.dia @ x
 
 
 def fixed_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
@@ -212,14 +144,19 @@ def fixed_norm(a: np.ndarray, out: np.ndarray | None = None) -> float:
 
 
 def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
-    """Sign pattern on the pattern's slots plus the signed row and column
-    sums, which are the dominance slacks whenever the sign pattern holds."""
-    pattern = m.pattern
+    """Sign pattern on the stored diagonals plus the signed row and column
+    sums, which are the dominance slacks whenever the sign pattern holds.
+
+    A row sum is the product with ones; a column sum adds column j's
+    entries by increasing row, which is decreasing offset. Both add each
+    row's or column's entries in the order a sorted CSR operator stores
+    them; the zeros the layout stores beside them add nothing.
+    """
     return StructureReport(
         diag_positive=bool(np.all(m.diagonal() > 0)),
-        offdiag_nonpositive=bool(np.all(m.data[pattern.off_slots] <= 0)),
-        row_slack=np.bincount(pattern.rows, weights=m.data, minlength=m.n),
-        col_slack=np.bincount(pattern.indices, weights=m.data, minlength=m.n),
+        offdiag_nonpositive=bool(np.all(m.data[m.offsets != 0] <= 0)),
+        row_slack=m.dia @ np.ones(m.n),
+        col_slack=np.add.reduce(m.data[::-1], axis=0),
     )
 
 
@@ -228,14 +165,16 @@ def _lu_solve(m: SparseMatrix) -> Callable[[np.ndarray], np.ndarray]:
     that needed it; nothing is kept on ``m``.
 
     Every operator shares one structurally symmetric 5-point pattern, so the
-    columns are ordered by minimum degree on A^T + A.
+    columns are ordered by minimum degree on A^T + A. The CSC copy that is
+    factorized holds the nonzero entries only; scipy's conversion drops the
+    zeros the DIA layout stores.
     """
     # imported on first use: it adds ~10 MiB to a process's RSS, and a run
     # whose cell solves all converge never factorizes
     import scipy.sparse.linalg as spla
 
     try:
-        return spla.splu(m.csr.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+        return spla.splu(m.dia.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
     except RuntimeError as exc:  # singular factor
         raise SolverError(f"direct factorization failed: {exc}") from exc
 
@@ -326,7 +265,7 @@ class LinearSolver:
         inner products are ``fixed_dot``. The work vectors live for the
         solve and are updated in place; s = r - alpha·v overwrites r.
         """
-        a = m.csr
+        a = m.dia
         inv_diag = 1.0 / m.diagonal()
         atol = max(self.tol * 0.1, 1e-14) * fixed_norm(rhs)
         breakdown = np.finfo(float).eps ** 2

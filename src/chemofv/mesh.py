@@ -10,41 +10,20 @@ every edge array lists interior edges only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import CsrPattern, fixed_dot, readonly_copy
+from .linalg import fixed_dot, readonly_copy
 
 
 class MeshError(ValueError):
     """Invalid mesh construction."""
 
 
-@dataclass(frozen=True, eq=False)
-class AdjacencyPattern(CsrPattern):
-    """CSR sparsity pattern of the cell-coupling operators on a mesh.
-
-    A validated ``CsrPattern`` (its ``diag_slots[k]`` is the position of
-    entry (k, k) in the value array) plus ``kl_slots[e]`` / ``lk_slots[e]``,
-    the read-only positions of (K, L) and (L, K) for interior edge e,
-    aligned with Mesh.interior_cell_a/b.
-    """
-
-    kl_slots: np.ndarray
-    lk_slots: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "kl_slots", readonly_copy(self.kl_slots))
-        object.__setattr__(self, "lk_slots", readonly_copy(self.lk_slots))
-
-
 class Mesh:
     """Uniform nx-by-ny rectangular mesh over x_range x y_range.
 
     Immutable after construction: every array is a read-only copy, so
-    derived arrays and operators cached on the mesh cannot go stale. Safe
+    derived arrays cannot go stale. Safe
     to share across workers. Interior edge e joins cells
     ``interior_cell_a[e]`` and ``interior_cell_b[e]``: first the x-normal
     edges (K, K+1), then the y-normal edges (K, K+nx), each in row-major
@@ -102,7 +81,6 @@ class Mesh:
         self.tau_sum_interior = readonly_copy(tau_sum, float)
 
         self._validate()
-        self._pattern_cache = None
 
     def _validate(self):
         if np.any(self.cell_measures <= 0):
@@ -124,25 +102,19 @@ class Mesh:
         it does not depend on the BLAS thread count."""
         return fixed_dot(self.cell_measures, values)
 
-    def adjacency_csr(self) -> AdjacencyPattern:
-        """Sparsity pattern shared by all operators assembled on this mesh."""
-        if self._pattern_cache is not None:
-            return self._pattern_cache
-        # Diagonal plus both directions of every interior edge, sorted by
-        # (row, column); the inverse permutation maps each edge entry to its
-        # slot (the pattern finds the diagonal slots itself).
-        n = self.n_cells
-        diag = np.arange(n, dtype=np.int64)
-        rows = np.concatenate([diag, self.interior_cell_a, self.interior_cell_b])
-        cols = np.concatenate([diag, self.interior_cell_b, self.interior_cell_a])
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        slots = np.empty(order.size, dtype=np.int64)
-        slots[order] = np.arange(order.size)
-        kl_slots, lk_slots = np.split(slots[n:], 2)
-        self._pattern_cache = AdjacencyPattern(n, indptr, cols[order], kl_slots, lk_slots)
-        return self._pattern_cache
+    def adjacency_csr(self) -> np.ndarray:
+        """DIA layout shared by all operators assembled on this mesh: the
+        read-only sorted offsets (-nx, -1, 0, 1, nx). An x-normal edge
+        (K, K+1) couples cells on the +-1 diagonals and a y-normal edge
+        (K, K+nx) on the +-nx ones; a mesh one cell wide in x has no
+        x-normal edges, and one cell wide in y no y-normal edges, so
+        their offsets are left out."""
+        offsets = {0}
+        if self.nx > 1:
+            offsets |= {-1, 1}
+        if self.ny > 1:
+            offsets |= {-self.nx, self.nx}
+        return readonly_copy(sorted(offsets))
 
 
 def build_uniform_rect_mesh(x_range, y_range, nx: int, ny: int) -> Mesh:

@@ -126,6 +126,40 @@ def beta_n(state: State, mesh: Mesh) -> float:
     return float(min(1.0, np.min(g_now[mask] / denom)))
 
 
+def _edge_grids(mesh: Mesh, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An interior-edge array as its x-normal part, a (ny, nx-1) grid, and
+    its y-normal part, a (ny-1, nx) grid; both are views."""
+    n_x = (mesh.nx - 1) * mesh.ny
+    return (
+        values[:n_x].reshape(mesh.ny, mesh.nx - 1),
+        values[n_x:].reshape(mesh.ny - 1, mesh.nx),
+    )
+
+
+def _five_point(mesh: Mesh, diag, upper, lower) -> SparseMatrix:
+    """The operator on ``mesh``'s DIA layout with ``diag`` on the diagonal
+    and, for interior edge e joining a < b, ``upper[e]`` at (a, b) and
+    ``lower[e]`` at (b, a).
+
+    Each part is one slice write: x-normal edges go to the +-1 diagonals
+    and y-normal edges to the +-nx ones. Entry (a, b) sits at column b of
+    its diagonal and (b, a) at column a; every other entry stays zero.
+    """
+    offsets = mesh.adjacency_csr()
+    nx = mesh.nx
+    data = np.zeros((offsets.size, mesh.n_cells))
+    rows = dict(zip(offsets.tolist(), data))  # offset -> its row, a view
+    rows[0][:] = diag
+    (upper_x, upper_y), (lower_x, lower_y) = _edge_grids(mesh, upper), _edge_grids(mesh, lower)
+    if nx > 1:
+        rows[1].reshape(-1, nx)[:, 1:] = upper_x
+        rows[-1].reshape(-1, nx)[:, :-1] = lower_x
+    if mesh.ny > 1:
+        rows[nx][nx:] = upper_y.ravel()
+        rows[-nx][:-nx] = lower_y.ravel()
+    return SparseMatrix(offsets, data)
+
+
 def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatrix:
     """The chem operator B of a run: sum(tau) + gamma*m(K) on the diagonal
     (plus m(K)/dt when ``dt`` is given, for parabolic dynamics) and -tau per
@@ -142,15 +176,10 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     B (gamma = 0, elliptic) raises ``SolverError`` here.
     """
     m = mesh.cell_measures
-    pattern = mesh.adjacency_csr()
     diag = mesh.tau_sum_interior + chem_decay * m
     if dt is not None:
         diag = diag + m / dt
-    data = np.zeros(pattern.nnz)
-    data[pattern.diag_slots] = diag
-    data[pattern.kl_slots] = -mesh.interior_tau
-    data[pattern.lk_slots] = -mesh.interior_tau
-    b_mat = SparseMatrix(pattern, data)
+    b_mat = _five_point(mesh, diag, -mesh.interior_tau, -mesh.interior_tau)
 
     def neumann_eigenvalues(n):
         return 2.0 * (1.0 - np.cos(np.pi * np.arange(n) / n))
@@ -235,48 +264,47 @@ def assemble_cell_system(
     and plain variants, or c^n for the lagged variant. Growth terms follow
     the semi-implicit splits: quadratic logistic adds r*m*u^n to both the
     diagonal and F; the cubic kind adds -m*u^n(1-u^n) to the diagonal only
-    and requires the diagonal to stay positive.
+    and requires every column slack m/dt - m*u^n(1-u^n) to stay positive,
+    that is dt*max u^n(1-u^n) < 1.
     """
     mesh, model, dt = plan.mesh, plan.model, plan.dt
     m = mesh.cell_measures
     u = state.u
-    pattern = mesh.adjacency_csr()
-    ka, kb = mesh.interior_cell_a, mesh.interior_cell_b
     tau = mesh.interior_tau
 
-    dc = c_new[kb] - c_new[ka]
+    c_grid = c_new.reshape(mesh.ny, mesh.nx)
+    dc_x, dc_y = c_grid[:, 1:] - c_grid[:, :-1], c_grid[1:] - c_grid[:-1]
+    dc = np.concatenate([dc_x.ravel(), dc_y.ravel()])
     s_plus = limiter_S(plan.limiter, dc)
     w_plus = tau * (model.cell_diffusion + model.chemo_sensitivity * s_plus)
     # S(-x) = S(x) - x holds exactly in floating point on every branch
     w_minus = tau * (model.cell_diffusion + model.chemo_sensitivity * (s_plus - dc))
 
-    flux_out_a = np.bincount(ka, weights=w_plus, minlength=mesh.n_cells)
-    flux_out_b = np.bincount(kb, weights=w_minus, minlength=mesh.n_cells)
-    diag = m / dt + flux_out_a + flux_out_b
+    # cell K's outflow: w_plus over its edges to K+1 and K+nx, and w_minus
+    # over its edges from K-1 and K-nx, each sum x-normal edge first
+    flux_out_a, flux_out_b = np.zeros((2, mesh.ny, mesh.nx))
+    (plus_x, plus_y), (minus_x, minus_y) = _edge_grids(mesh, w_plus), _edge_grids(mesh, w_minus)
+    flux_out_a[:, :-1] += plus_x
+    flux_out_a[:-1, :] += plus_y
+    flux_out_b[:, 1:] += minus_x
+    flux_out_b[1:, :] += minus_y
+    diag = m / dt + flux_out_a.ravel() + flux_out_b.ravel()
     rhs = m * u / dt
     if model.growth == _model.GROWTH_QUADRATIC:
         growth = model.growth_rate * m * u
         diag = diag + growth
         rhs = rhs + growth
     elif model.growth == _model.GROWTH_CUBIC:
-        uptake = m * u * (1.0 - u)
-        diag = diag - uptake
-        if np.any(diag <= 0):
-            # diag = m/dt - (uptake - flux) stays positive iff dt < m/(uptake - flux)
-            excess = uptake - (flux_out_a + flux_out_b)
-            binding = excess > 0
-            dt_max = float(np.min(m[binding] / excess[binding]))
+        diag = diag - m * u * (1.0 - u)
+        worst = float(np.max(u * (1.0 - u)))
+        if dt * worst >= 1.0:
             raise SchemeError(
-                f"cubic growth made a diagonal entry nonpositive at step "
-                f"{state.step_index} (t={state.step_index * dt:.6g}) with dt={dt:.6g}; "
-                f"reduce dt below the largest admissible dt {dt_max:.6g}"
+                f"cubic growth left a column of the cell matrix without dominance "
+                f"at step {state.step_index} (t={state.step_index * dt:.6g}) with "
+                f"dt={dt:.6g}; reduce dt below the largest admissible dt {1.0 / worst:.6g}"
             )
 
-    data = np.zeros(pattern.nnz)
-    data[pattern.diag_slots] = diag
-    data[pattern.kl_slots] = -w_minus
-    data[pattern.lk_slots] = -w_plus
-    return SparseMatrix(pattern, data), rhs
+    return _five_point(mesh, diag, -w_minus, -w_plus), rhs
 
 
 def _require_nonnegative(field: np.ndarray, name: str):

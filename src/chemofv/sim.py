@@ -245,6 +245,9 @@ def run(
             "does not cover this step size"
         )
 
+    if config.model.chem_source == _model.SOURCE_LINEAR:
+        log.info("the chem source is linear: the theory gives no bound on c, so none is checked")
+
     mesh = config.mesh
     plan = plan_for(config, solver)
     state = make_initial_state(mesh, config.ic)

@@ -1,14 +1,44 @@
 """Independent brute-force oracles used only by the tests.
 
 Everything here is deliberately written without touching the production
-code paths (no SparseMatrix; the scipy solvers are the reference BiCGSTAB
-and the sparse LU that production calls only as the cell operator's
-fallback), so that agreement between the two sides is meaningful.
+code paths (the scipy solvers are the reference BiCGSTAB and the sparse LU
+that production calls only as the cell operator's fallback), so that
+agreement between the two sides is meaningful. The exceptions are
+``from_coo``, ``from_dense`` and ``identity``, which lay test matrices out
+as the production ``SparseMatrix``.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from chemofv import SparseMatrix
+
+
+def from_dense(a) -> SparseMatrix:
+    """``a`` in the DIA layout: one diagonal for every offset that holds a
+    nonzero entry, plus offset 0, stored even when it is all zero."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    rows, cols = np.nonzero(a)
+    offsets = np.union1d(cols - rows, [0])
+    data = np.zeros((offsets.size, n))
+    for d, offset in enumerate(offsets):
+        col = np.arange(max(offset, 0), min(n + offset, n))
+        data[d, col] = a[col - offset, col]  # data[d, j] = A[j - offset, j]
+    return SparseMatrix(offsets, data)
+
+
+def from_coo(n, rows, cols, vals) -> SparseMatrix:
+    """Build from triplets; duplicates are summed, then laid out as in
+    ``from_dense``."""
+    dense = np.zeros((n, n))
+    np.add.at(dense, (np.asarray(rows), np.asarray(cols)), np.asarray(vals, dtype=float))
+    return from_dense(dense)
+
+
+def identity(n) -> SparseMatrix:
+    return SparseMatrix([0], np.ones((1, n)))
 
 
 def dense_gauss_solve(a, b):
@@ -95,36 +125,21 @@ def abs_sum_slacks(a):
     return absdiag - off.sum(axis=1), absdiag - off.sum(axis=0)
 
 
-def adjacency_pattern_loops(mesh):
-    """Loop transcription of the operators' CSR pattern, read off the
-    mesh's interior edge list.
+def dia_layout_loops(mesh):
+    """Loop transcription of the operators' DIA layout, read off the mesh's
+    interior edge list: (offsets, slots).
 
-    Row k holds k and every cell across an interior edge of k, in increasing
-    column order. Returns int64 arrays (indptr, indices, diag_slots,
-    kl_slots, lk_slots), the last two listing the slots of (a, b) and
-    (b, a) for each interior edge in edge order.
+    ``offsets`` are the int64 sorted offsets l - k of every stored entry
+    (k, l): the diagonal and both directions of every interior edge.
+    ``slots[(k, l)]`` is the (diagonal index, column) at which entry (k, l)
+    sits in the data array, whose column is always l.
     """
-    n = mesh.n_cells
-    edges = [
-        (int(a), int(b)) for a, b in zip(mesh.interior_cell_a, mesh.interior_cell_b)
-    ]
-    rows = [[k] for k in range(n)]
-    for a, b in edges:
-        rows[a].append(b)
-        rows[b].append(a)
-    indptr, indices, slot = [0], [], {}
-    for r, cols in enumerate(rows):
-        for c in sorted(cols):
-            slot[(r, c)] = len(indices)
-            indices.append(c)
-        indptr.append(len(indices))
-    diag_slots = [slot[(k, k)] for k in range(n)]
-    kl_slots = [slot[(a, b)] for a, b in edges]
-    lk_slots = [slot[(b, a)] for a, b in edges]
-    return tuple(
-        np.array(v, dtype=np.int64)
-        for v in (indptr, indices, diag_slots, kl_slots, lk_slots)
-    )
+    entries = [(k, k) for k in range(mesh.n_cells)]
+    for a, b in zip(mesh.interior_cell_a.tolist(), mesh.interior_cell_b.tolist()):
+        entries += [(a, b), (b, a)]
+    offsets = sorted({l - k for k, l in entries})
+    slots = {(k, l): (offsets.index(l - k), l) for k, l in entries}
+    return np.array(offsets, dtype=np.int64), slots
 
 
 def scipy_jacobi_bicgstab(a, b, tol=1e-12):

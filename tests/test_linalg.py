@@ -8,11 +8,14 @@ from chemofv import (
     check_m_matrix_pattern,
     spmv,
 )
-from chemofv.linalg import CsrPattern, keep_dct_solve
+from chemofv.linalg import keep_dct_solve
 from oracles import (
     abs_sum_slacks,
     dense_gauss_solve,
     dense_spmv,
+    from_coo,
+    from_dense,
+    identity,
     random_dominant_m_matrix,
     scipy_jacobi_bicgstab,
 )
@@ -20,55 +23,59 @@ from oracles import (
 
 class TestSparseMatrix:
     def test_identity_round_trip(self):
-        m = SparseMatrix.identity(4)
+        m = identity(4)
         np.testing.assert_array_equal(m.to_dense(), np.eye(4))
         np.testing.assert_array_equal(m.diagonal(), np.ones(4))
 
     def test_zero_offdiagonals_pruned(self):
         dense = np.array([[2.0, 0.0], [-1.0, 3.0]])
-        m = SparseMatrix.from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [2.0, 0.0, -1.0, 3.0])
-        assert m.nnz == 3  # the explicit (0,1) zero is gone
+        m = from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [2.0, 0.0, -1.0, 3.0])
+        np.testing.assert_array_equal(m.offsets, [-1, 0])  # only a zero at +1
         np.testing.assert_array_equal(m.to_dense(), dense)
 
     def test_zero_diagonal_kept(self):
-        m = SparseMatrix(CsrPattern(2, [0, 1, 2], [0, 1]), [0.0, 1.0])
-        assert m.nnz == 2
+        m = SparseMatrix([0], [[0.0, 1.0]])
         np.testing.assert_array_equal(m.diagonal(), [0.0, 1.0])
+        m = from_dense([[0.0, 2.0], [3.0, 0.0]])
+        np.testing.assert_array_equal(m.offsets, [-1, 0, 1])
+        np.testing.assert_array_equal(m.diagonal(), [0.0, 0.0])
 
-    def test_missing_diagonal_rejected(self):
-        with pytest.raises(ValueError):
-            CsrPattern(2, [0, 1, 2], [1, 0])
+    @pytest.mark.parametrize(
+        "offsets,match",
+        [([1, 0], "sorted"), ([0, 0], "sorted"), ([-1, 1], "include 0"), ([[0]], "sorted")],
+    )
+    def test_bad_offsets_rejected(self, offsets, match):
+        with pytest.raises(ValueError, match=match):
+            SparseMatrix(offsets, np.zeros((2, 3)))
 
-    def test_unsorted_columns_rejected(self):
-        with pytest.raises(ValueError):
-            CsrPattern(2, [0, 2, 3], [1, 0, 1])
+    def test_data_shape_must_match_offsets(self):
+        for data in ([1.0, 2.0], np.ones((2, 2)), np.ones((1, 2, 2))):
+            with pytest.raises(ValueError, match=r"need \(1, n\)"):
+                SparseMatrix([0], data)
 
-    def test_data_size_must_match_pattern(self):
-        pattern = CsrPattern(2, [0, 1, 2], [0, 1])
-        for data in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
-            with pytest.raises(ValueError, match="pattern has 2 entries"):
-                SparseMatrix(pattern, data)
+    @pytest.mark.parametrize("offset,column", [(1, 0), (-1, 2), (2, 1), (-4, 0), (4, 2)])
+    def test_entry_outside_matrix_rejected(self, offset, column):
+        # data[d, j] = A[j - offset, j]: row j - offset must lie in [0, 3)
+        offsets = sorted({0, offset})
+        data = np.zeros((len(offsets), 3))
+        data[offsets.index(offset), column] = -1.0
+        with pytest.raises(ValueError, match="outside the matrix"):
+            SparseMatrix(offsets, data)
+        data[offsets.index(offset), column] = 0.0
+        SparseMatrix(offsets, data)  # zeros outside the matrix are fine
 
-    def test_pattern_arrays_read_only(self):
-        indptr, indices = np.array([0, 2, 4]), np.array([0, 1, 0, 1])
-        pattern = CsrPattern(2, indptr, indices)
-        indices[0] = 1  # the pattern holds its own copy
-        np.testing.assert_array_equal(pattern.indices, [0, 1, 0, 1])
-        arrays = [pattern.indptr, pattern.indices, pattern.rows]
-        arrays += [pattern.diag_slots, pattern.off_slots]
-        for array in arrays + list(pattern.scipy_index):
+    def test_arrays_read_only(self):
+        offsets, data = np.array([-1, 0, 1]), np.ones((3, 3))
+        data[0, 2] = data[2, 0] = 0.0
+        m = SparseMatrix(offsets, data)
+        data[1, 0] = 7.0  # the operator holds its own copy
+        assert m.diagonal()[0] == 1.0
+        for array in (m.offsets, m.data, m.dia.offsets, m.dia.data):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
-        m = SparseMatrix(pattern, [2.0, -1.0, -1.0, 2.0])
-        with pytest.raises(ValueError, match="read-only"):
-            m.csr.indices[0] = 1
-
-    def test_column_outside_matrix_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            CsrPattern(2, [0, 1, 3], [0, 1, 2])
 
     def test_from_coo_sums_duplicates_and_adds_diagonal(self):
-        m = SparseMatrix.from_coo(2, [0, 0, 0], [1, 1, 0], [1.0, 2.0, 4.0])
+        m = from_coo(2, [0, 0, 0], [1, 1, 0], [1.0, 2.0, 4.0])
         np.testing.assert_array_equal(m.to_dense(), [[4.0, 3.0], [0.0, 0.0]])
         assert m.diagonal()[1] == 0.0
 
@@ -76,10 +83,10 @@ class TestSparseMatrix:
 class TestSpmv:
     def test_identity(self):
         x = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_array_equal(spmv(SparseMatrix.identity(3), x), x)
+        np.testing.assert_array_equal(spmv(identity(3), x), x)
 
     def test_diagonal_scaling(self):
-        m = SparseMatrix.from_dense(np.diag([2.0, 3.0, -1.0]))
+        m = from_dense(np.diag([2.0, 3.0, -1.0]))
         np.testing.assert_array_equal(
             spmv(m, np.array([1.0, 1.0, 2.0])), [2.0, 3.0, -2.0]
         )
@@ -87,7 +94,7 @@ class TestSpmv:
     def test_against_dense_oracle_within_ulps(self):
         rng = np.random.default_rng(11)
         dense = random_dominant_m_matrix(rng, 10)
-        m = SparseMatrix.from_dense(dense)
+        m = from_dense(dense)
         x = rng.standard_normal(10)
         got = spmv(m, x)
         want = dense_spmv(dense, x)
@@ -96,12 +103,12 @@ class TestSpmv:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            spmv(SparseMatrix.identity(3), np.ones(4))
+            spmv(identity(3), np.ones(4))
 
 
 class TestStructureChecks:
     def test_identity_flags(self):
-        report = check_m_matrix_pattern(SparseMatrix.identity(3))
+        report = check_m_matrix_pattern(identity(3))
         assert report.diag_positive
         assert report.offdiag_nonpositive
         np.testing.assert_array_equal(report.row_slack, np.ones(3))
@@ -110,11 +117,11 @@ class TestStructureChecks:
 
     def test_sign_pattern_violations_detected(self):
         report = check_m_matrix_pattern(
-            SparseMatrix.from_dense([[1.0, 0.5], [-0.2, 1.0]])
+            from_dense([[1.0, 0.5], [-0.2, 1.0]])
         )
         assert not report.offdiag_nonpositive
         report = check_m_matrix_pattern(
-            SparseMatrix.from_dense([[-1.0, 0.0], [0.0, 1.0]])
+            from_dense([[-1.0, 0.0], [0.0, 1.0]])
         )
         assert not report.diag_positive
 
@@ -123,14 +130,14 @@ class TestStructureChecks:
         for _ in range(200):
             n = int(rng.integers(2, 30))
             dense = random_dominant_m_matrix(rng, n, slack_scale=rng.random() * 10 + 0.01)
-            report = check_m_matrix_pattern(SparseMatrix.from_dense(dense))
+            report = check_m_matrix_pattern(from_dense(dense))
             assert report.diag_positive and report.offdiag_nonpositive
             tol = 1e-14 * np.abs(np.diag(dense)).max()
             for got, want in zip((report.row_slack, report.col_slack), abs_sum_slacks(dense)):
                 assert np.max(np.abs(got - want)) <= tol
 
     def test_slack_values(self):
-        m = SparseMatrix.from_dense([[3.0, -1.0], [-2.0, 4.0]])
+        m = from_dense([[3.0, -1.0], [-2.0, 4.0]])
         report = check_m_matrix_pattern(m)
         np.testing.assert_allclose(report.row_slack, [2.0, 2.0])
         np.testing.assert_allclose(report.col_slack, [1.0, 3.0])
@@ -139,7 +146,7 @@ class TestStructureChecks:
 class TestSolve:
     def test_identity(self):
         b = np.array([1.0, -2.0, 0.5])
-        x, report = LinearSolver().solve(SparseMatrix.identity(3), b)
+        x, report = LinearSolver().solve(identity(3), b)
         np.testing.assert_allclose(x, b, rtol=1e-14)
         assert report.residual <= 1e-12
 
@@ -147,7 +154,7 @@ class TestSolve:
         # [m(K)] c = m(K) g(u)
         m_k, u = 2.5, 4.0
         g = u / (u + 1.0)
-        mat = SparseMatrix.from_dense([[m_k]])
+        mat = from_dense([[m_k]])
         x, _ = LinearSolver().solve(mat, np.array([m_k * g]))
         assert x[0] == pytest.approx(g, rel=1e-14)
 
@@ -155,12 +162,12 @@ class TestSolve:
         rng = np.random.default_rng(5)
         dense = random_dominant_m_matrix(rng, 50)
         b = rng.random(50)
-        x, _ = LinearSolver().solve(SparseMatrix.from_dense(dense), b)
+        x, _ = LinearSolver().solve(from_dense(dense), b)
         want = dense_gauss_solve(dense, b)
         assert np.max(np.abs(x - want)) <= 1e-10
 
     def test_zero_rhs_gives_zero(self):
-        m = SparseMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
+        m = from_dense([[2.0, -1.0], [-1.0, 2.0]])
         x, report = LinearSolver().solve(m, np.zeros(2))
         np.testing.assert_array_equal(x, np.zeros(2))
         assert report.method == "trivial"
@@ -168,7 +175,7 @@ class TestSolve:
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
         dense = random_dominant_m_matrix(rng, 30)
-        m = SparseMatrix.from_dense(dense)
+        m = from_dense(dense)
         b = rng.random(30)
         solver = LinearSolver()
         x1, _ = solver.solve(m, b)
@@ -184,7 +191,7 @@ class TestSolve:
             n = int(rng.integers(2, 24))
             dense = random_dominant_m_matrix(rng, n, slack_scale=rng.random() * 10 + 0.01)
             b = rng.standard_normal(n)
-            x, report = solver.solve(SparseMatrix.from_dense(dense), b)
+            x, report = solver.solve(from_dense(dense), b)
             assert report.residual <= 1e-12, f"trial {trial}"
 
     def test_m_matrix_nonnegative_rhs_gives_nonnegative_solution(self):
@@ -195,29 +202,29 @@ class TestSolve:
             n = int(rng.integers(2, 30))
             dense = random_dominant_m_matrix(rng, n)
             b = rng.random(n)
-            x, _ = solver.solve(SparseMatrix.from_dense(dense), b)
+            x, _ = solver.solve(from_dense(dense), b)
             assert x.min() >= -1e-12 * np.abs(x).max()
 
     def test_singular_matrix_raises(self):
-        m = SparseMatrix.from_dense([[1.0, 1.0], [1.0, 1.0]])
+        m = from_dense([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SolverError):
             LinearSolver().solve(m, np.array([1.0, 2.0]))
 
     def test_rhs_shape_mismatch(self):
         with pytest.raises(ValueError):
-            LinearSolver().solve(SparseMatrix.identity(3), np.ones(2))
+            LinearSolver().solve(identity(3), np.ones(2))
 
     def test_krylov_path_matches_dense_oracle(self):
         rng = np.random.default_rng(29)
         dense = random_dominant_m_matrix(rng, 40, density=0.1)
         b = rng.random(40)
-        x, _ = LinearSolver().solve(SparseMatrix.from_dense(dense), b)
+        x, _ = LinearSolver().solve(from_dense(dense), b)
         assert np.max(np.abs(x - dense_gauss_solve(dense, b))) <= 1e-9
 
     def test_krylov_breakdown_falls_back_to_lu(self, splu_calls):
         # not an M-matrix: Jacobi-BiCGSTAB breaks down on it
         dense = [[1.0, 5.0, 0.0], [-5.0, 1.0, 5.0], [0.0, -5.0, 1.0]]
-        m = SparseMatrix.from_dense(dense)
+        m = from_dense(dense)
         b = np.ones(3)
         x, report = LinearSolver().solve(m, b)
         assert report.method == "direct-lu(fallback)"
@@ -227,7 +234,7 @@ class TestSolve:
     def test_zero_diagonal_is_solved_by_one_lu(self, splu_calls):
         # Jacobi needs the diagonal: the permutation [[0, 2], [3, 0]] goes to LU
         dense = np.array([[0.0, 2.0], [3.0, 0.0]])
-        x, report = LinearSolver().solve(SparseMatrix.from_dense(dense), np.array([4.0, 9.0]))
+        x, report = LinearSolver().solve(from_dense(dense), np.array([4.0, 9.0]))
         assert report.method == "direct-lu(fallback)"
         assert report.iterations == 0
         assert len(splu_calls) == 1
@@ -235,7 +242,7 @@ class TestSolve:
 
     def test_fallback_lu_is_made_per_solve_and_not_kept(self, splu_calls):
         dense = [[1.0, 5.0, 0.0], [-5.0, 1.0, 5.0], [0.0, -5.0, 1.0]]
-        m = SparseMatrix.from_dense(dense)
+        m = from_dense(dense)
         solver = LinearSolver()
         b = np.ones(3)  # Jacobi-BiCGSTAB breaks down on it, as above
         solves = [solver.solve(m, b) for _ in range(2)]
@@ -249,13 +256,13 @@ class TestSolve:
         rng = np.random.default_rng(37)
         dense = random_dominant_m_matrix(rng, 20, slack_scale=0.01)
         b = rng.random(20)
-        x, report = LinearSolver().solve(SparseMatrix.from_dense(dense), b)
+        x, report = LinearSolver().solve(from_dense(dense), b)
         assert report.method == "jacobi-bicgstab"
         assert splu_calls == []
         assert np.max(np.abs(x - dense_gauss_solve(dense, b))) <= 1e-9
 
     def test_dct_solve_rejects_nonpositive_grid(self):
-        m = SparseMatrix.from_dense([[3.0, -1.0], [-1.0, 3.0]])
+        m = from_dense([[3.0, -1.0], [-1.0, 3.0]])
         with pytest.raises(SolverError):
             keep_dct_solve(m, [[2.0, np.nan]])
         keep_dct_solve(m, [[2.0, 4.0]])  # T_2 + 2I: eigenvalues 2 and 4
@@ -267,11 +274,11 @@ class TestSolve:
     def test_krylov_path_matches_scipy_bicgstab(self, n, slack_scale):
         rng = np.random.default_rng(41 + n)
         dense = random_dominant_m_matrix(rng, n, density=0.1, slack_scale=slack_scale)
-        m = SparseMatrix.from_dense(dense)
+        m = from_dense(dense)
         b = rng.random(n)
         solver = LinearSolver()
         x, report = solver.solve(m, b)
-        want, iterations, info = scipy_jacobi_bicgstab(m.csr, b, solver.tol)
+        want, iterations, info = scipy_jacobi_bicgstab(m.dia, b, solver.tol)
         assert info == 0
         assert report.method == "jacobi-bicgstab"
         assert report.iterations == iterations

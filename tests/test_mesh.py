@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from chemofv import MeshError, build_uniform_rect_mesh
+from chemofv.scheme import _five_point
 
-from oracles import adjacency_pattern_loops
+from oracles import dia_layout_loops
 
 
 def test_single_cell_mesh():
@@ -81,35 +82,46 @@ def test_edge_incidence_and_counts():
     assert boundary_sides.sum() == 2 * (nx + ny)
     interior_cell = 1 * nx + 2
     assert degree[interior_cell] == 4
-    # every stored entry is the diagonal or one side of exactly one edge
-    pattern = mesh.adjacency_csr()
-    owners = np.concatenate([pattern.diag_slots, pattern.kl_slots, pattern.lk_slots])
-    assert np.array_equal(np.bincount(owners, minlength=pattern.nnz), np.ones(pattern.nnz))
+    # the layout stores the diagonal and both sides of every edge, each once
+    ones = np.ones(mesh.n_interior_edges)
+    operator = _five_point(mesh, np.ones(mesh.n_cells), ones, ones)
+    assert np.count_nonzero(operator.data) == mesh.n_cells + 2 * mesh.n_interior_edges
 
 
 def test_adjacency_neighbors_symmetric():
     mesh = build_uniform_rect_mesh((0.0, 4.0), (0.0, 4.0), 4, 4)
-    pattern = mesh.adjacency_csr()
-    neighbors = [
-        set(pattern.indices[pattern.indptr[k] : pattern.indptr[k + 1]].tolist()) - {k}
-        for k in range(mesh.n_cells)
-    ]
-    for k, nbs in enumerate(neighbors):
-        for nb in nbs:
-            assert k in neighbors[nb]
+    offsets = mesh.adjacency_csr()
+    np.testing.assert_array_equal(offsets, -offsets[::-1])
+    ones = np.ones(mesh.n_interior_edges)
+    dense = _five_point(mesh, np.zeros(mesh.n_cells), ones, ones).to_dense()
+    np.testing.assert_array_equal(dense, dense.T)
 
 
 @pytest.mark.parametrize(
     "nx,ny", [(1, 1), (2, 1), (1, 5), (3, 5), (48, 48), (35, 350), (150, 150)]
 )
-def test_adjacency_pattern_matches_loop_reference(nx, ny):
+def test_dia_layout_matches_loop_reference(nx, ny):
     mesh = build_uniform_rect_mesh((0.0, 1.0), (-2.0, 2.0), nx, ny)
-    pattern = mesh.adjacency_csr()
-    names = ("indptr", "indices", "diag_slots", "kl_slots", "lk_slots")
-    for name, expected in zip(names, adjacency_pattern_loops(mesh)):
-        actual = getattr(pattern, name)
-        assert actual.dtype == expected.dtype, name
-        np.testing.assert_array_equal(actual, expected, err_msg=name)
+    offsets, slots = dia_layout_loops(mesh)
+    layout = mesh.adjacency_csr()
+    assert layout.dtype == offsets.dtype
+    np.testing.assert_array_equal(layout, offsets)
+    with pytest.raises(ValueError, match="read-only"):
+        layout[0] = 0
+    # a distinct value per entry shows where each one lands
+    n, n_edges = mesh.n_cells, mesh.n_interior_edges
+    diag = 1.0 + np.arange(n)
+    upper, lower = -1.0 - np.arange(n_edges), -1.0 - n_edges - np.arange(n_edges)
+    operator = _five_point(mesh, diag, upper, lower)
+    want = np.zeros((offsets.size, n))
+    for k in range(n):
+        want[slots[(k, k)]] = diag[k]
+    edges = zip(mesh.interior_cell_a.tolist(), mesh.interior_cell_b.tolist())
+    for e, (a, b) in enumerate(edges):
+        want[slots[(a, b)]] = upper[e]
+        want[slots[(b, a)]] = lower[e]
+    # every other entry, those outside the matrix included, is a zero
+    np.testing.assert_array_equal(operator.data, want)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.sparse as sp
 
 from chemofv import (
     FluxLimiter,
@@ -42,7 +43,10 @@ from chemofv.scheme import (
     VARIANT_PLAIN,
     chem_operator,
 )
-from oracles import abs_sum_slacks, beta_brute_force, splu_solve
+from chemofv.linalg import spmv
+from oracles import abs_sum_slacks, beta_brute_force, dia_layout_loops, splu_solve
+
+LAYOUT_SHAPES = [(1, 1), (2, 1), (1, 5), (3, 5), (48, 48), (35, 350), (150, 150)]
 
 CORRECTED = SchemeVariant(kind=VARIANT_CORRECTED)
 PLAIN = SchemeVariant(kind=VARIANT_PLAIN)
@@ -207,8 +211,8 @@ class TestStepPlan:
             b = build(mesh, chem_decay, dt_or_none)
             slack = chem_decay + (0.0 if dt_or_none is None else 1.0 / dt_or_none)
             data = b.data.copy()
-            data[b.pattern.diag_slots[0]] -= 0.5 * slack * mesh.cell_measures[0]
-            return SparseMatrix(b.pattern, data)
+            data[np.searchsorted(b.offsets, 0), 0] -= 0.5 * slack * mesh.cell_measures[0]
+            return SparseMatrix(b.offsets, data)
 
         monkeypatch.setattr(scheme, "chem_operator", broken_operator)
         plan_of(mesh_small, model, dt)  # unchecked plans do not look
@@ -333,9 +337,9 @@ class TestChemDctSolve:
         for rhs in (rng.random(mesh.n_cells), rng.standard_normal(mesh.n_cells)):
             x, report = LinearSolver().solve(b, rhs)
             assert report.method == "direct-dct"
-            residual = np.linalg.norm(b.csr @ x - rhs) / np.linalg.norm(rhs)
+            residual = np.linalg.norm(b.dia @ x - rhs) / np.linalg.norm(rhs)
             assert residual <= 1e-12
-            want = splu_solve(b.csr, rhs)
+            want = splu_solve(b.dia, rhs)
             assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_point_source_stays_nonnegative(self):
@@ -462,6 +466,23 @@ class TestCellAssembly:
         ):
             assemble_cell_system(state, np.zeros(1), plan_of(mesh, model, 5.0))
 
+    def test_cubic_growth_guard_reads_the_column_slack(self):
+        # test4's model from a uniform u = 3 at dt = 5: three steps take u to
+        # a uniform 0.5964, where dt u(1-u) = 5 * 0.2407 > 1, while the
+        # diagonal m/dt - m u(1-u) + outflow is still positive
+        p = preset("test4")
+        mesh = build_uniform_rect_mesh(p.x_range, p.y_range, 12, 12)
+        plan = plan_of(mesh, p.model, 5.0, 1e-6)
+        state = make_initial_state(mesh, InitialConditionSpec(base_u=3.0))
+        for _ in range(3):
+            state = step(state, plan)
+        assert state.step_index == 3
+        np.testing.assert_allclose(state.u, 0.5964, rtol=1e-4)
+        with pytest.raises(
+            SchemeError, match=r"step 3 \(t=15\).*reduce dt.*largest admissible dt 4\.154"
+        ):
+            step(state, plan)
+
     def test_requires_positive_dt(self, mesh_2cell):
         with pytest.raises(SchemeError):
             plan_of(mesh_2cell, elliptic_model(), 0.0)
@@ -486,15 +507,39 @@ class TestCellAssembly:
             for got, expected in zip((report.row_slack, report.col_slack), want):
                 assert np.max(np.abs(got - expected)) <= tol
 
-    def test_operators_share_the_mesh_pattern(self):
+    def test_operators_share_the_mesh_layout(self):
         mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 5, 7)
         state = perturbed_state(mesh)
         model = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
         plan = plan_of(mesh, model, 0.1)
         b_mat, _ = assemble_chem_system(state, plan)
         a_mat, _ = assemble_cell_system(state, state.c, plan)
-        assert b_mat.pattern is mesh.adjacency_csr()
-        assert a_mat.pattern is mesh.adjacency_csr()
+        np.testing.assert_array_equal(b_mat.offsets, [-5, -1, 0, 1, 5])
+        np.testing.assert_array_equal(a_mat.offsets, mesh.adjacency_csr())
+
+    @pytest.mark.parametrize("nx,ny", LAYOUT_SHAPES)
+    def test_spmv_bit_equal_to_sorted_csr_product(self, nx, ny):
+        # scipy's CSR product adds each row's entries in column order, as
+        # the pre-DIA operators did; random c puts the limiter on all
+        # three branches
+        mesh = build_uniform_rect_mesh((0.0, 1.0), (-2.0, 2.0), nx, ny)
+        n = mesh.n_cells
+        rng = np.random.default_rng(nx * 1000 + ny)
+        state = state_of(rng.random(n) * 2.0, c=rng.random(n), u_prev=rng.random(n) * 2.0)
+        plan = plan_of(mesh, elliptic_model(chem_dynamics=CHEM_PARABOLIC), 0.01, 1e-6)
+        b_mat, _ = assemble_chem_system(state, plan, 1.0)
+        a_mat, _ = assemble_cell_system(state, rng.random(n) * 4.0, plan)
+        _, slots = dia_layout_loops(mesh)
+        for mat in (b_mat, a_mat):
+            if n <= 48 * 48:
+                csr = sp.csr_matrix(mat.to_dense())
+            else:  # a dense copy takes 1-4 GB: read the loop layout's entries
+                rows, cols = np.array(list(slots)).T
+                d, j = np.array(list(slots.values())).T
+                csr = sp.csr_matrix((mat.data[d, j], (rows, cols)), shape=(n, n))
+                csr.sort_indices()
+            for x in (rng.standard_normal(n), rng.random(n)):
+                assert np.array_equal(spmv(mat, x), csr @ x)
 
 
 def perturbed_state(mesh, seed=42):
@@ -604,11 +649,10 @@ class TestStep:
             a, f = assemble(*args)
             data = a.data.copy()
             if broken == "positive off-diagonal":
-                off = np.setdiff1d(np.arange(a.nnz), a.pattern.diag_slots)
-                data[off[0]] = 1e-3
+                data[np.searchsorted(a.offsets, 1), 1] = 1e-3  # entry (0, 1)
             else:  # the column slack is m/dt; this halves it in column 0
-                data[a.pattern.diag_slots[0]] -= mesh_small.cell_measures[0] / (2.0 * dt)
-            return SparseMatrix(a.pattern, data), f
+                data[np.searchsorted(a.offsets, 0), 0] -= mesh_small.cell_measures[0] / (2.0 * dt)
+            return SparseMatrix(a.offsets, data), f
 
         monkeypatch.setattr(scheme, "assemble_cell_system", assemble_broken)
         match = "sign pattern" if broken == "positive off-diagonal" else "dominance slack"
@@ -641,8 +685,6 @@ class TestCoupledOracle:
         plan = plan_of(mesh, model, 0.1, solver=solver)
         new = step_coupled_oracle(state, plan)
         # residual of the coupled chem equation with the u^{n+1} source
-        from chemofv.linalg import spmv
-
         b, g = assemble_chem_system(
             State(u=new.u, c=state.c, u_prev=state.u, step_index=1), plan
         )

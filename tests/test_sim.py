@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from chemofv import (
     relative_l2_error,
     run,
 )
-from chemofv.model import RectRegion
+from chemofv.model import SOURCE_LINEAR, RectRegion
 from chemofv.scheme import VARIANT_CORRECTED, VARIANT_LAGGED, VARIANT_ORACLE, VARIANT_PLAIN
 from chemofv.sim import _InvariantMonitor, convergence_rates
 from oracles import h1_seminorm_direct, scipy_jacobi_bicgstab
@@ -209,11 +210,11 @@ class TestRun:
         solver = TallySolver()
         run(spots_30x30_config(), solver=solver)
         for (m, rhs, x), report in list(zip(solver.systems, solver.reports))[1::2]:
-            want, iterations, info = scipy_jacobi_bicgstab(m.csr, rhs, solver.tol)
+            want, iterations, info = scipy_jacobi_bicgstab(m.dia, rhs, solver.tol)
             assert info == 0
             assert report.iterations == iterations
             assert report.residual <= solver.tol
-            assert np.linalg.norm(m.csr @ (x - want)) <= 2 * solver.tol * np.linalg.norm(rhs)
+            assert np.linalg.norm(m.dia @ (x - want)) <= 2 * solver.tol * np.linalg.norm(rhs)
 
     def test_final_snapshot_always_written(self, mesh_small):
         cfg = desk_config(mesh_small, dt=0.1, t_final=0.5, snapshot_every=0)
@@ -232,6 +233,16 @@ class TestRun:
         with caplog.at_level(logging.WARNING, logger="chemofv.sim"):
             run(cfg)
         assert any("time-step condition" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_unbounded_c_noticed_once_for_a_linear_source(self, mesh_small, caplog, linear):
+        cfg = desk_config(mesh_small, dt=0.1, t_final=0.3)
+        if linear:
+            cfg = replace(cfg, model=replace(cfg.model, chem_source=SOURCE_LINEAR))
+        with caplog.at_level(logging.INFO, logger="chemofv.sim"):
+            run(cfg)
+        hits = [r for r in caplog.records if "no bound on c" in r.message]
+        assert len(hits) == (1 if linear else 0)
 
     def test_observer_sees_every_step(self, mesh_small):
         seen = []
