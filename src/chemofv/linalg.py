@@ -23,10 +23,12 @@ Every result is residual-checked, and an unmet tolerance raises instead of
 returning silently.
 
 Every inner product and norm, in the Krylov loop and in the residual
-check, is ``np.add.reduce`` over an elementwise product (``fixed_dot``).
-numpy sums that in one fixed pairwise order, where BLAS ``ddot``/``dnrm2``
-split the sum by thread, and the transforms run on one worker, so a run
-ends in the same bits at any BLAS, OpenMP or ``scipy.fft`` worker count.
+check, is one pass of ``np.einsum("i,i->", a, b)`` (``fixed_dot``), which
+multiplies and sums in the same loop and never calls BLAS. Its summation
+order is fixed by the numpy build: it does not depend on the thread count
+or on where the operands start in memory, where BLAS ``ddot``/``dnrm2``
+split the sum by thread. The transforms run on one worker, so a run ends
+in the same bits at any BLAS, OpenMP or ``scipy.fft`` worker count.
 """
 
 from __future__ import annotations
@@ -81,15 +83,20 @@ class SparseMatrix:
     ``offsets`` are sorted, unique and include 0; ``data`` holds one row per
     offset, ``data[d, j] = A[j - offsets[d], j]``, and an entry that falls
     outside the matrix must be zero. The constructor checks all of this and
-    keeps read-only copies of both arrays, on which it builds the one scipy
-    ``dia_matrix``, ``dia``, that every product reads. Instances are
-    immutable; the chem operator also keeps its exact transform solve, a
-    (solve, method label) pair, from ``keep_dct_solve``.
+    keeps both arrays read-only, on which it builds the one scipy
+    ``dia_matrix``, ``dia``, that every product reads. ``data`` is copied
+    unless it is already a read-only float64 array that owns its memory:
+    such an array is taken over as it is, so the caller hands it over and
+    does not make it writable again. Instances are immutable; the chem
+    operator also keeps its exact transform solve, a (solve, method label)
+    pair, from ``keep_dct_solve``.
     """
 
     def __init__(self, offsets, data):
         offsets = readonly_copy(offsets)
-        data = readonly_copy(data, float)  # own copy keeps the operator immutable
+        owned = isinstance(data, np.ndarray) and data.base is None
+        if not (owned and data.dtype == np.float64 and not data.flags.writeable):
+            data = readonly_copy(data, float)  # own copy keeps the operator immutable
         listed = offsets.tolist()
         if offsets.ndim != 1 or listed != sorted(set(listed)) or 0 not in listed:
             raise ValueError(f"offsets {offsets} must be sorted, unique and include 0")
@@ -132,15 +139,17 @@ def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
     return m.dia @ x
 
 
-def fixed_dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
-    """Inner product summed in numpy's fixed pairwise order, not by BLAS;
-    ``out`` takes the elementwise product when given."""
-    return float(np.add.reduce(np.multiply(a, b, out=out)))
+def fixed_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two vectors in one pass of ``np.einsum``, not by
+    BLAS (einsum calls BLAS only when asked to optimize). The summation
+    order is fixed by the numpy build, whatever the thread count or the
+    operands' alignment."""
+    return float(np.einsum("i,i->", a, b))
 
 
-def fixed_norm(a: np.ndarray, out: np.ndarray | None = None) -> float:
+def fixed_norm(a: np.ndarray) -> float:
     """Euclidean norm through ``fixed_dot``."""
-    return math.sqrt(fixed_dot(a, a, out))
+    return math.sqrt(fixed_dot(a, a))
 
 
 def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
@@ -239,7 +248,7 @@ class LinearSolver:
 
         method = None
         if m._exact is None and np.all(m.diagonal() != 0):
-            x, iters = self._jacobi_bicgstab(m, rhs)
+            x, iters = self._jacobi_bicgstab(m, rhs, rhs_norm)
             residual = np.inf if x is None else relative_residual(x)
             # NaN compares false: a non-finite Krylov result falls back too
             if residual <= self.tol:
@@ -255,29 +264,32 @@ class LinearSolver:
             )
         return x, SolveReport(iters, residual, method)
 
-    def _jacobi_bicgstab(self, m, rhs):
+    def _jacobi_bicgstab(self, m, rhs, rhs_norm):
         """Right-Jacobi-preconditioned BiCGSTAB (van der Vorst 1992) from
         x = 0: (solution, full iterations), or (None, 0) when it breaks down
-        or runs out of iterations.
+        or runs out of iterations. ``rhs_norm`` is ``fixed_norm(rhs)``.
 
         The recurrence, stopping rule (||r|| < max(tol/10, 1e-14)·||b||) and
         breakdown tests are those of ``scipy.sparse.linalg.bicgstab``; the
-        inner products are ``fixed_dot``. The work vectors live for the
-        solve and are updated in place; s = r - alpha·v overwrites r.
+        inner products are ``fixed_dot``. ||r_0|| is ||b||, and each later
+        ||r|| is taken once, where r is updated, for the next test. The
+        work vectors live for the solve and are updated in place;
+        s = r - alpha·v overwrites r.
         """
         a = m.dia
         inv_diag = 1.0 / m.diagonal()
-        atol = max(self.tol * 0.1, 1e-14) * fixed_norm(rhs)
+        atol = max(self.tol * 0.1, 1e-14) * rhs_norm
         breakdown = np.finfo(float).eps ** 2
         x = np.zeros(m.n)
         r = rhs.copy()
+        r_norm = rhs_norm
         r_tilde = rhs  # the shadow residual stays r_0 = b; never written
         p = rhs.copy()
         p_hat, s_hat, work = np.empty(m.n), np.empty(m.n), np.empty(m.n)
         for iteration in range(min(m.n, 300)):
-            if fixed_norm(r, work) < atol:
+            if r_norm < atol:
                 return x, iteration
-            rho = fixed_dot(r_tilde, r, work)
+            rho = fixed_dot(r_tilde, r)
             if abs(rho) < breakdown:
                 return None, 0
             if iteration > 0:
@@ -288,22 +300,23 @@ class LinearSolver:
                 p += r
             np.multiply(p, inv_diag, out=p_hat)
             v = a @ p_hat
-            rv = fixed_dot(r_tilde, v, work)
+            rv = fixed_dot(r_tilde, v)
             if rv == 0.0:
                 return None, 0
             alpha = rho / rv
             r -= np.multiply(v, alpha, out=work)
-            if fixed_norm(r, work) < atol:
+            if fixed_norm(r) < atol:
                 x += np.multiply(p_hat, alpha, out=work)
                 return x, iteration
             np.multiply(r, inv_diag, out=s_hat)
             t = a @ s_hat
-            tt = fixed_dot(t, t, work)
+            tt = fixed_dot(t, t)
             if tt == 0.0:  # scipy's omega turns NaN here and never recovers
                 return None, 0
-            omega = fixed_dot(t, r, work) / tt
+            omega = fixed_dot(t, r) / tt
             x += np.multiply(p_hat, alpha, out=work)
             x += np.multiply(s_hat, omega, out=work)
             r -= np.multiply(t, omega, out=work)
+            r_norm = fixed_norm(r)
             rho_prev = rho
         return None, 0

@@ -98,8 +98,8 @@ class Mesh:
             )
 
     def integral(self, values) -> float:
-        """sum over cells of m(K) v_K, in ``fixed_dot``'s fixed order, so
-        it does not depend on the BLAS thread count."""
+        """sum over cells of m(K) v_K, in ``fixed_dot``'s one-pass fixed
+        order, so it does not depend on the BLAS thread count."""
         return fixed_dot(self.cell_measures, values)
 
     def adjacency_csr(self) -> np.ndarray:

@@ -69,10 +69,21 @@ class FluxLimiter:
 
 
 def limiter_S(lim: FluxLimiter, x):
-    """Evaluate the limiter on a scalar or array."""
+    """Evaluate the limiter on a scalar or array.
+
+    Branch-free: S(x) = x/2 + |x/2| where |x| > t, and x/2 elsewhere. Past
+    the threshold that is exactly 0 for x < -t, and exactly x for x > t
+    unless halving x rounds, which needs x below 2**-1021 and so a
+    threshold that small (eps = mu gives t = 0). Otherwise it differs from
+    the piecewise definition only in a zero's sign: -0, or a negative
+    subnormal whose half rounds to -0, gives +0. NaN stays NaN and +inf
+    stays +inf; -inf gives NaN.
+    """
     arr = np.asarray(x, dtype=float)
-    t = lim.threshold
-    out = np.where(arr < -t, 0.0, np.where(arr > t, arr, 0.5 * arr))
+    out = np.multiply(arr, 0.5)
+    lift = np.abs(out)
+    lift *= np.abs(arr) > lim.threshold
+    out += lift
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -157,6 +168,7 @@ def _five_point(mesh: Mesh, diag, upper, lower) -> SparseMatrix:
     if mesh.ny > 1:
         rows[nx][nx:] = upper_y.ravel()
         rows[-nx][:-nx] = lower_y.ravel()
+    data.setflags(write=False)  # hand the fresh array over without a copy
     return SparseMatrix(offsets, data)
 
 

@@ -41,6 +41,13 @@ def identity(n) -> SparseMatrix:
     return SparseMatrix([0], np.ones((1, n)))
 
 
+def limiter_where(threshold, x):
+    """The flux limiter S as its piecewise definition: 0 below -t, x/2 on
+    [-t, t], x above t."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x < -threshold, 0.0, np.where(x > threshold, x, 0.5 * x))
+
+
 def dense_gauss_solve(a, b):
     """Dense Gaussian elimination with partial pivoting."""
     a = np.array(a, dtype=float)

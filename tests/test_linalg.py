@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from chemofv import (
     check_m_matrix_pattern,
     spmv,
 )
-from chemofv.linalg import keep_dct_solve
+from chemofv.linalg import fixed_dot, keep_dct_solve
 from oracles import (
     abs_sum_slacks,
     dense_gauss_solve,
@@ -63,6 +65,15 @@ class TestSparseMatrix:
             SparseMatrix(offsets, data)
         data[offsets.index(offset), column] = 0.0
         SparseMatrix(offsets, data)  # zeros outside the matrix are fine
+
+    def test_read_only_owned_data_is_taken_over(self):
+        offsets, data = np.array([-1, 0, 1]), np.ones((3, 3))
+        data[0, 2] = data[2, 0] = 0.0
+        data.setflags(write=False)
+        assert SparseMatrix(offsets, data).data is data
+        # a read-only view does not own its memory, so it is copied
+        view = data[:, :]
+        assert SparseMatrix(offsets, view).data is not view
 
     def test_arrays_read_only(self):
         offsets, data = np.array([-1, 0, 1]), np.ones((3, 3))
@@ -141,6 +152,30 @@ class TestStructureChecks:
         report = check_m_matrix_pattern(m)
         np.testing.assert_allclose(report.row_slack, [2.0, 2.0])
         np.testing.assert_allclose(report.col_slack, [1.0, 3.0])
+
+
+class TestFixedDot:
+    def test_same_bits_at_every_alignment(self):
+        # each operand at 8 byte offsets 0, 8, ..., 56: every position in a
+        # 64-byte line, so no SIMD path may see a different head or tail
+        rng = np.random.default_rng(47)
+        n = 22_500
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        want = fixed_dot(a, b)
+        for shift_a in range(8):
+            a_buf = np.empty(n + 8)
+            a_buf[shift_a : shift_a + n] = a
+            for shift_b in range(8):
+                b_buf = np.empty(n + 8)
+                b_buf[shift_b : shift_b + n] = b
+                got = fixed_dot(a_buf[shift_a : shift_a + n], b_buf[shift_b : shift_b + n])
+                assert got.hex() == want.hex(), (shift_a, shift_b)
+
+    def test_nonnegative_operands_match_exact_sum(self):
+        rng = np.random.default_rng(53)
+        a, b = rng.random(22_500), rng.random(22_500) * 1e3
+        exact = math.fsum((a * b).tolist())  # correctly rounded sum of the products
+        assert abs(fixed_dot(a, b) - exact) <= 1e-13 * exact
 
 
 class TestSolve:
@@ -222,14 +257,16 @@ class TestSolve:
         assert np.max(np.abs(x - dense_gauss_solve(dense, b))) <= 1e-9
 
     def test_krylov_breakdown_falls_back_to_lu(self, splu_calls):
-        # not an M-matrix: Jacobi-BiCGSTAB breaks down on it
-        dense = [[1.0, 5.0, 0.0], [-5.0, 1.0, 5.0], [0.0, -5.0, 1.0]]
+        # a structural breakdown: D = I, v = A b = [-1, 1], so
+        # (r~, v) = b . v = -1 + 1 is exactly 0 in any summation order
+        dense = [[1.0, -2.0], [0.0, 1.0]]
         m = from_dense(dense)
-        b = np.ones(3)
+        b = np.ones(2)
         x, report = LinearSolver().solve(m, b)
         assert report.method == "direct-lu(fallback)"
         assert len(splu_calls) == 1
         assert np.max(np.abs(x - dense_gauss_solve(np.array(dense), b))) <= 1e-12
+        np.testing.assert_array_equal(x, [3.0, 1.0])
 
     def test_zero_diagonal_is_solved_by_one_lu(self, splu_calls):
         # Jacobi needs the diagonal: the permutation [[0, 2], [3, 0]] goes to LU
@@ -241,10 +278,10 @@ class TestSolve:
         np.testing.assert_allclose(x, [3.0, 2.0], rtol=1e-15)
 
     def test_fallback_lu_is_made_per_solve_and_not_kept(self, splu_calls):
-        dense = [[1.0, 5.0, 0.0], [-5.0, 1.0, 5.0], [0.0, -5.0, 1.0]]
+        dense = [[1.0, -2.0], [0.0, 1.0]]
         m = from_dense(dense)
         solver = LinearSolver()
-        b = np.ones(3)  # Jacobi-BiCGSTAB breaks down on it, as above
+        b = np.ones(2)  # Jacobi-BiCGSTAB breaks down on it, as above
         solves = [solver.solve(m, b) for _ in range(2)]
         assert [report.method for _, report in solves] == ["direct-lu(fallback)"] * 2
         assert np.array_equal(solves[0][0], solves[1][0])

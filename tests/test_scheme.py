@@ -44,7 +44,13 @@ from chemofv.scheme import (
     chem_operator,
 )
 from chemofv.linalg import spmv
-from oracles import abs_sum_slacks, beta_brute_force, dia_layout_loops, splu_solve
+from oracles import (
+    abs_sum_slacks,
+    beta_brute_force,
+    dia_layout_loops,
+    limiter_where,
+    splu_solve,
+)
 
 LAYOUT_SHAPES = [(1, 1), (2, 1), (1, 5), (3, 5), (48, 48), (35, 350), (150, 150)]
 
@@ -104,6 +110,23 @@ class TestLimiter:
         s = limiter_S(lim, x)
         assert np.all(s <= np.abs(x) + 1e-15)
         assert np.all(lim.mu + lim.a * s >= lim.eps - 1e-15)
+
+    @pytest.mark.parametrize("mu,a,eps", [(1.0, 80.0, 0.0), (0.25, 2.0, 1e-6)])
+    def test_matches_piecewise_reference(self, mu, a, eps):
+        # the branch-free form against np.where on the piecewise definition:
+        # the same values (a zero's sign aside) and bit-identical weights
+        lim = FluxLimiter(mu, a, eps)
+        t = lim.threshold
+        rng = np.random.default_rng(43)
+        jumps = rng.standard_normal((4, 250_000)) * np.array([[1e-3], [1.0], [1e2], [1e6]])
+        edges = [t, np.nextafter(t, 0.0), np.nextafter(t, np.inf), 0.0, 5e-324]
+        x = np.concatenate([jumps.ravel() * t, edges, np.negative(edges), [np.nan, np.inf]])
+        s, want = limiter_S(lim, x), limiter_where(t, x)
+        np.testing.assert_array_equal(s, want)  # NaN where NaN; 0.0 == -0.0
+        with np.errstate(invalid="ignore"):  # inf - inf in the w_minus form
+            weights = [(mu + a * s, mu + a * want), (mu + a * (s - x), mu + a * (want - x))]
+        for got, ref in weights:
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):
