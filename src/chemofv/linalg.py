@@ -3,9 +3,10 @@
 An operator (``SparseMatrix``) is square and stored in scipy's DIA layout:
 sorted diagonal offsets that include 0, and one row of values per offset.
 The five-point operators of the uniform rectangle have offsets
-(-nx, -1, 0, 1, nx), written by slices. The Krylov products, the residual
-check and the structure check (``check_m_matrix_pattern``) all read that
-one ``dia_matrix``; no CSR or CSC matrix is built in a run unless a solve
+(-nx, -1, 0, 1, nx), written by slices. The residual check and the
+structure check (``check_m_matrix_pattern``) read that one
+``dia_matrix``, and the Krylov products a column-scaled copy of its data
+on the same offsets; no CSR or CSC matrix is built in a run unless a solve
 falls back to LU.
 
 The solve contract is a relative residual tolerance (``LinearSolver.tol``,
@@ -15,9 +16,11 @@ The solve contract is a relative residual tolerance (``LinearSolver.tol``,
   discrete cosine transform that diagonalises it (``keep_dct_solve``), and
   every solve with it is that transform solve;
 - any other matrix (the per-step cell operator) goes through
-  right-Jacobi-preconditioned BiCGSTAB; only when that misses the
-  tolerance, or the diagonal holds a zero, is the matrix LU-factorized for
-  that one solve, and nothing of the factorization is kept.
+  right-Jacobi-preconditioned BiCGSTAB, which iterates on the scaled
+  operator A·D⁻¹ (D the diagonal of A) and so applies no preconditioner
+  inside its loop; only when that misses the tolerance, or the diagonal
+  holds a zero, is the matrix LU-factorized for that one solve, and
+  nothing of the factorization is kept.
 
 Every result is residual-checked, and an unmet tolerance raises instead of
 returning silently.
@@ -33,6 +36,7 @@ in the same bits at any BLAS, OpenMP or ``scipy.fft`` worker count.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from collections.abc import Callable
@@ -84,7 +88,8 @@ class SparseMatrix:
     offset, ``data[d, j] = A[j - offsets[d], j]``, and an entry that falls
     outside the matrix must be zero. The constructor checks all of this and
     keeps both arrays read-only, on which it builds the one scipy
-    ``dia_matrix``, ``dia``, that every product reads. ``data`` is copied
+    ``dia_matrix``, ``dia``, that every product with A reads (the Krylov
+    loop multiplies by a column-scaled copy). ``data`` is copied
     unless it is already a read-only float64 array that owns its memory:
     such an array is taken over as it is, so the caller hands it over and
     does not make it writable again. Instances are immutable; the chem
@@ -224,7 +229,8 @@ class LinearSolver:
     A matrix that keeps an exact solve, the chem operator's DCT solve
     (``keep_dct_solve``), is solved with it. Any other matrix with a
     nonzero diagonal (the cell operator) goes through the in-house
-    Jacobi-BiCGSTAB (``_jacobi_bicgstab``); when that breaks down, returns
+    Jacobi-BiCGSTAB (``_jacobi_bicgstab``), whose loop iterates on A·D⁻¹
+    and unscales its result once; when that breaks down, returns
     a non-finite result or misses ``tol``, or when the diagonal holds a
     zero, the solve LU-factorizes the matrix (``_lu_solve``), is reported
     as ``direct-lu(fallback)`` and keeps nothing on the matrix. The Krylov
@@ -269,26 +275,33 @@ class LinearSolver:
         x = 0: (solution, full iterations), or (None, 0) when it breaks down
         or runs out of iterations. ``rhs_norm`` is ``fixed_norm(rhs)``.
 
-        The recurrence, stopping rule (||r|| < max(tol/10, 1e-14)·||b||) and
-        breakdown tests are those of ``scipy.sparse.linalg.bicgstab``; the
-        inner products are ``fixed_dot``. ||r_0|| is ||b||, and each later
-        ||r|| is taken once, where r is updated, for the next test. The
-        work vectors live for the solve and are updated in place;
+        The loop iterates on the right-scaled operator A·D⁻¹ (D the
+        diagonal of A), built once per solve as one ``dia_matrix``: its
+        data is A's with column j scaled by 1/d_j, which in the DIA layout
+        is a multiply of every row by 1/diag. It solves A·D⁻¹ y = b for
+        y = D·x and returns x = D⁻¹·y, so no iteration applies the
+        preconditioner. The recurrence, stopping rule
+        (||r|| < max(tol/10, 1e-14)·||b||) and breakdown tests are those
+        of ``scipy.sparse.linalg.bicgstab`` with M = D⁻¹; the inner
+        products are ``fixed_dot``. ||r_0|| is ||b||, and each later ||r||
+        is taken once, where r is updated, for the next test. The work
+        vectors live for the solve and are updated in place;
         s = r - alpha·v overwrites r.
         """
-        a = m.dia
         inv_diag = 1.0 / m.diagonal()
+        a_hat = copy.copy(m.dia)  # shares offsets and shape, skips re-validation
+        a_hat.data = m.data * inv_diag
         atol = max(self.tol * 0.1, 1e-14) * rhs_norm
         breakdown = np.finfo(float).eps ** 2
-        x = np.zeros(m.n)
+        y = np.zeros(m.n)
         r = rhs.copy()
         r_norm = rhs_norm
         r_tilde = rhs  # the shadow residual stays r_0 = b; never written
         p = rhs.copy()
-        p_hat, s_hat, work = np.empty(m.n), np.empty(m.n), np.empty(m.n)
+        work = np.empty(m.n)
         for iteration in range(min(m.n, 300)):
             if r_norm < atol:
-                return x, iteration
+                return np.multiply(y, inv_diag, out=y), iteration
             rho = fixed_dot(r_tilde, r)
             if abs(rho) < breakdown:
                 return None, 0
@@ -298,24 +311,22 @@ class LinearSolver:
                 p -= np.multiply(v, omega, out=work)
                 p *= (rho / rho_prev) * (alpha / omega)
                 p += r
-            np.multiply(p, inv_diag, out=p_hat)
-            v = a @ p_hat
+            v = a_hat @ p
             rv = fixed_dot(r_tilde, v)
             if rv == 0.0:
                 return None, 0
             alpha = rho / rv
             r -= np.multiply(v, alpha, out=work)
             if fixed_norm(r) < atol:
-                x += np.multiply(p_hat, alpha, out=work)
-                return x, iteration
-            np.multiply(r, inv_diag, out=s_hat)
-            t = a @ s_hat
+                y += np.multiply(p, alpha, out=work)
+                return np.multiply(y, inv_diag, out=y), iteration
+            t = a_hat @ r
             tt = fixed_dot(t, t)
             if tt == 0.0:  # scipy's omega turns NaN here and never recovers
                 return None, 0
             omega = fixed_dot(t, r) / tt
-            x += np.multiply(p_hat, alpha, out=work)
-            x += np.multiply(s_hat, omega, out=work)
+            y += np.multiply(p, alpha, out=work)
+            y += np.multiply(r, omega, out=work)
             r -= np.multiply(t, omega, out=work)
             r_norm = fixed_norm(r)
             rho_prev = rho

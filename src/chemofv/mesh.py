@@ -102,6 +102,26 @@ class Mesh:
         order, so it does not depend on the BLAS thread count."""
         return fixed_dot(self.cell_measures, values)
 
+    def edge_grids(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """An interior-edge array as its x-normal part, a (ny, nx-1) grid,
+        and its y-normal part, a (ny-1, nx) grid; both are views."""
+        n_x = (self.nx - 1) * self.ny
+        return (
+            values[:n_x].reshape(self.ny, self.nx - 1),
+            values[n_x:].reshape(self.ny - 1, self.nx),
+        )
+
+    def edge_jumps(self, values) -> np.ndarray:
+        """v_b - v_a over every interior edge e joining a < b, in the edge
+        order (x-normal edges, then y-normal, each row-major), taken by
+        slices of the cell grid into one fresh array."""
+        grid = np.asarray(values, dtype=float).reshape(self.ny, self.nx)
+        jumps = np.empty(self.n_interior_edges)
+        jump_x, jump_y = self.edge_grids(jumps)
+        np.subtract(grid[:, 1:], grid[:, :-1], out=jump_x)
+        np.subtract(grid[1:], grid[:-1], out=jump_y)
+        return jumps
+
     def adjacency_csr(self) -> np.ndarray:
         """DIA layout shared by all operators assembled on this mesh: the
         read-only sorted offsets (-nx, -1, 0, 1, nx). An x-normal edge

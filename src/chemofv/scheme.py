@@ -137,39 +137,50 @@ def beta_n(state: State, mesh: Mesh) -> float:
     return float(min(1.0, np.min(g_now[mask] / denom)))
 
 
-def _edge_grids(mesh: Mesh, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An interior-edge array as its x-normal part, a (ny, nx-1) grid, and
-    its y-normal part, a (ny-1, nx) grid; both are views."""
-    n_x = (mesh.nx - 1) * mesh.ny
-    return (
-        values[:n_x].reshape(mesh.ny, mesh.nx - 1),
-        values[n_x:].reshape(mesh.ny - 1, mesh.nx),
+def _five_point_rows(mesh: Mesh):
+    """A zeroed data array on ``mesh``'s DIA layout and writable views of
+    its entries: ``(offsets, data, diag, upper, lower)``.
+
+    ``diag`` is the diagonal. ``upper`` and ``lower`` are each an
+    (x-normal, y-normal) pair of edge grids laid out as
+    ``Mesh.edge_grids``: for interior edge e joining a < b, ``upper``
+    holds entry (a, b) and ``lower`` entry (b, a). x-normal edges sit on
+    the +-1 diagonals and y-normal edges on the +-nx ones; entry (a, b)
+    sits at column b of its diagonal and (b, a) at column a, and every
+    other entry stays zero. A mesh one cell wide has empty grids for the
+    edges it lacks.
+    """
+    offsets = mesh.adjacency_csr()
+    nx, ny = mesh.nx, mesh.ny
+    data = np.zeros((offsets.size, mesh.n_cells))
+    rows = dict(zip(offsets.tolist(), data))  # offset -> its row, a view
+    upper = (
+        rows[1].reshape(ny, nx)[:, 1:] if nx > 1 else np.empty((ny, 0)),
+        rows[nx][nx:].reshape(ny - 1, nx) if ny > 1 else np.empty((0, nx)),
     )
+    lower = (
+        rows[-1].reshape(ny, nx)[:, :-1] if nx > 1 else np.empty((ny, 0)),
+        rows[-nx][:-nx].reshape(ny - 1, nx) if ny > 1 else np.empty((0, nx)),
+    )
+    return offsets, data, rows[0], upper, lower
+
+
+def _operator(offsets: np.ndarray, data: np.ndarray) -> SparseMatrix:
+    data.setflags(write=False)  # hand the fresh array over without a copy
+    return SparseMatrix(offsets, data)
 
 
 def _five_point(mesh: Mesh, diag, upper, lower) -> SparseMatrix:
     """The operator on ``mesh``'s DIA layout with ``diag`` on the diagonal
     and, for interior edge e joining a < b, ``upper[e]`` at (a, b) and
-    ``lower[e]`` at (b, a).
-
-    Each part is one slice write: x-normal edges go to the +-1 diagonals
-    and y-normal edges to the +-nx ones. Entry (a, b) sits at column b of
-    its diagonal and (b, a) at column a; every other entry stays zero.
-    """
-    offsets = mesh.adjacency_csr()
-    nx = mesh.nx
-    data = np.zeros((offsets.size, mesh.n_cells))
-    rows = dict(zip(offsets.tolist(), data))  # offset -> its row, a view
-    rows[0][:] = diag
-    (upper_x, upper_y), (lower_x, lower_y) = _edge_grids(mesh, upper), _edge_grids(mesh, lower)
-    if nx > 1:
-        rows[1].reshape(-1, nx)[:, 1:] = upper_x
-        rows[-1].reshape(-1, nx)[:, :-1] = lower_x
-    if mesh.ny > 1:
-        rows[nx][nx:] = upper_y.ravel()
-        rows[-nx][:-nx] = lower_y.ravel()
-    data.setflags(write=False)  # hand the fresh array over without a copy
-    return SparseMatrix(offsets, data)
+    ``lower[e]`` at (b, a); each part is one slice write into the views of
+    ``_five_point_rows``."""
+    offsets, data, diag_row, upper_rows, lower_rows = _five_point_rows(mesh)
+    diag_row[:] = diag
+    values = mesh.edge_grids(upper) + mesh.edge_grids(lower)
+    for row, grid in zip(upper_rows + lower_rows, values):
+        row[...] = grid
+    return _operator(offsets, data)
 
 
 def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatrix:
@@ -280,34 +291,45 @@ def assemble_cell_system(
     that is dt*max u^n(1-u^n) < 1.
     """
     mesh, model, dt = plan.mesh, plan.model, plan.dt
+    mu, chi = model.cell_diffusion, model.chemo_sensitivity
     m = mesh.cell_measures
     u = state.u
     tau = mesh.interior_tau
 
-    c_grid = c_new.reshape(mesh.ny, mesh.nx)
-    dc_x, dc_y = c_grid[:, 1:] - c_grid[:, :-1], c_grid[1:] - c_grid[:-1]
-    dc = np.concatenate([dc_x.ravel(), dc_y.ravel()])
-    s_plus = limiter_S(plan.limiter, dc)
-    w_plus = tau * (model.cell_diffusion + model.chemo_sensitivity * s_plus)
+    dc = mesh.edge_jumps(c_new)
+    w_minus = limiter_S(plan.limiter, dc)  # S(dc) until w_plus is taken
+    w_plus = np.multiply(w_minus, chi)
+    w_plus += mu
+    w_plus *= tau
     # S(-x) = S(x) - x holds exactly in floating point on every branch
-    w_minus = tau * (model.cell_diffusion + model.chemo_sensitivity * (s_plus - dc))
+    w_minus -= dc
+    w_minus *= chi
+    w_minus += mu
+    w_minus *= tau
 
-    # cell K's outflow: w_plus over its edges to K+1 and K+nx, and w_minus
+    # -w_minus at (a, b) and -w_plus at (b, a) for edge e joining a < b
+    offsets, data, diag, upper, lower = _five_point_rows(mesh)
+    (plus_x, plus_y), (minus_x, minus_y) = mesh.edge_grids(w_plus), mesh.edge_grids(w_minus)
+    for row, weights in zip(upper + lower, (minus_x, minus_y, plus_x, plus_y)):
+        np.negative(weights, out=row)
+    # cell K's outflow: w_plus over its edges to K+1 and K+nx, then w_minus
     # over its edges from K-1 and K-nx, each sum x-normal edge first
-    flux_out_a, flux_out_b = np.zeros((2, mesh.ny, mesh.nx))
-    (plus_x, plus_y), (minus_x, minus_y) = _edge_grids(mesh, w_plus), _edge_grids(mesh, w_minus)
-    flux_out_a[:, :-1] += plus_x
-    flux_out_a[:-1, :] += plus_y
-    flux_out_b[:, 1:] += minus_x
-    flux_out_b[1:, :] += minus_y
-    diag = m / dt + flux_out_a.ravel() + flux_out_b.ravel()
+    np.divide(m, dt, out=diag)
+    outflow = np.zeros((mesh.ny, mesh.nx))
+    outflow[:, :-1] = plus_x
+    outflow[:-1, :] += plus_y
+    diag += outflow.ravel()
+    outflow[:, 1:] = minus_x
+    outflow[:, 0] = 0.0  # no cell K-1 in the first column
+    outflow[1:, :] += minus_y
+    diag += outflow.ravel()
     rhs = m * u / dt
     if model.growth == _model.GROWTH_QUADRATIC:
         growth = model.growth_rate * m * u
-        diag = diag + growth
-        rhs = rhs + growth
+        diag += growth
+        rhs += growth
     elif model.growth == _model.GROWTH_CUBIC:
-        diag = diag - m * u * (1.0 - u)
+        diag -= m * u * (1.0 - u)
         worst = float(np.max(u * (1.0 - u)))
         if dt * worst >= 1.0:
             raise SchemeError(
@@ -316,7 +338,7 @@ def assemble_cell_system(
                 f"dt={dt:.6g}; reduce dt below the largest admissible dt {1.0 / worst:.6g}"
             )
 
-    return _five_point(mesh, diag, -w_minus, -w_plus), rhs
+    return _operator(offsets, data), rhs
 
 
 def _require_nonnegative(field: np.ndarray, name: str):

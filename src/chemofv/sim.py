@@ -4,6 +4,7 @@ diagnostics and convergence studies."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -87,29 +88,34 @@ class Snapshot:
     c: np.ndarray
 
 
+def _check_exponent(p: float):
+    # NaN fails both tests; an infinite p would turn every sum into 1 or NaN
+    if not (p >= 1 and math.isfinite(p)):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+
+
 def discrete_norm(field_values, mesh: Mesh, p: float = 2.0) -> float:
-    """Cell-average L^p norm (sum m(K) |v_K|^p)^(1/p)."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    """Cell-average L^p norm (sum m(K) |v_K|^p)^(1/p), for finite p >= 1."""
+    _check_exponent(p)
     v = np.asarray(field_values, dtype=float)
     return float(np.sum(mesh.cell_measures * np.abs(v) ** p) ** (1.0 / p))
 
 
 def discrete_h1_seminorm(field_values, mesh: Mesh, p: float = 2.0) -> float:
-    """Interior edge-jump W^{1,p} seminorm; boundary edges carry no jump."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    v = np.asarray(field_values, dtype=float)
-    jumps = np.abs(v[mesh.interior_cell_b] - v[mesh.interior_cell_a])
+    """Interior edge-jump W^{1,p} seminorm, for finite p >= 1; boundary
+    edges carry no jump."""
+    _check_exponent(p)
+    jumps = np.abs(mesh.edge_jumps(field_values))
     weights = mesh.interior_measures / mesh.interior_distances ** (p - 1.0)
     return float(np.sum(weights * jumps**p) ** (1.0 / p))
 
 
 def gradient_energy(field_values, mesh: Mesh) -> float:
     """sum over interior edges of tau_sigma |D_sigma v|^2."""
-    v = np.asarray(field_values, dtype=float)
-    jumps = v[mesh.interior_cell_b] - v[mesh.interior_cell_a]
-    return float(np.sum(mesh.interior_tau * jumps * jumps))
+    jumps = mesh.edge_jumps(field_values)
+    weighted = mesh.interior_tau * jumps
+    weighted *= jumps
+    return float(np.sum(weighted))
 
 
 def relative_l2_error(field_values, reference, mesh: Mesh) -> float:

@@ -5,7 +5,9 @@ code paths (the scipy solvers are the reference BiCGSTAB and the sparse LU
 that production calls only as the cell operator's fallback), so that
 agreement between the two sides is meaningful. The exceptions are
 ``from_coo``, ``from_dense`` and ``identity``, which lay test matrices out
-as the production ``SparseMatrix``.
+as the production ``SparseMatrix``, and ``assemble_cell_reference``, which
+keeps an earlier form of the cell assembly on the production limiter and
+layout.
 """
 
 import numpy as np
@@ -13,6 +15,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from chemofv import SparseMatrix
+from chemofv import model as _model
+from chemofv.scheme import _five_point, limiter_S
 
 
 def from_dense(a) -> SparseMatrix:
@@ -169,3 +173,44 @@ def splu_solve(a, b):
     """Direct solve by scipy's SuperLU with its default column ordering;
     ``a`` is a scipy sparse matrix."""
     return spla.splu(sp.csc_matrix(a)).solve(np.asarray(b, dtype=float))
+
+
+def assemble_cell_reference(state, c_new, plan):
+    """The cell system (A, F) as the assembly computed it before it wrote
+    in place: edge jumps gathered by ``concatenate``, fresh arrays for every
+    intermediate and both outflow sums, the operator laid out by
+    ``_five_point``. The cubic kind's dt guard is left out."""
+    mesh, model, dt = plan.mesh, plan.model, plan.dt
+    m = mesh.cell_measures
+    u = state.u
+    tau = mesh.interior_tau
+
+    c_grid = c_new.reshape(mesh.ny, mesh.nx)
+    dc_x, dc_y = c_grid[:, 1:] - c_grid[:, :-1], c_grid[1:] - c_grid[:-1]
+    dc = np.concatenate([dc_x.ravel(), dc_y.ravel()])
+    s_plus = limiter_S(plan.limiter, dc)
+    w_plus = tau * (model.cell_diffusion + model.chemo_sensitivity * s_plus)
+    w_minus = tau * (model.cell_diffusion + model.chemo_sensitivity * (s_plus - dc))
+
+    def grids(values):
+        n_x = (mesh.nx - 1) * mesh.ny
+        return (
+            values[:n_x].reshape(mesh.ny, mesh.nx - 1),
+            values[n_x:].reshape(mesh.ny - 1, mesh.nx),
+        )
+
+    flux_out_a, flux_out_b = np.zeros((2, mesh.ny, mesh.nx))
+    (plus_x, plus_y), (minus_x, minus_y) = grids(w_plus), grids(w_minus)
+    flux_out_a[:, :-1] += plus_x
+    flux_out_a[:-1, :] += plus_y
+    flux_out_b[:, 1:] += minus_x
+    flux_out_b[1:, :] += minus_y
+    diag = m / dt + flux_out_a.ravel() + flux_out_b.ravel()
+    rhs = m * u / dt
+    if model.growth == _model.GROWTH_QUADRATIC:
+        growth = model.growth_rate * m * u
+        diag = diag + growth
+        rhs = rhs + growth
+    elif model.growth == _model.GROWTH_CUBIC:
+        diag = diag - m * u * (1.0 - u)
+    return _five_point(mesh, diag, -w_minus, -w_plus), rhs

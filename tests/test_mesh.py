@@ -125,6 +125,19 @@ def test_dia_layout_matches_loop_reference(nx, ny):
 
 
 @pytest.mark.parametrize(
+    "nx,ny", [(1, 1), (2, 1), (1, 5), (3, 5), (48, 48), (35, 350), (150, 150)]
+)
+def test_edge_jumps_match_edge_list_gather(nx, ny):
+    mesh = build_uniform_rect_mesh((0.0, 1.0), (-2.0, 2.0), nx, ny)
+    v = np.random.default_rng(nx + 7 * ny).random(mesh.n_cells)
+    jumps = mesh.edge_jumps(v)
+    assert np.array_equal(jumps, v[mesh.interior_cell_b] - v[mesh.interior_cell_a])
+    jump_x, jump_y = mesh.edge_grids(jumps)
+    assert jump_x.shape == (ny, nx - 1) and jump_y.shape == (ny - 1, nx)
+    assert np.shares_memory(jump_x, jumps) or jump_x.size == 0
+
+
+@pytest.mark.parametrize(
     "x_range,y_range",
     [((1.0, 1.0), (0.0, 1.0)), ((2.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (5.0, -5.0))],
 )

@@ -30,6 +30,7 @@ from chemofv import scheme
 from chemofv.model import (
     CHEM_PARABOLIC,
     GROWTH_CUBIC,
+    GROWTH_NONE,
     GROWTH_QUADRATIC,
     SOURCE_LINEAR,
     InitialConditionSpec,
@@ -46,6 +47,7 @@ from chemofv.scheme import (
 from chemofv.linalg import spmv
 from oracles import (
     abs_sum_slacks,
+    assemble_cell_reference,
     beta_brute_force,
     dia_layout_loops,
     limiter_where,
@@ -387,6 +389,25 @@ class TestChemDctSolve:
 
 
 class TestCellAssembly:
+    @pytest.mark.parametrize("growth", [GROWTH_NONE, GROWTH_QUADRATIC, GROWTH_CUBIC])
+    @pytest.mark.parametrize("nx,ny", LAYOUT_SHAPES)
+    def test_matches_reference_bit_for_bit(self, nx, ny, growth):
+        mesh = build_uniform_rect_mesh((0.0, 1.0), (-2.0, 2.0), nx, ny)
+        model = ModelSpec(0.25, 6.0, growth=growth, growth_rate=2.0)
+        plan = plan_of(mesh, model, dt=0.5, eps=0.05)  # threshold 1/15
+        rng = np.random.default_rng(nx * 1000 + ny)
+        # u(1 - u) <= 1/4 keeps the cubic kind's columns dominant at dt = 0.5;
+        # c on a 0.01 grid gives zero jumps and jumps on both sides of the
+        # threshold
+        u = rng.random(mesh.n_cells)
+        c = np.round(rng.normal(0.5, 0.1, mesh.n_cells), 2)
+        state = state_of(u, u_prev=rng.random(mesh.n_cells))
+        a, f = assemble_cell_system(state, c, plan)
+        a_ref, f_ref = assemble_cell_reference(state, c, plan)
+        np.testing.assert_array_equal(a.offsets, a_ref.offsets)
+        assert np.array_equal(a.data, a_ref.data)
+        assert np.array_equal(f, f_ref)
+
     def test_two_cell_hand_assembled_offdiagonals(self, mesh_2cell):
         # tau=1, mu=0.25, a=2, eps=0, Dc(cell 0) = 0.3:
         # row 0 off-diagonal -(0.25 + 2 S(-0.3)) = -0.25

@@ -65,6 +65,22 @@ def spots_30x30_config():
     )
 
 
+def spots_preset_config():
+    """test4 at chi=80 on the preset's own 150x150 mesh, as the spots
+    workload runs it, for 12 steps; from step 10 on, a cell solve takes
+    14-16 iterations."""
+    p = preset("test4", chi=80.0)
+    return RunConfig(
+        mesh=p.build_mesh(),
+        model=p.model,
+        ic=p.ic,
+        variant=CORRECTED,
+        dt=0.05,
+        t_final=12 * 0.05,
+        diagnostics_every=0,
+    )
+
+
 def desk_config(mesh, dt, t_final, **kwargs):
     return RunConfig(
         mesh=mesh,
@@ -92,9 +108,10 @@ class TestNorms:
         v = np.full(mesh_small.n_cells, 2.0)
         assert discrete_norm(v, mesh_small, 1.0) == pytest.approx(2.0, rel=1e-13)
 
-    def test_p_below_one_rejected(self, mesh_small):
-        with pytest.raises(ValueError):
-            discrete_norm(np.ones(mesh_small.n_cells), mesh_small, 0.5)
+    @pytest.mark.parametrize("p", [0.5, np.inf, -np.inf, np.nan])
+    def test_p_below_one_or_non_finite_rejected(self, mesh_small, p):
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            discrete_norm(np.ones(mesh_small.n_cells), mesh_small, p)
 
 
 class TestH1Seminorm:
@@ -104,6 +121,11 @@ class TestH1Seminorm:
 
     def test_two_cell_single_jump(self, mesh_2cell):
         assert discrete_h1_seminorm(np.array([0.0, 1.0]), mesh_2cell, 2.0) == 1.0
+
+    @pytest.mark.parametrize("p", [0.5, np.inf, -np.inf, np.nan])
+    def test_p_below_one_or_non_finite_rejected(self, mesh_2cell, p):
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            discrete_h1_seminorm(np.array([0.0, 1.0]), mesh_2cell, p)
 
     def test_linear_in_x_matches_direct_summation(self):
         mesh = build_uniform_rect_mesh((0.0, 2.0), (0.0, 1.0), 8, 5)
@@ -204,11 +226,12 @@ class TestRun:
         assert [r.method for r in solver.reports] == ["direct-dct", "jacobi-bicgstab"] * 5
         assert splu_calls == []
 
-    def test_cell_solves_match_scipy_bicgstab(self):
+    @pytest.mark.parametrize("config", [spots_30x30_config, spots_preset_config])
+    def test_cell_solves_match_scipy_bicgstab(self, config):
         # the in-house Krylov loop is scipy's recurrence with fixed-order
         # inner products: same iteration count, both within the contract
         solver = TallySolver()
-        run(spots_30x30_config(), solver=solver)
+        run(config(), solver=solver)
         for (m, rhs, x), report in list(zip(solver.systems, solver.reports))[1::2]:
             want, iterations, info = scipy_jacobi_bicgstab(m.dia, rhs, solver.tol)
             assert info == 0
