@@ -3,6 +3,13 @@
 Floats are written with repr so that files round-trip losslessly; the VTK
 files use the legacy ASCII structured-points layout with one scalar field
 per file, laying cell values on the lattice of cell centers.
+
+The snapshot CSV and VTK files are streamed one mesh row per write, so a
+write holds one row's text, never the whole file. Their bytes are those
+that ``csv.writer`` (``\\r\\n`` line ends, nothing quoted) and one
+``repr`` per value wrote: each value is formatted once, from
+``ndarray.tolist()``. Both writers reject a field that does not have
+``mesh.n_cells`` values.
 """
 
 from __future__ import annotations
@@ -33,20 +40,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _field_rows(mesh: Mesh, values, name: str) -> np.ndarray:
+    """``values`` as an (ny, nx) float grid; a field must have one value per cell."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size != mesh.n_cells:
+        raise ValueError(
+            f"field {name} has {arr.size} values, but mesh.n_cells is {mesh.n_cells}"
+        )
+    return arr.reshape(mesh.ny, mesh.nx)
+
+
 def write_snapshot_csv(path, mesh: Mesh, u, c) -> None:
+    """One ``cell_index,cx,cy,u,c`` row per cell. The centre grid is a tensor
+    product, so the ``cx`` and ``cy`` text comes from ``nx + ny`` reprs."""
+    u_rows = _field_rows(mesh, u, "u")
+    c_rows = _field_rows(mesh, c, "c")
+    cx_text = [f",{x!r}," for x in mesh.cell_centers[: mesh.nx, 0].tolist()]
+    cy_text = [f"{y!r}," for y in mesh.cell_centers[:: mesh.nx, 1].tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_index", "cx", "cy", "u", "c"])
-        for k in range(mesh.n_cells):
-            writer.writerow(
-                [
-                    k,
-                    _fmt(float(mesh.cell_centers[k, 0])),
-                    _fmt(float(mesh.cell_centers[k, 1])),
-                    _fmt(float(u[k])),
-                    _fmt(float(c[k])),
-                ]
-            )
+        fh.write("cell_index,cx,cy,u,c\r\n")
+        starts = range(0, mesh.n_cells, mesh.nx)
+        for k0, cy, u_row, c_row in zip(starts, cy_text, u_rows, c_rows):
+            cells = zip(range(k0, k0 + mesh.nx), cx_text, u_row.tolist(), c_row.tolist())
+            fh.write("".join([f"{k}{cx}{cy}{a!r},{b!r}\r\n" for k, cx, a, b in cells]))
 
 
 def read_snapshot_csv(path) -> dict[str, np.ndarray]:
@@ -55,7 +71,18 @@ def read_snapshot_csv(path) -> dict[str, np.ndarray]:
         header = next(reader, None)
         if header != ["cell_index", "cx", "cy", "u", "c"]:
             raise ValueError(f"{path}: not a snapshot file (header {header})")
-        rows = [[float(x) for x in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 5:
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, expected 5"
+                )
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: snapshot has no data rows")
     arr = np.asarray(rows)
@@ -70,7 +97,7 @@ def read_snapshot_csv(path) -> dict[str, np.ndarray]:
 
 def write_vtk_structured_points(path, mesh: Mesh, values, name: str) -> None:
     """Legacy ASCII structured-points file with a single scalar field."""
-    values = np.asarray(values, dtype=float)
+    rows = _field_rows(mesh, values, name)
     cx0 = mesh.x_range[0] + 0.5 * mesh.dx
     cy0 = mesh.y_range[0] + 0.5 * mesh.dy
     with open(path, "w") as fh:
@@ -84,8 +111,8 @@ def write_vtk_structured_points(path, mesh: Mesh, values, name: str) -> None:
         fh.write(f"POINT_DATA {mesh.n_cells}\n")
         fh.write(f"SCALARS {name} double 1\n")
         fh.write("LOOKUP_TABLE default\n")
-        for v in values:  # row-major, x fastest, matches cell indexing
-            fh.write(f"{float(v)!r}\n")
+        for row in rows:  # row-major, x fastest, matches cell indexing
+            fh.write("".join([f"{v!r}\n" for v in row.tolist()]))
 
 
 def write_diagnostics_csv(path, diagnostics: Diagnostics) -> None:

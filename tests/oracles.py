@@ -7,8 +7,12 @@ agreement between the two sides is meaningful. The exceptions are
 ``from_coo``, ``from_dense`` and ``identity``, which lay test matrices out
 as the production ``SparseMatrix``, and ``assemble_cell_reference``, which
 keeps an earlier form of the cell assembly on the production limiter and
-layout.
+layout. ``write_snapshot_csv_per_row`` and ``write_vtk_per_value`` are the
+snapshot writers as they were before they streamed one mesh row per write:
+one ``csv.writer`` row per cell, one ``write`` per VTK value.
 """
+
+import csv
 
 import numpy as np
 import scipy.sparse as sp
@@ -214,3 +218,45 @@ def assemble_cell_reference(state, c_new, plan):
     elif model.growth == _model.GROWTH_CUBIC:
         diag = diag - m * u * (1.0 - u)
     return _five_point(mesh, diag, -w_minus, -w_plus), rhs
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value))  # plain-float repr even for numpy scalars
+    return str(value)
+
+
+def write_snapshot_csv_per_row(path, mesh, u, c) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["cell_index", "cx", "cy", "u", "c"])
+        for k in range(mesh.n_cells):
+            writer.writerow(
+                [
+                    k,
+                    _fmt(float(mesh.cell_centers[k, 0])),
+                    _fmt(float(mesh.cell_centers[k, 1])),
+                    _fmt(float(u[k])),
+                    _fmt(float(c[k])),
+                ]
+            )
+
+
+def write_vtk_per_value(path, mesh, values, name: str) -> None:
+    """Legacy ASCII structured-points file with a single scalar field."""
+    values = np.asarray(values, dtype=float)
+    cx0 = mesh.x_range[0] + 0.5 * mesh.dx
+    cy0 = mesh.y_range[0] + 0.5 * mesh.dy
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write(f"chemofv field {name}\n")
+        fh.write("ASCII\n")
+        fh.write("DATASET STRUCTURED_POINTS\n")
+        fh.write(f"DIMENSIONS {mesh.nx} {mesh.ny} 1\n")
+        fh.write(f"ORIGIN {cx0!r} {cy0!r} 0.0\n")
+        fh.write(f"SPACING {mesh.dx!r} {mesh.dy!r} 1.0\n")
+        fh.write(f"POINT_DATA {mesh.n_cells}\n")
+        fh.write(f"SCALARS {name} double 1\n")
+        fh.write("LOOKUP_TABLE default\n")
+        for v in values:  # row-major, x fastest, matches cell indexing
+            fh.write(f"{float(v)!r}\n")

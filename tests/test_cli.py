@@ -106,6 +106,25 @@ class TestRun:
         second = (tmp_path / "out2" / "diagnostics.csv").read_bytes()
         assert first == second
 
+    def test_manifest_round_trip_snapshots_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out1")
+        csv_vtk = ["--set", "output.format=csv+vtk", "--set", "output.snapshot_every=1"]
+        assert main(["run", str(cfg), *csv_vtk]) == 0
+        manifest = tmp_path / "out1" / "manifest.yaml"
+        assert main(["run", str(manifest), "--output-dir", str(tmp_path / "out2")]) == 0
+
+        def snapshot_files(out):
+            return sorted(
+                p.name for pattern in ("snapshot_*.csv", "*.vtk") for p in out.glob(pattern)
+            )
+
+        names = snapshot_files(tmp_path / "out1")
+        assert len(names) == 4 * 3  # steps 1 to 4: one CSV and two VTK files each
+        assert snapshot_files(tmp_path / "out2") == names
+        for name in names:
+            first = (tmp_path / "out1" / name).read_bytes()
+            assert (tmp_path / "out2" / name).read_bytes() == first, name
+
     def test_vtk_output(self, tmp_path):
         cfg = write_config(
             tmp_path / "run.yaml",
