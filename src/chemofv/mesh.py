@@ -5,7 +5,8 @@ indexed row-major (x fastest), centers at the centroids, so the
 center-segment/edge orthogonality required by two-point flux
 approximations holds by construction. The scheme's boundary condition is
 homogeneous Neumann, so a boundary edge carries no flux and is not stored;
-every edge array lists interior edges only.
+every edge array lists interior edges only, in the grid layout of
+``Mesh.edge_grids``.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ class Mesh:
     """Uniform nx-by-ny rectangular mesh over x_range x y_range.
 
     Immutable after construction: every array is a read-only copy, so
-    derived arrays cannot go stale. Safe
-    to share across workers. Interior edge e joins cells
-    ``interior_cell_a[e]`` and ``interior_cell_b[e]``: first the x-normal
-    edges (K, K+1), then the y-normal edges (K, K+nx), each in row-major
-    order of K. The zero-flux boundary edges are not stored.
+    derived arrays cannot go stale. Safe to share across workers.
+
+    An edge array lists the interior edges: the x-normal edges (K, K+1),
+    then the y-normal edges (K, K+nx), each in row-major order of K. An
+    x-normal edge has measure hy and center distance hx, a y-normal one
+    measure hx and distance hy, so the edge geometry is two
+    transmissibilities m(sigma)/d_sigma: ``tau_x`` = hy/hx, ``tau_y`` = hx/hy.
     """
 
     def __init__(self, x_range, y_range, nx, ny):
@@ -55,32 +58,11 @@ class Mesh:
         centers = np.column_stack([gx.ravel(), gy.ravel()])
         self.cell_centers = readonly_copy(centers, float)
         self.cell_measures = readonly_copy(np.full(self.n_cells, self.dx * self.dy), float)
-
-        k = np.arange(self.n_cells, dtype=np.int64).reshape(self.ny, self.nx)
-        x_normal = k[:, :-1].ravel()
-        y_normal = k[:-1, :].ravel()
-        self.interior_cell_a = readonly_copy(np.concatenate([x_normal, y_normal]))
-        self.interior_cell_b = readonly_copy(
-            np.concatenate([x_normal + 1, y_normal + self.nx])
-        )
-        measures = np.concatenate(
-            [np.full(x_normal.size, self.dy), np.full(y_normal.size, self.dx)]
-        )
-        distances = np.concatenate(
-            [np.full(x_normal.size, self.dx), np.full(y_normal.size, self.dy)]
-        )
-        self.interior_measures = readonly_copy(measures, float)
-        self.interior_distances = readonly_copy(distances, float)
-        self.interior_tau = readonly_copy(measures / distances, float)
-        self.n_interior_edges = self.interior_cell_a.size
-        tau_sum = np.bincount(
-            self.interior_cell_a, weights=self.interior_tau, minlength=self.n_cells
-        ) + np.bincount(
-            self.interior_cell_b, weights=self.interior_tau, minlength=self.n_cells
-        )
-        self.tau_sum_interior = readonly_copy(tau_sum, float)
-
         self._validate()
+
+        self.tau_x = self.dy / self.dx
+        self.tau_y = self.dx / self.dy
+        self.n_interior_edges = (self.nx - 1) * self.ny + self.nx * (self.ny - 1)
 
     def _validate(self):
         if np.any(self.cell_measures <= 0):
@@ -97,10 +79,19 @@ class Mesh:
                 f"cell measures sum to {total}, domain area is {self.domain_area}"
             )
 
+    def cell_field(self, values) -> np.ndarray:
+        """``values`` as a float array, which must hold one value per cell."""
+        v = np.asarray(values, dtype=float)
+        if v.shape != self.cell_measures.shape:
+            raise ValueError(
+                f"field has {v.size} values, but mesh.n_cells is {self.n_cells}"
+            )
+        return v
+
     def integral(self, values) -> float:
         """sum over cells of m(K) v_K, in ``fixed_dot``'s one-pass fixed
         order, so it does not depend on the BLAS thread count."""
-        return fixed_dot(self.cell_measures, values)
+        return fixed_dot(self.cell_measures, self.cell_field(values))
 
     def edge_grids(self, values) -> tuple[np.ndarray, np.ndarray]:
         """An interior-edge array as its x-normal part, a (ny, nx-1) grid,
@@ -115,12 +106,19 @@ class Mesh:
         """v_b - v_a over every interior edge e joining a < b, in the edge
         order (x-normal edges, then y-normal, each row-major), taken by
         slices of the cell grid into one fresh array."""
-        grid = np.asarray(values, dtype=float).reshape(self.ny, self.nx)
+        grid = self.cell_field(values).reshape(self.ny, self.nx)
         jumps = np.empty(self.n_interior_edges)
         jump_x, jump_y = self.edge_grids(jumps)
         np.subtract(grid[:, 1:], grid[:, :-1], out=jump_x)
         np.subtract(grid[1:], grid[:-1], out=jump_y)
         return jumps
+
+    def scale_edges(self, values, x_weight, y_weight) -> np.ndarray:
+        """Multiply an interior-edge array in place, its x-normal part by
+        ``x_weight`` and its y-normal part by ``y_weight``; returns it."""
+        for grid, weight in zip(self.edge_grids(values), (x_weight, y_weight)):
+            grid *= weight
+        return values
 
     def adjacency_csr(self) -> np.ndarray:
         """DIA layout shared by all operators assembled on this mesh: the
@@ -128,7 +126,8 @@ class Mesh:
         (K, K+1) couples cells on the +-1 diagonals and a y-normal edge
         (K, K+nx) on the +-nx ones; a mesh one cell wide in x has no
         x-normal edges, and one cell wide in y no y-normal edges, so
-        their offsets are left out."""
+        their offsets are left out. The CSR name predates the DIA layout; it
+        stays while ``bench/tracer.py`` wraps it (see ROADMAP item 1)."""
         offsets = {0}
         if self.nx > 1:
             offsets |= {-1, 1}

@@ -170,27 +170,30 @@ def _operator(offsets: np.ndarray, data: np.ndarray) -> SparseMatrix:
     return SparseMatrix(offsets, data)
 
 
-def _five_point(mesh: Mesh, diag, upper, lower) -> SparseMatrix:
-    """The operator on ``mesh``'s DIA layout with ``diag`` on the diagonal
-    and, for interior edge e joining a < b, ``upper[e]`` at (a, b) and
-    ``lower[e]`` at (b, a); each part is one slice write into the views of
-    ``_five_point_rows``."""
-    offsets, data, diag_row, upper_rows, lower_rows = _five_point_rows(mesh)
-    diag_row[:] = diag
-    values = mesh.edge_grids(upper) + mesh.edge_grids(lower)
-    for row, grid in zip(upper_rows + lower_rows, values):
-        row[...] = grid
-    return _operator(offsets, data)
+def _add_outflow(diag: np.ndarray, mesh: Mesh, plus, minus):
+    """Add each cell K's outflow to ``diag``: ``plus`` over its edges to K+1
+    and K+nx, then ``minus`` over its edges from K-1 and K-nx, each sum
+    x-normal edge first. ``plus`` and ``minus`` are (x-normal, y-normal)
+    pairs of ``Mesh.edge_grids`` grids, or of scalars standing for them."""
+    (plus_x, plus_y), (minus_x, minus_y) = plus, minus
+    outflow = np.zeros((mesh.ny, mesh.nx))
+    outflow[:, :-1] = plus_x
+    outflow[:-1, :] += plus_y
+    diag += outflow.ravel()
+    outflow[:, 1:] = minus_x
+    outflow[:, 0] = 0.0  # no cell K-1 in the first column
+    outflow[1:, :] += minus_y
+    diag += outflow.ravel()
 
 
 def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatrix:
-    """The chem operator B of a run: sum(tau) + gamma*m(K) on the diagonal
-    (plus m(K)/dt when ``dt`` is given, for parabolic dynamics) and -tau per
-    neighbor.
+    """The chem operator B of a run: -tau_x on the +-1 diagonals, -tau_y on
+    the +-nx ones, and on the diagonal the sum of a cell's edge taus plus
+    gamma*m(K) (and m(K)/dt when ``dt`` is given, for parabolic dynamics).
 
     B depends on nothing else, so a run's ``StepPlan`` builds it once and
     every step solves with that object; each call builds a new B. On the
-    uniform rectangle B is (hy/hx) T_nx (x) I + (hx/hy) I (x) T_ny plus
+    uniform rectangle B is tau_x T_nx (x) I + tau_y I (x) T_ny plus
     (gamma + [1/dt]) hx hy I, with T_n the 1-D Neumann second difference,
     which the DCT-II diagonalises with eigenvalues 2(1 - cos(pi k / n)).
     The eigenvalue grid is built here and B keeps its exact solve by the
@@ -199,20 +202,24 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     B (gamma = 0, elliptic) raises ``SolverError`` here.
     """
     m = mesh.cell_measures
-    diag = mesh.tau_sum_interior + chem_decay * m
+    taus = (mesh.tau_x, mesh.tau_y)
+    offsets, data, diag, upper, lower = _five_point_rows(mesh)
+    for row, tau in zip(upper + lower, taus + taus):
+        row[...] = -tau
+    _add_outflow(diag, mesh, taus, taus)
+    diag += chem_decay * m
     if dt is not None:
-        diag = diag + m / dt
-    b_mat = _five_point(mesh, diag, -mesh.interior_tau, -mesh.interior_tau)
+        diag += m / dt
+    b_mat = _operator(offsets, data)
 
     def neumann_eigenvalues(n):
         return 2.0 * (1.0 - np.cos(np.pi * np.arange(n) / n))
 
-    hx, hy = mesh.dx, mesh.dy
     shift = chem_decay if dt is None else chem_decay + 1.0 / dt
     eigenvalues = (
-        (hy / hx) * neumann_eigenvalues(mesh.nx)[None, :]
-        + (hx / hy) * neumann_eigenvalues(mesh.ny)[:, None]
-        + shift * hx * hy
+        mesh.tau_x * neumann_eigenvalues(mesh.nx)[None, :]
+        + mesh.tau_y * neumann_eigenvalues(mesh.ny)[:, None]
+        + shift * mesh.dx * mesh.dy
     )
     keep_dct_solve(b_mat, eigenvalues)
     return b_mat
@@ -294,35 +301,25 @@ def assemble_cell_system(
     mu, chi = model.cell_diffusion, model.chemo_sensitivity
     m = mesh.cell_measures
     u = state.u
-    tau = mesh.interior_tau
 
     dc = mesh.edge_jumps(c_new)
     w_minus = limiter_S(plan.limiter, dc)  # S(dc) until w_plus is taken
     w_plus = np.multiply(w_minus, chi)
     w_plus += mu
-    w_plus *= tau
+    mesh.scale_edges(w_plus, mesh.tau_x, mesh.tau_y)
     # S(-x) = S(x) - x holds exactly in floating point on every branch
     w_minus -= dc
     w_minus *= chi
     w_minus += mu
-    w_minus *= tau
+    mesh.scale_edges(w_minus, mesh.tau_x, mesh.tau_y)
 
     # -w_minus at (a, b) and -w_plus at (b, a) for edge e joining a < b
     offsets, data, diag, upper, lower = _five_point_rows(mesh)
-    (plus_x, plus_y), (minus_x, minus_y) = mesh.edge_grids(w_plus), mesh.edge_grids(w_minus)
-    for row, weights in zip(upper + lower, (minus_x, minus_y, plus_x, plus_y)):
+    plus, minus = mesh.edge_grids(w_plus), mesh.edge_grids(w_minus)
+    for row, weights in zip(upper + lower, minus + plus):
         np.negative(weights, out=row)
-    # cell K's outflow: w_plus over its edges to K+1 and K+nx, then w_minus
-    # over its edges from K-1 and K-nx, each sum x-normal edge first
     np.divide(m, dt, out=diag)
-    outflow = np.zeros((mesh.ny, mesh.nx))
-    outflow[:, :-1] = plus_x
-    outflow[:-1, :] += plus_y
-    diag += outflow.ravel()
-    outflow[:, 1:] = minus_x
-    outflow[:, 0] = 0.0  # no cell K-1 in the first column
-    outflow[1:, :] += minus_y
-    diag += outflow.ravel()
+    _add_outflow(diag, mesh, plus, minus)
     rhs = m * u / dt
     if model.growth == _model.GROWTH_QUADRATIC:
         growth = model.growth_rate * m * u

@@ -97,33 +97,34 @@ def _check_exponent(p: float):
 def discrete_norm(field_values, mesh: Mesh, p: float = 2.0) -> float:
     """Cell-average L^p norm (sum m(K) |v_K|^p)^(1/p), for finite p >= 1."""
     _check_exponent(p)
-    v = np.asarray(field_values, dtype=float)
+    v = mesh.cell_field(field_values)
     return float(np.sum(mesh.cell_measures * np.abs(v) ** p) ** (1.0 / p))
 
 
 def discrete_h1_seminorm(field_values, mesh: Mesh, p: float = 2.0) -> float:
     """Interior edge-jump W^{1,p} seminorm, for finite p >= 1; boundary
-    edges carry no jump."""
+    edges carry no jump. Edge sigma's weight is m(sigma) / d_sigma^(p-1)."""
     _check_exponent(p)
-    jumps = np.abs(mesh.edge_jumps(field_values))
-    weights = mesh.interior_measures / mesh.interior_distances ** (p - 1.0)
-    return float(np.sum(weights * jumps**p) ** (1.0 / p))
+    terms = np.abs(mesh.edge_jumps(field_values)) ** p
+    weights = np.array([mesh.dy, mesh.dx]) / np.array([mesh.dx, mesh.dy]) ** (p - 1.0)
+    mesh.scale_edges(terms, *weights)
+    return float(np.sum(terms) ** (1.0 / p))
 
 
 def gradient_energy(field_values, mesh: Mesh) -> float:
     """sum over interior edges of tau_sigma |D_sigma v|^2."""
     jumps = mesh.edge_jumps(field_values)
-    weighted = mesh.interior_tau * jumps
+    weighted = mesh.scale_edges(jumps.copy(), mesh.tau_x, mesh.tau_y)
     weighted *= jumps
     return float(np.sum(weighted))
 
 
 def relative_l2_error(field_values, reference, mesh: Mesh) -> float:
+    reference = mesh.cell_field(reference)
     ref_norm = discrete_norm(reference, mesh, 2.0)
     if ref_norm == 0.0:
         raise ValueError("reference field has zero norm")
-    diff = np.asarray(field_values, dtype=float) - np.asarray(reference, dtype=float)
-    return discrete_norm(diff, mesh, 2.0) / ref_norm
+    return discrete_norm(mesh.cell_field(field_values) - reference, mesh, 2.0) / ref_norm
 
 
 def _record(state: State, mesh: Mesh, dt: float) -> DiagnosticsRecord:

@@ -1,18 +1,21 @@
 """Independent brute-force oracles used only by the tests.
 
 Everything here is deliberately written without touching the production
-code paths (the scipy solvers are the reference BiCGSTAB and the sparse LU
-that production calls only as the cell operator's fallback), so that
+code paths (the scipy solvers are the reference BiCGSTAB and the sparse
+LU that production calls only as the cell operator's fallback), so that
 agreement between the two sides is meaningful. The exceptions are
-``from_coo``, ``from_dense`` and ``identity``, which lay test matrices out
-as the production ``SparseMatrix``, and ``assemble_cell_reference``, which
-keeps an earlier form of the cell assembly on the production limiter and
-layout. ``write_snapshot_csv_per_row`` and ``write_vtk_per_value`` are the
-snapshot writers as they were before they streamed one mesh row per write:
-one ``csv.writer`` row per cell, one ``write`` per VTK value.
+``from_coo``, ``from_dense`` and ``identity``, which lay test matrices
+out as the production ``SparseMatrix``, and ``five_point`` with the
+``*_edge_list`` forms and ``assemble_cell_reference``, which keep
+earlier forms of the operators and norms, on the per-edge arrays of
+``edge_list``, on the production limiter and layout.
+``write_snapshot_csv_per_row`` and ``write_vtk_per_value`` are the
+snapshot writers as they were before they streamed one mesh row per
+write: one ``csv.writer`` row per cell, one ``write`` per VTK value.
 """
 
 import csv
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +23,87 @@ import scipy.sparse.linalg as spla
 
 from chemofv import SparseMatrix
 from chemofv import model as _model
-from chemofv.scheme import _five_point, limiter_S
+from chemofv.scheme import _five_point_rows, _operator, limiter_S
+
+# mesh shapes for the layout references: degenerate, small, the desk grid
+# and the test1 and test4 preset grids
+LAYOUT_SHAPES = [(1, 1), (2, 1), (1, 5), (3, 5), (48, 48), (35, 350), (150, 150)]
+
+
+class EdgeList(NamedTuple):
+    """A mesh's interior edges as per-edge arrays: edge e joins cells
+    ``cell_a[e]`` < ``cell_b[e]``, in the mesh's edge order."""
+
+    cell_a: np.ndarray
+    cell_b: np.ndarray
+    measures: np.ndarray
+    distances: np.ndarray
+    tau: np.ndarray
+    tau_sum: np.ndarray  # per cell, the tau of its edges by ``np.bincount``
+
+
+def edge_list(mesh) -> EdgeList:
+    """The interior edges of ``mesh`` as an explicit edge list: the x-normal
+    edges (K, K+1), then the y-normal edges (K, K+nx), each in row-major
+    order of K, with measure, center distance and tau = measure / distance
+    per edge."""
+    k = np.arange(mesh.n_cells, dtype=np.int64).reshape(mesh.ny, mesh.nx)
+    x_normal = k[:, :-1].ravel()
+    y_normal = k[:-1, :].ravel()
+    cell_a = np.concatenate([x_normal, y_normal])
+    cell_b = np.concatenate([x_normal + 1, y_normal + mesh.nx])
+    measures = np.concatenate(
+        [np.full(x_normal.size, mesh.dy), np.full(y_normal.size, mesh.dx)]
+    )
+    distances = np.concatenate(
+        [np.full(x_normal.size, mesh.dx), np.full(y_normal.size, mesh.dy)]
+    )
+    tau = measures / distances
+    tau_sum = np.bincount(cell_a, weights=tau, minlength=mesh.n_cells) + np.bincount(
+        cell_b, weights=tau, minlength=mesh.n_cells
+    )
+    return EdgeList(cell_a, cell_b, measures, distances, tau, tau_sum)
+
+
+def five_point(mesh, diag, upper, lower) -> SparseMatrix:
+    """The operator on ``mesh``'s DIA layout with ``diag`` on the diagonal
+    and, for interior edge e joining a < b, ``upper[e]`` at (a, b) and
+    ``lower[e]`` at (b, a); each part is one slice write into the views of
+    ``_five_point_rows``."""
+    offsets, data, diag_row, upper_rows, lower_rows = _five_point_rows(mesh)
+    diag_row[:] = diag
+    values = mesh.edge_grids(upper) + mesh.edge_grids(lower)
+    for row, grid in zip(upper_rows + lower_rows, values):
+        row[...] = grid
+    return _operator(offsets, data)
+
+
+def chem_operator_edge_list(mesh, chem_decay, dt) -> SparseMatrix:
+    """The chem operator B, without its DCT solve, from the per-edge tau
+    and the bincount tau sums."""
+    edges = edge_list(mesh)
+    m = mesh.cell_measures
+    diag = edges.tau_sum + chem_decay * m
+    if dt is not None:
+        diag = diag + m / dt
+    return five_point(mesh, diag, -edges.tau, -edges.tau)
+
+
+def h1_seminorm_edge_list(values, mesh, p=2.0):
+    """The W^{1,p} seminorm from per-edge weights m(sigma) / d_sigma^(p-1)."""
+    edges = edge_list(mesh)
+    jumps = np.abs(values[edges.cell_b] - values[edges.cell_a])
+    weights = edges.measures / edges.distances ** (p - 1.0)
+    return float(np.sum(weights * jumps**p) ** (1.0 / p))
+
+
+def gradient_energy_edge_list(values, mesh):
+    """sum over interior edges of (tau_sigma D_sigma v) D_sigma v."""
+    edges = edge_list(mesh)
+    jumps = values[edges.cell_b] - values[edges.cell_a]
+    weighted = edges.tau * jumps
+    weighted *= jumps
+    return float(np.sum(weighted))
 
 
 def from_dense(a) -> SparseMatrix:
@@ -111,12 +194,11 @@ def beta_brute_force(u, u_prev):
 def h1_seminorm_direct(values, mesh, p=2.0):
     """Edge-by-edge transcription of the W^{1,p} seminorm (boundary edges
     carry no jump, so the interior edges are the whole sum)."""
+    edges = edge_list(mesh)
     total = 0.0
     for e in range(mesh.n_interior_edges):
-        jump = abs(values[mesh.interior_cell_b[e]] - values[mesh.interior_cell_a[e]])
-        total += (
-            mesh.interior_measures[e] / mesh.interior_distances[e] ** (p - 1.0) * jump**p
-        )
+        jump = abs(values[edges.cell_b[e]] - values[edges.cell_a[e]])
+        total += edges.measures[e] / edges.distances[e] ** (p - 1.0) * jump**p
     return total ** (1.0 / p)
 
 
@@ -141,7 +223,7 @@ def abs_sum_slacks(a):
 
 
 def dia_layout_loops(mesh):
-    """Loop transcription of the operators' DIA layout, read off the mesh's
+    """Loop transcription of the operators' DIA layout, read off the
     interior edge list: (offsets, slots).
 
     ``offsets`` are the int64 sorted offsets l - k of every stored entry
@@ -150,7 +232,8 @@ def dia_layout_loops(mesh):
     sits in the data array, whose column is always l.
     """
     entries = [(k, k) for k in range(mesh.n_cells)]
-    for a, b in zip(mesh.interior_cell_a.tolist(), mesh.interior_cell_b.tolist()):
+    edges = edge_list(mesh)
+    for a, b in zip(edges.cell_a.tolist(), edges.cell_b.tolist()):
         entries += [(a, b), (b, a)]
     offsets = sorted({l - k for k, l in entries})
     slots = {(k, l): (offsets.index(l - k), l) for k, l in entries}
@@ -182,12 +265,13 @@ def splu_solve(a, b):
 def assemble_cell_reference(state, c_new, plan):
     """The cell system (A, F) as the assembly computed it before it wrote
     in place: edge jumps gathered by ``concatenate``, fresh arrays for every
-    intermediate and both outflow sums, the operator laid out by
-    ``_five_point``. The cubic kind's dt guard is left out."""
+    intermediate and both outflow sums, the per-edge tau of ``edge_list``,
+    the operator laid out by ``five_point``. The cubic kind's dt guard is
+    left out."""
     mesh, model, dt = plan.mesh, plan.model, plan.dt
     m = mesh.cell_measures
     u = state.u
-    tau = mesh.interior_tau
+    tau = edge_list(mesh).tau
 
     c_grid = c_new.reshape(mesh.ny, mesh.nx)
     dc_x, dc_y = c_grid[:, 1:] - c_grid[:, :-1], c_grid[1:] - c_grid[:-1]
@@ -217,7 +301,7 @@ def assemble_cell_reference(state, c_new, plan):
         rhs = rhs + growth
     elif model.growth == _model.GROWTH_CUBIC:
         diag = diag - m * u * (1.0 - u)
-    return _five_point(mesh, diag, -w_minus, -w_plus), rhs
+    return five_point(mesh, diag, -w_minus, -w_plus), rhs
 
 
 def _fmt(value) -> str:

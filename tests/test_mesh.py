@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from chemofv import MeshError, build_uniform_rect_mesh
-from chemofv.scheme import _five_point
 
-from oracles import dia_layout_loops
+from oracles import LAYOUT_SHAPES, dia_layout_loops, edge_list, five_point
 
 
 def test_single_cell_mesh():
@@ -12,15 +11,19 @@ def test_single_cell_mesh():
     assert mesh.n_cells == 1
     assert mesh.cell_measures[0] == 1.0
     assert mesh.n_interior_edges == 0
-    assert mesh.interior_cell_a.size == mesh.interior_tau.size == 0
+    edges = edge_list(mesh)
+    assert edges.cell_a.size == edges.tau.size == 0
+    assert mesh.edge_jumps(np.ones(1)).size == 0
 
 
 def test_two_cell_interior_edge_geometry(mesh_2cell):
     assert mesh_2cell.n_interior_edges == 1
-    assert mesh_2cell.interior_measures[0] == 1.0
-    assert mesh_2cell.interior_distances[0] == 1.0
-    assert mesh_2cell.interior_tau[0] == 1.0
-    assert {mesh_2cell.interior_cell_a[0], mesh_2cell.interior_cell_b[0]} == {0, 1}
+    assert mesh_2cell.tau_x == 1.0
+    edges = edge_list(mesh_2cell)
+    assert edges.measures[0] == 1.0
+    assert edges.distances[0] == 1.0
+    assert edges.tau[0] == 1.0
+    assert {edges.cell_a[0], edges.cell_b[0]} == {0, 1}
 
 
 def test_test1_grid_total_measure():
@@ -36,7 +39,8 @@ def test_regularity_uniform_grids_exactly_half(nx, ny):
     # cells, of d(x_K, sigma) / d(x_K, x_L). Centroid centers give 1/2.
     x0, y0 = 0.0, -1.0
     mesh = build_uniform_rect_mesh((x0, 7.0), (y0, 3.0), nx, ny)
-    a, b = mesh.interior_cell_a, mesh.interior_cell_b
+    edges = edge_list(mesh)
+    a, b = edges.cell_a, edges.cell_b
     ca, cb = mesh.cell_centers[a], mesh.cell_centers[b]
     x_normal = ca[:, 1] == cb[:, 1]
     assert np.all(x_normal | (ca[:, 0] == cb[:, 0]))
@@ -47,7 +51,7 @@ def test_regularity_uniform_grids_exactly_half(nx, ny):
     ratios = np.concatenate(
         [face - ca[rows, axis], cb[rows, axis] - face]
     ) / np.tile(center_dist, 2)
-    np.testing.assert_allclose(center_dist, mesh.interior_distances, rtol=1e-14)
+    np.testing.assert_allclose(center_dist, edges.distances, rtol=1e-14)
     assert ratios.min() == pytest.approx(0.5, rel=1e-12)
     assert ratios.max() == pytest.approx(0.5, rel=1e-12)
 
@@ -55,8 +59,14 @@ def test_regularity_uniform_grids_exactly_half(nx, ny):
 def test_tau_matches_measure_over_distance():
     mesh = build_uniform_rect_mesh((0.0, 3.0), (0.0, 2.0), 3, 4)
     assert mesh.n_interior_edges > 0
+    edges = edge_list(mesh)
     for e in range(mesh.n_interior_edges):
-        assert mesh.interior_tau[e] == mesh.interior_measures[e] / mesh.interior_distances[e]
+        assert edges.tau[e] == edges.measures[e] / edges.distances[e]
+    # the mesh's two scalars are the per-edge tau of each edge direction
+    tau_x, tau_y = mesh.edge_grids(edges.tau)
+    assert tau_x.size and np.all(tau_x == mesh.tau_x) and mesh.tau_x == mesh.dy / mesh.dx
+    assert tau_y.size and np.all(tau_y == mesh.tau_y) and mesh.tau_y == mesh.dx / mesh.dy
+    assert mesh.tau_x != mesh.tau_y
 
 
 def test_cell_measure_sum_matches_area():
@@ -68,7 +78,7 @@ def test_cell_measure_sum_matches_area():
 def test_edge_incidence_and_counts():
     nx, ny = 5, 3
     mesh = build_uniform_rect_mesh((0.0, 5.0), (0.0, 3.0), nx, ny)
-    a, b = mesh.interior_cell_a, mesh.interior_cell_b
+    a, b = edge_list(mesh)[:2]
     assert mesh.n_interior_edges == a.size == b.size == (nx - 1) * ny + nx * (ny - 1)
     assert np.all(a != b)
     # a cell's four edges are its interior edges plus its sides on the
@@ -84,7 +94,7 @@ def test_edge_incidence_and_counts():
     assert degree[interior_cell] == 4
     # the layout stores the diagonal and both sides of every edge, each once
     ones = np.ones(mesh.n_interior_edges)
-    operator = _five_point(mesh, np.ones(mesh.n_cells), ones, ones)
+    operator = five_point(mesh, np.ones(mesh.n_cells), ones, ones)
     assert np.count_nonzero(operator.data) == mesh.n_cells + 2 * mesh.n_interior_edges
 
 
@@ -93,13 +103,11 @@ def test_adjacency_neighbors_symmetric():
     offsets = mesh.adjacency_csr()
     np.testing.assert_array_equal(offsets, -offsets[::-1])
     ones = np.ones(mesh.n_interior_edges)
-    dense = _five_point(mesh, np.zeros(mesh.n_cells), ones, ones).to_dense()
+    dense = five_point(mesh, np.zeros(mesh.n_cells), ones, ones).to_dense()
     np.testing.assert_array_equal(dense, dense.T)
 
 
-@pytest.mark.parametrize(
-    "nx,ny", [(1, 1), (2, 1), (1, 5), (3, 5), (48, 48), (35, 350), (150, 150)]
-)
+@pytest.mark.parametrize("nx,ny", LAYOUT_SHAPES)
 def test_dia_layout_matches_loop_reference(nx, ny):
     mesh = build_uniform_rect_mesh((0.0, 1.0), (-2.0, 2.0), nx, ny)
     offsets, slots = dia_layout_loops(mesh)
@@ -112,26 +120,25 @@ def test_dia_layout_matches_loop_reference(nx, ny):
     n, n_edges = mesh.n_cells, mesh.n_interior_edges
     diag = 1.0 + np.arange(n)
     upper, lower = -1.0 - np.arange(n_edges), -1.0 - n_edges - np.arange(n_edges)
-    operator = _five_point(mesh, diag, upper, lower)
+    operator = five_point(mesh, diag, upper, lower)
     want = np.zeros((offsets.size, n))
     for k in range(n):
         want[slots[(k, k)]] = diag[k]
-    edges = zip(mesh.interior_cell_a.tolist(), mesh.interior_cell_b.tolist())
-    for e, (a, b) in enumerate(edges):
+    edges = edge_list(mesh)
+    for e, (a, b) in enumerate(zip(edges.cell_a.tolist(), edges.cell_b.tolist())):
         want[slots[(a, b)]] = upper[e]
         want[slots[(b, a)]] = lower[e]
     # every other entry, those outside the matrix included, is a zero
     np.testing.assert_array_equal(operator.data, want)
 
 
-@pytest.mark.parametrize(
-    "nx,ny", [(1, 1), (2, 1), (1, 5), (3, 5), (48, 48), (35, 350), (150, 150)]
-)
+@pytest.mark.parametrize("nx,ny", LAYOUT_SHAPES)
 def test_edge_jumps_match_edge_list_gather(nx, ny):
     mesh = build_uniform_rect_mesh((0.0, 1.0), (-2.0, 2.0), nx, ny)
     v = np.random.default_rng(nx + 7 * ny).random(mesh.n_cells)
     jumps = mesh.edge_jumps(v)
-    assert np.array_equal(jumps, v[mesh.interior_cell_b] - v[mesh.interior_cell_a])
+    edges = edge_list(mesh)
+    assert np.array_equal(jumps, v[edges.cell_b] - v[edges.cell_a])
     jump_x, jump_y = mesh.edge_grids(jumps)
     assert jump_x.shape == (ny, nx - 1) and jump_y.shape == (ny - 1, nx)
     assert np.shares_memory(jump_x, jumps) or jump_x.size == 0
@@ -139,7 +146,12 @@ def test_edge_jumps_match_edge_list_gather(nx, ny):
 
 @pytest.mark.parametrize(
     "x_range,y_range",
-    [((1.0, 1.0), (0.0, 1.0)), ((2.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (5.0, -5.0))],
+    [
+        ((1.0, 1.0), (0.0, 1.0)),
+        ((2.0, 1.0), (0.0, 1.0)),
+        ((0.0, 1.0), (5.0, -5.0)),
+        ((0.0, 5e-324), (0.0, 1.0)),  # half the range rounds to a cell width of 0
+    ],
 )
 def test_invalid_ranges_rejected(x_range, y_range):
     with pytest.raises(MeshError):
@@ -168,22 +180,19 @@ def test_row_major_indexing_x_fastest():
     np.testing.assert_allclose(mesh.cell_centers[3], [0.5, 1.5])
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "cell_centers",
-        "cell_measures",
-        "interior_cell_a",
-        "interior_cell_b",
-        "interior_measures",
-        "interior_distances",
-        "interior_tau",
-        "tau_sum_interior",
-    ],
-)
+@pytest.mark.parametrize("nx,ny", LAYOUT_SHAPES)
+def test_scale_edges_matches_per_edge_product(nx, ny):
+    mesh = build_uniform_rect_mesh((0.0, 0.7), (-2.0, 1.3), nx, ny)
+    v = np.random.default_rng(nx + 7 * ny).random(mesh.n_interior_edges)
+    scaled = v.copy()
+    assert mesh.scale_edges(scaled, mesh.tau_x, mesh.tau_y) is scaled
+    assert np.array_equal(scaled, edge_list(mesh).tau * v)
+
+
+@pytest.mark.parametrize("name", ["cell_centers", "cell_measures"])
 def test_mesh_arrays_read_only(name):
-    # a write would leave tau_sum_interior and operators built from the
-    # mesh (the cached chem operator) stale
+    # a write would leave stale the operators built from the mesh, such as
+    # the chem operator a StepPlan builds once per run
     mesh = build_uniform_rect_mesh((0.0, 3.0), (0.0, 3.0), 3, 3)
     with pytest.raises(ValueError, match="read-only"):
         getattr(mesh, name)[0] = 7

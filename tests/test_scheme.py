@@ -46,15 +46,16 @@ from chemofv.scheme import (
 )
 from chemofv.linalg import spmv
 from oracles import (
+    LAYOUT_SHAPES,
     abs_sum_slacks,
     assemble_cell_reference,
     beta_brute_force,
+    chem_operator_edge_list,
     dia_layout_loops,
+    edge_list,
     limiter_where,
     splu_solve,
 )
-
-LAYOUT_SHAPES = [(1, 1), (2, 1), (1, 5), (3, 5), (48, 48), (35, 350), (150, 150)]
 
 CORRECTED = SchemeVariant(kind=VARIANT_CORRECTED)
 PLAIN = SchemeVariant(kind=VARIANT_PLAIN)
@@ -332,6 +333,16 @@ class TestChemAssembly:
         b, _ = assemble_chem_system(state, plan_of(mesh_2cell, model))
         np.testing.assert_allclose(b.to_dense(), [[17.0, -1.0], [-1.0, 17.0]])
 
+    @pytest.mark.parametrize("nx,ny", LAYOUT_SHAPES)
+    @pytest.mark.parametrize("gamma,dt", [(1.0, None), (32.0, None), (16.0, 0.05), (0.3, 1e-3)])
+    def test_operator_bit_equal_to_edge_list_reference(self, nx, ny, gamma, dt):
+        # neither tau_x nor tau_y is a power of two, so products by them round
+        mesh = build_uniform_rect_mesh((0.0, 0.7), (-2.0, 1.3), nx, ny)
+        b_mat = chem_operator(mesh, gamma, dt)
+        ref = chem_operator_edge_list(mesh, gamma, dt)
+        np.testing.assert_array_equal(b_mat.offsets, ref.offsets)
+        assert b_mat.data.tobytes() == ref.data.tobytes()
+
 
 DCT_SMALL_MESHES = {
     "1x1": ((0.0, 1.5), (0.0, 1.0), 1, 1),
@@ -392,7 +403,8 @@ class TestCellAssembly:
     @pytest.mark.parametrize("growth", [GROWTH_NONE, GROWTH_QUADRATIC, GROWTH_CUBIC])
     @pytest.mark.parametrize("nx,ny", LAYOUT_SHAPES)
     def test_matches_reference_bit_for_bit(self, nx, ny, growth):
-        mesh = build_uniform_rect_mesh((0.0, 1.0), (-2.0, 2.0), nx, ny)
+        # neither tau_x nor tau_y is a power of two, so products by them round
+        mesh = build_uniform_rect_mesh((0.0, 0.7), (-2.0, 1.3), nx, ny)
         model = ModelSpec(0.25, 6.0, growth=growth, growth_rate=2.0)
         plan = plan_of(mesh, model, dt=0.5, eps=0.05)  # threshold 1/15
         rng = np.random.default_rng(nx * 1000 + ny)
@@ -433,9 +445,8 @@ class TestCellAssembly:
         a, f = assemble_cell_system(state, c_new, plan_of(mesh_small, model, 0.1))
         dense = a.to_dense()
         # off-diagonals reduce to -tau*mu
-        for k, l, tau in zip(
-            mesh_small.interior_cell_a, mesh_small.interior_cell_b, mesh_small.interior_tau
-        ):
+        edges = edge_list(mesh_small)
+        for k, l, tau in zip(edges.cell_a, edges.cell_b, edges.tau):
             assert dense[k, l] == pytest.approx(-tau * 0.25)
         u_next, _ = solver.solve(a, f)
         np.testing.assert_allclose(u_next, state.u, rtol=1e-13)
@@ -462,9 +473,8 @@ class TestCellAssembly:
         dense = np.zeros((n, n))
         for k in range(n):
             dense[k, k] = mesh_small.cell_measures[k] / dt
-        for k, l, tau in zip(
-            mesh_small.interior_cell_a, mesh_small.interior_cell_b, mesh_small.interior_tau
-        ):
+        edges = edge_list(mesh_small)
+        for k, l, tau in zip(edges.cell_a, edges.cell_b, edges.tau):
             dc = c_new[l] - c_new[k]
             wp = tau * (model.cell_diffusion + model.chemo_sensitivity * limiter_S(lim, dc))
             wm = tau * (model.cell_diffusion + model.chemo_sensitivity * limiter_S(lim, -dc))

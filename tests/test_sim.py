@@ -30,7 +30,13 @@ from chemofv import (
 from chemofv.model import SOURCE_LINEAR, RectRegion
 from chemofv.scheme import VARIANT_CORRECTED, VARIANT_LAGGED, VARIANT_ORACLE, VARIANT_PLAIN
 from chemofv.sim import _InvariantMonitor, convergence_rates
-from oracles import h1_seminorm_direct, scipy_jacobi_bicgstab
+from oracles import (
+    LAYOUT_SHAPES,
+    gradient_energy_edge_list,
+    h1_seminorm_direct,
+    h1_seminorm_edge_list,
+    scipy_jacobi_bicgstab,
+)
 
 CORRECTED = SchemeVariant(kind=VARIANT_CORRECTED)
 PLAIN = SchemeVariant(kind=VARIANT_PLAIN)
@@ -113,6 +119,24 @@ class TestNorms:
         with pytest.raises(ValueError, match="p must be finite and >= 1"):
             discrete_norm(np.ones(mesh_small.n_cells), mesh_small, p)
 
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda v, mesh: discrete_norm(v, mesh),
+            lambda v, mesh: mesh.integral(v),
+            lambda v, mesh: relative_l2_error(np.ones(mesh.n_cells), v, mesh),
+            lambda v, mesh: relative_l2_error(v, np.ones(mesh.n_cells), mesh),
+            lambda v, mesh: discrete_h1_seminorm(v, mesh),
+            lambda v, mesh: gradient_energy(v, mesh),
+        ],
+        ids=["norm", "integral", "rel-l2-reference", "rel-l2-field", "h1", "energy"],
+    )
+    def test_one_value_field_rejected(self, measure):
+        # one value is not broadcast over the mesh's nine cells
+        mesh = build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 3, 3)
+        with pytest.raises(ValueError, match="field has 1 values, but mesh.n_cells is 9"):
+            measure(np.array([2.0]), mesh)
+
 
 class TestH1Seminorm:
     def test_constant_field_vanishes(self, mesh_small):
@@ -134,6 +158,15 @@ class TestH1Seminorm:
             got = discrete_h1_seminorm(v, mesh, p)
             want = h1_seminorm_direct(v, mesh, p)
             assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("nx,ny", LAYOUT_SHAPES)
+    def test_bit_equal_to_edge_list_reference(self, nx, ny):
+        # neither tau_x nor tau_y is a power of two, so products by them round
+        mesh = build_uniform_rect_mesh((0.0, 0.7), (-2.0, 1.3), nx, ny)
+        v = np.random.default_rng(nx + 7 * ny).random(mesh.n_cells) * 3.0
+        for p in (1.0, 1.5, 2.0, 2.7, 3.0):
+            assert discrete_h1_seminorm(v, mesh, p) == h1_seminorm_edge_list(v, mesh, p)
+        assert gradient_energy(v, mesh) == gradient_energy_edge_list(v, mesh)
 
     def test_gradient_energy_is_squared_h1(self, mesh_small):
         rng = np.random.default_rng(3)
