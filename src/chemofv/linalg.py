@@ -9,6 +9,13 @@ structure check (``check_m_matrix_pattern``) read that one
 on the same offsets; no CSR or CSC matrix is built in a run unless a solve
 falls back to LU.
 
+Operators are made in two ways. The constructor validates offsets and
+data and builds the ``dia_matrix``; a run does this once, for the chem
+operator, when its plan is built. Every later operator on the same layout
+(the cell operator of each step) is made by ``SparseMatrix.with_data``
+from that validated one: the offsets and layout are shared, and only the
+new data is checked, by the same data checks the constructor runs.
+
 The solve contract is a relative residual tolerance (``LinearSolver.tol``,
 1e-12), not a method. A solve takes one of two paths:
 
@@ -65,13 +72,16 @@ class StructureReport:
     The slack vectors are the signed row and column sums. Whenever the sign
     pattern holds (positive diagonal, nonpositive off-diagonals) these
     equal |diag| - sum|offdiag| per row / per column, and strict dominance
-    means every slack is positive; otherwise they are only sums.
+    means every slack is positive; otherwise they are only sums. Only the
+    slacks asked of ``check_m_matrix_pattern`` are filled: both by default,
+    ``row_slack`` alone for ``slack="rows"`` and ``col_slack`` alone for
+    ``slack="cols"``; the other one is None.
     """
 
     diag_positive: bool
     offdiag_nonpositive: bool
-    row_slack: np.ndarray
-    col_slack: np.ndarray
+    row_slack: np.ndarray | None
+    col_slack: np.ndarray | None
 
 
 def readonly_copy(a, dtype=np.int64) -> np.ndarray:
@@ -81,44 +91,86 @@ def readonly_copy(a, dtype=np.int64) -> np.ndarray:
     return out
 
 
+def _takes_over(data) -> bool:
+    """Whether an operator may keep ``data`` as it is: a read-only float64
+    array that owns its memory, which no one can write through."""
+    return (
+        isinstance(data, np.ndarray)
+        and data.base is None
+        and data.dtype == np.float64
+        and not data.flags.writeable
+    )
+
+
+def _check_data(offsets: list[int], data: np.ndarray, n: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``data`` holds one row per offset (of
+    ``n`` columns, when ``n`` is given) and no nonzero entry outside the
+    n-by-n matrix."""
+    if data.ndim != 2 or data.shape[0] != len(offsets) or n not in (None, data.shape[1]):
+        need = "n" if n is None else n
+        raise ValueError(f"data has shape {data.shape}, need ({len(offsets)}, {need})")
+    n = data.shape[1]
+    for offset, row in zip(offsets, data):
+        # columns j with 0 <= j - offset < n lie inside the matrix: all but
+        # the first ``offset`` columns of an upper diagonal, all but the
+        # last ``-offset`` of a lower one
+        outside = row[:offset] if offset >= 0 else row[max(n + offset, 0) :]
+        if np.count_nonzero(outside):
+            raise ValueError(f"nonzero entry outside the matrix on diagonal {offset}")
+
+
 class SparseMatrix:
     """Square n-by-n operator in scipy's DIA layout.
 
     ``offsets`` are sorted, unique and include 0; ``data`` holds one row per
     offset, ``data[d, j] = A[j - offsets[d], j]``, and an entry that falls
-    outside the matrix must be zero. The constructor checks all of this and
-    keeps both arrays read-only, on which it builds the one scipy
-    ``dia_matrix``, ``dia``, that every product with A reads (the Krylov
-    loop multiplies by a column-scaled copy). ``data`` is copied
-    unless it is already a read-only float64 array that owns its memory:
-    such an array is taken over as it is, so the caller hands it over and
-    does not make it writable again. Instances are immutable; the chem
-    operator also keeps its exact transform solve, a (solve, method label)
-    pair, from ``keep_dct_solve``.
+    outside the matrix must be zero. Both arrays are read-only, and the one
+    scipy ``dia_matrix``, ``dia``, that every product with A reads (the
+    Krylov loop multiplies by a column-scaled copy) is built on them.
+    Instances are immutable; the chem operator also keeps its exact
+    transform solve, a (solve, method label) pair, from ``keep_dct_solve``.
+
+    There are two ways to make one. The constructor checks the offsets and
+    the data and builds ``dia``; ``data`` is copied unless it is already a
+    read-only float64 array that owns its memory: such an array is taken
+    over as it is, so the caller hands it over and does not make it
+    writable again. ``with_data`` makes an operator on the layout of one
+    already built, for a step's cell operator: it checks only the data,
+    which it takes over and so refuses unless it could be taken over, and
+    shares the offsets and a shallow copy of ``dia``, so scipy does not
+    check the layout again.
     """
 
     def __init__(self, offsets, data):
         offsets = readonly_copy(offsets)
-        owned = isinstance(data, np.ndarray) and data.base is None
-        if not (owned and data.dtype == np.float64 and not data.flags.writeable):
+        if not _takes_over(data):
             data = readonly_copy(data, float)  # own copy keeps the operator immutable
         listed = offsets.tolist()
         if offsets.ndim != 1 or listed != sorted(set(listed)) or 0 not in listed:
             raise ValueError(f"offsets {offsets} must be sorted, unique and include 0")
-        if data.ndim != 2 or data.shape[0] != offsets.size:
-            raise ValueError(f"data has shape {data.shape}, need ({offsets.size}, n)")
+        _check_data(listed, data)
         n = data.shape[1]
-        for offset, row in zip(listed, data):
-            # columns j with 0 <= j - offset < n lie inside the matrix
-            head, tail = row[: max(offset, 0)], row[max(n + offset, 0) :]
-            if np.count_nonzero(head) or np.count_nonzero(tail):
-                raise ValueError(f"nonzero entry outside the matrix on diagonal {offset}")
         self.n = n
         self.offsets = offsets
         self.data = data
         self.dia = sp.dia_matrix((data, offsets), shape=(n, n))
         self.dia.offsets.setflags(write=False)
         self._exact: tuple[Callable[[np.ndarray], np.ndarray], str] | None = None
+
+    def with_data(self, data: np.ndarray) -> SparseMatrix:
+        """A new operator on this one's offsets and size holding ``data``,
+        which must be a read-only float64 array that owns its memory (it is
+        taken over, not copied) and passes the constructor's data checks.
+        No exact solve is carried over."""
+        if not _takes_over(data):
+            raise ValueError("data must be a read-only float64 array that owns its memory")
+        _check_data(self.offsets.tolist(), data, self.n)
+        out = object.__new__(SparseMatrix)
+        out.n, out.offsets, out.data = self.n, self.offsets, data
+        out.dia = copy.copy(self.dia)  # shares offsets and shape
+        out.dia.data = data
+        out._exact = None
+        return out
 
     def diagonal(self) -> np.ndarray:
         return self.data[np.searchsorted(self.offsets, 0)]
@@ -157,20 +209,23 @@ def fixed_norm(a: np.ndarray) -> float:
     return math.sqrt(fixed_dot(a, a))
 
 
-def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
-    """Sign pattern on the stored diagonals plus the signed row and column
-    sums, which are the dominance slacks whenever the sign pattern holds.
+def check_m_matrix_pattern(m: SparseMatrix, slack: str = "both") -> StructureReport:
+    """Sign pattern on the stored diagonals plus the signed row sums
+    (``slack`` "rows" or "both") and column sums ("cols" or "both"), which
+    are the dominance slacks whenever the sign pattern holds.
 
     A row sum is the product with ones; a column sum adds column j's
     entries by increasing row, which is decreasing offset. Both add each
     row's or column's entries in the order a sorted CSR operator stores
     them; the zeros the layout stores beside them add nothing.
     """
+    if slack not in ("rows", "cols", "both"):
+        raise ValueError(f"slack must be 'rows', 'cols' or 'both', got {slack!r}")
     return StructureReport(
-        diag_positive=bool(np.all(m.diagonal() > 0)),
-        offdiag_nonpositive=bool(np.all(m.data[m.offsets != 0] <= 0)),
-        row_slack=m.dia @ np.ones(m.n),
-        col_slack=np.add.reduce(m.data[::-1], axis=0),
+        diag_positive=bool((m.diagonal() > 0).all()),
+        offdiag_nonpositive=bool((m.data[m.offsets != 0] <= 0).all()),
+        row_slack=None if slack == "cols" else m.dia @ np.ones(m.n),
+        col_slack=None if slack == "rows" else np.add.reduce(m.data[::-1], axis=0),
     )
 
 

@@ -110,9 +110,12 @@ def correction_term(state: State, model: ModelSpec, mesh: Mesh) -> np.ndarray:
     """
     if state.n_cells != mesh.n_cells:
         raise ValueError("state and mesh sizes differ")
-    src_now = chem_source_value(model, state.u)
-    src_prev = chem_source_value(model, state.u_prev)
-    return mesh.cell_measures * (src_now - src_prev)
+    return _correction(state, model, mesh, chem_source_value(model, state.u))
+
+
+def _correction(state: State, model: ModelSpec, mesh: Mesh, src_now) -> np.ndarray:
+    """``correction_term`` given ``src_now``, the source of ``state.u``."""
+    return mesh.cell_measures * (src_now - chem_source_value(model, state.u_prev))
 
 
 def beta_n(state: State, mesh: Mesh) -> float:
@@ -137,9 +140,10 @@ def beta_n(state: State, mesh: Mesh) -> float:
     return float(min(1.0, np.min(g_now[mask] / denom)))
 
 
-def _five_point_rows(mesh: Mesh):
-    """A zeroed data array on ``mesh``'s DIA layout and writable views of
-    its entries: ``(offsets, data, diag, upper, lower)``.
+def _five_point_rows(mesh: Mesh, offsets: np.ndarray):
+    """A zeroed data array on ``mesh``'s DIA layout, whose sorted
+    ``offsets`` are ``mesh.adjacency_csr()``, and writable views of its
+    entries: ``(data, diag, upper, lower)``.
 
     ``diag`` is the diagonal. ``upper`` and ``lower`` are each an
     (x-normal, y-normal) pair of edge grids laid out as
@@ -150,7 +154,6 @@ def _five_point_rows(mesh: Mesh):
     other entry stays zero. A mesh one cell wide has empty grids for the
     edges it lacks.
     """
-    offsets = mesh.adjacency_csr()
     nx, ny = mesh.nx, mesh.ny
     data = np.zeros((offsets.size, mesh.n_cells))
     rows = dict(zip(offsets.tolist(), data))  # offset -> its row, a view
@@ -162,12 +165,7 @@ def _five_point_rows(mesh: Mesh):
         rows[-1].reshape(ny, nx)[:, :-1] if nx > 1 else np.empty((ny, 0)),
         rows[-nx][:-nx].reshape(ny - 1, nx) if ny > 1 else np.empty((0, nx)),
     )
-    return offsets, data, rows[0], upper, lower
-
-
-def _operator(offsets: np.ndarray, data: np.ndarray) -> SparseMatrix:
-    data.setflags(write=False)  # hand the fresh array over without a copy
-    return SparseMatrix(offsets, data)
+    return data, rows[0], upper, lower
 
 
 def _add_outflow(diag: np.ndarray, mesh: Mesh, plus, minus):
@@ -192,7 +190,8 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     gamma*m(K) (and m(K)/dt when ``dt`` is given, for parabolic dynamics).
 
     B depends on nothing else, so a run's ``StepPlan`` builds it once and
-    every step solves with that object; each call builds a new B. On the
+    every step solves with that object; each call builds a new B, the one
+    operator of a run that the ``SparseMatrix`` constructor validates. On the
     uniform rectangle B is tau_x T_nx (x) I + tau_y I (x) T_ny plus
     (gamma + [1/dt]) hx hy I, with T_n the 1-D Neumann second difference,
     which the DCT-II diagonalises with eigenvalues 2(1 - cos(pi k / n)).
@@ -203,14 +202,16 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     """
     m = mesh.cell_measures
     taus = (mesh.tau_x, mesh.tau_y)
-    offsets, data, diag, upper, lower = _five_point_rows(mesh)
+    offsets = mesh.adjacency_csr()
+    data, diag, upper, lower = _five_point_rows(mesh, offsets)
     for row, tau in zip(upper + lower, taus + taus):
         row[...] = -tau
     _add_outflow(diag, mesh, taus, taus)
     diag += chem_decay * m
     if dt is not None:
         diag += m / dt
-    b_mat = _operator(offsets, data)
+    data.setflags(write=False)  # hand the fresh array over without a copy
+    b_mat = SparseMatrix(offsets, data)
 
     def neumann_eigenvalues(n):
         return 2.0 * (1.0 - np.cos(np.pi * np.arange(n) / n))
@@ -230,8 +231,10 @@ class StepPlan:
     """What stays constant for a run: its mesh, model, limiter constant
     ``epsilon``, variant, dt, solver and matrix-check flag, and what they
     determine: the flux limiter (``limiter``, with the model's mu and chi)
-    and the chem operator B (``chem_matrix``, with its DCT solve). A state
-    carries no dt; every step of it is the plan's. Building the plan checks
+    and the chem operator B (``chem_matrix``, with its DCT solve). B is
+    also the run's validated five-point layout: every step's cell operator
+    has B's offsets and size, and is made on them by ``B.with_data``. A
+    state carries no dt; every step of it is the plan's. Building the plan checks
     that dt is positive and finite and that epsilon lies in [0, mu] and,
     with ``check_matrices``, checks B's sign pattern and row slack
     (gamma + [1/dt]) m(K) once, since B is the same matrix at every step.
@@ -274,14 +277,18 @@ def assemble_chem_system(
     times the correction term (the corrected variant's step passes a
     nonzero beta), and m(K) c^n / dt for parabolic dynamics. The lagged
     variant and the coupled oracle pass the freshly solved density as
-    ``u_source``.
+    ``u_source``. Without it, g(u^n) is taken once, for the source and the
+    correction term alike.
     """
-    m = plan.mesh.cell_measures
-    rhs = m * chem_source_value(plan.model, state.u if u_source is None else u_source)
-    if plan.model.chem_dynamics == _model.CHEM_PARABOLIC:
-        rhs = rhs + m * state.c / plan.dt
+    mesh, model = plan.mesh, plan.model
+    src = chem_source_value(model, state.u if u_source is None else u_source)
+    rhs = mesh.cell_measures * src
+    if model.chem_dynamics == _model.CHEM_PARABOLIC:
+        rhs = rhs + mesh.cell_measures * state.c / plan.dt
     if beta:
-        rhs = rhs + beta * correction_term(state, plan.model, plan.mesh)
+        if u_source is not None:  # the correction is sourced from u^n
+            src = chem_source_value(model, state.u)
+        rhs = rhs + beta * _correction(state, model, mesh, src)
     return plan.chem_matrix, rhs
 
 
@@ -314,7 +321,7 @@ def assemble_cell_system(
     mesh.scale_edges(w_minus, mesh.tau_x, mesh.tau_y)
 
     # -w_minus at (a, b) and -w_plus at (b, a) for edge e joining a < b
-    offsets, data, diag, upper, lower = _five_point_rows(mesh)
+    data, diag, upper, lower = _five_point_rows(mesh, plan.chem_matrix.offsets)
     plus, minus = mesh.edge_grids(w_plus), mesh.edge_grids(w_minus)
     for row, weights in zip(upper + lower, minus + plus):
         np.negative(weights, out=row)
@@ -335,27 +342,32 @@ def assemble_cell_system(
                 f"dt={dt:.6g}; reduce dt below the largest admissible dt {1.0 / worst:.6g}"
             )
 
-    return _operator(offsets, data), rhs
+    data.setflags(write=False)  # hand the fresh array over without a copy
+    return plan.chem_matrix.with_data(data), rhs
 
 
-def _require_nonnegative(field: np.ndarray, name: str):
-    floor = -1e-12 * max(float(field.max()), 0.0)
+def _require_nonnegative(field: np.ndarray, name: str, step_index: int, rel_tol=0.0):
+    """Raise unless ``field``, the ``name`` field of state ``step_index``,
+    stays at or above -rel_tol * max(field, 0). u is held to rel_tol 0:
+    the next step's chem source refuses any negative density, so every u
+    this check passes is one the next step accepts."""
+    floor = -rel_tol * max(float(field.max()), 0.0) if rel_tol else 0.0
     worst = float(field.min())
     if worst < floor:
         raise SchemeError(
-            f"{name} went negative beyond tolerance: min={worst:.3e}, "
+            f"{name} went negative at step {step_index}: min={worst:.3e}, "
             f"allowed {floor:.3e} (assembly bug?)"
         )
 
 
-def _check_chem_positivity(c_new: np.ndarray, g_vec: np.ndarray):
+def _check_chem_positivity(c_new: np.ndarray, g_vec: np.ndarray, step_index: int):
     # A nonnegative right-hand side makes c >= 0 a hard guarantee (M-matrix
     # inverse is positive); breaking it then means an assembly/solver bug.
     # With the fixed beta = 1 policy the corrected right-hand side can dip
     # below zero under violent density drops, and a transiently negative c
     # is then the scheme's true output, not a defect.
     if float(g_vec.min()) >= -1e-15 * max(float(np.abs(g_vec).max()), 1.0):
-        _require_nonnegative(c_new, "c")
+        _require_nonnegative(c_new, "c", step_index, 1e-12)
     elif float(c_new.min()) < 0.0:
         log.warning(
             "chem right-hand side had negative entries (min %.3e); "
@@ -366,7 +378,7 @@ def _check_chem_positivity(c_new: np.ndarray, g_vec: np.ndarray):
 
 
 def _check_structure(matrix, expected_slack, by, what):
-    report = check_m_matrix_pattern(matrix)
+    report = check_m_matrix_pattern(matrix, by)
     if not report.diag_positive or not report.offdiag_nonpositive:
         raise SchemeError(f"{what} lost the M-matrix sign pattern")
     slack = report.row_slack if by == "rows" else report.col_slack
@@ -413,9 +425,10 @@ def step(state: State, plan: StepPlan) -> State:
             expected_a = expected_a - m * state.u * (1.0 - state.u)
         _check_structure(a_mat, expected_a, "cols", "cell matrix")
 
-    _require_nonnegative(u_new, "u")
-    _check_chem_positivity(c_new, g_vec)
-    return State(u_new, c_new, state.u, state.step_index + 1)
+    n_new = state.step_index + 1
+    _require_nonnegative(u_new, "u", n_new)
+    _check_chem_positivity(c_new, g_vec, n_new)
+    return State(u_new, c_new, state.u, n_new)
 
 
 def step_coupled_oracle(
@@ -450,9 +463,10 @@ def step_coupled_oracle(
         )
         u_k, c_k = u_next, c_next
         if delta <= ORACLE_TOL:
-            _require_nonnegative(u_k, "u")
-            _require_nonnegative(c_k, "c")
-            return State(u_k, c_k, state.u, state.step_index + 1)
+            n_new = state.step_index + 1
+            _require_nonnegative(u_k, "u", n_new)
+            _require_nonnegative(c_k, "c", n_new, 1e-12)
+            return State(u_k, c_k, state.u, n_new)
     raise SchemeError(
         f"coupled oracle did not converge in {ORACLE_MAX_ITER} iterations "
         f"(last change {delta:.3e}, tol {ORACLE_TOL:.3e})"

@@ -393,7 +393,7 @@ def extract_contour(field_values, mesh: Mesh, x0: float) -> tuple[np.ndarray, np
     """
     if not mesh.x_range[0] <= x0 <= mesh.x_range[1]:
         raise ValueError(f"x0={x0} outside the domain x-range {mesh.x_range}")
-    v = np.asarray(field_values, dtype=float)
+    v = mesh.cell_field(field_values)
     centers = mesh.cell_centers
     _, ys, values = column_profile(centers[:, 0], centers[:, 1], v, x0)
     return ys, values

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 
 from chemofv import SparseMatrix
 from chemofv import model as _model
-from chemofv.scheme import _five_point_rows, _operator, limiter_S
+from chemofv.scheme import _five_point_rows, limiter_S
 
 # mesh shapes for the layout references: degenerate, small, the desk grid
 # and the test1 and test4 preset grids
@@ -70,12 +70,13 @@ def five_point(mesh, diag, upper, lower) -> SparseMatrix:
     and, for interior edge e joining a < b, ``upper[e]`` at (a, b) and
     ``lower[e]`` at (b, a); each part is one slice write into the views of
     ``_five_point_rows``."""
-    offsets, data, diag_row, upper_rows, lower_rows = _five_point_rows(mesh)
+    offsets = mesh.adjacency_csr()
+    data, diag_row, upper_rows, lower_rows = _five_point_rows(mesh, offsets)
     diag_row[:] = diag
     values = mesh.edge_grids(upper) + mesh.edge_grids(lower)
     for row, grid in zip(upper_rows + lower_rows, values):
         row[...] = grid
-    return _operator(offsets, data)
+    return SparseMatrix(offsets, data)
 
 
 def chem_operator_edge_list(mesh, chem_decay, dt) -> SparseMatrix:

@@ -91,6 +91,57 @@ class TestSparseMatrix:
         assert m.diagonal()[1] == 0.0
 
 
+class TestWithData:
+    """The operator made on a validated one's layout, as each step's cell
+    operator is."""
+
+    @staticmethod
+    def template():
+        return from_dense([[3.0, -1.0, 0.0], [-2.0, 4.0, -1.0], [0.0, -1.0, 2.0]])
+
+    @staticmethod
+    def frozen(data):
+        data = np.array(data, dtype=float)
+        data.setflags(write=False)
+        return data
+
+    def test_shares_the_layout_and_takes_the_data_over(self):
+        t = self.template()
+        keep_dct_solve(t, np.ones((1, 3)))
+        data = self.frozen(2.0 * t.data)
+        m = t.with_data(data)
+        assert m.offsets is t.offsets and m.dia.offsets is t.dia.offsets
+        assert m.data is data and m.dia.data is data
+        assert m.n == 3 and m._exact is None  # the template's exact solve stays its own
+        np.testing.assert_array_equal(m.to_dense(), 2.0 * t.to_dense())
+        x = np.array([1.0, -2.0, 0.5])
+        assert np.array_equal(spmv(m, x), SparseMatrix(t.offsets, data).dia @ x)
+        np.testing.assert_array_equal(t.to_dense()[0], [3.0, -1.0, 0.0])  # template unchanged
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3), (3,), (1, 3, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"data has shape .*, need \(3, 3\)"):
+            self.template().with_data(self.frozen(np.zeros(shape)))
+
+    def test_data_it_cannot_take_over_rejected(self):
+        t = self.template()
+        writable = t.data.copy()
+        view = self.frozen(t.data)[:, :]
+        narrow = t.data.astype(np.float32)
+        narrow.setflags(write=False)
+        for data in (writable, view, narrow, t.data.tolist()):
+            with pytest.raises(ValueError, match="read-only float64 array"):
+                t.with_data(data)
+
+    @pytest.mark.parametrize("offset,column", [(1, 0), (-1, 2)])
+    def test_entry_outside_matrix_rejected(self, offset, column):
+        t = self.template()
+        data = t.data.copy()
+        data[list(t.offsets).index(offset), column] = -1.0
+        with pytest.raises(ValueError, match=f"outside the matrix on diagonal {offset}"):
+            t.with_data(self.frozen(data))
+
+
 class TestSpmv:
     def test_identity(self):
         x = np.array([3.0, -1.0, 2.0])
@@ -152,6 +203,17 @@ class TestStructureChecks:
         report = check_m_matrix_pattern(m)
         np.testing.assert_allclose(report.row_slack, [2.0, 2.0])
         np.testing.assert_allclose(report.col_slack, [1.0, 3.0])
+
+    def test_only_the_asked_slack_is_filled(self):
+        m = from_dense([[3.0, -1.0], [-2.0, 4.0]])
+        rows = check_m_matrix_pattern(m, "rows")
+        cols = check_m_matrix_pattern(m, "cols")
+        assert rows.col_slack is None and cols.row_slack is None
+        np.testing.assert_array_equal(rows.row_slack, [2.0, 2.0])
+        np.testing.assert_array_equal(cols.col_slack, [1.0, 3.0])
+        assert rows.diag_positive and cols.offdiag_nonpositive
+        with pytest.raises(ValueError, match="slack must be"):
+            check_m_matrix_pattern(m, "row")
 
 
 class TestFixedDot:

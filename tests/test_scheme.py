@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -416,9 +418,12 @@ class TestCellAssembly:
         state = state_of(u, u_prev=rng.random(mesh.n_cells))
         a, f = assemble_cell_system(state, c, plan)
         a_ref, f_ref = assemble_cell_reference(state, c, plan)
+        assert a.offsets is plan.chem_matrix.offsets  # made on the plan's layout
         np.testing.assert_array_equal(a.offsets, a_ref.offsets)
         assert np.array_equal(a.data, a_ref.data)
         assert np.array_equal(f, f_ref)
+        x = rng.standard_normal(mesh.n_cells)
+        assert np.array_equal(a.dia @ x, a_ref.dia @ x)
 
     def test_two_cell_hand_assembled_offdiagonals(self, mesh_2cell):
         # tau=1, mu=0.25, a=2, eps=0, Dc(cell 0) = 0.3:
@@ -663,6 +668,29 @@ class TestStep:
             new = step(state, plan)
             assert new.u.min() >= -1e-12 * max(new.u.max(), 0.0)
             assert new.c.min() >= -1e-12 * max(new.c.max(), 0.0)
+
+    @pytest.mark.parametrize("dip,accepted", [(-1e-15, False), (0.0, True), (-0.0, True)])
+    def test_u_the_step_accepts_is_accepted_by_the_next_step(self, dip, accepted):
+        # the step used to pass u >= -1e-12 max u, which the next step's
+        # chem source then refused with a ValueError that named no step
+        mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 8, 8)
+
+        class DippingSolver(LinearSolver):
+            def solve(self, m, rhs):
+                x, report = super().solve(m, rhs)
+                if m is not plan.chem_matrix:
+                    x[5] = dip
+                return x, report
+
+        plan = plan_of(mesh, elliptic_model(), 0.01, 1e-6, solver=DippingSolver())
+        state = replace(perturbed_state(mesh), u_prev=perturbed_state(mesh, 7).u, step_index=4)
+        if not accepted:
+            with pytest.raises(SchemeError, match=r"u went negative at step 5: min=-1\.000e-15"):
+                step(state, plan)
+            return
+        state = step(state, plan)
+        assert state.u[5] == 0.0 and state.step_index == 5
+        assert step(state, plan).step_index == 6
 
     def test_lagged_variant_uses_old_chem_field(self, mesh_2cell, solver):
         # with a deliberately steep c^n, the lagged cell matrix must see it

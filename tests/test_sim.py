@@ -2,11 +2,13 @@ import logging
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import chemofv
 from chemofv import (
@@ -16,6 +18,7 @@ from chemofv import (
     ModelSpec,
     RunConfig,
     SchemeVariant,
+    SparseMatrix,
     State,
     build_uniform_rect_mesh,
     convergence_study,
@@ -27,9 +30,11 @@ from chemofv import (
     relative_l2_error,
     run,
 )
+from chemofv import scheme
+from chemofv.mesh import Mesh
 from chemofv.model import SOURCE_LINEAR, RectRegion
 from chemofv.scheme import VARIANT_CORRECTED, VARIANT_LAGGED, VARIANT_ORACLE, VARIANT_PLAIN
-from chemofv.sim import _InvariantMonitor, convergence_rates
+from chemofv.sim import _InvariantMonitor, convergence_rates, plan_for
 from oracles import (
     LAYOUT_SHAPES,
     gradient_energy_edge_list,
@@ -335,6 +340,92 @@ for p, dt, strict in ((preset("test1"), 1e-2, False), (preset("test4", chi=80.0)
 """
 
 
+class TestStepTraffic:
+    """What a step leaves to the plan: a strict, matrix-checked corrected
+    run validates an operator and reads the mesh's layout only while its
+    plan is built, takes the chem source twice a step (g(u^n) once, and
+    g(u^{n-1})), and checks the cell matrix by column sums alone."""
+
+    @staticmethod
+    def traffic(monkeypatch, steps):
+        """Call counts of building the plan of a run of ``steps`` steps,
+        and of the run; "row products" counts the products with a matrix
+        that a structure check makes."""
+        counts = Counter()
+
+        def count(owner, attr, key):
+            original = getattr(owner, attr)
+
+            def counting(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+
+        count(SparseMatrix, "__init__", "operators")
+        count(Mesh, "adjacency_csr", "layouts")
+        count(scheme, "chem_source_value", "sources")
+        check, matmul = scheme.check_m_matrix_pattern, sp.dia_matrix.__matmul__
+        in_check = []
+
+        def checking(*args, **kwargs):
+            in_check.append(True)
+            try:
+                return check(*args, **kwargs)
+            finally:
+                in_check.pop()
+
+        def product(self, other):
+            if in_check:
+                counts["row products"] += 1
+            return matmul(self, other)
+
+        monkeypatch.setattr(scheme, "check_m_matrix_pattern", checking)
+        monkeypatch.setattr(sp.dia_matrix, "__matmul__", product)
+        mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8)
+        cfg = desk_config(mesh, dt=1e-3, t_final=steps * 1e-3, strict=True, check_matrices=True)
+        plan_for(cfg)
+        plan_counts = dict(counts)
+        counts.clear()
+        run(cfg)
+        return plan_counts, dict(counts)
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    def test_per_step_work_is_left_to_the_plan(self, monkeypatch, steps):
+        plan_counts, run_counts = self.traffic(monkeypatch, steps)
+        # B: one operator on one layout, and the product of its row check
+        assert plan_counts == {"operators": 1, "layouts": 1, "row products": 1}
+        assert run_counts == {**plan_counts, "sources": 2 * steps}
+
+    def test_recorded_operators_keep_their_own_data(self):
+        probe = np.random.default_rng(3).standard_normal(64)
+
+        class RecordingSolver(LinearSolver):
+            """Keeps each cell operator with a copy of its data and its
+            product with ``probe``, taken when it is solved."""
+
+            def __init__(self):
+                super().__init__()
+                self.cell = []
+
+            def solve(self, m, rhs):
+                if m._exact is None:  # not the chem operator
+                    self.cell.append((m, m.data.copy(), m.dia @ probe))
+                return super().solve(m, rhs)
+
+        mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8)
+        solver = RecordingSolver()
+        run(desk_config(mesh, dt=0.01, t_final=0.04, check_matrices=True), solver=solver)
+        assert len(solver.cell) == 4
+        for (a, _, _), (b, _, _) in zip(solver.cell, solver.cell[1:]):
+            assert a.offsets is b.offsets  # one layout for the run
+            assert not np.shares_memory(a.data, b.data)
+            assert not np.array_equal(a.data, b.data)  # each step's own values
+        for m, data, product in solver.cell:  # as they were when solved
+            assert np.array_equal(m.data, data)
+            assert np.array_equal(m.dia @ probe, product)
+
+
 def python_probe(code: str, **env_vars: str) -> str:
     """stdout of ``code`` run by a fresh interpreter on this chemofv."""
     env = dict(os.environ, **env_vars)
@@ -557,3 +648,11 @@ class TestContour:
     def test_x0_outside_domain_rejected(self, mesh_small):
         with pytest.raises(ValueError):
             extract_contour(np.ones(mesh_small.n_cells), mesh_small, 2.0)
+
+    @pytest.mark.parametrize(
+        "shape,size", [((1,), 1), ((16 + 3,), 19), ((4, 4), 16)], ids=["one", "n+3", "grid"]
+    )
+    def test_field_without_one_value_per_cell_rejected(self, mesh_small, shape, size):
+        # a (ny, nx) grid holds n_cells values but is not a cell field
+        with pytest.raises(ValueError, match=f"field has {size} values, but mesh.n_cells is 16"):
+            extract_contour(np.ones(shape), mesh_small, 0.5)
