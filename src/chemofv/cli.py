@@ -74,12 +74,9 @@ def cmd_study(args) -> int:
     if len(args.dt) < 2:
         raise ConfigError("a study needs at least two dt values")
     resolved = cfgmod.resolve(_build_doc(args))
-    base = dataclasses.replace(
-        resolved.run,
-        dt=resolved.run.dt if args.reference_dt is None else args.reference_dt,
-        snapshot_every=0,
-        diagnostics_every=0,
-    )
+    base = resolved.run
+    if args.reference_dt is not None:
+        base = dataclasses.replace(base, dt=args.reference_dt)
     variants = [
         SchemeVariant(kind=name, beta_policy=base.variant.beta_policy)
         for name in args.variants

@@ -75,16 +75,19 @@ def _pair(value, what):
 
 
 def _region(value, what):
-    """The region mapping: its kind, then its shape's fields as floats."""
+    """The region mapping: its kind, then its shape's fields as floats; a
+    key that is not one of them is rejected."""
     if not isinstance(value, dict) or "kind" not in value:
         raise ConfigError(f"{what} must be null or a mapping with a kind, got {value!r}")
     kind = value["kind"]
     if not isinstance(kind, str) or kind not in _REGIONS:
         raise ConfigError(f"unknown {what} kind {kind!r}")
+    names = [f.name for f in fields(_REGIONS[kind])]
+    for key in value:
+        if key != "kind" and key not in names:
+            raise ConfigError(f"unknown key {what}.{key!r} for kind {kind!r}; expected {names}")
     try:
-        return {"kind": kind} | {
-            f.name: _float(value[f.name], f"{what}.{f.name}") for f in fields(_REGIONS[kind])
-        }
+        return {"kind": kind} | {name: _float(value[name], f"{what}.{name}") for name in names}
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {what} {value!r}: {exc}") from exc
 

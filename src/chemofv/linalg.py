@@ -67,21 +67,18 @@ class SolveReport:
 
 @dataclass
 class StructureReport:
-    """Sign pattern and diagonal-dominance slacks of a square matrix.
+    """Sign pattern and one diagonal-dominance slack of a square matrix.
 
-    The slack vectors are the signed row and column sums. Whenever the sign
-    pattern holds (positive diagonal, nonpositive off-diagonals) these
-    equal |diag| - sum|offdiag| per row / per column, and strict dominance
-    means every slack is positive; otherwise they are only sums. Only the
-    slacks asked of ``check_m_matrix_pattern`` are filled: both by default,
-    ``row_slack`` alone for ``slack="rows"`` and ``col_slack`` alone for
-    ``slack="cols"``; the other one is None.
+    ``slack`` is the signed row sums or the signed column sums, whichever
+    was asked of ``check_m_matrix_pattern``. Whenever the sign pattern
+    holds (positive diagonal, nonpositive off-diagonals) these equal
+    |diag| - sum|offdiag| per row or per column, and strict dominance means
+    every slack is positive; otherwise they are only sums.
     """
 
     diag_positive: bool
     offdiag_nonpositive: bool
-    row_slack: np.ndarray | None
-    col_slack: np.ndarray | None
+    slack: np.ndarray
 
 
 def readonly_copy(a, dtype=np.int64) -> np.ndarray:
@@ -209,23 +206,26 @@ def fixed_norm(a: np.ndarray) -> float:
     return math.sqrt(fixed_dot(a, a))
 
 
-def check_m_matrix_pattern(m: SparseMatrix, slack: str = "both") -> StructureReport:
-    """Sign pattern on the stored diagonals plus the signed row sums
-    (``slack`` "rows" or "both") and column sums ("cols" or "both"), which
-    are the dominance slacks whenever the sign pattern holds.
+def check_m_matrix_pattern(m: SparseMatrix, by: str) -> StructureReport:
+    """Sign pattern on the stored diagonals plus the signed row sums (``by``
+    "rows") or column sums ("cols"), which are the dominance slacks
+    whenever the sign pattern holds.
 
     A row sum is the product with ones; a column sum adds column j's
     entries by increasing row, which is decreasing offset. Both add each
     row's or column's entries in the order a sorted CSR operator stores
     them; the zeros the layout stores beside them add nothing.
     """
-    if slack not in ("rows", "cols", "both"):
-        raise ValueError(f"slack must be 'rows', 'cols' or 'both', got {slack!r}")
+    if by == "rows":
+        slack = m.dia @ np.ones(m.n)
+    elif by == "cols":
+        slack = np.add.reduce(m.data[::-1], axis=0)
+    else:
+        raise ValueError(f"slack must be taken by 'rows' or 'cols', got {by!r}")
     return StructureReport(
         diag_positive=bool((m.diagonal() > 0).all()),
         offdiag_nonpositive=bool((m.data[m.offsets != 0] <= 0).all()),
-        row_slack=None if slack == "cols" else m.dia @ np.ones(m.n),
-        col_slack=None if slack == "rows" else np.add.reduce(m.data[::-1], axis=0),
+        slack=slack,
     )
 
 

@@ -159,9 +159,7 @@ def format_study_table(report: StudyReport) -> str:
         for line in lines
     ]
     rendered.insert(1, "-" * len(rendered[0]))
-    rendered.insert(
-        0, f"reference dt = {report.reference_dt:g}, field = {report.field_name}"
-    )
+    rendered.insert(0, f"reference dt = {report.reference_dt:g}, field = u")
     return "\n".join(rendered) + "\n"
 
 

@@ -277,17 +277,19 @@ def assemble_chem_system(
     times the correction term (the corrected variant's step passes a
     nonzero beta), and m(K) c^n / dt for parabolic dynamics. The lagged
     variant and the coupled oracle pass the freshly solved density as
-    ``u_source``. Without it, g(u^n) is taken once, for the source and the
-    correction term alike.
+    ``u_source`` and no beta: the correction term reads g(u^n), which such
+    a source is not, so a nonzero beta with a ``u_source`` raises
+    ``ValueError``. g(u^n) is taken once, for the source and the correction
+    term alike.
     """
+    if beta and u_source is not None:
+        raise ValueError("a chem system takes a nonzero beta or a u_source, not both")
     mesh, model = plan.mesh, plan.model
     src = chem_source_value(model, state.u if u_source is None else u_source)
     rhs = mesh.cell_measures * src
     if model.chem_dynamics == _model.CHEM_PARABOLIC:
         rhs = rhs + mesh.cell_measures * state.c / plan.dt
     if beta:
-        if u_source is not None:  # the correction is sourced from u^n
-            src = chem_source_value(model, state.u)
         rhs = rhs + beta * _correction(state, model, mesh, src)
     return plan.chem_matrix, rhs
 
@@ -381,8 +383,7 @@ def _check_structure(matrix, expected_slack, by, what):
     report = check_m_matrix_pattern(matrix, by)
     if not report.diag_positive or not report.offdiag_nonpositive:
         raise SchemeError(f"{what} lost the M-matrix sign pattern")
-    slack = report.row_slack if by == "rows" else report.col_slack
-    if np.any(slack < (1.0 - 1e-12) * expected_slack):
+    if np.any(report.slack < (1.0 - 1e-12) * expected_slack):
         raise SchemeError(f"{what} dominance slack fell below the assembled value")
 
 

@@ -47,8 +47,11 @@ class RunConfig:
         if not (np.isfinite(self.t_final) and self.t_final >= 0):
             raise ValueError(f"t_final must be >= 0 and finite, got {self.t_final}")
         for name in ("snapshot_every", "diagnostics_every"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            every = getattr(self, name)
+            if isinstance(every, bool) or not isinstance(every, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {every!r}")
+            if every < 0:
+                raise ValueError(f"{name} must be >= 0, got {every}")
 
     @property
     def n_steps(self) -> int:
@@ -292,7 +295,6 @@ class StudyReport:
     """Per-variant relative L2 errors of u at t_final against a reference."""
 
     reference_dt: float
-    field_name: str
     tables: dict[str, list[StudyRow]]
 
     def rows(self):
@@ -312,23 +314,18 @@ def convergence_rates(dts, errors) -> list[float | None]:
 
 
 def convergence_study(
-    base: RunConfig,
-    dt_list,
-    variants,
-    *,
-    epsilon_reference: float = EPSILON_REFERENCE,
-    epsilon_members: float = EPSILON_PRODUCTION,
-    solver: LinearSolver | None = None,
+    base: RunConfig, dt_list, variants, *, solver: LinearSolver | None = None
 ) -> StudyReport:
     """Temporal convergence study against a fine corrected-scheme reference.
 
     ``base.dt`` is the reference step size, below every dt in ``dt_list``
     (a single-dt study may use the reference dt itself), run with the
-    corrected variant and ``epsilon_reference``; every requested variant is
-    then run at every dt in ``dt_list`` (sorted decreasing) with
-    ``epsilon_members``, and the relative L2 error of u at t_final is
-    tabulated together with the observed orders between consecutive step
-    sizes.
+    corrected variant at limiter constant ``EPSILON_REFERENCE`` (0); every
+    requested variant is then run at every dt in ``dt_list`` (sorted
+    decreasing) at ``base.epsilon``, and the relative L2 error of u at
+    t_final is tabulated together with the observed orders between
+    consecutive step sizes. Every run is made with ``snapshot_every`` and
+    ``diagnostics_every`` 0.
     """
     dt_list = [float(d) for d in dt_list]
     if any(dt_list[i] <= dt_list[i + 1] for i in range(len(dt_list) - 1)):
@@ -341,14 +338,9 @@ def convergence_study(
         )
     solver = solver or LinearSolver()
 
-    def member(dt, variant, epsilon):
+    def member(dt, variant, **changes):
         cfg = replace(
-            base,
-            dt=dt,
-            variant=variant,
-            epsilon=epsilon,
-            snapshot_every=0,
-            diagnostics_every=0,
+            base, dt=dt, variant=variant, snapshot_every=0, diagnostics_every=0, **changes
         )
         final, _, _ = run(cfg, solver=solver)
         return final
@@ -357,20 +349,20 @@ def convergence_study(
         kind=_scheme.VARIANT_CORRECTED, beta_policy=base.variant.beta_policy
     )
     log.info("study: reference run dt=%g", base.dt)
-    reference = member(base.dt, reference_variant, epsilon_reference)
+    reference = member(base.dt, reference_variant, epsilon=EPSILON_REFERENCE)
 
     tables: dict[str, list[StudyRow]] = {}
     for variant in variants:
         errors = []
         for dt in dt_list:
             log.info("study: variant=%s dt=%g", variant.kind, dt)
-            final = member(dt, variant, epsilon_members)
+            final = member(dt, variant)
             errors.append(relative_l2_error(final.u, reference.u, base.mesh))
         rates = convergence_rates(dt_list, errors)
         tables[variant.kind] = [
             StudyRow(dt, err, rate) for dt, err, rate in zip(dt_list, errors, rates)
         ]
-    return StudyReport(reference_dt=base.dt, field_name="u", tables=tables)
+    return StudyReport(reference_dt=base.dt, tables=tables)
 
 
 def column_profile(cx, cy, values, x0) -> tuple[float, np.ndarray, np.ndarray]:

@@ -23,6 +23,8 @@ class State:
     step_index: int = 0
 
     def __post_init__(self):
+        if self.u.ndim != 1:
+            raise ValueError(f"u must be one-dimensional, got shape {self.u.shape}")
         n = self.u.shape[0]
         if self.c.shape != (n,) or self.u_prev.shape != (n,):
             raise ValueError("u, c and u_prev must have identical shapes")

@@ -184,6 +184,22 @@ class TestRun:
         assert assignment.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "region,key",
+        [
+            ("{kind: rect, x_min: -0.5, x_max: 0.5, y_min: -0.5, y_max: 0.5, radius: 5}",
+             "radius"),
+            ("{kind: disk, cx: 0.0, cy: 0.0, radius: 0.5, x_min: -1}", "x_min"),
+            ("{kind: disk, cx: 0.0, cy: 0.0, radius: 0.5, r: 0.5}", "'r'"),
+        ],
+    )
+    def test_region_key_outside_its_kind_exits_2(self, tmp_path, region, key, capsys):
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["run", str(cfg), "--set", f"ic.region={region}"]) == 2
+        err = capsys.readouterr().err
+        assert "ic.region" in err and key in err
+        assert not (tmp_path / "out").exists()
+
     def test_integral_and_string_float_values_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out", t_final=0.1)
         argv = ["run", str(cfg), "--set", "model.chi=2", "--set", "domain.x_range=[-1, '1.0']"]
@@ -393,6 +409,28 @@ class TestStudy:
         table = capsys.readouterr().out
         assert "L2-error corrected-decoupled" in table
         assert (tmp_path / "out" / "study.txt").exists()
+
+    # test1 on a 6x36 grid: the middle two rows of cells start perturbed
+    SMALL_TEST1 = ["--preset", "test1", "--set", "domain.nx=6", "--set", "domain.ny=36",
+                   "--set", "time.t_final=1.0", "--dt", "0.2", "0.1", "--reference-dt", "0.05"]
+
+    def test_default_epsilon_study_text_pinned(self, tmp_path):
+        assert main(["study", *self.SMALL_TEST1, "--output-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "study.txt").read_text() == (
+            "reference dt = 0.05, field = u\n"
+            "dt   L2-error corrected-decoupled  rate   L2-error plain-decoupled  rate\n"
+            "------------------------------------------------------------------------\n"
+            "0.2  6.582e-05                     ---    1.881e-04                 ---\n"
+            "0.1  1.957e-05                     1.750  9.051e-05                 1.055\n"
+        )
+
+    def test_members_run_at_the_configured_epsilon(self, tmp_path):
+        texts = []
+        for name, extra in (("default", []), ("eps", ["--set", "scheme.epsilon=0.2"])):
+            out = tmp_path / name
+            assert main(["study", *self.SMALL_TEST1, *extra, "--output-dir", str(out)]) == 0
+            texts.append((out / "study.csv").read_text())
+        assert texts[0] != texts[1]
 
     @pytest.mark.parametrize("reference_dt", ["0.05", "0"])
     def test_reference_dt_not_below_members_exits_2(self, tmp_path, reference_dt, capsys):

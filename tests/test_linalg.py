@@ -169,21 +169,22 @@ class TestSpmv:
 
 
 class TestStructureChecks:
-    def test_identity_flags(self):
-        report = check_m_matrix_pattern(identity(3))
+    @pytest.mark.parametrize("by", ["rows", "cols"])
+    def test_identity_flags(self, by):
+        report = check_m_matrix_pattern(identity(3), by)
         assert report.diag_positive
         assert report.offdiag_nonpositive
-        np.testing.assert_array_equal(report.row_slack, np.ones(3))
-        np.testing.assert_array_equal(report.col_slack, np.ones(3))
-        assert np.all(report.row_slack > 0) and np.all(report.col_slack > 0)
+        np.testing.assert_array_equal(report.slack, np.ones(3))
+        assert np.all(report.slack > 0)
 
-    def test_sign_pattern_violations_detected(self):
+    @pytest.mark.parametrize("by", ["rows", "cols"])
+    def test_sign_pattern_violations_detected(self, by):
         report = check_m_matrix_pattern(
-            from_dense([[1.0, 0.5], [-0.2, 1.0]])
+            from_dense([[1.0, 0.5], [-0.2, 1.0]]), by
         )
         assert not report.offdiag_nonpositive
         report = check_m_matrix_pattern(
-            from_dense([[-1.0, 0.0], [0.0, 1.0]])
+            from_dense([[-1.0, 0.0], [0.0, 1.0]]), by
         )
         assert not report.diag_positive
 
@@ -192,28 +193,29 @@ class TestStructureChecks:
         for _ in range(200):
             n = int(rng.integers(2, 30))
             dense = random_dominant_m_matrix(rng, n, slack_scale=rng.random() * 10 + 0.01)
-            report = check_m_matrix_pattern(from_dense(dense))
-            assert report.diag_positive and report.offdiag_nonpositive
+            reports = [check_m_matrix_pattern(from_dense(dense), by) for by in ("rows", "cols")]
             tol = 1e-14 * np.abs(np.diag(dense)).max()
-            for got, want in zip((report.row_slack, report.col_slack), abs_sum_slacks(dense)):
-                assert np.max(np.abs(got - want)) <= tol
+            for report, want in zip(reports, abs_sum_slacks(dense)):
+                assert report.diag_positive and report.offdiag_nonpositive
+                assert np.max(np.abs(report.slack - want)) <= tol
 
     def test_slack_values(self):
         m = from_dense([[3.0, -1.0], [-2.0, 4.0]])
-        report = check_m_matrix_pattern(m)
-        np.testing.assert_allclose(report.row_slack, [2.0, 2.0])
-        np.testing.assert_allclose(report.col_slack, [1.0, 3.0])
+        np.testing.assert_allclose(check_m_matrix_pattern(m, "rows").slack, [2.0, 2.0])
+        np.testing.assert_allclose(check_m_matrix_pattern(m, "cols").slack, [1.0, 3.0])
 
-    def test_only_the_asked_slack_is_filled(self):
+    def test_slack_is_taken_by_rows_or_cols(self):
         m = from_dense([[3.0, -1.0], [-2.0, 4.0]])
         rows = check_m_matrix_pattern(m, "rows")
         cols = check_m_matrix_pattern(m, "cols")
-        assert rows.col_slack is None and cols.row_slack is None
-        np.testing.assert_array_equal(rows.row_slack, [2.0, 2.0])
-        np.testing.assert_array_equal(cols.col_slack, [1.0, 3.0])
+        np.testing.assert_array_equal(rows.slack, [2.0, 2.0])
+        np.testing.assert_array_equal(cols.slack, [1.0, 3.0])
         assert rows.diag_positive and cols.offdiag_nonpositive
-        with pytest.raises(ValueError, match="slack must be"):
-            check_m_matrix_pattern(m, "row")
+        for by in ("row", "both"):
+            with pytest.raises(ValueError, match="slack must be"):
+                check_m_matrix_pattern(m, by)
+        with pytest.raises(TypeError):
+            check_m_matrix_pattern(m)  # no default
 
 
 class TestFixedDot:

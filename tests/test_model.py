@@ -6,6 +6,7 @@ from chemofv import (
     InitialConditionSpec,
     ModelSpec,
     RectRegion,
+    State,
     build_uniform_rect_mesh,
     chem_source_value,
     make_initial_state,
@@ -99,6 +100,19 @@ class TestInitialState:
     def test_negative_base_rejected(self):
         with pytest.raises(ValueError):
             InitialConditionSpec(base_u=-1.0)
+
+
+class TestState:
+    @pytest.mark.parametrize("u", [np.ones((3, 2)), np.ones((1, 3)), np.array(1.0)])
+    def test_u_must_be_one_dimensional(self, u):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            State(u=u, c=np.ones(3), u_prev=np.ones(3), step_index=1)
+
+    def test_c_and_u_prev_must_match_u(self):
+        with pytest.raises(ValueError, match="identical shapes"):
+            State(u=np.ones(3), c=np.ones(4), u_prev=np.ones(3), step_index=1)
+        with pytest.raises(ValueError, match="identical shapes"):
+            State(u=np.ones(3), c=np.ones(3), u_prev=np.ones((3, 1)), step_index=1)
 
 
 class TestModelValidation:

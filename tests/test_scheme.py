@@ -271,8 +271,17 @@ class TestChemAssembly:
         state = state_of([1.0, 2.0], u_prev=[1.0, 2.0])
         b, _ = assemble_chem_system(state, plan_of(mesh_2cell, elliptic_model()))
         np.testing.assert_allclose(b.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
-        report = check_m_matrix_pattern(b)
-        np.testing.assert_allclose(report.row_slack, mesh_2cell.cell_measures)
+        report = check_m_matrix_pattern(b, "rows")
+        np.testing.assert_allclose(report.slack, mesh_2cell.cell_measures)
+
+    def test_beta_with_a_u_source_is_refused(self, mesh_2cell):
+        state = state_of([1.0, 2.0], u_prev=[2.0, 1.0])
+        plan = plan_of(mesh_2cell, elliptic_model())
+        u = np.array([1.5, 0.5])
+        with pytest.raises(ValueError, match="beta or a u_source"):
+            assemble_chem_system(state, plan, beta=1.0, u_source=u)
+        _, g = assemble_chem_system(state, plan, u_source=u)
+        np.testing.assert_allclose(g, mesh_2cell.cell_measures * u / (u + 1.0), rtol=1e-15)
 
     def test_parabolic_adds_time_terms(self, mesh_2cell):
         model = elliptic_model(chem_dynamics=CHEM_PARABOLIC)
@@ -439,8 +448,8 @@ class TestCellAssembly:
         assert dense[0, 0] == pytest.approx(1.0 / 0.5 + 0.85)
         assert dense[1, 1] == pytest.approx(1.0 / 0.5 + 0.25)
         np.testing.assert_allclose(f, state.u * 2.0)
-        report = check_m_matrix_pattern(a)
-        np.testing.assert_allclose(report.col_slack, [2.0, 2.0])  # m(K)/dt
+        report = check_m_matrix_pattern(a, "cols")
+        np.testing.assert_allclose(report.slack, [2.0, 2.0])  # m(K)/dt
 
     def test_constant_chem_yields_pure_diffusion(self, mesh_small, solver):
         model = elliptic_model()
@@ -559,12 +568,12 @@ class TestCellAssembly:
         b_mat, _ = assemble_chem_system(state, plan, 1.0)
         a_mat, _ = assemble_cell_system(state, rng.random(n), plan)
         for mat in (b_mat, a_mat):
-            report = check_m_matrix_pattern(mat)
-            assert report.diag_positive and report.offdiag_nonpositive
             tol = 1e-14 * np.abs(mat.diagonal()).max()
             want = abs_sum_slacks(mat.to_dense())
-            for got, expected in zip((report.row_slack, report.col_slack), want):
-                assert np.max(np.abs(got - expected)) <= tol
+            for by, expected in zip(("rows", "cols"), want):
+                report = check_m_matrix_pattern(mat, by)
+                assert report.diag_positive and report.offdiag_nonpositive
+                assert np.max(np.abs(report.slack - expected)) <= tol
 
     def test_operators_share_the_mesh_layout(self):
         mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 5, 7)

@@ -241,6 +241,13 @@ class TestRun:
             desk_config(mesh_small, dt=0.1, t_final=0.5, **{name: -1})
         desk_config(mesh_small, dt=0.1, t_final=0.5, **{name: 0})
 
+    @pytest.mark.parametrize("name", ["snapshot_every", "diagnostics_every"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+    def test_non_integer_cadence_rejected(self, mesh_small, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            desk_config(mesh_small, dt=0.1, t_final=0.5, **{name: value})
+        desk_config(mesh_small, dt=0.1, t_final=0.5, **{name: np.int64(2)})
+
     @pytest.mark.parametrize("name", ["dt", "t_final"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_times_rejected(self, mesh_small, name, value):
@@ -602,13 +609,19 @@ class TestConvergenceStudy:
         assert rates[1:] == [1.0, 1.0]
 
     def test_self_comparison_error_is_zero(self, mesh_small):
-        base = desk_config(mesh_small, dt=0.05, t_final=0.25)
-        report = convergence_study(
-            base, [0.05], [CORRECTED], epsilon_reference=0.0, epsilon_members=0.0
-        )
+        base = desk_config(mesh_small, dt=0.05, t_final=0.25, epsilon=0.0)
+        report = convergence_study(base, [0.05], [CORRECTED])
         rows = report.tables[VARIANT_CORRECTED]
         assert rows[0].error == 0.0
         assert rows[0].rate is None
+
+    def test_reference_at_zero_members_at_the_base_epsilon(self):
+        # a member at the reference dt differs from the reference by its
+        # epsilon only; on this mesh c's jumps pass the limiter's threshold
+        mesh = build_uniform_rect_mesh((-3.5, 3.5), (-7.0, 7.0), 4, 7)
+        base = desk_config(mesh, dt=0.05, t_final=0.25, epsilon=0.2)
+        report = convergence_study(base, [0.05], [CORRECTED])
+        assert report.tables[VARIANT_CORRECTED][0].error > 0.0
 
     def test_tables_deterministic(self, mesh_small):
         base = desk_config(mesh_small, dt=0.025, t_final=0.2)
