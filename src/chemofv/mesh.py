@@ -3,10 +3,11 @@
 The mesh is the uniform nx-by-ny rectangle: cells are open rectangles
 indexed row-major (x fastest), centers at the centroids, so the
 center-segment/edge orthogonality required by two-point flux
-approximations holds by construction. The scheme's boundary condition is
-homogeneous Neumann, so a boundary edge carries no flux and is not stored;
-every edge array lists interior edges only, in the grid layout of
-``Mesh.edge_grids``.
+approximations holds by construction. The centers are the tensor product
+of nx x- and ny y-coordinates, stored as those two vectors. The scheme's
+boundary condition is homogeneous Neumann, so a boundary edge carries no
+flux and is not stored; every edge array lists interior edges only, in the
+grid layout of ``Mesh.edge_grids``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ class Mesh:
 
     Immutable after construction: every array is a read-only copy, so
     derived arrays cannot go stale. Safe to share across workers.
+
+    Cell K = iy*nx + ix is centered at (``x_centers[ix]``, ``y_centers[iy]``),
+    the read-only vectors x0 + (i + 1/2) dx and y0 + (j + 1/2) dy.
 
     An edge array lists the interior edges: the x-normal edges (K, K+1),
     then the y-normal edges (K, K+nx), each in row-major order of K. An
@@ -50,13 +54,8 @@ class Mesh:
         self.n_cells = self.nx * self.ny
         self.domain_area = (x1 - x0) * (y1 - y0)
 
-        ix = np.arange(self.nx)
-        iy = np.arange(self.ny)
-        cx = x0 + (ix + 0.5) * self.dx
-        cy = y0 + (iy + 0.5) * self.dy
-        gx, gy = np.meshgrid(cx, cy)  # row-major: index = iy*nx + ix
-        centers = np.column_stack([gx.ravel(), gy.ravel()])
-        self.cell_centers = readonly_copy(centers, float)
+        self.x_centers = readonly_copy(x0 + (np.arange(self.nx) + 0.5) * self.dx, float)
+        self.y_centers = readonly_copy(y0 + (np.arange(self.ny) + 0.5) * self.dy, float)
         self.cell_measures = readonly_copy(np.full(self.n_cells, self.dx * self.dy), float)
         self._validate()
 
@@ -67,11 +66,8 @@ class Mesh:
     def _validate(self):
         if np.any(self.cell_measures <= 0):
             raise MeshError("nonpositive cell measure")
-        # The centers are the tensor product of the 1-D center coordinates,
-        # so they are pairwise distinct when both of those strictly increase.
-        xs = self.cell_centers[: self.nx, 0]
-        ys = self.cell_centers[:: self.nx, 1]
-        if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
+        # the tensor-product centers are distinct when both vectors increase
+        if np.any(np.diff(self.x_centers) <= 0) or np.any(np.diff(self.y_centers) <= 0):
             raise MeshError("cell centers are not pairwise distinct")
         total = self.cell_measures.sum()
         if abs(total - self.domain_area) > 1e-12 * self.domain_area:

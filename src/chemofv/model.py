@@ -9,12 +9,15 @@ growth term for the cells.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import Mesh
 from .state import State
+
+log = logging.getLogger(__name__)
 
 CHEM_ELLIPTIC = "elliptic"
 CHEM_PARABOLIC = "parabolic"
@@ -67,8 +70,8 @@ class RectRegion:
     y_min: float
     y_max: float
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        x, y = points[:, 0], points[:, 1]
+    def contains(self, x, y) -> np.ndarray:
+        """Membership of the points (x, y), with ``x`` and ``y`` broadcast."""
         return (
             (x > self.x_min) & (x < self.x_max) & (y > self.y_min) & (y < self.y_max)
         )
@@ -82,9 +85,9 @@ class DiskRegion:
     cy: float
     radius: float
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        dx = points[:, 0] - self.cx
-        dy = points[:, 1] - self.cy
+    def contains(self, x, y) -> np.ndarray:
+        """Membership of the points (x, y), with ``x`` and ``y`` broadcast."""
+        dx, dy = x - self.cx, y - self.cy
         return dx * dx + dy * dy < self.radius * self.radius
 
 
@@ -132,13 +135,20 @@ def make_initial_state(mesh: Mesh, ic: InitialConditionSpec) -> State:
     """Realize the initial cell averages on a mesh.
 
     Pure function of (mesh, ic): equal inputs give bit-identical states.
+    A region that contains no cell center leaves u uniform and logs a WARNING.
     """
     u = np.full(mesh.n_cells, float(ic.base_u))
     if ic.region is not None:
-        mask = ic.region.contains(mesh.cell_centers)
+        # the (ny, nx) grid of centers, raveled row-major into cell order
+        mask = ic.region.contains(mesh.x_centers, mesh.y_centers[:, None]).ravel()
         n_hit = int(mask.sum())
         if n_hit:
             rng = np.random.default_rng(ic.rng_seed)  # PCG64
             u[mask] += rng.random((n_hit, 10)).mean(axis=1)
+        else:
+            log.warning(
+                "initial-condition region %r contains no cell center of the %dx%d mesh",
+                ic.region, mesh.nx, mesh.ny,
+            )
     c = np.full(mesh.n_cells, float(ic.base_c))
     return State(u=u, c=c, u_prev=u.copy(), step_index=0)

@@ -15,23 +15,14 @@ that ``csv.writer`` (``\\r\\n`` line ends, nothing quoted) and one
 from __future__ import annotations
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 
 from .mesh import Mesh
-from .sim import Diagnostics, StudyReport
+from .sim import Diagnostics, DiagnosticsRecord, StudyReport
 
-DIAGNOSTIC_COLUMNS = (
-    "step",
-    "time",
-    "mass",
-    "min_u",
-    "max_u",
-    "min_c",
-    "max_c",
-    "l2_u",
-    "h1_u",
-)
+DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def _fmt(value) -> str:
@@ -55,8 +46,8 @@ def write_snapshot_csv(path, mesh: Mesh, u, c) -> None:
     product, so the ``cx`` and ``cy`` text comes from ``nx + ny`` reprs."""
     u_rows = _field_rows(mesh, u, "u")
     c_rows = _field_rows(mesh, c, "c")
-    cx_text = [f",{x!r}," for x in mesh.cell_centers[: mesh.nx, 0].tolist()]
-    cy_text = [f"{y!r}," for y in mesh.cell_centers[:: mesh.nx, 1].tolist()]
+    cx_text = [f",{x!r}," for x in mesh.x_centers.tolist()]
+    cy_text = [f"{y!r}," for y in mesh.y_centers.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("cell_index,cx,cy,u,c\r\n")
         starts = range(0, mesh.n_cells, mesh.nx)
@@ -98,8 +89,7 @@ def read_snapshot_csv(path) -> dict[str, np.ndarray]:
 def write_vtk_structured_points(path, mesh: Mesh, values, name: str) -> None:
     """Legacy ASCII structured-points file with a single scalar field."""
     rows = _field_rows(mesh, values, name)
-    cx0 = mesh.x_range[0] + 0.5 * mesh.dx
-    cy0 = mesh.y_range[0] + 0.5 * mesh.dy
+    cx0, cy0 = mesh.x_centers[0].item(), mesh.y_centers[0].item()
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(f"chemofv field {name}\n")

@@ -381,11 +381,10 @@ def column_profile(cx, cy, values, x0) -> tuple[float, np.ndarray, np.ndarray]:
 def extract_contour(field_values, mesh: Mesh, x0: float) -> tuple[np.ndarray, np.ndarray]:
     """Profile of a cell field along the column of centers nearest x = x0.
 
-    Returns (y, value) pairs ordered by y.
+    Returns fresh (y, value) arrays ordered by y; of two columns equally near, the left.
     """
     if not mesh.x_range[0] <= x0 <= mesh.x_range[1]:
         raise ValueError(f"x0={x0} outside the domain x-range {mesh.x_range}")
-    v = mesh.cell_field(field_values)
-    centers = mesh.cell_centers
-    _, ys, values = column_profile(centers[:, 0], centers[:, 1], v, x0)
-    return ys, values
+    grid = mesh.cell_field(field_values).reshape(mesh.ny, mesh.nx)
+    ix = int(np.argmin(np.abs(mesh.x_centers - x0)))
+    return mesh.y_centers.copy(), grid[:, ix].copy()

@@ -23,6 +23,9 @@ class State:
     step_index: int = 0
 
     def __post_init__(self):
+        for name, value in (("u", self.u), ("c", self.c), ("u_prev", self.u_prev)):
+            if not isinstance(value, np.ndarray):
+                raise ValueError(f"{name} must be an array, got {type(value).__name__}")
         if self.u.ndim != 1:
             raise ValueError(f"u must be one-dimensional, got shape {self.u.shape}")
         n = self.u.shape[0]

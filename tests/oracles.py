@@ -12,6 +12,9 @@ earlier forms of the operators and norms, on the per-edge arrays of
 ``write_snapshot_csv_per_row`` and ``write_vtk_per_value`` are the
 snapshot writers as they were before they streamed one mesh row per
 write: one ``csv.writer`` row per cell, one ``write`` per VTK value.
+``cell_centers_reference``, ``region_contains_reference`` and
+``initial_state_reference`` keep the per-cell (n_cells, 2) centers the
+mesh once stored and the point-wise region test the initial state read.
 """
 
 import csv
@@ -305,6 +308,39 @@ def assemble_cell_reference(state, c_new, plan):
     return five_point(mesh, diag, -w_minus, -w_plus), rhs
 
 
+def cell_centers_reference(mesh) -> np.ndarray:
+    """The (n_cells, 2) cell centers, row-major (x fastest): the meshgrid of
+    the 1-D center coordinates x0 + (i + 1/2) dx and y0 + (j + 1/2) dy."""
+    cx = mesh.x_range[0] + (np.arange(mesh.nx) + 0.5) * mesh.dx
+    cy = mesh.y_range[0] + (np.arange(mesh.ny) + 0.5) * mesh.dy
+    gx, gy = np.meshgrid(cx, cy)
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def region_contains_reference(region, points) -> np.ndarray:
+    """Point-wise membership of the rows of an (n, 2) point array in an open
+    ``RectRegion`` or ``DiskRegion``."""
+    x, y = points[:, 0], points[:, 1]
+    if isinstance(region, _model.RectRegion):
+        inside_x = (x > region.x_min) & (x < region.x_max)
+        return inside_x & (y > region.y_min) & (y < region.y_max)
+    dx, dy = x - region.cx, y - region.cy
+    return dx * dx + dy * dy < region.radius * region.radius
+
+
+def initial_state_reference(mesh, ic) -> tuple[np.ndarray, np.ndarray]:
+    """(u, c) of the initial state: the region tested point by point on the
+    reference centers, the PCG64 draws taken in cell-index order."""
+    u = np.full(mesh.n_cells, float(ic.base_u))
+    if ic.region is not None:
+        mask = region_contains_reference(ic.region, cell_centers_reference(mesh))
+        n_hit = int(mask.sum())
+        if n_hit:
+            rng = np.random.default_rng(ic.rng_seed)
+            u[mask] += rng.random((n_hit, 10)).mean(axis=1)
+    return u, np.full(mesh.n_cells, float(ic.base_c))
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(float(value))  # plain-float repr even for numpy scalars
@@ -312,6 +348,7 @@ def _fmt(value) -> str:
 
 
 def write_snapshot_csv_per_row(path, mesh, u, c) -> None:
+    centers = cell_centers_reference(mesh)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cell_index", "cx", "cy", "u", "c"])
@@ -319,8 +356,8 @@ def write_snapshot_csv_per_row(path, mesh, u, c) -> None:
             writer.writerow(
                 [
                     k,
-                    _fmt(float(mesh.cell_centers[k, 0])),
-                    _fmt(float(mesh.cell_centers[k, 1])),
+                    _fmt(float(centers[k, 0])),
+                    _fmt(float(centers[k, 1])),
                     _fmt(float(u[k])),
                     _fmt(float(c[k])),
                 ]

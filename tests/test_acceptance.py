@@ -388,7 +388,7 @@ def test_criterion_11a_ring_pattern(capsys):
         t0 = time.perf_counter()
         final, _, _ = run(cfg)
         elapsed = time.perf_counter() - t0
-        radius = np.hypot(mesh.cell_centers[:, 0], mesh.cell_centers[:, 1])
+        radius = np.hypot(mesh.x_centers, mesh.y_centers[:, None]).ravel()
         nbins = 40
         edges = np.linspace(0.0, float(radius.max()), nbins + 1)
         which = np.digitize(radius, edges[1:-1])

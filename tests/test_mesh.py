@@ -3,7 +3,13 @@ import pytest
 
 from chemofv import MeshError, build_uniform_rect_mesh
 
-from oracles import LAYOUT_SHAPES, dia_layout_loops, edge_list, five_point
+from oracles import (
+    LAYOUT_SHAPES,
+    cell_centers_reference,
+    dia_layout_loops,
+    edge_list,
+    five_point,
+)
 
 
 def test_single_cell_mesh():
@@ -41,7 +47,8 @@ def test_regularity_uniform_grids_exactly_half(nx, ny):
     mesh = build_uniform_rect_mesh((x0, 7.0), (y0, 3.0), nx, ny)
     edges = edge_list(mesh)
     a, b = edges.cell_a, edges.cell_b
-    ca, cb = mesh.cell_centers[a], mesh.cell_centers[b]
+    centers = cell_centers_reference(mesh)
+    ca, cb = centers[a], centers[b]
     x_normal = ca[:, 1] == cb[:, 1]
     assert np.all(x_normal | (ca[:, 0] == cb[:, 0]))
     face = np.where(x_normal, x0 + (a % nx + 1) * mesh.dx, y0 + (a // nx + 1) * mesh.dy)
@@ -175,9 +182,13 @@ def test_invalid_counts_rejected():
 
 def test_row_major_indexing_x_fastest():
     mesh = build_uniform_rect_mesh((0.0, 3.0), (0.0, 2.0), 3, 2)
-    np.testing.assert_allclose(mesh.cell_centers[0], [0.5, 0.5])
-    np.testing.assert_allclose(mesh.cell_centers[1], [1.5, 0.5])
-    np.testing.assert_allclose(mesh.cell_centers[3], [0.5, 1.5])
+
+    def center(k):  # cell k = iy*nx + ix
+        return [mesh.x_centers[k % mesh.nx], mesh.y_centers[k // mesh.nx]]
+
+    np.testing.assert_allclose(center(0), [0.5, 0.5])
+    np.testing.assert_allclose(center(1), [1.5, 0.5])
+    np.testing.assert_allclose(center(3), [0.5, 1.5])
 
 
 @pytest.mark.parametrize("nx,ny", LAYOUT_SHAPES)
@@ -189,7 +200,15 @@ def test_scale_edges_matches_per_edge_product(nx, ny):
     assert np.array_equal(scaled, edge_list(mesh).tau * v)
 
 
-@pytest.mark.parametrize("name", ["cell_centers", "cell_measures"])
+def test_no_per_cell_array_but_the_measures():
+    # the centers are two coordinate vectors, not an (n_cells, 2) array
+    mesh = build_uniform_rect_mesh((0.0, 3.0), (0.0, 3.0), 150, 150)
+    assert mesh.x_centers.shape == (150,) and mesh.y_centers.shape == (150,)
+    arrays = [v for v in vars(mesh).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= (mesh.n_cells + mesh.nx + mesh.ny + 5) * 8
+
+
+@pytest.mark.parametrize("name", ["x_centers", "y_centers", "cell_measures"])
 def test_mesh_arrays_read_only(name):
     # a write would leave stale the operators built from the mesh, such as
     # the chem operator a StepPlan builds once per run

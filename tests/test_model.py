@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from chemofv.model import (
     SOURCE_LINEAR,
     SOURCE_SATURATED,
 )
+
+from oracles import initial_state_reference
 
 
 def saturated_model():
@@ -101,12 +105,71 @@ class TestInitialState:
         with pytest.raises(ValueError):
             InitialConditionSpec(base_u=-1.0)
 
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 9), (9, 1), (7, 5), (150, 150)])
+    @pytest.mark.parametrize(
+        "region",
+        [RectRegion(0.4, 2.1, -1.3, 0.9), DiskRegion(1.5, 0.0, 1.2)],
+        ids=["rect", "disk"],
+    )
+    def test_bit_identical_to_point_wise_reference(self, nx, ny, region):
+        mesh = build_uniform_rect_mesh((0.0, 3.0), (-2.0, 2.0), nx, ny)
+        ic = InitialConditionSpec(base_u=1.0, region=region, rng_seed=7, base_c=0.25)
+        state = make_initial_state(mesh, ic)
+        u, c = initial_state_reference(mesh, ic)
+        assert np.any(u > 1.0)
+        assert state.u.tobytes() == u.tobytes()
+        assert state.c.tobytes() == c.tobytes()
+
+    @pytest.mark.parametrize("name", ["test1", "test2", "test3", "test4"])
+    def test_presets_bit_identical_to_point_wise_reference(self, name):
+        p = preset(name)
+        mesh = p.build_mesh()
+        state = make_initial_state(mesh, p.ic)
+        u, c = initial_state_reference(mesh, p.ic)
+        assert state.u.tobytes() == u.tobytes()
+        assert state.c.tobytes() == c.tobytes()
+
+
+class TestRegionMissesMesh:
+    def warnings(self, caplog, mesh, ic):
+        with caplog.at_level(logging.WARNING, logger="chemofv.model"):
+            state = make_initial_state(mesh, ic)
+        records = [r for r in caplog.records if r.name == "chemofv.model"]
+        return state, records
+
+    def test_warns_when_no_center_lies_inside(self, caplog):
+        # test1's band |y| < 1 lies between the centers y = +-2.9 of 6x12 cells
+        p = preset("test1")
+        mesh = build_uniform_rect_mesh(p.x_range, p.y_range, 6, 12)
+        state, records = self.warnings(caplog, mesh, p.ic)
+        assert np.all(state.u == p.ic.base_u)
+        [record] = records
+        assert record.levelno == logging.WARNING
+        assert repr(p.ic.region) in record.getMessage()
+        assert "6x12 mesh" in record.getMessage()
+
+    def test_silent_when_the_region_hits(self, caplog):
+        p = preset("test1")
+        _, records = self.warnings(caplog, p.build_mesh(), p.ic)
+        assert records == []
+
+    def test_silent_without_a_region(self, caplog, mesh_small):
+        _, records = self.warnings(caplog, mesh_small, InitialConditionSpec(region=None))
+        assert records == []
+
 
 class TestState:
     @pytest.mark.parametrize("u", [np.ones((3, 2)), np.ones((1, 3)), np.array(1.0)])
     def test_u_must_be_one_dimensional(self, u):
         with pytest.raises(ValueError, match="one-dimensional"):
             State(u=u, c=np.ones(3), u_prev=np.ones(3), step_index=1)
+
+    @pytest.mark.parametrize("name", ["u", "c", "u_prev"])
+    def test_fields_must_be_arrays(self, name):
+        fields = {"u": np.ones(2), "c": np.ones(2), "u_prev": np.ones(2)}
+        fields[name] = [1.0, 2.0]
+        with pytest.raises(ValueError, match=f"^{name} must be an array, got list"):
+            State(**fields, step_index=1)
 
     def test_c_and_u_prev_must_match_u(self):
         with pytest.raises(ValueError, match="identical shapes"):
@@ -187,5 +250,5 @@ class TestPresets:
         mesh = build_uniform_rect_mesh(p.x_range, p.y_range, p.nx, p.ny)
         state = make_initial_state(mesh, p.ic)
         perturbed = state.u > p.ic.base_u
-        inside_band = np.abs(mesh.cell_centers[:, 1]) < 1.0
+        inside_band = np.repeat(np.abs(mesh.y_centers) < 1.0, mesh.nx)
         assert np.array_equal(perturbed, inside_band)

@@ -7,11 +7,13 @@ from chemofv import build_uniform_rect_mesh
 from chemofv.cli import main
 from chemofv.output import (
     read_snapshot_csv,
+    write_diagnostics_csv,
     write_snapshot_csv,
     write_vtk_structured_points,
 )
+from chemofv.sim import Diagnostics, DiagnosticsRecord
 
-from oracles import write_snapshot_csv_per_row, write_vtk_per_value
+from oracles import cell_centers_reference, write_snapshot_csv_per_row, write_vtk_per_value
 
 SHAPES = [(1, 1), (1, 7), (7, 1), (6, 5), (100, 100)]
 SPECIALS = np.array(
@@ -105,8 +107,8 @@ class TestReadSnapshot:
         for key, want in [
             ("u", u),
             ("c", c),
-            ("cx", mesh.cell_centers[:, 0]),
-            ("cy", mesh.cell_centers[:, 1]),
+            ("cx", cell_centers_reference(mesh)[:, 0]),
+            ("cy", cell_centers_reference(mesh)[:, 1]),
         ]:
             assert data[key].dtype == np.float64
             assert data[key].tobytes() == np.ascontiguousarray(want).tobytes(), key
@@ -171,3 +173,13 @@ class TestStreamingMemory:
         peak = self.peak_bytes(lambda: write_vtk_structured_points(path, mesh, u, "u"))
         assert peak < self.LIMIT
         assert path.stat().st_size > self.LIMIT
+
+
+def test_diagnostics_header_is_the_published_columns(tmp_path):
+    diagnostics = Diagnostics()
+    diagnostics.append(DiagnosticsRecord(0, 0.0, 1.5, 1.0, 2.0, 0.0, 0.5, 1.25, 0.75))
+    write_diagnostics_csv(tmp_path / "d.csv", diagnostics)
+    assert (tmp_path / "d.csv").read_bytes() == (
+        b"step,time,mass,min_u,max_u,min_c,max_c,l2_u,h1_u\r\n"
+        b"0,0.0,1.5,1.0,2.0,0.0,0.5,1.25,0.75\r\n"
+    )

@@ -34,9 +34,10 @@ from chemofv import scheme
 from chemofv.mesh import Mesh
 from chemofv.model import SOURCE_LINEAR, RectRegion
 from chemofv.scheme import VARIANT_CORRECTED, VARIANT_LAGGED, VARIANT_ORACLE, VARIANT_PLAIN
-from chemofv.sim import _InvariantMonitor, convergence_rates, plan_for
+from chemofv.sim import _InvariantMonitor, column_profile, convergence_rates, plan_for
 from oracles import (
     LAYOUT_SHAPES,
+    cell_centers_reference,
     gradient_energy_edge_list,
     h1_seminorm_direct,
     h1_seminorm_edge_list,
@@ -158,7 +159,7 @@ class TestH1Seminorm:
 
     def test_linear_in_x_matches_direct_summation(self):
         mesh = build_uniform_rect_mesh((0.0, 2.0), (0.0, 1.0), 8, 5)
-        v = 3.0 * mesh.cell_centers[:, 0]
+        v = 3.0 * np.tile(mesh.x_centers, mesh.ny)
         for p in (1.0, 2.0, 3.0):
             got = discrete_h1_seminorm(v, mesh, p)
             want = h1_seminorm_direct(v, mesh, p)
@@ -654,9 +655,28 @@ class TestContour:
 
     def test_y_coordinate_field_strictly_increasing(self):
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-35.0, 35.0), 7, 20)
-        ys, values = extract_contour(mesh.cell_centers[:, 1], mesh, 0.0)
+        ys, values = extract_contour(np.repeat(mesh.y_centers, mesh.nx), mesh, 0.0)
         assert np.all(np.diff(values) > 0)
         np.testing.assert_array_equal(values, ys)
+
+    # on the 7x20 mesh, x0 = -2.5 and -0.5 lie exactly halfway between two
+    # columns: both pick the left one, as np.argmin does over np.unique(cx)
+    @pytest.mark.parametrize(
+        "x_range,nx,ny,x0",
+        [((-3.5, 3.5), 7, 20, x0) for x0 in (-3.5, -2.5, -0.5, 0.0, 0.3, 3.5)]
+        + [((0.0, 0.7), 7, 3, x0) for x0 in (0.0, 0.1, 0.35, 0.7)]
+        + [((-3.5, 3.5), 1, 5, x0) for x0 in (-3.5, 2.0)],
+    )
+    def test_matches_column_profile_of_reference_centers(self, x_range, nx, ny, x0):
+        mesh = build_uniform_rect_mesh(x_range, (-35.0, 35.0), nx, ny)
+        v = np.random.default_rng(nx * ny).random(mesh.n_cells)
+        ys, values = extract_contour(v, mesh, x0)
+        centers = cell_centers_reference(mesh)
+        _, want_ys, want_values = column_profile(centers[:, 0], centers[:, 1], v, x0)
+        assert ys.tobytes() == want_ys.tobytes()
+        assert values.tobytes() == want_values.tobytes()
+        assert not np.shares_memory(ys, mesh.y_centers) and ys.flags.writeable
+        assert not np.shares_memory(values, v)
 
     def test_x0_outside_domain_rejected(self, mesh_small):
         with pytest.raises(ValueError):
