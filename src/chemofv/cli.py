@@ -55,12 +55,10 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfgmod.write_manifest(out_dir / "manifest.yaml", resolved)
     outmod.write_diagnostics_csv(out_dir / "diagnostics.csv", diagnostics)
+    vtk = resolved.output_format == "csv+vtk"
     for snap in snapshots:
-        stem = f"snapshot_{snap.step:08d}"
-        outmod.write_snapshot_csv(out_dir / f"{stem}.csv", mesh, snap.u, snap.c)
-        if resolved.output_format == "csv+vtk":
-            outmod.write_vtk_structured_points(out_dir / f"{stem}_u.vtk", mesh, snap.u, "u")
-            outmod.write_vtk_structured_points(out_dir / f"{stem}_c.vtk", mesh, snap.c, "c")
+        stem = out_dir / f"snapshot_{snap.step:08d}"
+        outmod.write_snapshot(stem, mesh, snap.u, snap.c, vtk)
     log.info(
         "run finished at t=%g (%d steps); outputs in %s",
         final.step_index * resolved.run.dt,

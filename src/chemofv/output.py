@@ -4,17 +4,21 @@ Floats are written with repr so that files round-trip losslessly; the VTK
 files use the legacy ASCII structured-points layout with one scalar field
 per file, laying cell values on the lattice of cell centers.
 
-The snapshot CSV and VTK files are streamed one mesh row per write, so a
-write holds one row's text, never the whole file. Their bytes are those
-that ``csv.writer`` (``\\r\\n`` line ends, nothing quoted) and one
-``repr`` per value wrote: each value is formatted once, from
-``ndarray.tolist()``. Both writers reject a field that does not have
-``mesh.n_cells`` values.
+``write_snapshot`` writes a snapshot's CSV and, for ``csv+vtk``, both
+VTK files in one pass, streamed one mesh row at a time: each row of u and
+c is formatted once, from ``ndarray.tolist()``, and that text goes into
+the CSV row and the field's VTK row, so a write holds one row's text,
+never a whole file. ``write_snapshot_csv`` and
+``write_vtk_structured_points`` write one file each through the same row
+loop. The bytes are those that ``csv.writer`` (``\\r\\n`` line ends,
+nothing quoted) and one ``repr`` per value wrote. Every writer rejects a
+field that does not have ``mesh.n_cells`` values before it opens a file.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import ExitStack
 from dataclasses import fields
 
 import numpy as np
@@ -41,19 +45,60 @@ def _field_rows(mesh: Mesh, values, name: str) -> np.ndarray:
     return arr.reshape(mesh.ny, mesh.nx)
 
 
+def _vtk_header(mesh: Mesh, name: str) -> str:
+    cx0, cy0 = mesh.x_centers[0].item(), mesh.y_centers[0].item()
+    return (
+        "# vtk DataFile Version 3.0\n"
+        f"chemofv field {name}\n"
+        "ASCII\n"
+        "DATASET STRUCTURED_POINTS\n"
+        f"DIMENSIONS {mesh.nx} {mesh.ny} 1\n"
+        f"ORIGIN {cx0!r} {cy0!r} 0.0\n"
+        f"SPACING {mesh.dx!r} {mesh.dy!r} 1.0\n"
+        f"POINT_DATA {mesh.n_cells}\n"
+        f"SCALARS {name} double 1\n"
+        "LOOKUP_TABLE default\n"
+    )
+
+
+def _write_snapshot_files(mesh: Mesh, values: dict, csv_path, vtk_paths: dict) -> None:
+    """The one snapshot row loop: ``values`` maps field names to values, the
+    CSV at ``csv_path`` (None for none) holds ``u`` and ``c``, and
+    ``vtk_paths`` maps a field name to its VTK file. Every field is checked
+    before any file is opened, and each row of a field is formatted once."""
+    grids = {name: _field_rows(mesh, field, name) for name, field in values.items()}
+    with ExitStack() as stack:
+        csv_fh = None
+        if csv_path is not None:
+            csv_fh = stack.enter_context(open(csv_path, "w", newline=""))
+            csv_fh.write("cell_index,cx,cy,u,c\r\n")
+        vtk_fhs = {}
+        for name, path in vtk_paths.items():
+            vtk_fhs[name] = stack.enter_context(open(path, "w"))
+            vtk_fhs[name].write(_vtk_header(mesh, name))
+        # the centre grid is a tensor product: its text is nx + ny reprs
+        cx_text = [f",{x!r}," for x in mesh.x_centers.tolist()]
+        cy_text = [f"{y!r}," for y in mesh.y_centers.tolist()]
+        for j, cy in enumerate(cy_text):  # row-major, x fastest, matches cell indexing
+            text = {name: list(map(repr, grid[j].tolist())) for name, grid in grids.items()}
+            for name, fh in vtk_fhs.items():
+                fh.write("\n".join(text[name]) + "\n")
+            if csv_fh is not None:
+                k0 = j * mesh.nx
+                cells = zip(range(k0, k0 + mesh.nx), cx_text, text["u"], text["c"])
+                csv_fh.write("".join([f"{k}{cx}{cy}{a},{b}\r\n" for k, cx, a, b in cells]))
+
+
+def write_snapshot(stem, mesh: Mesh, u, c, vtk: bool) -> None:
+    """``{stem}.csv`` and, if ``vtk``, ``{stem}_u.vtk`` and ``{stem}_c.vtk``,
+    written in one pass that formats each value once."""
+    vtk_paths = {name: f"{stem}_{name}.vtk" for name in ("u", "c")} if vtk else {}
+    _write_snapshot_files(mesh, {"u": u, "c": c}, f"{stem}.csv", vtk_paths)
+
+
 def write_snapshot_csv(path, mesh: Mesh, u, c) -> None:
-    """One ``cell_index,cx,cy,u,c`` row per cell. The centre grid is a tensor
-    product, so the ``cx`` and ``cy`` text comes from ``nx + ny`` reprs."""
-    u_rows = _field_rows(mesh, u, "u")
-    c_rows = _field_rows(mesh, c, "c")
-    cx_text = [f",{x!r}," for x in mesh.x_centers.tolist()]
-    cy_text = [f"{y!r}," for y in mesh.y_centers.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("cell_index,cx,cy,u,c\r\n")
-        starts = range(0, mesh.n_cells, mesh.nx)
-        for k0, cy, u_row, c_row in zip(starts, cy_text, u_rows, c_rows):
-            cells = zip(range(k0, k0 + mesh.nx), cx_text, u_row.tolist(), c_row.tolist())
-            fh.write("".join([f"{k}{cx}{cy}{a!r},{b!r}\r\n" for k, cx, a, b in cells]))
+    """One ``cell_index,cx,cy,u,c`` row per cell."""
+    _write_snapshot_files(mesh, {"u": u, "c": c}, path, {})
 
 
 def read_snapshot_csv(path) -> dict[str, np.ndarray]:
@@ -88,21 +133,7 @@ def read_snapshot_csv(path) -> dict[str, np.ndarray]:
 
 def write_vtk_structured_points(path, mesh: Mesh, values, name: str) -> None:
     """Legacy ASCII structured-points file with a single scalar field."""
-    rows = _field_rows(mesh, values, name)
-    cx0, cy0 = mesh.x_centers[0].item(), mesh.y_centers[0].item()
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(f"chemofv field {name}\n")
-        fh.write("ASCII\n")
-        fh.write("DATASET STRUCTURED_POINTS\n")
-        fh.write(f"DIMENSIONS {mesh.nx} {mesh.ny} 1\n")
-        fh.write(f"ORIGIN {cx0!r} {cy0!r} 0.0\n")
-        fh.write(f"SPACING {mesh.dx!r} {mesh.dy!r} 1.0\n")
-        fh.write(f"POINT_DATA {mesh.n_cells}\n")
-        fh.write(f"SCALARS {name} double 1\n")
-        fh.write("LOOKUP_TABLE default\n")
-        for row in rows:  # row-major, x fastest, matches cell indexing
-            fh.write("".join([f"{v!r}\n" for v in row.tolist()]))
+    _write_snapshot_files(mesh, {name: values}, None, {name: path})
 
 
 def write_diagnostics_csv(path, diagnostics: Diagnostics) -> None:

@@ -7,6 +7,9 @@ import yaml
 import chemofv
 from chemofv import config
 from chemofv.cli import main
+from chemofv.output import read_snapshot_csv
+
+from oracles import write_vtk_per_value
 
 
 def write_config(path, outdir, nx=6, ny=6, dt=0.05, t_final=0.2, region=True, **extra):
@@ -124,6 +127,28 @@ class TestRun:
         for name in names:
             first = (tmp_path / "out1" / name).read_bytes()
             assert (tmp_path / "out2" / name).read_bytes() == first, name
+
+    def test_csv_and_csv_vtk_runs_write_the_same_snapshots(self, tmp_path):
+        """One pass writes a snapshot's CSV and both VTK files: the CSV does
+        not depend on the format, and each VTK file holds the values the CSV
+        reads back bit for bit."""
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "unused", nx=7, ny=5)
+        for fmt in ("csv", "csv+vtk"):
+            argv = ["run", str(cfg), "--output-dir", str(tmp_path / fmt)]
+            argv += ["--set", "output.snapshot_every=2", "--set", f"output.format={fmt}"]
+            assert main(argv) == 0
+        assert not list((tmp_path / "csv").glob("*.vtk"))
+        csvs = sorted(p.name for p in (tmp_path / "csv").glob("snapshot_*.csv"))
+        assert csvs == ["snapshot_00000002.csv", "snapshot_00000004.csv"]
+        mesh = config.resolve(yaml.safe_load(cfg.read_text())).run.mesh
+        for name in csvs:
+            snap = tmp_path / "csv+vtk" / name
+            assert snap.read_bytes() == (tmp_path / "csv" / name).read_bytes(), name
+            data = read_snapshot_csv(snap)
+            for field in ("u", "c"):
+                vtk = snap.with_name(f"{snap.stem}_{field}.vtk")
+                write_vtk_per_value(tmp_path / "want.vtk", mesh, data[field], field)
+                assert vtk.read_bytes() == (tmp_path / "want.vtk").read_bytes(), vtk.name
 
     def test_vtk_output(self, tmp_path):
         cfg = write_config(

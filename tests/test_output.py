@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chemofv import build_uniform_rect_mesh
+from chemofv import build_uniform_rect_mesh, output
 from chemofv.cli import main
 from chemofv.output import (
     read_snapshot_csv,
     write_diagnostics_csv,
+    write_snapshot,
     write_snapshot_csv,
     write_vtk_structured_points,
 )
@@ -78,6 +79,26 @@ class TestBytesMatchPerRowWriters:
         )
         assert new == old
 
+    def test_combined_writer(self, tmp_path, nx, ny):
+        mesh = make_mesh(nx, ny)
+        for shift in range(SPECIALS.size):
+            u, c = fields(mesh.n_cells, shift)
+            write_snapshot(tmp_path / "snap", mesh, u, c, vtk=True)
+            write_snapshot_csv_per_row(tmp_path / "want.csv", mesh, u, c)
+            write_vtk_per_value(tmp_path / "want_u.vtk", mesh, u, "u")
+            write_vtk_per_value(tmp_path / "want_c.vtk", mesh, c, "c")
+            for suffix in (".csv", "_u.vtk", "_c.vtk"):
+                got = (tmp_path / f"snap{suffix}").read_bytes()
+                assert got == (tmp_path / f"want{suffix}").read_bytes(), (shift, suffix)
+
+    def test_combined_writer_without_vtk(self, tmp_path, nx, ny):
+        mesh = make_mesh(nx, ny)
+        u, c = fields(mesh.n_cells, 4)
+        write_snapshot(tmp_path / "snap", mesh, u, c, vtk=False)
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.csv"]
+        new, old = write_both(tmp_path, write_snapshot_csv, write_snapshot_csv_per_row, mesh, u, c)
+        assert (tmp_path / "snap.csv").read_bytes() == new == old
+
 
 class TestFieldSize:
     @pytest.mark.parametrize("size", [29, 31, 0])
@@ -95,6 +116,34 @@ class TestFieldSize:
         with pytest.raises(ValueError, match=rf"rho has {size} values.*n_cells is 30"):
             write_vtk_structured_points(tmp_path / "s.vtk", mesh, np.ones(size), "rho")
         assert not (tmp_path / "s.vtk").exists()
+
+    @pytest.mark.parametrize("vtk", [True, False])
+    @pytest.mark.parametrize("size", [29, 31, 0])
+    def test_combined_writer_rejects_before_opening(self, tmp_path, size, vtk):
+        mesh = make_mesh(6, 5)
+        good = np.ones(mesh.n_cells)
+        for u, c, name in [(np.ones(size), good, "u"), (good, np.ones(size), "c")]:
+            with pytest.raises(ValueError, match=rf"{name} has {size} values.*n_cells is 30"):
+                write_snapshot(tmp_path / "s", mesh, u, c, vtk)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_combined_writer_closes_every_file_on_failure(self, tmp_path, monkeypatch):
+        """Opening the c VTK file fails after the CSV and u VTK files are
+        open: the error reaches the caller and both open files are closed."""
+        mesh = make_mesh(6, 5)
+        opened = []
+
+        def open_two(path, *args, **kwargs):
+            if len(opened) == 2:
+                raise OSError(f"cannot open {path}")
+            opened.append(open(path, *args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(output, "open", open_two, raising=False)
+        with pytest.raises(OSError, match=r"s_c\.vtk"):
+            write_snapshot(tmp_path / "s", mesh, np.ones(30), np.ones(30), vtk=True)
+        assert [fh.name for fh in opened] == [str(tmp_path / n) for n in ("s.csv", "s_u.vtk")]
+        assert all(fh.closed for fh in opened)
 
 
 class TestReadSnapshot:
@@ -173,6 +222,16 @@ class TestStreamingMemory:
         peak = self.peak_bytes(lambda: write_vtk_structured_points(path, mesh, u, "u"))
         assert peak < self.LIMIT
         assert path.stat().st_size > self.LIMIT
+
+    def test_combined_writer_peak(self, tmp_path, big):
+        """Three files open, still one row's text held: the peak stays under
+        the one-file limit while the files total over 6 MiB."""
+        mesh, u, c = big
+        stem = tmp_path / "s"
+        peak = self.peak_bytes(lambda: write_snapshot(stem, mesh, u, c, vtk=True))
+        assert peak < self.LIMIT
+        sizes = [(tmp_path / f"s{sfx}").stat().st_size for sfx in (".csv", "_u.vtk", "_c.vtk")]
+        assert sum(sizes) > 6 * self.LIMIT
 
 
 def test_diagnostics_header_is_the_published_columns(tmp_path):
