@@ -29,26 +29,24 @@ from .model import (
 )
 from .scheme import (
     FluxLimiter,
+    InvariantError,
     SchemeError,
     SchemeVariant,
     StepPlan,
     assemble_cell_system,
     assemble_chem_system,
     beta_n,
-    correction_term,
     limiter_S,
     step,
     step_coupled_oracle,
 )
 from .sim import (
     Diagnostics,
-    InvariantError,
     RunConfig,
     StudyReport,
     convergence_study,
     discrete_h1_seminorm,
     discrete_norm,
-    extract_contour,
     gradient_energy,
     relative_l2_error,
     run,
@@ -74,7 +72,6 @@ __all__ = [
     "SchemeError",
     "StepPlan",
     "limiter_S",
-    "correction_term",
     "beta_n",
     "assemble_chem_system",
     "assemble_cell_system",
@@ -96,5 +93,4 @@ __all__ = [
     "discrete_h1_seminorm",
     "gradient_energy",
     "relative_l2_error",
-    "extract_contour",
 ]

@@ -348,6 +348,7 @@ def resolve(doc: dict) -> ResolvedRun:
             epsilon=scheme["epsilon"],
             snapshot_every=output["snapshot_every"],
             diagnostics_every=output["diagnostics_every"],
+            strict=True,
         )
     except ConfigError:
         raise

@@ -40,6 +40,8 @@ class Mesh:
     def __init__(self, x_range, y_range, nx, ny):
         x0, x1 = float(x_range[0]), float(x_range[1])
         y0, y1 = float(y_range[0]), float(y_range[1])
+        if not np.isfinite([x0, x1, y0, y1]).all():
+            raise MeshError(f"x_range and y_range must be finite: x={x_range}, y={y_range}")
         if not (x1 > x0 and y1 > y0):
             raise MeshError(f"empty or reversed range: x={x_range}, y={y_range}")
         if nx < 1 or ny < 1:

@@ -107,10 +107,12 @@ class InitialConditionSpec:
     base_c: float = 0.0
 
     def __post_init__(self):
-        if self.base_u < 0:
-            raise ValueError(f"base_u must be >= 0, got {self.base_u}")
-        if self.base_c < 0:
-            raise ValueError(f"base_c must be >= 0, got {self.base_c}")
+        for name in ("base_u", "base_c"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def chem_source_value(spec: ModelSpec, u):

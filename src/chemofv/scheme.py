@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import ge, gt, lt, ne
 
 import numpy as np
 
@@ -45,6 +46,56 @@ ORACLE_MAX_ITER = 200
 
 class SchemeError(RuntimeError):
     """Assembly or stepping violated a scheme precondition or invariant."""
+
+
+class InvariantError(RuntimeError):
+    """A ``strict`` invariant broke during a strict-mode run."""
+
+
+HARD, STRICT, WARN = "hard", "strict", "warn"
+_NEGATIVE = " went negative at step {step}: min={value:.3e}, allowed {bound:.3e} (assembly bug?)"
+
+# Every invariant checked: name -> (policy, break test, message); a check's
+# value and bound break it if ``test(value, bound)``. A matrix's signs must
+# hold (True), and its least slack less 1 - 1e-12 of the assembled one >= 0.
+INVARIANTS = {
+    "u >= 0": (HARD, lt, "u" + _NEGATIVE),
+    "c >= 0": (HARD, lt, "c" + _NEGATIVE),
+    "c dip": (WARN, lt, "chem right-hand side had negative entries "
+              "(min {rhs_min:.3e}); c dips to {value:.3e} this step"),
+    "B signs": (HARD, ne, "chem matrix lost the M-matrix sign pattern"),
+    "B slack": (HARD, lt, "chem matrix dominance slack fell below the assembled value"),
+    "A signs": (HARD, ne, "cell matrix lost the M-matrix sign pattern"),
+    "A slack": (HARD, lt, "cell matrix dominance slack fell below the assembled value"),
+    "cubic dt": (HARD, ge, "cubic growth left a column of the cell matrix without "
+                 "dominance at step {step} (t={time:.6g}) with dt={dt:.6g}; reduce dt "
+                 "below the largest admissible dt {admissible:.6g}"),
+    "step mass": (STRICT, gt, "mass drifted within step {step}: {prev} -> {mass}"),
+    "mass": (STRICT, gt, "mass drift at step {step}: {mass0} -> {mass}"),
+    "c bound": (STRICT, gt, "max c = {value} breaks the bound {name} = {limit} at step {step}"),
+    "energy": (STRICT, gt, "c's gradient energy {value} exceeds {name} = {bound} at step {step}"),
+}
+
+
+def enforce(invariant, value, bound, step, logged=None, strict=False, **fields):
+    """The one place that raises for an invariant or logs one: a ``hard``
+    break raises ``SchemeError``, a ``strict`` one ``InvariantError`` if the
+    run is ``strict``; else it is logged unless in ``logged``, the run's set
+    of invariants logged, which it joins. Formats a message only on a break."""
+    policy, breaks, message = INVARIANTS[invariant]
+    if not breaks(value, bound):
+        return
+    raises = policy == HARD or (strict and policy == STRICT)
+    if not raises and logged is not None:
+        if invariant in logged:
+            return
+        logged.add(invariant)
+    text = message.format(value=value, bound=bound, step=step, **fields)
+    if policy == HARD:
+        raise SchemeError(text)
+    if raises:
+        raise InvariantError(text)
+    log.warning("%s", text)
 
 
 @dataclass(frozen=True)
@@ -103,18 +154,11 @@ class SchemeVariant:
             raise ValueError(f"unknown beta policy {self.beta_policy!r}")
 
 
-def correction_term(state: State, model: ModelSpec, mesh: Mesh) -> np.ndarray:
-    """Lagged chem-source increment T_K = m(K)(src(u^n) - src(u^{n-1})).
-
-    Zero at step 0 because u_prev equals u there.
-    """
-    if state.n_cells != mesh.n_cells:
-        raise ValueError("state and mesh sizes differ")
-    return _correction(state, model, mesh, chem_source_value(model, state.u))
-
-
 def _correction(state: State, model: ModelSpec, mesh: Mesh, src_now) -> np.ndarray:
-    """``correction_term`` given ``src_now``, the source of ``state.u``."""
+    """Lagged chem-source increment T_K = m(K)(src(u^n) - src(u^{n-1})),
+    given ``src_now``, the source of ``state.u``. Zero at step 0 because
+    u_prev equals u there.
+    """
     return mesh.cell_measures * (src_now - chem_source_value(model, state.u_prev))
 
 
@@ -230,14 +274,14 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
 class StepPlan:
     """What stays constant for a run: its mesh, model, limiter constant
     ``epsilon``, variant, dt, solver and matrix-check flag, and what they
-    determine: the flux limiter (``limiter``, with the model's mu and chi)
-    and the chem operator B (``chem_matrix``, with its DCT solve). B is
-    also the run's validated five-point layout: every step's cell operator
-    has B's offsets and size, and is made on them by ``B.with_data``. A
-    state carries no dt; every step of it is the plan's. Building the plan checks
-    that dt is positive and finite and that epsilon lies in [0, mu] and,
-    with ``check_matrices``, checks B's sign pattern and row slack
-    (gamma + [1/dt]) m(K) once, since B is the same matrix at every step.
+    determine: the flux limiter (``limiter``, with the model's mu and chi),
+    the chem operator B (``chem_matrix``, with its DCT solve) and the run's
+    ``invariants`` (``_invariants``). B is also the run's validated layout:
+    every step's cell operator has B's offsets and size, and is made on them
+    by ``B.with_data``. A state carries no dt; every step of it is the
+    plan's. Building the plan checks that dt is positive and finite, that
+    epsilon lies in [0, mu] and, with ``check_matrices``, B's sign pattern
+    and row slack (gamma + [1/dt]) m(K), once: B is the same at every step.
     """
 
     mesh: Mesh
@@ -249,6 +293,7 @@ class StepPlan:
     check_matrices: bool = False
     limiter: FluxLimiter = field(init=False, repr=False)
     chem_matrix: SparseMatrix = field(init=False, repr=False)
+    invariants: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -260,9 +305,42 @@ class StepPlan:
         b_mat = chem_operator(self.mesh, gamma, chem_dt)
         if self.check_matrices:
             shift = gamma if chem_dt is None else gamma + 1.0 / chem_dt
-            _check_structure(b_mat, shift * self.mesh.cell_measures, "rows", "chem matrix")
+            report = check_m_matrix_pattern(b_mat, "rows")
+            enforce("B signs", report.diag_positive and report.offdiag_nonpositive, True, 0)
+            least = report.slack - (1.0 - 1e-12) * (shift * self.mesh.cell_measures)
+            enforce("B slack", float(np.fmin.reduce(least)), 0.0, 0)
         object.__setattr__(self, "limiter", limiter)
         object.__setattr__(self, "chem_matrix", b_mat)
+        object.__setattr__(self, "invariants", _invariants(self))
+
+
+def _invariants(plan: StepPlan) -> dict:
+    """The invariants a run of ``plan`` checks after each step, mapped to
+    their (bound, name) if any: mass without growth, and for the elliptic
+    saturated model bounds on c and its gradient energy: c <= 2/gamma and
+    4*area/gamma for the corrected variant, 1/gamma and area/(4*gamma) else.
+
+    The bounds follow from B c = m(K) f, B an M-matrix with row sums
+    gamma m(K), and the saturated g(u) = u/(u+1) in [0, 1). The corrected
+    variant's f = (1+beta) g(u^n) - beta g(u^{n-1}), beta in [0, 1], lies
+    in (-1, 2); the plain variant's f = g(u^n), and the lagged variant's
+    and the coupled oracle's f = g(u^{n+1}), lie in [0, 1). Maximum
+    principle: at the cell K where c is largest, (B c)_K >= gamma m(K) c_K,
+    so max c < max f / gamma: 2/gamma, or 1/gamma. Energy identity: testing
+    with c, sum tau |Dc|^2 + gamma sum m c^2 = sum m f c <= sum m f^2 /
+    (4 gamma) + gamma sum m c^2, so the energy is below area max f^2 /
+    (4 gamma): area/(4 gamma), or area/gamma for the corrected variant,
+    which keeps the published 4*area/gamma. c may exceed its bound by 1e-12
+    of it."""
+    model = plan.model
+    invariants = dict.fromkeys(["step mass", "mass"] if model.growth == _model.GROWTH_NONE else [])
+    if (model.chem_dynamics, model.chem_source) == (_model.CHEM_ELLIPTIC, _model.SOURCE_SATURATED):
+        gamma, area = model.chem_decay, plan.mesh.domain_area
+        corrected = plan.variant.kind == VARIANT_CORRECTED
+        invariants["c bound"] = (2.0 / gamma, "2/gamma") if corrected else (1.0 / gamma, "1/gamma")
+        invariants["energy"] = ((4.0 * area / gamma, "4*area/gamma") if corrected
+                                else (area / (4.0 * gamma), "area/(4*gamma)"))
+    return invariants
 
 
 def assemble_chem_system(
@@ -337,66 +415,22 @@ def assemble_cell_system(
     elif model.growth == _model.GROWTH_CUBIC:
         diag -= m * u * (1.0 - u)
         worst = float(np.max(u * (1.0 - u)))
-        if dt * worst >= 1.0:
-            raise SchemeError(
-                f"cubic growth left a column of the cell matrix without dominance "
-                f"at step {state.step_index} (t={state.step_index * dt:.6g}) with "
-                f"dt={dt:.6g}; reduce dt below the largest admissible dt {1.0 / worst:.6g}"
-            )
+        enforce("cubic dt", dt * worst, 1.0, state.step_index, time=state.step_index * dt,
+                dt=dt, admissible=1.0 / worst if worst else math.inf)
 
     data.setflags(write=False)  # hand the fresh array over without a copy
     return plan.chem_matrix.with_data(data), rhs
 
 
-def _require_nonnegative(field: np.ndarray, name: str, step_index: int, rel_tol=0.0):
-    """Raise unless ``field``, the ``name`` field of state ``step_index``,
-    stays at or above -rel_tol * max(field, 0). u is held to rel_tol 0:
-    the next step's chem source refuses any negative density, so every u
-    this check passes is one the next step accepts."""
-    floor = -rel_tol * max(float(field.max()), 0.0) if rel_tol else 0.0
-    worst = float(field.min())
-    if worst < floor:
-        raise SchemeError(
-            f"{name} went negative at step {step_index}: min={worst:.3e}, "
-            f"allowed {floor:.3e} (assembly bug?)"
-        )
-
-
-def _check_chem_positivity(c_new: np.ndarray, g_vec: np.ndarray, step_index: int):
-    # A nonnegative right-hand side makes c >= 0 a hard guarantee (M-matrix
-    # inverse is positive); breaking it then means an assembly/solver bug.
-    # With the fixed beta = 1 policy the corrected right-hand side can dip
-    # below zero under violent density drops, and a transiently negative c
-    # is then the scheme's true output, not a defect.
-    if float(g_vec.min()) >= -1e-15 * max(float(np.abs(g_vec).max()), 1.0):
-        _require_nonnegative(c_new, "c", step_index, 1e-12)
-    elif float(c_new.min()) < 0.0:
-        log.warning(
-            "chem right-hand side had negative entries (min %.3e); "
-            "c dips to %.3e this step",
-            float(g_vec.min()),
-            float(c_new.min()),
-        )
-
-
-def _check_structure(matrix, expected_slack, by, what):
-    report = check_m_matrix_pattern(matrix, by)
-    if not report.diag_positive or not report.offdiag_nonpositive:
-        raise SchemeError(f"{what} lost the M-matrix sign pattern")
-    if np.any(report.slack < (1.0 - 1e-12) * expected_slack):
-        raise SchemeError(f"{what} dominance slack fell below the assembled value")
-
-
-def step(state: State, plan: StepPlan) -> State:
+def step(state: State, plan: StepPlan, logged: set | None = None) -> State:
     """Advance one time step, of the plan's dt, with the plan's variant.
 
     Corrected/plain: chem solve first, then the cell solve against the new
     field. Lagged: cell solve against c^n first, then the chem solve with
     the u^{n+1} source. Returns a new State with u_prev <- u^n.
 
-    The step checks what only it sees: positivity of the new u and c and,
-    with ``check_matrices``, the cell matrix's structure (B's was checked
-    when the plan was built). The run's invariants are the run monitor's.
+    Enforces what only a step sees: with ``check_matrices`` the cell matrix's
+    structure, then u >= 0 and c >= 0 or c's dip, once per ``logged`` set.
     """
     kind = plan.variant.kind
     if kind == VARIANT_ORACLE:
@@ -424,11 +458,24 @@ def step(state: State, plan: StepPlan) -> State:
             expected_a = expected_a + model.growth_rate * m * state.u
         elif model.growth == _model.GROWTH_CUBIC:
             expected_a = expected_a - m * state.u * (1.0 - state.u)
-        _check_structure(a_mat, expected_a, "cols", "cell matrix")
+        report, n_new = check_m_matrix_pattern(a_mat, "cols"), state.step_index + 1
+        enforce("A signs", report.diag_positive and report.offdiag_nonpositive, True, n_new)
+        least = report.slack - (1.0 - 1e-12) * expected_a
+        enforce("A slack", float(np.fmin.reduce(least)), 0.0, n_new)
+    return _next_state(state, u_new, c_new, g_vec, logged)
 
+
+def _next_state(state: State, u_new, c_new, g_vec, logged=None) -> State:
+    """The next State once u >= 0 holds, with no tolerance as the next chem
+    source refuses any negative u, and c >= 0 where the chem right-hand side
+    ``g_vec`` is; where it dips, as beta = 1 allows, c's dip is logged."""
     n_new = state.step_index + 1
-    _require_nonnegative(u_new, "u", n_new)
-    _check_chem_positivity(c_new, g_vec, n_new)
+    enforce("u >= 0", float(u_new.min()), 0.0, n_new)
+    g_min, g_max = float(g_vec.min()), float(g_vec.max())  # max |g|, with no |g| array
+    if g_min >= -1e-15 * max(abs(g_min), abs(g_max), 1.0):
+        enforce("c >= 0", float(c_new.min()), -1e-12 * max(float(c_new.max()), 0.0), n_new)
+    else:
+        enforce("c dip", float(c_new.min()), 0.0, n_new, logged, rhs_min=g_min)
     return State(u_new, c_new, state.u, n_new)
 
 
@@ -464,10 +511,7 @@ def step_coupled_oracle(
         )
         u_k, c_k = u_next, c_next
         if delta <= ORACLE_TOL:
-            n_new = state.step_index + 1
-            _require_nonnegative(u_k, "u", n_new)
-            _require_nonnegative(c_k, "c", n_new, 1e-12)
-            return State(u_k, c_k, state.u, n_new)
+            return _next_state(state, u_k, c_k, g_vec)
     raise SchemeError(
         f"coupled oracle did not converge in {ORACLE_MAX_ITER} iterations "
         f"(last change {delta:.3e}, tol {ORACLE_TOL:.3e})"

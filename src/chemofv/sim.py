@@ -1,4 +1,4 @@
-"""Time-loop driver, the run's invariant monitor, discrete norms,
+"""Time-loop driver, the run's invariant checks, discrete norms,
 diagnostics and convergence studies."""
 
 from __future__ import annotations
@@ -14,17 +14,13 @@ from . import scheme as _scheme
 from .linalg import LinearSolver
 from .mesh import Mesh
 from .model import InitialConditionSpec, ModelSpec, make_initial_state
-from .scheme import SchemeVariant, StepPlan, step
+from .scheme import InvariantError, SchemeVariant, StepPlan, step
 from .state import State
 
 log = logging.getLogger(__name__)
 
 EPSILON_PRODUCTION = 1e-6
 EPSILON_REFERENCE = 0.0
-
-
-class InvariantError(RuntimeError):
-    """A monitored scheme invariant failed during a strict-mode run."""
 
 
 @dataclass(frozen=True)
@@ -153,75 +149,27 @@ def plan_for(config: RunConfig, solver: LinearSolver | None = None) -> StepPlan:
     )
 
 
-class _InvariantMonitor:
-    """The run's invariants after each step: mass without growth (within
-    the step and since step 0), and for the elliptic saturated model a bound
-    on c and on its gradient energy: c <= 2/gamma and 4*area/gamma for the
-    corrected variant, c <= 1/gamma and area/(4*gamma) for the others.
-
-    The bounds follow from B c = m(K) f, B an M-matrix with row sums
-    gamma m(K), and the saturated g(u) = u/(u+1) in [0, 1). The corrected
-    variant's f = (1+beta) g(u^n) - beta g(u^{n-1}), beta in [0, 1], lies
-    in (-1, 2); the plain variant's f = g(u^n), and the lagged variant's
-    and the coupled oracle's f = g(u^{n+1}), lie in [0, 1). Maximum
-    principle: at the cell K where c is largest, (B c)_K >= gamma m(K) c_K,
-    so max c < max f / gamma: 2/gamma, or 1/gamma. Energy identity: testing
-    with c, sum tau |Dc|^2 + gamma sum m c^2 = sum m f c <= sum m f^2 /
-    (4 gamma) + gamma sum m c^2, so the energy is below area max f^2 /
-    (4 gamma): area/(4 gamma), or area/gamma for the corrected variant,
-    which keeps the published 4*area/gamma. c may exceed its bound by 1e-12
-    of it. Strict mode raises ``InvariantError``; otherwise the first
-    violation of each is logged."""
-
-    def __init__(self, config: RunConfig, mass0: float):
-        model = config.model
-        self.config = config
-        self.mass0 = self.mass_prev = mass0
-        self.conserves_mass = model.growth == _model.GROWTH_NONE
-        self.bounds_c = (
-            model.chem_dynamics == _model.CHEM_ELLIPTIC
-            and model.chem_source == _model.SOURCE_SATURATED
-        )
-        gamma, area = model.chem_decay, config.mesh.domain_area
-        if config.variant.kind == _scheme.VARIANT_CORRECTED:
-            self.c_bound, self.c_bound_name = 2.0 / gamma, "2/gamma"
-            self.energy_bound, self.energy_bound_name = 4.0 * area / gamma, "4*area/gamma"
-        else:
-            self.c_bound, self.c_bound_name = 1.0 / gamma, "1/gamma"
-            self.energy_bound, self.energy_bound_name = area / (4.0 * gamma), "area/(4*gamma)"
-        self._logged: set[str] = set()
-
-    def _violations(self, state: State):
-        """Yield (invariant, message) for each invariant the state breaks."""
-        n, mesh = state.step_index, self.config.mesh
-        if self.conserves_mass:
-            mass, prev = mesh.integral(state.u), self.mass_prev
-            self.mass_prev = mass
-            if abs(mass - prev) > 1e-10 * max(abs(prev), 1e-300):
-                yield "step mass", f"mass drifted within step {n}: {prev} -> {mass}"
-            if abs(mass - self.mass0) > 1e-10 * abs(self.mass0):
-                yield "mass", f"mass drift at step {n}: {self.mass0} -> {mass}"
-        if self.bounds_c:
-            max_c = float(state.c.max())
-            if max_c > self.c_bound * (1.0 + 1e-12):
-                yield "c", (
-                    f"max c = {max_c} breaks the bound {self.c_bound_name} = "
-                    f"{self.c_bound} at step {n}"
-                )
-            energy = gradient_energy(state.c, mesh)
-            if energy > self.energy_bound:
-                yield "energy", (
-                    f"c's gradient energy {energy} exceeds {self.energy_bound_name} = "
-                    f"{self.energy_bound} at step {n}"
-                )
-
-    def check(self, state: State):
-        for kind, violation in self._violations(state):
-            if self.config.strict:
-                raise InvariantError(violation)
-            if kind not in self._logged:
-                self._logged.add(kind)
-                log.warning("%s", violation)
+def check_invariants(state: State, plan: StepPlan, mass0, mass_prev, logged, strict):
+    """Enforce ``plan.invariants`` on ``state`` as a run does (``logged`` and
+    ``strict`` as ``scheme.enforce`` takes them): mass against the last
+    state's ``mass_prev`` and step 0's ``mass0``, and the bounds on c and its
+    gradient energy. Returns the state's mass if mass is conserved."""
+    n, invariants, enforce = state.step_index, plan.invariants, _scheme.enforce
+    mass = None
+    if "mass" in invariants:
+        mass = plan.mesh.integral(state.u)
+        enforce("step mass", abs(mass - mass_prev), 1e-10 * max(abs(mass_prev), 1e-300), n,
+                logged, strict, prev=mass_prev, mass=mass)
+        enforce("mass", abs(mass - mass0), 1e-10 * abs(mass0), n, logged, strict,
+                mass0=mass0, mass=mass)
+    if "c bound" in invariants:
+        limit, name = invariants["c bound"]
+        enforce("c bound", float(state.c.max()), limit * (1.0 + 1e-12), n, logged, strict,
+                name=name, limit=limit)
+        limit, name = invariants["energy"]
+        enforce("energy", gradient_energy(state.c, plan.mesh), limit, n, logged, strict,
+                name=name)
+    return mass
 
 
 def run(
@@ -235,10 +183,9 @@ def run(
     and at the final step; snapshots follow ``snapshot_every`` with the
     final snapshot always emitted. ``observer``, when given, is called with
     each new State. The run's ``StepPlan`` (``plan_for``) is built once.
-    Every step checks positivity (and, with ``check_matrices``, matrix
-    structure) itself and raises on a failure; the run's invariants (mass,
-    the bounds on c and its gradient energy) raise ``InvariantError`` in
-    strict mode and are logged once otherwise.
+    Each invariant, the step's and then the run's (``check_invariants``),
+    is enforced by its policy in ``scheme.INVARIANTS``; the run keeps only
+    step 0's mass and the set of invariants already logged.
     """
     n_steps = config.n_steps
     if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(config.t_final, config.dt):
@@ -261,15 +208,16 @@ def run(
     mesh = config.mesh
     plan = plan_for(config, solver)
     state = make_initial_state(mesh, config.ic)
-    monitor = _InvariantMonitor(config, mesh.integral(state.u))
+    mass0 = mass = mesh.integral(state.u)
+    logged: set[str] = set()
 
     diagnostics = Diagnostics()
     diagnostics.append(_record(state, mesh, config.dt))
     snapshots: list[Snapshot] = []
 
     for n in range(n_steps):
-        state = step(state, plan)
-        monitor.check(state)
+        state = step(state, plan, logged)
+        mass = check_invariants(state, plan, mass0, mass, logged, config.strict)
         if observer is not None:
             observer(state)
         done = n + 1 == n_steps
@@ -376,15 +324,3 @@ def column_profile(cx, cy, values, x0) -> tuple[float, np.ndarray, np.ndarray]:
     mask = cx == x_col
     order = np.argsort(cy[mask], kind="stable")
     return x_col, cy[mask][order], values[mask][order]
-
-
-def extract_contour(field_values, mesh: Mesh, x0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Profile of a cell field along the column of centers nearest x = x0.
-
-    Returns fresh (y, value) arrays ordered by y; of two columns equally near, the left.
-    """
-    if not mesh.x_range[0] <= x0 <= mesh.x_range[1]:
-        raise ValueError(f"x0={x0} outside the domain x-range {mesh.x_range}")
-    grid = mesh.cell_field(field_values).reshape(mesh.ny, mesh.nx)
-    ix = int(np.argmin(np.abs(mesh.x_centers - x0)))
-    return mesh.y_centers.copy(), grid[:, ix].copy()

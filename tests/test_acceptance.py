@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import yaml
-from scipy import ndimage
+from scipy import ndimage, special
 from scipy.signal import find_peaks
 
 from chemofv import (
@@ -425,3 +425,75 @@ def test_criterion_11b_spot_pattern(capsys):
         assert elapsed <= 10 * 60.0, f"run took {elapsed / 60:.1f} min"
     with capsys.disabled():
         print(f"  {n_spots} spots above u=1.5, max u {final.u.max():.2f}")
+
+
+REFINE_RANGE = (-5.0, 5.0)
+REFINE_NS = (16, 32, 64, 128)
+
+
+def bump_cell_averages(mesh):
+    """Exact cell averages of u0 = 1 + exp(-(x - 1)^2 - y^2) / 2, so the
+    2x2 averages of a fine mesh's u0 are the coarse mesh's u0."""
+
+    def mean_exp(edges, shift):  # mean of exp(-(s - shift)^2) over each interval
+        return np.sqrt(np.pi) / 2 * np.diff(special.erf(edges - shift)) / np.diff(edges)
+
+    x_edges = np.linspace(*mesh.x_range, mesh.nx + 1)
+    y_edges = np.linspace(*mesh.y_range, mesh.ny + 1)
+    return 1.0 + 0.5 * np.outer(mean_exp(y_edges, 0.0), mean_exp(x_edges, 1.0)).ravel()
+
+
+def refinement_study(chi):
+    """Corrected runs of the elliptic saturated model (mu = 0.25, eps =
+    1e-6) to T = 1 at dt = 1e-3 on each mesh of REFINE_NS. Returns the
+    observed orders of u and c, each from the RMS of u_h - R(u_{h/2}) (R
+    the 2x2 average) on successive meshes, and the largest jump of c in the
+    run over the limiter threshold on each mesh."""
+    model = ModelSpec(cell_diffusion=0.25, chemo_sensitivity=chi)
+    finals, jump_ratios = [], []
+    for n in REFINE_NS:
+        mesh = build_uniform_rect_mesh(REFINE_RANGE, REFINE_RANGE, n, n)
+        u0 = bump_cell_averages(mesh)
+        state = State(u=u0, c=np.zeros_like(u0), u_prev=u0.copy())
+        plan = StepPlan(mesh, model, 1e-6, CORRECTED, 1e-3)
+        largest = 0.0
+        for _ in range(1000):
+            state = step(state, plan)
+            largest = max(largest, float(np.abs(mesh.edge_jumps(state.c)).max()))
+        finals.append(state)
+        jump_ratios.append(largest / plan.limiter.threshold)
+    orders = {}
+    for name in ("u", "c"):
+        errors = []
+        for n, coarse, fine in zip(REFINE_NS, finals, finals[1:]):
+            restricted = getattr(fine, name).reshape(n, 2, n, 2).mean(axis=(1, 3)).ravel()
+            errors.append(np.sqrt(np.mean((getattr(coarse, name) - restricted) ** 2)))
+        orders[name] = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    return orders, jump_ratios
+
+
+# The gate, set from the scheme: two-point fluxes and central convection
+# are second order on a uniform grid, and one dt for every mesh leaves the
+# time error out of u_h - R(u_{h/2}). At chi = 2 every jump of c stays
+# below the limiter threshold, so the orders lie within 0.25 of 2. At
+# chi = 20 the coarse meshes upwind, which is first order and switches off
+# as the mesh is refined: the orders are at least 0.9, with no upper bound.
+@pytest.mark.slow
+@pytest.mark.parametrize("chi", [2.0, 20.0])
+def test_criterion_12_spatial_convergence_orders(chi, capsys):
+    with criterion(capsys, 12, f"spatial convergence orders at chi={chi:g}"):
+        orders, jump_ratios = refinement_study(chi)
+        if chi == 2.0:
+            assert max(jump_ratios) < 1.0, jump_ratios  # central fluxes only
+            for name, found in orders.items():
+                assert np.all(np.abs(found - 2.0) <= 0.25), (name, found)
+        else:
+            assert jump_ratios[0] > 1.0, jump_ratios  # upwinding active
+            for name, found in orders.items():
+                assert np.all(found >= 0.9), (name, found)
+    with capsys.disabled():
+        print(
+            f"  orders u {np.round(orders['u'], 3).tolist()}, "
+            f"c {np.round(orders['c'], 3).tolist()}; largest jump of c over the "
+            f"threshold {np.round(jump_ratios, 3).tolist()}"
+        )

@@ -369,6 +369,28 @@ class TestResolvedDocument:
         doc = config.resolve({"preset": name}).doc
         assert config.resolve(doc).doc == doc
 
+    @pytest.mark.parametrize("name", ["test1", "test2", "test3", "test4"])
+    def test_resolved_run_is_strict(self, name):
+        # the CLI raises on a broken run invariant; structure checks stay off
+        run = config.resolve({"preset": name}).run
+        assert run.strict and not run.check_matrices
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "assignment,key",
+        [("ic.base_u=.nan", "base_u"), ("domain.x_range=[0,.inf]", "x_range"),
+         ("ic.base_c=.inf", "base_c")],
+    )
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, assignment, key):
+        out = tmp_path / "out"
+        argv = ["run", "--preset", "test1", "--set", "domain.nx=8", "--set", "domain.ny=8",
+                "--set", "time.t_final=0.05", "--set", assignment, "--output-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err and "finite" in err
+        assert not out.exists()
+
 
 class TestRunExtras:
     def test_output_dir_env_default(self, tmp_path, monkeypatch):

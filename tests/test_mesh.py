@@ -175,6 +175,18 @@ def test_coincident_cell_centers_rejected(x_range, y_range, nx, ny):
         build_uniform_rect_mesh(x_range, y_range, nx, ny)
 
 
+@pytest.mark.parametrize(
+    "x_range,y_range",
+    [((0.0, np.inf), (0.0, 1.0)), ((-np.inf, 0.0), (0.0, 1.0)), ((0.0, 1.0), (np.nan, 1.0)),
+     ((0.0, 1.0), (0.0, np.nan))],
+)
+def test_non_finite_ranges_rejected(x_range, y_range):
+    # an infinite range used to make inf and nan cell widths, and a NaN one
+    # to read as empty
+    with pytest.raises(MeshError, match="x_range and y_range must be finite"):
+        build_uniform_rect_mesh(x_range, y_range, 2, 2)
+
+
 def test_invalid_counts_rejected():
     with pytest.raises(MeshError):
         build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 0, 3)

@@ -105,6 +105,12 @@ class TestInitialState:
         with pytest.raises(ValueError):
             InitialConditionSpec(base_u=-1.0)
 
+    @pytest.mark.parametrize("key", ["base_u", "base_c"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_base_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite, got"):
+            InitialConditionSpec(**{key: value})
+
     @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 9), (9, 1), (7, 5), (150, 150)])
     @pytest.mark.parametrize(
         "region",

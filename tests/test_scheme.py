@@ -19,8 +19,8 @@ from chemofv import (
     assemble_chem_system,
     beta_n,
     build_uniform_rect_mesh,
+    chem_source_value,
     check_m_matrix_pattern,
-    correction_term,
     discrete_norm,
     limiter_S,
     make_initial_state,
@@ -71,6 +71,11 @@ def elliptic_model(**kwargs):
 def plan_of(mesh, model, dt=0.1, eps=0.0, variant=CORRECTED, **kwargs):
     """The StepPlan of ``model`` on ``mesh`` with limiter constant ``eps``."""
     return StepPlan(mesh, model, eps, variant, dt, **kwargs)
+
+
+def correction_term(state, model, mesh):
+    """The corrected step's lagged source increment T of ``state``."""
+    return scheme._correction(state, model, mesh, chem_source_value(model, state.u))
 
 
 def state_of(u, c=None, u_prev=None, step_index=1):

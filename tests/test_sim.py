@@ -1,3 +1,4 @@
+import itertools
 import logging
 import os
 import subprocess
@@ -24,7 +25,6 @@ from chemofv import (
     convergence_study,
     discrete_h1_seminorm,
     discrete_norm,
-    extract_contour,
     gradient_energy,
     preset,
     relative_l2_error,
@@ -32,9 +32,15 @@ from chemofv import (
 )
 from chemofv import scheme
 from chemofv.mesh import Mesh
-from chemofv.model import SOURCE_LINEAR, RectRegion
-from chemofv.scheme import VARIANT_CORRECTED, VARIANT_LAGGED, VARIANT_ORACLE, VARIANT_PLAIN
-from chemofv.sim import _InvariantMonitor, column_profile, convergence_rates, plan_for
+from chemofv.model import _CHEM_DYNAMICS, _CHEM_SOURCES, _GROWTHS, SOURCE_LINEAR, RectRegion
+from chemofv.scheme import (
+    VARIANT_CORRECTED,
+    VARIANT_KINDS,
+    VARIANT_LAGGED,
+    VARIANT_ORACLE,
+    VARIANT_PLAIN,
+)
+from chemofv.sim import check_invariants, column_profile, convergence_rates, plan_for
 from oracles import (
     LAYOUT_SHAPES,
     cell_centers_reference,
@@ -475,34 +481,45 @@ print("scipy.sparse.linalg" in sys.modules)
     assert python_probe(probe).split() == ["False"]
 
 
-class TestInvariantMonitor:
+def invariant_checker(cfg, mass0):
+    """Checks states in turn with ``check_invariants``, as a run of ``cfg``
+    whose step-0 mass is ``mass0`` does."""
+    plan, logged, mass = plan_for(cfg), set(), [mass0]
+
+    def check(state):
+        mass[0] = check_invariants(state, plan, mass0, mass[0], logged, cfg.strict)
+
+    return check
+
+
+class TestInvariantChecks:
     def _config(self, mesh, strict):
         return desk_config(mesh, dt=0.1, t_final=1.0, strict=strict)
 
     def test_strict_raises_on_chem_bound_violation(self, mesh_small):
         cfg = self._config(mesh_small, strict=True)
-        monitor = _InvariantMonitor(cfg, mass0=float(mesh_small.n_cells))
+        check = invariant_checker(cfg, mass0=float(mesh_small.n_cells))
         n = mesh_small.n_cells
         bad = State(
             u=np.full(n, 16.0), c=np.full(n, 2.5), u_prev=np.full(n, 16.0),
             step_index=0,
         )
         with pytest.raises(InvariantError, match="bound"):
-            monitor.check(bad)
+            check(bad)
 
     def test_non_strict_logs_instead(self, mesh_small, caplog):
         cfg = self._config(mesh_small, strict=False)
-        monitor = _InvariantMonitor(cfg, mass0=float(mesh_small.n_cells))
+        check = invariant_checker(cfg, mass0=float(mesh_small.n_cells))
         n = mesh_small.n_cells
         checker = (np.arange(n) + np.arange(n) // 4) % 2  # steep, non-uniform c
-        with caplog.at_level(logging.WARNING, logger="chemofv.sim"):
+        with caplog.at_level(logging.WARNING, logger="chemofv.scheme"):
             for k, (u, c_top) in enumerate([(17.0, 2.5), (18.0, 3.0), (19.0, 3.5)]):
                 # every step breaks all four invariants, each with new values
                 bad = State(
                     u=np.full(n, u), c=c_top * checker, u_prev=np.full(n, u),
                     step_index=k + 1,
                 )
-                monitor.check(bad)
+                check(bad)
         for invariant in ("within step", "mass drift at", "bound", "gradient energy"):
             hits = [r for r in caplog.records if invariant in r.message]
             assert len(hits) == 1, invariant
@@ -510,17 +527,17 @@ class TestInvariantMonitor:
     def test_strict_raises_on_mass_drift_within_one_step(self, mesh_small):
         cfg = self._config(mesh_small, strict=True)
         mass0 = float(mesh_small.n_cells)
-        monitor = _InvariantMonitor(cfg, mass0=mass0)
+        check = invariant_checker(cfg, mass0=mass0)
         n = mesh_small.n_cells
 
         def state(mass, k):
             u = np.full(n, mass)  # the 4x4 unit square: mass = u
             return State(u=u, c=np.full(n, 0.5), u_prev=u, step_index=k)
 
-        monitor.check(state(mass0 * (1.0 - 0.9e-10), 1))
+        check(state(mass0 * (1.0 - 0.9e-10), 1))
         # drift 1.8e-10 within the step, 0.9e-10 since step 0
         with pytest.raises(InvariantError, match="within step 2"):
-            monitor.check(state(mass0 * (1.0 + 0.9e-10), 2))
+            check(state(mass0 * (1.0 + 0.9e-10), 2))
 
     def test_strict_run_with_small_gamma_passes(self):
         # c = g(3)/gamma = 3 everywhere: above 2, below the bound 2/gamma = 8
@@ -541,14 +558,14 @@ class TestInvariantMonitor:
         # gamma = 4: c <= 2/gamma = 0.5, so max c = 1 breaks it
         cfg = desk_config(mesh_small, dt=0.1, t_final=1.0, strict=True)
         cfg = RunConfig(**{**cfg.__dict__, "model": ModelSpec(0.25, 2.0, chem_decay=4.0)})
-        monitor = _InvariantMonitor(cfg, mass0=mesh_small.domain_area)  # u = 1
+        check = invariant_checker(cfg, mass0=mesh_small.domain_area)  # u = 1
         n = mesh_small.n_cells
         state = State(
             u=np.ones(n), c=np.linspace(0.0, 1.0, n), u_prev=np.ones(n),
             step_index=1,
         )
         with pytest.raises(InvariantError, match="bound 2/gamma = 0.5"):
-            monitor.check(state)
+            check(state)
 
     @pytest.mark.parametrize("kind", [VARIANT_PLAIN, VARIANT_LAGGED, VARIANT_ORACLE])
     def test_uncorrected_variants_bound_c_by_one_over_gamma(self, mesh_small, kind):
@@ -558,11 +575,11 @@ class TestInvariantMonitor:
             u=np.ones(n), c=np.full(n, 1.5), u_prev=np.ones(n), step_index=1,
         )
         cfg = desk_config(mesh_small, dt=0.1, t_final=1.0, strict=True)
-        _InvariantMonitor(cfg, mass0=mesh_small.domain_area).check(state)
+        invariant_checker(cfg, mass0=mesh_small.domain_area)(state)
         cfg = RunConfig(**{**cfg.__dict__, "variant": SchemeVariant(kind=kind)})
-        monitor = _InvariantMonitor(cfg, mass0=mesh_small.domain_area)
+        check = invariant_checker(cfg, mass0=mesh_small.domain_area)
         with pytest.raises(InvariantError, match="bound 1/gamma = 1.0 at step 1"):
-            monitor.check(state)
+            check(state)
 
     def test_uncorrected_energy_bound_is_area_over_four_gamma(self, mesh_small):
         # 24 edges with tau = 1 and jump 0.15: energy 0.54, above area/4 = 0.25
@@ -573,11 +590,11 @@ class TestInvariantMonitor:
         )
         assert gradient_energy(state.c, mesh_small) == pytest.approx(0.54)
         cfg = desk_config(mesh_small, dt=0.1, t_final=1.0, strict=True)
-        _InvariantMonitor(cfg, mass0=mesh_small.domain_area).check(state)
+        invariant_checker(cfg, mass0=mesh_small.domain_area)(state)
         cfg = RunConfig(**{**cfg.__dict__, "variant": PLAIN})
-        monitor = _InvariantMonitor(cfg, mass0=mesh_small.domain_area)
+        check = invariant_checker(cfg, mass0=mesh_small.domain_area)
         with pytest.raises(InvariantError, match=r"exceeds area/\(4\*gamma\) = 0.25"):
-            monitor.check(state)
+            check(state)
 
     @pytest.mark.parametrize("kind", [VARIANT_PLAIN, VARIANT_LAGGED])
     def test_strict_uncorrected_desk_runs_pass(self, kind):
@@ -597,9 +614,81 @@ class TestInvariantMonitor:
         assert final.step_index == 5
 
     def test_unit_gamma_keeps_the_published_bounds(self, mesh_small):
-        monitor = _InvariantMonitor(self._config(mesh_small, strict=True), mass0=1.0)
-        assert monitor.c_bound == 2.0
-        assert monitor.energy_bound == 4.0 * mesh_small.domain_area
+        invariants = plan_for(self._config(mesh_small, strict=True)).invariants
+        assert invariants["c bound"] == (2.0, "2/gamma")
+        assert invariants["energy"] == (4.0 * mesh_small.domain_area, "4*area/gamma")
+
+
+def theory_invariants(dynamics, source, growth, kind):
+    """The invariants the scheme's theory gives a model, with their policies."""
+    want = {"u >= 0": "hard", "c >= 0": "hard", "B signs": "hard", "B slack": "hard"}
+    if kind != VARIANT_ORACLE:  # the oracle's cell matrices are not checked
+        want |= {"A signs": "hard", "A slack": "hard"}
+    # the chem right-hand side dips through the correction, or through
+    # m c^n/dt where c^n >= 0 holds to 1e-12 only
+    if kind == VARIANT_CORRECTED or dynamics == "parabolic":
+        want["c dip"] = "warn"
+    if growth == "cubic_logistic":
+        want["cubic dt"] = "hard"
+    if growth == "none":
+        want |= {"step mass": "strict", "mass": "strict"}
+    if (dynamics, source) == ("elliptic", "saturated"):
+        want |= {"c bound": "strict", "energy": "strict"}
+    return want
+
+
+def recording_enforce(monkeypatch):
+    """Replace ``scheme.enforce`` by one that also lists each call's
+    (invariant, value, step) in the list it returns."""
+    calls, enforce = [], scheme.enforce
+
+    def recording(invariant, value, bound, step, *args, **kwargs):
+        calls.append((invariant, value, step))
+        return enforce(invariant, value, bound, step, *args, **kwargs)
+
+    monkeypatch.setattr(scheme, "enforce", recording)
+    return calls
+
+
+class TestInvariantTable:
+    # every model the CLI accepts
+    @pytest.mark.parametrize(
+        "dynamics,source,growth,kind",
+        list(itertools.product(_CHEM_DYNAMICS, _CHEM_SOURCES, _GROWTHS, VARIANT_KINDS)),
+    )
+    def test_a_run_checks_what_the_theory_gives(self, monkeypatch, dynamics, source, growth, kind):
+        want = theory_invariants(dynamics, source, growth, kind)
+        assert {name: scheme.INVARIANTS[name][0] for name in want} == want
+        model = ModelSpec(0.25, 2.0, chem_dynamics=dynamics, chem_source=source, growth=growth)
+        cfg = replace(
+            desk_config(build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8), dt=0.01,
+                        t_final=0.03, strict=True, check_matrices=True),
+            model=model, variant=SchemeVariant(kind=kind),
+        )
+        calls = recording_enforce(monkeypatch)
+        assert run(cfg)[0].step_index == 3
+        checked = {invariant for invariant, _, _ in calls}
+        assert checked <= set(want)
+        assert set(want) - checked <= {"c dip"}  # checked only where the side dips
+        after_step = {name for name, policy in want.items() if policy == "strict"}
+        assert set(plan_for(cfg).invariants) == after_step
+
+    def test_c_dip_is_logged_once_per_run(self, monkeypatch, caplog):
+        # a density bump on an empty field at dt = 1 drops by more than half
+        # in a step: the corrected right-hand side dips at steps 2 and 3
+        mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 8, 8)
+        cfg = RunConfig(
+            mesh=mesh, model=ModelSpec(0.25, 2.0, chem_decay=100.0),
+            ic=InitialConditionSpec(base_u=0.0, region=RectRegion(-0.3, 0.3, -0.3, 0.3),
+                                    rng_seed=1),
+            variant=CORRECTED, dt=1.0, t_final=8.0, epsilon=1e-6, strict=True,
+        )
+        calls = recording_enforce(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="chemofv.scheme"):
+            run(cfg)
+        assert [step for name, c_min, step in calls if name == "c dip" and c_min < 0] == [2, 3]
+        hits = [r for r in caplog.records if "c dips to" in r.message]
+        assert len(hits) == 1 and "this step" in hits[0].message
 
 
 class TestConvergenceStudy:
@@ -646,46 +735,15 @@ class TestConvergenceStudy:
             convergence_study(base, [0.1, 0.05], [CORRECTED])
 
 
-class TestContour:
-    def test_constant_field(self, mesh_small):
-        ys, values = extract_contour(np.full(mesh_small.n_cells, 2.5), mesh_small, 0.5)
-        assert ys.shape == (mesh_small.ny,)
-        np.testing.assert_array_equal(values, np.full(mesh_small.ny, 2.5))
-        assert np.all(np.diff(ys) > 0)
-
-    def test_y_coordinate_field_strictly_increasing(self):
-        mesh = build_uniform_rect_mesh((-3.5, 3.5), (-35.0, 35.0), 7, 20)
-        ys, values = extract_contour(np.repeat(mesh.y_centers, mesh.nx), mesh, 0.0)
-        assert np.all(np.diff(values) > 0)
-        np.testing.assert_array_equal(values, ys)
-
+class TestColumnProfile:
     # on the 7x20 mesh, x0 = -2.5 and -0.5 lie exactly halfway between two
     # columns: both pick the left one, as np.argmin does over np.unique(cx)
-    @pytest.mark.parametrize(
-        "x_range,nx,ny,x0",
-        [((-3.5, 3.5), 7, 20, x0) for x0 in (-3.5, -2.5, -0.5, 0.0, 0.3, 3.5)]
-        + [((0.0, 0.7), 7, 3, x0) for x0 in (0.0, 0.1, 0.35, 0.7)]
-        + [((-3.5, 3.5), 1, 5, x0) for x0 in (-3.5, 2.0)],
-    )
-    def test_matches_column_profile_of_reference_centers(self, x_range, nx, ny, x0):
-        mesh = build_uniform_rect_mesh(x_range, (-35.0, 35.0), nx, ny)
-        v = np.random.default_rng(nx * ny).random(mesh.n_cells)
-        ys, values = extract_contour(v, mesh, x0)
-        centers = cell_centers_reference(mesh)
-        _, want_ys, want_values = column_profile(centers[:, 0], centers[:, 1], v, x0)
-        assert ys.tobytes() == want_ys.tobytes()
-        assert values.tobytes() == want_values.tobytes()
-        assert not np.shares_memory(ys, mesh.y_centers) and ys.flags.writeable
-        assert not np.shares_memory(values, v)
-
-    def test_x0_outside_domain_rejected(self, mesh_small):
-        with pytest.raises(ValueError):
-            extract_contour(np.ones(mesh_small.n_cells), mesh_small, 2.0)
-
-    @pytest.mark.parametrize(
-        "shape,size", [((1,), 1), ((16 + 3,), 19), ((4, 4), 16)], ids=["one", "n+3", "grid"]
-    )
-    def test_field_without_one_value_per_cell_rejected(self, mesh_small, shape, size):
-        # a (ny, nx) grid holds n_cells values but is not a cell field
-        with pytest.raises(ValueError, match=f"field has {size} values, but mesh.n_cells is 16"):
-            extract_contour(np.ones(shape), mesh_small, 0.5)
+    @pytest.mark.parametrize("x0,x_col", [(-3.5, -3.0), (-2.5, -3.0), (-0.5, -1.0), (0.3, 0.0)])
+    def test_nearest_column_ordered_by_y(self, x0, x_col):
+        mesh = build_uniform_rect_mesh((-3.5, 3.5), (-35.0, 35.0), 7, 20)
+        centers = cell_centers_reference(mesh)[::-1]  # any cell order
+        v = np.random.default_rng(7).random(mesh.n_cells)
+        got_x, ys, values = column_profile(centers[:, 0], centers[:, 1], v, x0)
+        assert got_x == x_col
+        np.testing.assert_array_equal(ys, mesh.y_centers)
+        np.testing.assert_array_equal(values, v[centers[:, 0] == x_col][::-1])
