@@ -3,11 +3,11 @@
 An operator (``SparseMatrix``) is square and stored in scipy's DIA layout:
 sorted diagonal offsets that include 0, and one row of values per offset.
 The five-point operators of the uniform rectangle have offsets
-(-nx, -1, 0, 1, nx), written by slices. The residual check and the
-structure check (``check_m_matrix_pattern``) read that one
-``dia_matrix``, and the Krylov products a column-scaled copy of its data
-on the same offsets; no CSR or CSC matrix is built in a run unless a solve
-falls back to LU.
+(-nx, -1, 0, 1, nx), written by slices. The residual check reads that one
+``dia_matrix``, the structure check (``check_m_matrix_pattern``) its data
+rows, whose column sums are the dominance slacks, and the Krylov products
+a column-scaled copy of the data on the same offsets; no CSR or CSC matrix
+is built in a run unless a solve falls back to LU.
 
 Operators are made in two ways. The constructor validates offsets and
 data and builds the ``dia_matrix``; a run does this once, for the chem
@@ -67,13 +67,13 @@ class SolveReport:
 
 @dataclass
 class StructureReport:
-    """Sign pattern and one diagonal-dominance slack of a square matrix.
+    """Sign pattern and column diagonal-dominance slacks of a square matrix.
 
-    ``slack`` is the signed row sums or the signed column sums, whichever
-    was asked of ``check_m_matrix_pattern``. Whenever the sign pattern
-    holds (positive diagonal, nonpositive off-diagonals) these equal
-    |diag| - sum|offdiag| per row or per column, and strict dominance means
-    every slack is positive; otherwise they are only sums.
+    ``slack`` is the signed column sums. Whenever the sign pattern holds
+    (positive diagonal, nonpositive off-diagonals) these equal
+    |diag| - sum|offdiag| per column, and strict column dominance means
+    every slack is positive; otherwise they are only sums. For a symmetric
+    operator, such as the chem operator B, they are also its row slacks.
     """
 
     diag_positive: bool
@@ -206,26 +206,21 @@ def fixed_norm(a: np.ndarray) -> float:
     return math.sqrt(fixed_dot(a, a))
 
 
-def check_m_matrix_pattern(m: SparseMatrix, by: str) -> StructureReport:
-    """Sign pattern on the stored diagonals plus the signed row sums (``by``
-    "rows") or column sums ("cols"), which are the dominance slacks
-    whenever the sign pattern holds.
+def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
+    """Sign pattern on the stored diagonals plus the signed column sums,
+    which are the dominance slacks whenever the sign pattern holds.
 
-    A row sum is the product with ones; a column sum adds column j's
-    entries by increasing row, which is decreasing offset. Both add each
-    row's or column's entries in the order a sorted CSR operator stores
-    them; the zeros the layout stores beside them add nothing.
+    A column sum adds column j's entries by increasing row, which is
+    decreasing offset; the zeros the layout stores beside them add nothing.
+    The off-diagonal signs are read from the rows of ``data`` on either
+    side of the diagonal's, without copying them (NaN fails the test).
     """
-    if by == "rows":
-        slack = m.dia @ np.ones(m.n)
-    elif by == "cols":
-        slack = np.add.reduce(m.data[::-1], axis=0)
-    else:
-        raise ValueError(f"slack must be taken by 'rows' or 'cols', got {by!r}")
+    zero = int(np.searchsorted(m.offsets, 0))
+    below, above = m.data[:zero], m.data[zero + 1 :]
     return StructureReport(
-        diag_positive=bool((m.diagonal() > 0).all()),
-        offdiag_nonpositive=bool((m.data[m.offsets != 0] <= 0).all()),
-        slack=slack,
+        diag_positive=bool((m.data[zero] > 0).all()),
+        offdiag_nonpositive=bool((below <= 0).all() and (above <= 0).all()),
+        slack=np.add.reduce(m.data[::-1], axis=0),
     )
 
 

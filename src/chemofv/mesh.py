@@ -111,11 +111,12 @@ class Mesh:
         np.subtract(grid[1:], grid[:-1], out=jump_y)
         return jumps
 
-    def scale_edges(self, values, x_weight, y_weight) -> np.ndarray:
-        """Multiply an interior-edge array in place, its x-normal part by
-        ``x_weight`` and its y-normal part by ``y_weight``; returns it."""
-        for grid, weight in zip(self.edge_grids(values), (x_weight, y_weight)):
-            grid *= weight
+    def scale_edges(self, values) -> np.ndarray:
+        """Multiply an interior-edge array in place by its edges'
+        transmissibilities, ``tau_x`` on the x-normal part and ``tau_y`` on
+        the y-normal part; returns it."""
+        for grid, tau in zip(self.edge_grids(values), (self.tau_x, self.tau_y)):
+            grid *= tau
         return values
 
     def adjacency_csr(self) -> np.ndarray:

@@ -281,7 +281,8 @@ class StepPlan:
     by ``B.with_data``. A state carries no dt; every step of it is the
     plan's. Building the plan checks that dt is positive and finite, that
     epsilon lies in [0, mu] and, with ``check_matrices``, B's sign pattern
-    and row slack (gamma + [1/dt]) m(K), once: B is the same at every step.
+    and column slack (gamma + [1/dt]) m(K), once: B is the same at every
+    step.
     """
 
     mesh: Mesh
@@ -305,13 +306,22 @@ class StepPlan:
         b_mat = chem_operator(self.mesh, gamma, chem_dt)
         if self.check_matrices:
             shift = gamma if chem_dt is None else gamma + 1.0 / chem_dt
-            report = check_m_matrix_pattern(b_mat, "rows")
-            enforce("B signs", report.diag_positive and report.offdiag_nonpositive, True, 0)
-            least = report.slack - (1.0 - 1e-12) * (shift * self.mesh.cell_measures)
-            enforce("B slack", float(np.fmin.reduce(least)), 0.0, 0)
+            _check_operator("B", b_mat, shift * self.mesh.cell_measures, 0)
         object.__setattr__(self, "limiter", limiter)
         object.__setattr__(self, "chem_matrix", b_mat)
         object.__setattr__(self, "invariants", _invariants(self))
+
+
+def _check_operator(name: str, m: SparseMatrix, assembled: np.ndarray, step_index: int):
+    """Enforce the ``<name> signs`` and ``<name> slack`` rows, ``name`` "B"
+    or "A", on operator ``m``: its M-matrix sign pattern, and column slacks
+    within 1e-12 of ``assembled``, the slacks its assembly put in, or above.
+    For the symmetric B the column slacks are also its row slacks."""
+    report = check_m_matrix_pattern(m)
+    signs = report.diag_positive and report.offdiag_nonpositive
+    enforce(f"{name} signs", signs, True, step_index)
+    least = report.slack - (1.0 - 1e-12) * assembled
+    enforce(f"{name} slack", float(np.fmin.reduce(least)), 0.0, step_index)
 
 
 def _invariants(plan: StepPlan) -> dict:
@@ -393,12 +403,12 @@ def assemble_cell_system(
     w_minus = limiter_S(plan.limiter, dc)  # S(dc) until w_plus is taken
     w_plus = np.multiply(w_minus, chi)
     w_plus += mu
-    mesh.scale_edges(w_plus, mesh.tau_x, mesh.tau_y)
+    mesh.scale_edges(w_plus)
     # S(-x) = S(x) - x holds exactly in floating point on every branch
     w_minus -= dc
     w_minus *= chi
     w_minus += mu
-    mesh.scale_edges(w_minus, mesh.tau_x, mesh.tau_y)
+    mesh.scale_edges(w_minus)
 
     # -w_minus at (a, b) and -w_plus at (b, a) for edge e joining a < b
     data, diag, upper, lower = _five_point_rows(mesh, plan.chem_matrix.offsets)
@@ -458,10 +468,7 @@ def step(state: State, plan: StepPlan, logged: set | None = None) -> State:
             expected_a = expected_a + model.growth_rate * m * state.u
         elif model.growth == _model.GROWTH_CUBIC:
             expected_a = expected_a - m * state.u * (1.0 - state.u)
-        report, n_new = check_m_matrix_pattern(a_mat, "cols"), state.step_index + 1
-        enforce("A signs", report.diag_positive and report.offdiag_nonpositive, True, n_new)
-        least = report.slack - (1.0 - 1e-12) * expected_a
-        enforce("A slack", float(np.fmin.reduce(least)), 0.0, n_new)
+        _check_operator("A", a_mat, expected_a, state.step_index + 1)
     return _next_state(state, u_new, c_new, g_vec, logged)
 
 

@@ -93,12 +93,12 @@ def chem_operator_edge_list(mesh, chem_decay, dt) -> SparseMatrix:
     return five_point(mesh, diag, -edges.tau, -edges.tau)
 
 
-def h1_seminorm_edge_list(values, mesh, p=2.0):
-    """The W^{1,p} seminorm from per-edge weights m(sigma) / d_sigma^(p-1)."""
+def h1_seminorm_edge_list(values, mesh):
+    """The H^1 seminorm from per-edge weights m(sigma) / d_sigma."""
     edges = edge_list(mesh)
     jumps = np.abs(values[edges.cell_b] - values[edges.cell_a])
-    weights = edges.measures / edges.distances ** (p - 1.0)
-    return float(np.sum(weights * jumps**p) ** (1.0 / p))
+    weights = edges.measures / edges.distances
+    return float(np.sum(weights * jumps**2) ** 0.5)
 
 
 def gradient_energy_edge_list(values, mesh):
@@ -195,15 +195,15 @@ def beta_brute_force(u, u_prev):
     return min(1.0, min(candidates))
 
 
-def h1_seminorm_direct(values, mesh, p=2.0):
-    """Edge-by-edge transcription of the W^{1,p} seminorm (boundary edges
+def h1_seminorm_direct(values, mesh):
+    """Edge-by-edge transcription of the H^1 seminorm (boundary edges
     carry no jump, so the interior edges are the whole sum)."""
     edges = edge_list(mesh)
     total = 0.0
     for e in range(mesh.n_interior_edges):
         jump = abs(values[edges.cell_b[e]] - values[edges.cell_a[e]])
-        total += edges.measures[e] / edges.distances[e] ** (p - 1.0) * jump**p
-    return total ** (1.0 / p)
+        total += edges.measures[e] / edges.distances[e] * jump**2
+    return total**0.5
 
 
 def random_dominant_m_matrix(rng, n, density=0.3, slack_scale=1.0):
@@ -218,12 +218,12 @@ def random_dominant_m_matrix(rng, n, density=0.3, slack_scale=1.0):
 
 
 def abs_sum_slacks(a):
-    """Dominance slacks |a_kk| - sum_{l != k} |a_kl| of a dense square
-    array: (per row, per column)."""
+    """Column dominance slacks |a_kk| - sum_{l != k} |a_lk| of a dense
+    square array."""
     a = np.asarray(a, dtype=float)
     absdiag = np.abs(np.diag(a))
     off = np.abs(a) - np.diag(absdiag)
-    return absdiag - off.sum(axis=1), absdiag - off.sum(axis=0)
+    return absdiag - off.sum(axis=0)
 
 
 def dia_layout_loops(mesh):

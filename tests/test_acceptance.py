@@ -311,8 +311,8 @@ def test_criterion_08_matrix_structure(desk_run, desk_study, capsys):
                 b_mat, _ = assemble_chem_system(state, plan, beta)
                 a_mat, _ = assemble_cell_system(state, state.c, plan)
                 m = mesh.cell_measures
-                b_report = check_m_matrix_pattern(b_mat, "rows")
-                a_report = check_m_matrix_pattern(a_mat, "cols")
+                b_report = check_m_matrix_pattern(b_mat)
+                a_report = check_m_matrix_pattern(a_mat)
                 assert b_report.diag_positive and b_report.offdiag_nonpositive
                 assert a_report.diag_positive and a_report.offdiag_nonpositive
                 expected_b = model.chem_decay * m

@@ -393,6 +393,16 @@ class TestNonFiniteInputs:
 
 
 class TestRunExtras:
+    def test_uncreatable_output_dir_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(chemofv.sim, "run", no_run)
+        (tmp_path / "file").write_text("")
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "file" / "out")
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_output_dir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHEMOFV_OUTPUT_DIR", str(tmp_path / "envout"))
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "ignored")
@@ -430,6 +440,14 @@ class TestStudy:
     def test_single_dt_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path / "s.yaml", tmp_path / "out")
         assert main(["study", str(cfg), "--dt", "0.1"]) == 2
+
+    def test_repeated_dt_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "s.yaml", tmp_path / "out", t_final=0.1)
+        argv = ["study", str(cfg), "--dt", "0.05", "0.1", "0.05", "--reference-dt", "0.01"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "step sizes must be distinct: dt=0.05 is repeated" in err
+        assert not (tmp_path / "out").exists()
 
     def test_two_variant_study(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.yaml", tmp_path / "out", t_final=0.2)

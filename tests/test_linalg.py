@@ -169,53 +169,41 @@ class TestSpmv:
 
 
 class TestStructureChecks:
-    @pytest.mark.parametrize("by", ["rows", "cols"])
-    def test_identity_flags(self, by):
-        report = check_m_matrix_pattern(identity(3), by)
+    def test_identity_flags(self):
+        report = check_m_matrix_pattern(identity(3))
         assert report.diag_positive
         assert report.offdiag_nonpositive
         np.testing.assert_array_equal(report.slack, np.ones(3))
         assert np.all(report.slack > 0)
 
-    @pytest.mark.parametrize("by", ["rows", "cols"])
-    def test_sign_pattern_violations_detected(self, by):
-        report = check_m_matrix_pattern(
-            from_dense([[1.0, 0.5], [-0.2, 1.0]]), by
-        )
+    def test_sign_pattern_violations_detected(self):
+        report = check_m_matrix_pattern(from_dense([[1.0, 0.5], [-0.2, 1.0]]))
         assert not report.offdiag_nonpositive
-        report = check_m_matrix_pattern(
-            from_dense([[-1.0, 0.0], [0.0, 1.0]]), by
-        )
+        report = check_m_matrix_pattern(from_dense([[1.0, -0.5], [0.2, 1.0]]))
+        assert not report.offdiag_nonpositive
+        report = check_m_matrix_pattern(from_dense([[-1.0, 0.0], [0.0, 1.0]]))
         assert not report.diag_positive
+
+    @pytest.mark.parametrize("row,col", [(0, 1), (1, 0), (1, 1)])
+    def test_nan_entry_fails_the_sign_pattern(self, row, col):
+        dense = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        dense[row, col] = np.nan
+        report = check_m_matrix_pattern(from_dense(dense))
+        assert not (report.diag_positive and report.offdiag_nonpositive)
 
     def test_slacks_match_abs_sum_formula(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             n = int(rng.integers(2, 30))
             dense = random_dominant_m_matrix(rng, n, slack_scale=rng.random() * 10 + 0.01)
-            reports = [check_m_matrix_pattern(from_dense(dense), by) for by in ("rows", "cols")]
+            report = check_m_matrix_pattern(from_dense(dense))
             tol = 1e-14 * np.abs(np.diag(dense)).max()
-            for report, want in zip(reports, abs_sum_slacks(dense)):
-                assert report.diag_positive and report.offdiag_nonpositive
-                assert np.max(np.abs(report.slack - want)) <= tol
+            assert report.diag_positive and report.offdiag_nonpositive
+            assert np.max(np.abs(report.slack - abs_sum_slacks(dense))) <= tol
 
     def test_slack_values(self):
         m = from_dense([[3.0, -1.0], [-2.0, 4.0]])
-        np.testing.assert_allclose(check_m_matrix_pattern(m, "rows").slack, [2.0, 2.0])
-        np.testing.assert_allclose(check_m_matrix_pattern(m, "cols").slack, [1.0, 3.0])
-
-    def test_slack_is_taken_by_rows_or_cols(self):
-        m = from_dense([[3.0, -1.0], [-2.0, 4.0]])
-        rows = check_m_matrix_pattern(m, "rows")
-        cols = check_m_matrix_pattern(m, "cols")
-        np.testing.assert_array_equal(rows.slack, [2.0, 2.0])
-        np.testing.assert_array_equal(cols.slack, [1.0, 3.0])
-        assert rows.diag_positive and cols.offdiag_nonpositive
-        for by in ("row", "both"):
-            with pytest.raises(ValueError, match="slack must be"):
-                check_m_matrix_pattern(m, by)
-        with pytest.raises(TypeError):
-            check_m_matrix_pattern(m)  # no default
+        np.testing.assert_array_equal(check_m_matrix_pattern(m).slack, [1.0, 3.0])
 
 
 class TestFixedDot:

@@ -208,7 +208,7 @@ def test_scale_edges_matches_per_edge_product(nx, ny):
     mesh = build_uniform_rect_mesh((0.0, 0.7), (-2.0, 1.3), nx, ny)
     v = np.random.default_rng(nx + 7 * ny).random(mesh.n_interior_edges)
     scaled = v.copy()
-    assert mesh.scale_edges(scaled, mesh.tau_x, mesh.tau_y) is scaled
+    assert mesh.scale_edges(scaled) is scaled
     assert np.array_equal(scaled, edge_list(mesh).tau * v)
 
 
