@@ -79,13 +79,15 @@ def cmd_study(args) -> int:
         SchemeVariant(kind=name, beta_policy=base.variant.beta_policy)
         for name in args.variants
     ]
+    dt_list = sorted(args.dt, reverse=True)
+    out_dir = Path(resolved.output_dir)
     try:
-        report = simmod.convergence_study(base, sorted(args.dt, reverse=True), variants)
+        simmod.study_step_sizes(base.dt, dt_list)  # a dt error leaves no directory
+        out_dir.mkdir(parents=True, exist_ok=True)  # an unusable one fails before any run
+        report = simmod.convergence_study(base, dt_list, variants)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    out_dir = Path(resolved.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outmod.write_study_csv(out_dir / "study.csv", report)
     table = outmod.format_study_table(report)
     (out_dir / "study.txt").write_text(table)

@@ -7,7 +7,9 @@ The five-point operators of the uniform rectangle have offsets
 ``dia_matrix``, the structure check (``check_m_matrix_pattern``) its data
 rows, whose column sums are the dominance slacks, and the Krylov products
 a column-scaled copy of the data on the same offsets; no CSR or CSC matrix
-is built in a run unless a solve falls back to LU.
+is built in a run unless a solve falls back to LU. The structure check
+returns one sign verdict and the slacks; the scheme runs it, when a run
+asks for it, where each operator is assembled.
 
 Operators are made in two ways. The constructor validates offsets and
 data and builds the ``dia_matrix``; a run does this once, for the chem
@@ -63,22 +65,6 @@ class SolveReport:
     iterations: int
     residual: float
     method: str
-
-
-@dataclass
-class StructureReport:
-    """Sign pattern and column diagonal-dominance slacks of a square matrix.
-
-    ``slack`` is the signed column sums. Whenever the sign pattern holds
-    (positive diagonal, nonpositive off-diagonals) these equal
-    |diag| - sum|offdiag| per column, and strict column dominance means
-    every slack is positive; otherwise they are only sums. For a symmetric
-    operator, such as the chem operator B, they are also its row slacks.
-    """
-
-    diag_positive: bool
-    offdiag_nonpositive: bool
-    slack: np.ndarray
 
 
 def readonly_copy(a, dtype=np.int64) -> np.ndarray:
@@ -206,22 +192,24 @@ def fixed_norm(a: np.ndarray) -> float:
     return math.sqrt(fixed_dot(a, a))
 
 
-def check_m_matrix_pattern(m: SparseMatrix) -> StructureReport:
-    """Sign pattern on the stored diagonals plus the signed column sums,
-    which are the dominance slacks whenever the sign pattern holds.
+def check_m_matrix_pattern(m: SparseMatrix) -> tuple[bool, np.ndarray]:
+    """``(signs_hold, slack)``: whether ``m`` has the M-matrix sign pattern
+    (positive diagonal, nonpositive off-diagonals) on its stored diagonals,
+    and its signed column sums. Where the signs hold, column j's sum is
+    |a_jj| - sum_i |a_ij| over i != j, its dominance slack, so strict
+    column dominance means every slack is positive; otherwise the sums are
+    only sums. For a symmetric operator, such as the chem operator B, they
+    are also its row slacks.
 
     A column sum adds column j's entries by increasing row, which is
     decreasing offset; the zeros the layout stores beside them add nothing.
-    The off-diagonal signs are read from the rows of ``data`` on either
-    side of the diagonal's, without copying them (NaN fails the test).
+    The signs are read from the rows of ``data`` without copying them (NaN
+    fails the test).
     """
     zero = int(np.searchsorted(m.offsets, 0))
     below, above = m.data[:zero], m.data[zero + 1 :]
-    return StructureReport(
-        diag_positive=bool((m.data[zero] > 0).all()),
-        offdiag_nonpositive=bool((below <= 0).all() and (above <= 0).all()),
-        slack=np.add.reduce(m.data[::-1], axis=0),
-    )
+    signs_hold = bool((m.data[zero] > 0).all() and (below <= 0).all() and (above <= 0).all())
+    return signs_hold, np.add.reduce(m.data[::-1], axis=0)
 
 
 def _lu_solve(m: SparseMatrix) -> Callable[[np.ndarray], np.ndarray]:

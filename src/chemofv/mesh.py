@@ -44,6 +44,8 @@ class Mesh:
             raise MeshError(f"x_range and y_range must be finite: x={x_range}, y={y_range}")
         if not (x1 > x0 and y1 > y0):
             raise MeshError(f"empty or reversed range: x={x_range}, y={y_range}")
+        if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in (nx, ny)):
+            raise MeshError(f"nx and ny must be integers, got nx={nx!r}, ny={ny!r}")
         if nx < 1 or ny < 1:
             raise MeshError(f"need nx, ny >= 1, got nx={nx}, ny={ny}")
 

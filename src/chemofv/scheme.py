@@ -317,10 +317,9 @@ def _check_operator(name: str, m: SparseMatrix, assembled: np.ndarray, step_inde
     or "A", on operator ``m``: its M-matrix sign pattern, and column slacks
     within 1e-12 of ``assembled``, the slacks its assembly put in, or above.
     For the symmetric B the column slacks are also its row slacks."""
-    report = check_m_matrix_pattern(m)
-    signs = report.diag_positive and report.offdiag_nonpositive
+    signs, slack = check_m_matrix_pattern(m)
     enforce(f"{name} signs", signs, True, step_index)
-    least = report.slack - (1.0 - 1e-12) * assembled
+    least = slack - (1.0 - 1e-12) * assembled
     enforce(f"{name} slack", float(np.fmin.reduce(least)), 0.0, step_index)
 
 
@@ -388,11 +387,13 @@ def assemble_cell_system(
     """Assemble the cell-density system A u^{n+1} = F.
 
     ``c_new`` is the freshly solved chemoattractant field for the corrected
-    and plain variants, or c^n for the lagged variant. Growth terms follow
-    the semi-implicit splits: quadratic logistic adds r*m*u^n to both the
-    diagonal and F; the cubic kind adds -m*u^n(1-u^n) to the diagonal only
-    and requires every column slack m/dt - m*u^n(1-u^n) to stay positive,
-    that is dt*max u^n(1-u^n) < 1.
+    and plain variants, c^n for the lagged variant, or the current iterate
+    for the coupled oracle. Growth terms follow the semi-implicit splits:
+    quadratic logistic adds r*m*u^n to both the diagonal and F; the cubic
+    kind adds -m*u^n(1-u^n) to the diagonal only and requires every column
+    slack m/dt - m*u^n(1-u^n) to stay positive, that is
+    dt*max u^n(1-u^n) < 1. With ``check_matrices`` A is checked here, for
+    the step being taken, against its column slacks m/dt + growth term.
     """
     mesh, model, dt = plan.mesh, plan.model, plan.dt
     mu, chi = model.cell_diffusion, model.chemo_sensitivity
@@ -418,18 +419,23 @@ def assemble_cell_system(
     np.divide(m, dt, out=diag)
     _add_outflow(diag, mesh, plus, minus)
     rhs = m * u / dt
+    growth = 0.0  # the growth term on the diagonal
     if model.growth == _model.GROWTH_QUADRATIC:
         growth = model.growth_rate * m * u
         diag += growth
         rhs += growth
     elif model.growth == _model.GROWTH_CUBIC:
-        diag -= m * u * (1.0 - u)
+        growth = m * u * (u - 1.0)  # -m u (1 - u), bit for bit
+        diag += growth
         worst = float(np.max(u * (1.0 - u)))
         enforce("cubic dt", dt * worst, 1.0, state.step_index, time=state.step_index * dt,
                 dt=dt, admissible=1.0 / worst if worst else math.inf)
 
     data.setflags(write=False)  # hand the fresh array over without a copy
-    return plan.chem_matrix.with_data(data), rhs
+    a_mat = plan.chem_matrix.with_data(data)
+    if plan.check_matrices:
+        _check_operator("A", a_mat, m / dt + growth, state.step_index + 1)
+    return a_mat, rhs
 
 
 def step(state: State, plan: StepPlan, logged: set | None = None) -> State:
@@ -439,8 +445,8 @@ def step(state: State, plan: StepPlan, logged: set | None = None) -> State:
     field. Lagged: cell solve against c^n first, then the chem solve with
     the u^{n+1} source. Returns a new State with u_prev <- u^n.
 
-    Enforces what only a step sees: with ``check_matrices`` the cell matrix's
-    structure, then u >= 0 and c >= 0 or c's dip, once per ``logged`` set.
+    Enforces what only a step sees: u >= 0, and c >= 0 or c's dip, once
+    per ``logged`` set; the cell matrix is checked where it is assembled.
     """
     kind = plan.variant.kind
     if kind == VARIANT_ORACLE:
@@ -460,15 +466,6 @@ def step(state: State, plan: StepPlan, logged: set | None = None) -> State:
         c_new, _ = solve(b_mat, g_vec)
         a_mat, f_vec = assemble_cell_system(state, c_new, plan)
         u_new, _ = solve(a_mat, f_vec)
-
-    if plan.check_matrices:
-        model, m = plan.model, plan.mesh.cell_measures
-        expected_a = m / plan.dt
-        if model.growth == _model.GROWTH_QUADRATIC:
-            expected_a = expected_a + model.growth_rate * m * state.u
-        elif model.growth == _model.GROWTH_CUBIC:
-            expected_a = expected_a - m * state.u * (1.0 - state.u)
-        _check_operator("A", a_mat, expected_a, state.step_index + 1)
     return _next_state(state, u_new, c_new, g_vec, logged)
 
 
@@ -494,9 +491,9 @@ def step_coupled_oracle(
     Starts from the plain decoupled chem solve, then alternates cell and
     chem solves (the latter sourced from the current u iterate) until the
     max-norm change of (u, c) drops to ``ORACLE_TOL``, within
-    ``ORACLE_MAX_ITER`` iterations. The plan's variant is not read.
-    Intended as a small-scale accuracy reference; refuses meshes above
-    ``cell_limit`` cells.
+    ``ORACLE_MAX_ITER`` iterations. The plan's variant is not read; each
+    iterate's cell matrix is checked as in ``step``. Intended as a
+    small-scale accuracy reference; refuses meshes above ``cell_limit`` cells.
     """
     n_cells = plan.mesh.n_cells
     if n_cells > cell_limit:

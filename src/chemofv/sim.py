@@ -250,6 +250,26 @@ def convergence_rates(dts, errors) -> list[float | None]:
     return rates
 
 
+def study_step_sizes(reference_dt: float, dt_list) -> list[float]:
+    """``dt_list`` as floats if distinct, decreasing and above ``reference_dt``
+    (which one dt may equal); ``ValueError`` otherwise. Makes no run."""
+    dt_list = [float(d) for d in dt_list]
+    repeated = [d for i, d in enumerate(dt_list) if d in dt_list[:i]]
+    if repeated:
+        raise ValueError(
+            f"the study's step sizes must be distinct: dt={repeated[0]:g} is repeated"
+        )
+    if any(dt_list[i] <= dt_list[i + 1] for i in range(len(dt_list) - 1)):
+        raise ValueError("dt_list must be sorted in decreasing order")
+    # a member at the reference dt has error 0: no order between it and the next
+    smallest = min(dt_list, default=np.inf)
+    if reference_dt > smallest or (reference_dt == smallest and len(dt_list) > 1):
+        raise ValueError(
+            f"reference dt {reference_dt} must be below the smallest study dt {smallest}"
+        )
+    return dt_list
+
+
 def convergence_study(
     base: RunConfig, dt_list, variants, *, solver: LinearSolver | None = None
 ) -> StudyReport:
@@ -264,20 +284,7 @@ def convergence_study(
     consecutive step sizes. Every run is made with ``snapshot_every`` and
     ``diagnostics_every`` 0.
     """
-    dt_list = [float(d) for d in dt_list]
-    repeated = [d for i, d in enumerate(dt_list) if d in dt_list[:i]]
-    if repeated:
-        raise ValueError(
-            f"the study's step sizes must be distinct: dt={repeated[0]:g} is repeated"
-        )
-    if any(dt_list[i] <= dt_list[i + 1] for i in range(len(dt_list) - 1)):
-        raise ValueError("dt_list must be sorted in decreasing order")
-    # a member at the reference dt has error 0: no order between it and the next
-    smallest = min(dt_list, default=np.inf)
-    if base.dt > smallest or (base.dt == smallest and len(dt_list) > 1):
-        raise ValueError(
-            f"reference dt {base.dt} must be below the smallest study dt {smallest}"
-        )
+    dt_list = study_step_sizes(base.dt, dt_list)
     solver = solver or LinearSolver()
 
     def member(dt, variant, **changes):

@@ -1,4 +1,5 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
@@ -504,6 +505,15 @@ class TestStudy:
         assert main(argv) == 2
         assert "dt" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_uncreatable_output_dir_fails_before_the_first_run(self, tmp_path, capsys, caplog):
+        # the directory used to be made only after every member had run
+        (tmp_path / "file").write_text("")
+        argv = ["study", *self.SMALL_TEST1, "--output-dir", str(tmp_path / "file" / "out")]
+        with caplog.at_level(logging.INFO, logger="chemofv"):
+            assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert [r.message for r in caplog.records if r.message.startswith("study:")] == []
 
 
 class TestOracleCheck:

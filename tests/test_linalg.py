@@ -170,40 +170,36 @@ class TestSpmv:
 
 class TestStructureChecks:
     def test_identity_flags(self):
-        report = check_m_matrix_pattern(identity(3))
-        assert report.diag_positive
-        assert report.offdiag_nonpositive
-        np.testing.assert_array_equal(report.slack, np.ones(3))
-        assert np.all(report.slack > 0)
+        signs_hold, slack = check_m_matrix_pattern(identity(3))
+        assert signs_hold is True
+        np.testing.assert_array_equal(slack, np.ones(3))
+        assert np.all(slack > 0)
 
     def test_sign_pattern_violations_detected(self):
-        report = check_m_matrix_pattern(from_dense([[1.0, 0.5], [-0.2, 1.0]]))
-        assert not report.offdiag_nonpositive
-        report = check_m_matrix_pattern(from_dense([[1.0, -0.5], [0.2, 1.0]]))
-        assert not report.offdiag_nonpositive
-        report = check_m_matrix_pattern(from_dense([[-1.0, 0.0], [0.0, 1.0]]))
-        assert not report.diag_positive
+        for dense in ([[1.0, 0.5], [-0.2, 1.0]], [[1.0, -0.5], [0.2, 1.0]],
+                      [[-1.0, 0.0], [0.0, 1.0]]):
+            signs_hold, _ = check_m_matrix_pattern(from_dense(dense))
+            assert signs_hold is False, dense
 
     @pytest.mark.parametrize("row,col", [(0, 1), (1, 0), (1, 1)])
     def test_nan_entry_fails_the_sign_pattern(self, row, col):
         dense = np.array([[2.0, -1.0], [-1.0, 2.0]])
         dense[row, col] = np.nan
-        report = check_m_matrix_pattern(from_dense(dense))
-        assert not (report.diag_positive and report.offdiag_nonpositive)
+        assert check_m_matrix_pattern(from_dense(dense))[0] is False
 
     def test_slacks_match_abs_sum_formula(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
             n = int(rng.integers(2, 30))
             dense = random_dominant_m_matrix(rng, n, slack_scale=rng.random() * 10 + 0.01)
-            report = check_m_matrix_pattern(from_dense(dense))
+            signs_hold, slack = check_m_matrix_pattern(from_dense(dense))
             tol = 1e-14 * np.abs(np.diag(dense)).max()
-            assert report.diag_positive and report.offdiag_nonpositive
-            assert np.max(np.abs(report.slack - abs_sum_slacks(dense))) <= tol
+            assert signs_hold
+            assert np.max(np.abs(slack - abs_sum_slacks(dense))) <= tol
 
     def test_slack_values(self):
         m = from_dense([[3.0, -1.0], [-2.0, 4.0]])
-        np.testing.assert_array_equal(check_m_matrix_pattern(m).slack, [1.0, 3.0])
+        np.testing.assert_array_equal(check_m_matrix_pattern(m)[1], [1.0, 3.0])
 
 
 class TestFixedDot:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,21 @@ def test_non_finite_ranges_rejected(x_range, y_range):
 def test_invalid_counts_rejected():
     with pytest.raises(MeshError):
         build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 0, 3)
+
+
+@pytest.mark.parametrize("count", [2.5, "4", True])
+def test_non_integer_counts_rejected(count):
+    # 2.5 used to fail on the cell measures' sum, "4" with a bare
+    # TypeError, and True to build a one-column mesh
+    with pytest.raises(MeshError, match=re.escape(f"integers, got nx={count!r}, ny=3")):
+        build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), count, 3)
+    with pytest.raises(MeshError, match=re.escape(f"integers, got nx=3, ny={count!r}")):
+        build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 3, count)
+
+
+def test_numpy_integer_counts_accepted():
+    mesh = build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), np.int64(3), np.int32(2))
+    assert (mesh.nx, mesh.ny, mesh.n_cells) == (3, 2, 6)
 
 
 def test_row_major_indexing_x_fastest():

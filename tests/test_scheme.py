@@ -28,7 +28,7 @@ from chemofv import (
     step,
     step_coupled_oracle,
 )
-from chemofv import scheme
+from chemofv import linalg, scheme
 from chemofv.model import (
     CHEM_PARABOLIC,
     GROWTH_CUBIC,
@@ -41,6 +41,7 @@ from chemofv.model import (
 from chemofv.scheme import (
     BETA_FORMULA,
     VARIANT_CORRECTED,
+    VARIANT_KINDS,
     VARIANT_LAGGED,
     VARIANT_ORACLE,
     VARIANT_PLAIN,
@@ -264,7 +265,7 @@ class TestStepPlan:
             mesh = build_uniform_rect_mesh(p.x_range, p.y_range, nx, ny)
         b = plan_of(mesh, p.model, p.dt_default).chem_matrix
         row_sums = b.dia @ np.ones(mesh.n_cells)
-        assert check_m_matrix_pattern(b).slack.tobytes() == row_sums.tobytes()
+        assert check_m_matrix_pattern(b)[1].tobytes() == row_sums.tobytes()
 
 
 class TestChemAssembly:
@@ -290,8 +291,7 @@ class TestChemAssembly:
         state = state_of([1.0, 2.0], u_prev=[1.0, 2.0])
         b, _ = assemble_chem_system(state, plan_of(mesh_2cell, elliptic_model()))
         np.testing.assert_allclose(b.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
-        report = check_m_matrix_pattern(b)
-        np.testing.assert_allclose(report.slack, mesh_2cell.cell_measures)
+        np.testing.assert_allclose(check_m_matrix_pattern(b)[1], mesh_2cell.cell_measures)
 
     def test_beta_with_a_u_source_is_refused(self, mesh_2cell):
         state = state_of([1.0, 2.0], u_prev=[2.0, 1.0])
@@ -467,8 +467,7 @@ class TestCellAssembly:
         assert dense[0, 0] == pytest.approx(1.0 / 0.5 + 0.85)
         assert dense[1, 1] == pytest.approx(1.0 / 0.5 + 0.25)
         np.testing.assert_allclose(f, state.u * 2.0)
-        report = check_m_matrix_pattern(a)
-        np.testing.assert_allclose(report.slack, [2.0, 2.0])  # m(K)/dt
+        np.testing.assert_allclose(check_m_matrix_pattern(a)[1], [2.0, 2.0])  # m(K)/dt
 
     def test_constant_chem_yields_pure_diffusion(self, mesh_small, solver):
         model = elliptic_model()
@@ -588,9 +587,9 @@ class TestCellAssembly:
         a_mat, _ = assemble_cell_system(state, rng.random(n), plan)
         for mat in (b_mat, a_mat):
             tol = 1e-14 * np.abs(mat.diagonal()).max()
-            report = check_m_matrix_pattern(mat)
-            assert report.diag_positive and report.offdiag_nonpositive
-            assert np.max(np.abs(report.slack - abs_sum_slacks(mat.to_dense()))) <= tol
+            signs_hold, slack = check_m_matrix_pattern(mat)
+            assert signs_hold
+            assert np.max(np.abs(slack - abs_sum_slacks(mat.to_dense()))) <= tol
 
     def test_operators_share_the_mesh_layout(self):
         mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 5, 7)
@@ -746,36 +745,48 @@ class TestStep:
         )
         step(state, plan)
 
+    @pytest.mark.parametrize("stepper", [step, step_coupled_oracle])
     @pytest.mark.parametrize("broken", ["positive off-diagonal", "weak diagonal"])
     def test_check_matrices_mode_catches_broken_cell_matrix(
-        self, mesh_small, solver, monkeypatch, broken
+        self, mesh_small, solver, monkeypatch, broken, stepper
     ):
         dt = 0.01
-        assemble = scheme.assemble_cell_system
+        # B is built, and checked, before the fault inside the cell assembly is in place
+        plan = plan_of(mesh_small, elliptic_model(), dt, 1e-6, solver=solver,
+                       check_matrices=True)
+        if broken == "positive off-diagonal":
+            limiter = scheme.limiter_S
 
-        def assemble_broken(*args):
-            a, f = assemble(*args)
-            data = a.data.copy()
-            if broken == "positive off-diagonal":
-                data[np.searchsorted(a.offsets, 1), 1] = 1e-3  # entry (0, 1)
-            else:  # the column slack is m/dt; this halves it in column 0
-                data[np.searchsorted(a.offsets, 0), 0] -= mesh_small.cell_measures[0] / (2.0 * dt)
-            return SparseMatrix(a.offsets, data), f
+            def negative_weight(lim, x):
+                s = limiter(lim, x)
+                s[0] = -10.0 * lim.mu / lim.a  # the first edge's weight mu + a S is -9 mu
+                return s
 
-        monkeypatch.setattr(scheme, "assemble_cell_system", assemble_broken)
+            monkeypatch.setattr(scheme, "limiter_S", negative_weight)
+        else:
+            add_outflow = scheme._add_outflow
+
+            def weak_diagonal(diag, mesh, plus, minus):
+                add_outflow(diag, mesh, plus, minus)
+                diag[0] -= mesh.cell_measures[0] / (2.0 * dt)  # halves column 0's slack m/dt
+
+            monkeypatch.setattr(scheme, "_add_outflow", weak_diagonal)
         match = "sign pattern" if broken == "positive off-diagonal" else "dominance slack"
         with pytest.raises(SchemeError, match=match):
-            step(
-                perturbed_state(mesh_small),
-                plan_of(
-                    mesh_small,
-                    elliptic_model(),
-                    dt,
-                    1e-6,
-                    solver=solver,
-                    check_matrices=True,
-                ),
-            )
+            stepper(perturbed_state(mesh_small), plan)
+
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    def test_without_check_matrices_no_structure_check_runs(self, mesh_small, monkeypatch, kind):
+        def refuse(m):
+            raise AssertionError("structure check ran")
+
+        monkeypatch.setattr(scheme, "check_m_matrix_pattern", refuse)
+        monkeypatch.setattr(linalg, "check_m_matrix_pattern", refuse)
+        plan = plan_of(mesh_small, elliptic_model(), 0.01, 1e-6, SchemeVariant(kind))
+        state = perturbed_state(mesh_small)
+        for _ in range(2):
+            state = step(state, plan)
+        assert state.step_index == 2
 
 
 class TestCoupledOracle:

@@ -604,9 +604,8 @@ class TestInvariantChecks:
 
 def theory_invariants(dynamics, source, growth, kind):
     """The invariants the scheme's theory gives a model, with their policies."""
-    want = {"u >= 0": "hard", "c >= 0": "hard", "B signs": "hard", "B slack": "hard"}
-    if kind != VARIANT_ORACLE:  # the oracle's cell matrices are not checked
-        want |= {"A signs": "hard", "A slack": "hard"}
+    want = {"u >= 0": "hard", "c >= 0": "hard", "B signs": "hard", "B slack": "hard",
+            "A signs": "hard", "A slack": "hard"}
     # the chem right-hand side dips through the correction, or through
     # m c^n/dt where c^n >= 0 holds to 1e-12 only
     if kind == VARIANT_CORRECTED or dynamics == "parabolic":
