@@ -3,10 +3,10 @@
 An operator (``SparseMatrix``) is square and stored in scipy's DIA layout:
 sorted diagonal offsets that include 0, and one row of values per offset.
 The five-point operators of the uniform rectangle have offsets
-(-nx, -1, 0, 1, nx), written by slices. The residual check reads that one
-``dia_matrix``, the structure check (``check_m_matrix_pattern``) its data
-rows, whose column sums are the dominance slacks, and the Krylov products
-a column-scaled copy of the data on the same offsets; no CSR or CSC matrix
+(-nx, -1, 0, 1, nx), written by slices. The residual check multiplies by
+its data rows, the structure check (``check_m_matrix_pattern``) takes their
+column sums, which are the dominance slacks, and the Krylov products use a
+column-scaled copy of the data on the same offsets; no CSR or CSC matrix
 is built in a run unless a solve falls back to LU. The structure check
 returns one sign verdict and the slacks; the scheme runs it, when a run
 asks for it, where each operator is assembled.
@@ -17,6 +17,14 @@ operator, when its plan is built. Every later operator on the same layout
 (the cell operator of each step) is made by ``SparseMatrix.with_data``
 from that validated one: the offsets and layout are shared, and only the
 new data is checked, by the same data checks the constructor runs.
+
+The hot path calls three compiled kernels itself, each bound once at import:
+scipy's DIA product ``dia_matvec`` (which ``dia_matrix @ x`` runs), one
+pocketfft ``dct`` call per transform (which ``scipy.fft.dctn``/``idctn``
+run) and numpy's ``c_einsum`` (which ``np.einsum`` runs unoptimized). Each
+gets the arguments its wrapper would pass, so the bits are the wrapper's
+and only its dispatch is skipped. They are private entry points of numpy
+>= 2.0 and scipy; the tests check each against its wrapper bit for bit.
 
 The solve contract is a relative residual tolerance (``LinearSolver.tol``,
 1e-12), not a method. A solve takes one of two paths:
@@ -35,11 +43,11 @@ Every result is residual-checked, and an unmet tolerance raises instead of
 returning silently.
 
 Every inner product and norm, in the Krylov loop and in the residual
-check, is one pass of ``np.einsum("i,i->", a, b)`` (``fixed_dot``), which
+check, is one pass of einsum's ``"i,i->"`` (``fixed_dot``), which
 multiplies and sums in the same loop and never calls BLAS. Its summation
 order is fixed by the numpy build: it does not depend on the thread count
 or on where the operands start in memory, where BLAS ``ddot``/``dnrm2``
-split the sum by thread. The transforms run on one worker, so a run ends
+split the sum by thread. The transforms run on one thread, so a run ends
 in the same bits at any BLAS, OpenMP or ``scipy.fft`` worker count.
 """
 
@@ -52,8 +60,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 import scipy.sparse as sp
+from numpy._core.multiarray import c_einsum
+from scipy.fft._pocketfft.pypocketfft import dct as pocketfft_dct
+from scipy.sparse._sparsetools import dia_matvec
 
 
 class SolverError(RuntimeError):
@@ -107,9 +117,9 @@ class SparseMatrix:
 
     ``offsets`` are sorted, unique and include 0; ``data`` holds one row per
     offset, ``data[d, j] = A[j - offsets[d], j]``, and an entry that falls
-    outside the matrix must be zero. Both arrays are read-only, and the one
-    scipy ``dia_matrix``, ``dia``, that every product with A reads (the
-    Krylov loop multiplies by a column-scaled copy) is built on them.
+    outside the matrix must be zero. Both arrays are read-only, and a scipy
+    ``dia_matrix``, ``dia``, is built on them; products with A read the
+    arrays themselves (``_dia_product``), and ``dia`` serves LU and tests.
     Instances are immutable; the chem operator also keeps its exact
     transform solve, a (solve, method label) pair, from ``keep_dct_solve``.
 
@@ -169,22 +179,31 @@ class SparseMatrix:
         return h.digest()
 
 
+def _dia_product(offsets, data: np.ndarray, x, out: np.ndarray) -> np.ndarray:
+    """``out`` = A·x, A the square DIA matrix on ``offsets`` and ``data``, by
+    scipy's ``dia_matvec``: ``out`` is zeroed, as ``dia_matrix @ x`` zeroes
+    its result, and each row's terms are added by increasing offset, that
+    is by increasing column, as a sorted CSR product adds them."""
+    out.fill(0.0)
+    dia_matvec(out.size, out.size, offsets.size, data.shape[1], offsets, data, x, out)
+    return out
+
+
 def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product with fixed within-row accumulation order
-    (scipy's DIA product sums each row's entries by increasing offset, that
-    is by increasing column, as a sorted CSR product does)."""
+    """Sparse matrix-vector product ``m.dia @ x``, bit for bit, with a fixed
+    within-row accumulation order (``_dia_product``)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n,):
         raise ValueError(f"dimension mismatch: matrix is {m.n}, vector is {x.shape}")
-    return m.dia @ x
+    return _dia_product(m.offsets, m.data, x, np.empty(m.n))
 
 
 def fixed_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product of two vectors in one pass of ``np.einsum``, not by
-    BLAS (einsum calls BLAS only when asked to optimize). The summation
-    order is fixed by the numpy build, whatever the thread count or the
-    operands' alignment."""
-    return float(np.einsum("i,i->", a, b))
+    """Inner product of two vectors in one pass of ``c_einsum("i,i->")``,
+    the kernel ``np.einsum`` runs unoptimized, without its dispatch; never
+    BLAS. The summation order is fixed by the numpy build, whatever the
+    thread count or the operands' alignment."""
+    return float(c_einsum("i,i->", a, b))
 
 
 def fixed_norm(a: np.ndarray) -> float:
@@ -238,8 +257,10 @@ def keep_dct_solve(m: SparseMatrix, eigenvalues: np.ndarray) -> None:
     ``m`` must act on row-major cells of an (ny, nx) grid and be
     diagonalised by the DCT-II along both axes, with ``eigenvalues`` (shape
     (ny, nx)) its eigenvalues: a constant-coefficient Neumann operator on a
-    uniform rectangle. A solve is ``dctn``, a divide by the eigenvalues and
-    ``idctn``, each on one worker whatever ``scipy.fft.set_workers`` says.
+    uniform rectangle. A solve is one pocketfft DCT-II over both axes, a
+    divide by the eigenvalues and one DCT-III in place, both with ``inorm``
+    1, which is what ``scipy.fft.dctn``/``idctn(norm="ortho")`` pass. Both
+    run on one thread whatever ``scipy.fft.set_workers`` says.
     An eigenvalue that is not positive raises ``SolverError`` here.
     """
     eigenvalues = readonly_copy(eigenvalues, float)
@@ -250,12 +271,9 @@ def keep_dct_solve(m: SparseMatrix, eigenvalues: np.ndarray) -> None:
         )
 
     def solve(rhs):
-        coeffs = scipy.fft.dctn(
-            rhs.reshape(eigenvalues.shape), type=2, norm="ortho", workers=1
-        )
+        coeffs = pocketfft_dct(rhs.reshape(eigenvalues.shape), 2, inorm=1, nthreads=1)
         coeffs /= eigenvalues
-        x = scipy.fft.idctn(coeffs, type=2, norm="ortho", overwrite_x=True, workers=1)
-        return x.ravel()
+        return pocketfft_dct(coeffs, 3, inorm=1, out=coeffs, nthreads=1).ravel()
 
     m._exact = (solve, "direct-dct")
 
@@ -314,9 +332,10 @@ class LinearSolver:
         or runs out of iterations. ``rhs_norm`` is ``fixed_norm(rhs)``.
 
         The loop iterates on the right-scaled operator A·D⁻¹ (D the
-        diagonal of A), built once per solve as one ``dia_matrix``: its
-        data is A's with column j scaled by 1/d_j, which in the DIA layout
-        is a multiply of every row by 1/diag. It solves A·D⁻¹ y = b for
+        diagonal of A), whose data, built once per solve, is A's with
+        column j scaled by 1/d_j: in the DIA layout, every row times
+        1/diag. Its products (``_dia_product``) go into two vectors, v and
+        t, that the solve allocates once. It solves A·D⁻¹ y = b for
         y = D·x and returns x = D⁻¹·y, so no iteration applies the
         preconditioner. The recurrence, stopping rule
         (||r|| < max(tol/10, 1e-14)·||b||) and breakdown tests are those
@@ -327,8 +346,7 @@ class LinearSolver:
         s = r - alpha·v overwrites r.
         """
         inv_diag = 1.0 / m.diagonal()
-        a_hat = copy.copy(m.dia)  # shares offsets and shape, skips re-validation
-        a_hat.data = m.data * inv_diag
+        scaled = m.data * inv_diag
         atol = max(self.tol * 0.1, 1e-14) * rhs_norm
         breakdown = np.finfo(float).eps ** 2
         y = np.zeros(m.n)
@@ -336,7 +354,7 @@ class LinearSolver:
         r_norm = rhs_norm
         r_tilde = rhs  # the shadow residual stays r_0 = b; never written
         p = rhs.copy()
-        work = np.empty(m.n)
+        work, v, t = np.empty(m.n), np.empty(m.n), np.empty(m.n)
         for iteration in range(min(m.n, 300)):
             if r_norm < atol:
                 return np.multiply(y, inv_diag, out=y), iteration
@@ -349,7 +367,7 @@ class LinearSolver:
                 p -= np.multiply(v, omega, out=work)
                 p *= (rho / rho_prev) * (alpha / omega)
                 p += r
-            v = a_hat @ p
+            _dia_product(m.offsets, scaled, p, v)
             rv = fixed_dot(r_tilde, v)
             if rv == 0.0:
                 return None, 0
@@ -358,7 +376,7 @@ class LinearSolver:
             if fixed_norm(r) < atol:
                 y += np.multiply(p, alpha, out=work)
                 return np.multiply(y, inv_diag, out=y), iteration
-            t = a_hat @ r
+            _dia_product(m.offsets, scaled, r, t)
             tt = fixed_dot(t, t)
             if tt == 0.0:  # scipy's omega turns NaN here and never recovers
                 return None, 0

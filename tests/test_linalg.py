@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.sparse as sp
 
 from chemofv import (
     LinearSolver,
+    Mesh,
     SolverError,
     SparseMatrix,
     check_m_matrix_pattern,
     spmv,
 )
-from chemofv.linalg import fixed_dot, keep_dct_solve
+from chemofv import scheme
+from chemofv.linalg import _dia_product, fixed_dot, keep_dct_solve
 from oracles import (
     abs_sum_slacks,
     dense_gauss_solve,
@@ -369,3 +373,65 @@ class TestSolve:
         assert report.iterations == iterations
         assert report.residual <= solver.tol
         assert np.linalg.norm(dense @ (x - want)) <= 2 * solver.tol * np.linalg.norm(b)
+
+
+class TestKernelParity:
+    """The hot path calls scipy's and numpy's compiled kernels directly: each
+    call gives its public wrapper's result bit for bit, so a numpy or scipy
+    release that changes one of these private entry points fails here."""
+
+    SHAPES = [(48, 48), (35, 350), (150, 150), (1, 40), (40, 1), (1, 1)]
+
+    @staticmethod
+    def operands(nx, ny, monkeypatch):
+        """The chem operator B of an nx-by-ny mesh with the eigenvalue grid
+        it keeps, a nonsymmetric operator on B's layout, and a float, a
+        strided and an integer vector of B's size."""
+        kept = []
+        keep = scheme.keep_dct_solve
+
+        def keeping(m, eigenvalues):
+            kept.append(eigenvalues)
+            keep(m, eigenvalues)
+
+        monkeypatch.setattr(scheme, "keep_dct_solve", keeping)
+        b_mat = scheme.chem_operator(Mesh((0.0, 2.0), (-1.0, 3.0), nx, ny), 0.5, 0.1)
+        rng = np.random.default_rng(nx * 1000 + ny)
+        factors = rng.uniform(0.5, 1.5, b_mat.data.shape)
+        a_mat = SparseMatrix(b_mat.offsets, b_mat.data * factors)
+        n = b_mat.n
+        strided = rng.standard_normal(2 * n)[::2]
+        xs = (rng.standard_normal(n), strided, rng.integers(-9, 9, n))
+        return b_mat, kept[0], a_mat, xs
+
+    @pytest.mark.parametrize("nx,ny", SHAPES)
+    def test_spmv_and_scaled_product_match_dia_matrix(self, nx, ny, monkeypatch):
+        b_mat, _, a_mat, xs = self.operands(nx, ny, monkeypatch)
+        scaled = a_mat.data * (1 / a_mat.diagonal())
+        want_scaled = sp.dia_matrix((scaled, a_mat.offsets), shape=(a_mat.n, a_mat.n))
+        out = np.full(a_mat.n, np.nan)  # the product zeroes what it is given
+        for x in xs:
+            for m in (b_mat, a_mat):
+                assert np.array_equal(spmv(m, x), m.dia @ x)
+            got = _dia_product(a_mat.offsets, scaled, np.asarray(x, dtype=float), out)
+            assert np.array_equal(got, want_scaled @ x)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("nx,ny", SHAPES)
+    def test_dct_solve_matches_dctn_idctn(self, nx, ny, workers, monkeypatch):
+        b_mat, eigenvalues, _, xs = self.operands(nx, ny, monkeypatch)
+        with scipy.fft.set_workers(workers):
+            for x in xs:
+                got, report = LinearSolver().solve(b_mat, x)
+                grid = np.asarray(x, dtype=float).reshape(ny, nx)
+                coeffs = scipy.fft.dctn(grid, norm="ortho")
+                want = scipy.fft.idctn(coeffs / eigenvalues, norm="ortho").ravel()
+                assert report.method == "direct-dct"
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("nx,ny", SHAPES)
+    def test_fixed_dot_matches_einsum(self, nx, ny, monkeypatch):
+        *_, xs = self.operands(nx, ny, monkeypatch)
+        for a in xs:
+            for b in xs:
+                assert fixed_dot(a, b).hex() == float(np.einsum("i,i->", a, b)).hex()
