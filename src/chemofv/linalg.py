@@ -12,19 +12,19 @@ returns one sign verdict and the slacks; the scheme runs it, when a run
 asks for it, where each operator is assembled.
 
 Operators are made in two ways. The constructor validates offsets and
-data and builds the ``dia_matrix``; a run does this once, for the chem
-operator, when its plan is built. Every later operator on the same layout
-(the cell operator of each step) is made by ``SparseMatrix.with_data``
-from that validated one: the offsets and layout are shared, and only the
-new data is checked, by the same data checks the constructor runs.
+data; a run does this once, for the chem operator, when its plan is
+built. Every later operator on the same layout (each step's cell
+operator) is made from that one by ``SparseMatrix.with_data``, which
+shares its offsets and checks only the new data, as the constructor does.
 
 The hot path calls three compiled kernels itself, each bound once at import:
 scipy's DIA product ``dia_matvec`` (which ``dia_matrix @ x`` runs), one
 pocketfft ``dct`` call per transform (which ``scipy.fft.dctn``/``idctn``
-run) and numpy's ``c_einsum`` (which ``np.einsum`` runs unoptimized). Each
-gets the arguments its wrapper would pass, so the bits are the wrapper's
-and only its dispatch is skipped. They are private entry points of numpy
->= 2.0 and scipy; the tests check each against its wrapper bit for bit.
+run) and numpy's ``c_einsum`` (which ``np.einsum`` runs unoptimized). These
+private entry points of numpy >= 2.0 and scipy get their wrappers' arguments
+and give the same bits, as the tests check. The scipy two are loaded from
+their own files (``_load_compiled``), so a run does not import
+``scipy.fft``, ``scipy.special`` or ``scipy.sparse`` (~29 MiB of RSS).
 
 The solve contract is a relative residual tolerance (``LinearSolver.tol``,
 1e-12), not a method. A solve takes one of two paths:
@@ -53,17 +53,35 @@ in the same bits at any BLAS, OpenMP or ``scipy.fft`` worker count.
 
 from __future__ import annotations
 
-import copy
+import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from numpy._core.multiarray import c_einsum
-from scipy.fft._pocketfft.pypocketfft import dct as pocketfft_dct
-from scipy.sparse._sparsetools import dia_matvec
+
+
+def _load_compiled(name: str):
+    """Compiled module ``name``, loaded from its file: no package ``__init__`` runs."""
+    package, *parts = name.split(".")
+    directory = importlib.util.find_spec(package).submodule_search_locations[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, *parts) + suffix
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"compiled module {name} not found in {directory}")
+
+
+pocketfft_dct = _load_compiled("scipy.fft._pocketfft.pypocketfft").dct
+dia_matvec = _load_compiled("scipy.sparse._sparsetools").dia_matvec
 
 
 class SolverError(RuntimeError):
@@ -117,21 +135,20 @@ class SparseMatrix:
 
     ``offsets`` are sorted, unique and include 0; ``data`` holds one row per
     offset, ``data[d, j] = A[j - offsets[d], j]``, and an entry that falls
-    outside the matrix must be zero. Both arrays are read-only, and a scipy
-    ``dia_matrix``, ``dia``, is built on them; products with A read the
-    arrays themselves (``_dia_product``), and ``dia`` serves LU and tests.
-    Instances are immutable; the chem operator also keeps its exact
-    transform solve, a (solve, method label) pair, from ``keep_dct_solve``.
+    outside the matrix must be zero. Both arrays are read-only. A scipy
+    ``dia_matrix`` on them, ``dia``, is built when it is first read;
+    products with A read the arrays themselves (``_dia_product``), and
+    ``dia`` serves ``to_dense``, LU and tests. Instances are immutable; the
+    chem operator also keeps its exact transform solve, a (solve, method
+    label) pair, from ``keep_dct_solve``.
 
     There are two ways to make one. The constructor checks the offsets and
-    the data and builds ``dia``; ``data`` is copied unless it is already a
-    read-only float64 array that owns its memory: such an array is taken
-    over as it is, so the caller hands it over and does not make it
-    writable again. ``with_data`` makes an operator on the layout of one
-    already built, for a step's cell operator: it checks only the data,
-    which it takes over and so refuses unless it could be taken over, and
-    shares the offsets and a shallow copy of ``dia``, so scipy does not
-    check the layout again.
+    the data; ``data`` is copied unless it is already a read-only float64
+    array that owns its memory: such an array is taken over as it is, so the
+    caller hands it over and does not make it writable again. ``with_data``
+    makes an operator on the layout of one already built, for a step's cell
+    operator: it checks only the data, which it takes over and so refuses
+    unless it could be taken over, and shares both offsets arrays.
     """
 
     def __init__(self, offsets, data):
@@ -146,8 +163,7 @@ class SparseMatrix:
         self.n = n
         self.offsets = offsets
         self.data = data
-        self.dia = sp.dia_matrix((data, offsets), shape=(n, n))
-        self.dia.offsets.setflags(write=False)
+        self._dia_offsets = readonly_copy(offsets, np.int32)  # scipy's index type
         self._exact: tuple[Callable[[np.ndarray], np.ndarray], str] | None = None
 
     def with_data(self, data: np.ndarray) -> SparseMatrix:
@@ -160,10 +176,14 @@ class SparseMatrix:
         _check_data(self.offsets.tolist(), data, self.n)
         out = object.__new__(SparseMatrix)
         out.n, out.offsets, out.data = self.n, self.offsets, data
-        out.dia = copy.copy(self.dia)  # shares offsets and shape
-        out.dia.data = data
+        out._dia_offsets = self._dia_offsets
         out._exact = None
         return out
+
+    @functools.cached_property
+    def dia(self):  # built, and scipy.sparse imported, on first read
+        import scipy.sparse
+        return scipy.sparse.dia_matrix((self.data, self._dia_offsets), shape=(self.n, self.n))
 
     def diagonal(self) -> np.ndarray:
         return self.data[np.searchsorted(self.offsets, 0)]
@@ -240,8 +260,8 @@ def _lu_solve(m: SparseMatrix) -> Callable[[np.ndarray], np.ndarray]:
     factorized holds the nonzero entries only; scipy's conversion drops the
     zeros the DIA layout stores.
     """
-    # imported on first use: it adds ~10 MiB to a process's RSS, and a run
-    # whose cell solves all converge never factorizes
+    # imported on first use, as ``m.dia`` imports scipy.sparse: the two add
+    # ~25 MiB of RSS, and a run whose cell solves all converge never factorizes
     import scipy.sparse.linalg as spla
 
     try:

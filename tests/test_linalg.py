@@ -6,15 +6,21 @@ import scipy.fft
 import scipy.sparse as sp
 
 from chemofv import (
+    InitialConditionSpec,
     LinearSolver,
     Mesh,
+    ModelSpec,
+    RunConfig,
+    SchemeVariant,
     SolverError,
     SparseMatrix,
     check_m_matrix_pattern,
+    run,
     spmv,
 )
 from chemofv import scheme
-from chemofv.linalg import _dia_product, fixed_dot, keep_dct_solve
+from chemofv.linalg import _dia_product, _load_compiled, fixed_dot, keep_dct_solve
+from chemofv.model import RectRegion
 from oracles import (
     abs_sum_slacks,
     dense_gauss_solve,
@@ -144,6 +150,37 @@ class TestWithData:
         data[list(t.offsets).index(offset), column] = -1.0
         with pytest.raises(ValueError, match=f"outside the matrix on diagonal {offset}"):
             t.with_data(self.frozen(data))
+
+    def test_desk_run_builds_no_dia_matrix(self, monkeypatch):
+        # a run reads the operators' arrays, never ``dia``: strict and
+        # matrix-checked, as the benchmark's desk run
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run built a dia_matrix")
+
+        monkeypatch.setattr(sp, "dia_matrix", refuse)
+        final, _, _ = run(RunConfig(
+            mesh=Mesh((-3.5, 3.5), (-3.5, 3.5), 48, 48),
+            model=ModelSpec(cell_diffusion=0.25, chemo_sensitivity=2.0),
+            ic=InitialConditionSpec(base_u=1.0, region=RectRegion(-4.5, 4.5, -1.0, 1.0)),
+            variant=SchemeVariant(), dt=1e-4, t_final=20e-4, epsilon=0.0,
+            strict=True, check_matrices=True,
+        ))
+        assert final.step_index == 20
+
+
+class TestLoadCompiled:
+    """The scipy kernels are loaded from their own extension files."""
+
+    def test_missing_file_raises_naming_module_and_directory(self, tmp_path, monkeypatch):
+        package = tmp_path / "kernelless"
+        (package / "sub").mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "sub" / "_kernel.py").write_text("")  # a source file is not compiled
+        monkeypatch.syspath_prepend(str(tmp_path))
+        with pytest.raises(ImportError) as error:
+            _load_compiled("kernelless.sub._kernel")
+        assert "kernelless.sub._kernel" in str(error.value)
+        assert str(package) in str(error.value)
 
 
 class TestSpmv:

@@ -448,20 +448,39 @@ def test_final_state_independent_of_blas_threads():
     assert thread_probe_digests(2) == one
 
 
-def test_run_without_fallback_never_loads_sparse_factorization():
-    # scipy.sparse.linalg adds ~10 MiB of RSS and only an LU solve needs it
+def test_run_loads_no_scipy_package():
+    # chemofv loads its two scipy kernels from their own files: scipy.fft
+    # (with scipy.special) and scipy.sparse add ~29 MiB of RSS, and
+    # scipy.sparse.linalg ~10 MiB more, which only an LU solve needs. The
+    # packages imported afterwards run the same kernels bit for bit.
     probe = """
 import sys
-from chemofv import RunConfig, SchemeVariant, build_uniform_rect_mesh, preset, run
+import numpy as np
+import chemofv, chemofv.cli
+from chemofv import RunConfig, SchemeVariant, build_uniform_rect_mesh, preset, run, spmv
+from chemofv.linalg import pocketfft_dct
+from chemofv.scheme import chem_operator
 
 p = preset("test1")
+mesh = build_uniform_rect_mesh(p.x_range, p.y_range, 8, 80)
 run(RunConfig(
-    mesh=build_uniform_rect_mesh(p.x_range, p.y_range, 8, 40), model=p.model,
-    ic=p.ic, variant=SchemeVariant(), dt=1e-2, t_final=5e-2, strict=True,
+    mesh=mesh, model=p.model, ic=p.ic, variant=SchemeVariant(), dt=1e-2, t_final=5e-2,
+    strict=True,
 ))
-print("scipy.sparse.linalg" in sys.modules)
+print(*(name in sys.modules for name in
+        ("scipy.fft", "scipy.special", "scipy.sparse", "scipy.sparse.linalg")))
+
+import scipy.fft, scipy.sparse
+b = chem_operator(mesh, 0.5, 0.1)
+grid = np.random.default_rng(7).standard_normal((80, 8))
+a = scipy.sparse.dia_matrix((b.data, b.offsets), shape=(b.n, b.n))
+print(
+    np.array_equal(pocketfft_dct(grid, 2, inorm=1, nthreads=1), scipy.fft.dctn(grid, norm="ortho")),
+    np.array_equal(pocketfft_dct(grid, 3, inorm=1, nthreads=1), scipy.fft.idctn(grid, norm="ortho")),
+    np.array_equal(spmv(b, grid.ravel()), a @ grid.ravel()),
+)
 """
-    assert python_probe(probe).split() == ["False"]
+    assert python_probe(probe).splitlines() == ["False False False False", "True True True"]
 
 
 def invariant_checker(cfg, mass0):
