@@ -22,7 +22,7 @@ from . import sim as simmod
 from .config import ConfigError
 from .linalg import SolverError
 from .model import make_initial_state
-from .scheme import SchemeError, SchemeVariant, step, step_coupled_oracle
+from .scheme import SchemeError, step, step_coupled_oracle
 from .sim import InvariantError, discrete_norm
 
 log = logging.getLogger(__name__)
@@ -75,10 +75,7 @@ def cmd_study(args) -> int:
     base = resolved.run
     if args.reference_dt is not None:
         base = dataclasses.replace(base, dt=args.reference_dt)
-    variants = [
-        SchemeVariant(kind=name, beta_policy=base.variant.beta_policy)
-        for name in args.variants
-    ]
+    variants = [dataclasses.replace(base.variant, kind=name) for name in args.variants]
     dt_list = sorted(args.dt, reverse=True)
     out_dir = Path(resolved.output_dir)
     try:
@@ -98,29 +95,26 @@ def cmd_study(args) -> int:
 def cmd_oracle_check(args) -> int:
     run = cfgmod.resolve(_build_doc(args)).run
     mesh = run.mesh
-    if mesh.n_cells > args.cell_limit:
+    if mesh.n_cells > schememod.ORACLE_CELL_LIMIT:
         print(
             f"refusing oracle check: {mesh.n_cells} cells exceed the "
-            f"limit of {args.cell_limit}",
+            f"limit of {schememod.ORACLE_CELL_LIMIT}",
             file=sys.stderr,
         )
         return EXIT_USAGE
     corrected, plain = (
-        simmod.plan_for(dataclasses.replace(run, variant=SchemeVariant(kind, policy)))
-        for kind, policy in (
-            (schememod.VARIANT_CORRECTED, run.variant.beta_policy),
-            (schememod.VARIANT_PLAIN, schememod.BETA_FIXED),
+        simmod.plan_for(
+            dataclasses.replace(run, variant=dataclasses.replace(run.variant, kind=kind))
         )
+        for kind in (schememod.VARIANT_CORRECTED, schememod.VARIANT_PLAIN)
     )
 
-    state = make_initial_state(mesh, run.ic)
     # The correction term is identically zero at step 0 (corrected == plain
-    # there), so compare one step later unless asked otherwise.
-    for _ in range(args.warmup):
-        state = step(state, corrected)
+    # there), so compare one step later.
+    state = step(make_initial_state(mesh, run.ic), corrected)
 
     try:
-        oracle = step_coupled_oracle(state, plain, cell_limit=args.cell_limit)
+        oracle = step_coupled_oracle(state, plain)
     except SchemeError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
@@ -204,15 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check", help="compare one corrected/plain step to the coupled scheme"
     )
     _add_config_options(p_oracle)
-    p_oracle.add_argument(
-        "--cell-limit",
-        type=int,
-        default=schememod.DEFAULT_ORACLE_CELL_LIMIT,
-        help="largest mesh the oracle will accept",
-    )
-    p_oracle.add_argument(
-        "--warmup", type=int, default=1, help="steps taken before the comparison"
-    )
     p_oracle.set_defaults(func=cmd_oracle_check)
 
     p_contour = sub.add_parser(

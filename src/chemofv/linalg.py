@@ -54,11 +54,11 @@ in the same bits at any BLAS, OpenMP or ``scipy.fft`` worker count.
 from __future__ import annotations
 
 import functools
-import hashlib
 import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -67,15 +67,22 @@ from numpy._core.multiarray import c_einsum
 
 
 def _load_compiled(name: str):
-    """Compiled module ``name``, loaded from its file: no package ``__init__`` runs."""
+    """Compiled module ``name``, loaded from its file: no package ``__init__``
+    runs. A single-phase extension registers itself in ``sys.modules`` as it
+    loads; that entry is dropped again unless ``name`` was there before, or
+    a later import of its package would find it there and never set the
+    package's attribute."""
     package, *parts = name.split(".")
     directory = importlib.util.find_spec(package).submodule_search_locations[0]
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(directory, *parts) + suffix
         if os.path.isfile(path):
+            registered = name in sys.modules
             loader = importlib.machinery.ExtensionFileLoader(name, path)
             module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
             loader.exec_module(module)
+            if not registered:
+                sys.modules.pop(name, None)
             return module
     raise ImportError(f"compiled module {name} not found in {directory}")
 
@@ -192,6 +199,8 @@ class SparseMatrix:
         return self.dia.toarray()
 
     def content_digest(self) -> bytes:
+        import hashlib  # OpenSSL's libcrypto costs ~3.6 MiB of RSS; only this needs it
+
         h = hashlib.sha1()
         h.update(np.int64(self.n).tobytes())
         h.update(self.offsets.tobytes())

@@ -107,6 +107,9 @@ class InitialConditionSpec:
     base_c: float = 0.0
 
     def __post_init__(self):
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
         for name in ("base_u", "base_c"):
             value = getattr(self, name)
             if not np.isfinite(value):

@@ -39,7 +39,7 @@ VARIANT_KINDS = (VARIANT_CORRECTED, VARIANT_PLAIN, VARIANT_LAGGED, VARIANT_ORACL
 BETA_FIXED = "fixed1"
 BETA_FORMULA = "formula"
 
-DEFAULT_ORACLE_CELL_LIMIT = 4096
+ORACLE_CELL_LIMIT = 4096  # largest mesh the coupled oracle accepts
 ORACLE_TOL = 1e-12  # max-norm change of (u, c) that ends the fixed point
 ORACLE_MAX_ITER = 200
 
@@ -483,9 +483,7 @@ def _next_state(state: State, u_new, c_new, g_vec, logged=None) -> State:
     return State(u_new, c_new, state.u, n_new)
 
 
-def step_coupled_oracle(
-    state: State, plan: StepPlan, cell_limit: int = DEFAULT_ORACLE_CELL_LIMIT
-) -> State:
+def step_coupled_oracle(state: State, plan: StepPlan) -> State:
     """One step of the fully coupled scheme via fixed-point iteration.
 
     Starts from the plain decoupled chem solve, then alternates cell and
@@ -493,12 +491,13 @@ def step_coupled_oracle(
     max-norm change of (u, c) drops to ``ORACLE_TOL``, within
     ``ORACLE_MAX_ITER`` iterations. The plan's variant is not read; each
     iterate's cell matrix is checked as in ``step``. Intended as a
-    small-scale accuracy reference; refuses meshes above ``cell_limit`` cells.
+    small-scale accuracy reference; refuses meshes above
+    ``ORACLE_CELL_LIMIT`` cells.
     """
     n_cells = plan.mesh.n_cells
-    if n_cells > cell_limit:
+    if n_cells > ORACLE_CELL_LIMIT:
         raise SchemeError(
-            f"coupled oracle limited to {cell_limit} cells, mesh has {n_cells}"
+            f"coupled oracle limited to {ORACLE_CELL_LIMIT} cells, mesh has {n_cells}"
         )
     solve = plan.solver.solve
     b_mat, g_vec = assemble_chem_system(state, plan)

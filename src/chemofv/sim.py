@@ -270,9 +270,7 @@ def study_step_sizes(reference_dt: float, dt_list) -> list[float]:
     return dt_list
 
 
-def convergence_study(
-    base: RunConfig, dt_list, variants, *, solver: LinearSolver | None = None
-) -> StudyReport:
+def convergence_study(base: RunConfig, dt_list, variants) -> StudyReport:
     """Temporal convergence study against a fine corrected-scheme reference.
 
     ``base.dt`` is the reference step size, below every dt in ``dt_list``
@@ -285,18 +283,15 @@ def convergence_study(
     ``diagnostics_every`` 0.
     """
     dt_list = study_step_sizes(base.dt, dt_list)
-    solver = solver or LinearSolver()
 
     def member(dt, variant, **changes):
         cfg = replace(
             base, dt=dt, variant=variant, snapshot_every=0, diagnostics_every=0, **changes
         )
-        final, _, _ = run(cfg, solver=solver)
+        final, _, _ = run(cfg)
         return final
 
-    reference_variant = SchemeVariant(
-        kind=_scheme.VARIANT_CORRECTED, beta_policy=base.variant.beta_policy
-    )
+    reference_variant = replace(base.variant, kind=_scheme.VARIANT_CORRECTED)
     log.info("study: reference run dt=%g", base.dt)
     reference = member(base.dt, reference_variant, epsilon=EPSILON_REFERENCE)
 

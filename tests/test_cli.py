@@ -184,6 +184,14 @@ class TestRun:
         assert not (tmp_path / "out").exists()
         assert main(["run", str(cfg), "--set", f"{key}=0"]) == 0
 
+    def test_negative_seed_exits_2_before_making_the_directory(self, tmp_path, capsys):
+        out = tmp_path / "o1"
+        argv = ["run", "--preset", "test1", "--set", "domain.nx=8", "--set", "domain.ny=80"]
+        argv += ["--set", "time.t_final=0.02", "--set", "ic.seed=-1", "--output-dir", str(out)]
+        assert main(argv) == 2
+        assert "rng_seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "assignment",
         ["time.t_final=.inf", "time.dt=.inf", "time.dt=.nan", "model.chi=.nan", "model.mu=.inf"],
@@ -542,6 +550,28 @@ class TestOracleCheck:
     def test_oversized_grid_refused(self, tmp_path):
         cfg = write_config(tmp_path / "o.yaml", tmp_path / "out", nx=70, ny=70)
         assert main(["oracle-check", str(cfg)]) == 2
+
+    def test_one_cell_above_the_limit_refused_before_any_step(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from chemofv import cli
+        from chemofv.scheme import ORACLE_CELL_LIMIT
+
+        assert 17 * 241 == ORACLE_CELL_LIMIT + 1
+        steps = []
+        monkeypatch.setattr(cli, "step", lambda *args: steps.append(args))
+        monkeypatch.setattr(cli, "step_coupled_oracle", lambda *args: steps.append(args))
+        cfg = write_config(tmp_path / "o.yaml", tmp_path / "out", nx=17, ny=241)
+        assert main(["oracle-check", str(cfg)]) == 2
+        assert f"4097 cells exceed the limit of {ORACLE_CELL_LIMIT}" in capsys.readouterr().err
+        assert steps == []
+
+    @pytest.mark.parametrize("option", ["--warmup", "--cell-limit"])
+    def test_removed_options_rejected(self, tmp_path, option, capsys):
+        # one warm-up step and the scheme's cell limit are fixed, not options
+        cfg = write_config(tmp_path / "o.yaml", tmp_path / "out", nx=4, ny=4)
+        assert main(["oracle-check", str(cfg), option, "5000"]) == 2
+        assert f"unrecognized arguments: {option} 5000" in capsys.readouterr().err
 
     def test_oracle_nonconvergence_exits_3(self, tmp_path, monkeypatch):
         from chemofv import cli

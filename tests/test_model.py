@@ -105,6 +105,15 @@ class TestInitialState:
         with pytest.raises(ValueError):
             InitialConditionSpec(base_u=-1.0)
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "7", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy would refuse -1 only at the first draw, and take True as 1
+        with pytest.raises(ValueError, match="rng_seed must be a non-negative integer"):
+            InitialConditionSpec(rng_seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert InitialConditionSpec(rng_seed=np.int64(0)).rng_seed == 0
+
     @pytest.mark.parametrize("key", ["base_u", "base_c"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_base_rejected(self, key, value):

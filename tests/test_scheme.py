@@ -40,6 +40,7 @@ from chemofv.model import (
 )
 from chemofv.scheme import (
     BETA_FORMULA,
+    ORACLE_CELL_LIMIT,
     VARIANT_CORRECTED,
     VARIANT_KINDS,
     VARIANT_LAGGED,
@@ -830,6 +831,28 @@ class TestCoupledOracle:
         state = make_initial_state(mesh, InitialConditionSpec())
         with pytest.raises(SchemeError, match="limited"):
             step_coupled_oracle(state, plan_of(mesh, elliptic_model(), 0.1))
+
+    def test_cell_limit_edge(self):
+        solves = []
+
+        class CountingSolver(LinearSolver):
+            def solve(self, m, rhs):
+                solves.append(m)
+                return super().solve(m, rhs)
+
+        assert 16 * 256 == ORACLE_CELL_LIMIT == 17 * 241 - 1
+        at_limit = build_uniform_rect_mesh((0.0, 16.0), (0.0, 256.0), 16, 256)
+        state = make_initial_state(at_limit, InitialConditionSpec())
+        plan = plan_of(at_limit, elliptic_model(), 0.1, solver=CountingSolver())
+        assert step_coupled_oracle(state, plan).step_index == 1
+        assert solves
+        solves.clear()
+        above = build_uniform_rect_mesh((0.0, 17.0), (0.0, 241.0), 17, 241)
+        state = make_initial_state(above, InitialConditionSpec())
+        plan = plan_of(above, elliptic_model(), 0.1, solver=CountingSolver())
+        with pytest.raises(SchemeError, match="limited to 4096 cells, mesh has 4097"):
+            step_coupled_oracle(state, plan)
+        assert solves == []  # refused before any solve
 
     def test_non_convergence_reports_residual(self, monkeypatch):
         mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 8, 8)

@@ -483,6 +483,58 @@ print(
     assert python_probe(probe).splitlines() == ["False False False False", "True True True"]
 
 
+KERNELS = ("scipy.sparse._sparsetools", "scipy.fft._pocketfft.pypocketfft")
+
+
+def test_kernels_loaded_before_scipy_leave_no_module_behind():
+    # a single-phase extension registers itself in sys.modules as it loads;
+    # left there, a later `import scipy.sparse` would never set the
+    # package's _sparsetools attribute
+    probe = f"""
+import sys
+import numpy as np
+import chemofv.linalg
+from chemofv.linalg import SparseMatrix, spmv
+print(*(name in sys.modules for name in {KERNELS!r}))
+
+import scipy.sparse
+offsets = [-3, -1, 0, 1, 3]
+data = np.random.default_rng(5).standard_normal((5, 12))
+data[0, 9:] = data[1, 11:] = data[3, :1] = data[4, :3] = 0.0
+x = np.random.default_rng(6).standard_normal(12)
+a = scipy.sparse.dia_matrix((data, offsets), shape=(12, 12))
+print(
+    scipy.sparse._sparsetools.__name__,
+    np.array_equal(spmv(SparseMatrix(offsets, data), x), a @ x),
+)
+"""
+    assert python_probe(probe).splitlines() == [
+        "False False", "scipy.sparse._sparsetools True"
+    ]
+
+
+def test_kernels_loaded_after_scipy_keep_its_modules():
+    probe = f"""
+import sys
+import scipy.fft, scipy.sparse
+before = [sys.modules[name] for name in {KERNELS!r}]
+import chemofv.linalg
+print(*(sys.modules[name] is module for name, module in zip({KERNELS!r}, before)))
+print(scipy.sparse._sparsetools is before[0])
+"""
+    assert python_probe(probe).splitlines() == ["True True", "True"]
+
+
+def test_cli_import_loads_no_hashlib():
+    # OpenSSL's libcrypto adds ~3.6 MiB of RSS; only content_digest needs it
+    probe = """
+import sys
+import chemofv, chemofv.cli
+print("hashlib" in sys.modules)
+"""
+    assert python_probe(probe).splitlines() == ["False"]
+
+
 def invariant_checker(cfg, mass0):
     """Checks states in turn with ``check_invariants``, as a run of ``cfg``
     whose step-0 mass is ``mass0`` does."""
