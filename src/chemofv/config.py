@@ -61,9 +61,12 @@ def _str(value, what):
 def _int(value, what):
     """int(value), refusing booleans and numbers with a fractional part."""
     fractional = isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or fractional:
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    if not (isinstance(value, bool) or fractional):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def _pair(value, what):

@@ -91,6 +91,9 @@ pocketfft_dct = _load_compiled("scipy.fft._pocketfft.pypocketfft").dct
 dia_matvec = _load_compiled("scipy.sparse._sparsetools").dia_matvec
 
 
+_BREAKDOWN = np.finfo(float).eps ** 2  # BiCGSTAB's breakdown threshold, scipy's
+
+
 class SolverError(RuntimeError):
     """Linear solve failed to reach the requested residual tolerance."""
 
@@ -170,6 +173,7 @@ class SparseMatrix:
         self.n = n
         self.offsets = offsets
         self.data = data
+        self.zero = listed.index(0)  # the diagonal's row of ``data``
         self._dia_offsets = readonly_copy(offsets, np.int32)  # scipy's index type
         self._exact: tuple[Callable[[np.ndarray], np.ndarray], str] | None = None
 
@@ -182,7 +186,7 @@ class SparseMatrix:
             raise ValueError("data must be a read-only float64 array that owns its memory")
         _check_data(self.offsets.tolist(), data, self.n)
         out = object.__new__(SparseMatrix)
-        out.n, out.offsets, out.data = self.n, self.offsets, data
+        out.n, out.offsets, out.data, out.zero = self.n, self.offsets, data, self.zero
         out._dia_offsets = self._dia_offsets
         out._exact = None
         return out
@@ -193,7 +197,7 @@ class SparseMatrix:
         return scipy.sparse.dia_matrix((self.data, self._dia_offsets), shape=(self.n, self.n))
 
     def diagonal(self) -> np.ndarray:
-        return self.data[np.searchsorted(self.offsets, 0)]
+        return self.data[self.zero]
 
     def to_dense(self) -> np.ndarray:
         return self.dia.toarray()
@@ -254,9 +258,8 @@ def check_m_matrix_pattern(m: SparseMatrix) -> tuple[bool, np.ndarray]:
     The signs are read from the rows of ``data`` without copying them (NaN
     fails the test).
     """
-    zero = int(np.searchsorted(m.offsets, 0))
-    below, above = m.data[:zero], m.data[zero + 1 :]
-    signs_hold = bool((m.data[zero] > 0).all() and (below <= 0).all() and (above <= 0).all())
+    below, above = m.data[: m.zero], m.data[m.zero + 1 :]
+    signs_hold = bool((m.data[m.zero] > 0).all() and (below <= 0).all() and (above <= 0).all())
     return signs_hold, np.add.reduce(m.data[::-1], axis=0)
 
 
@@ -338,8 +341,9 @@ class LinearSolver:
             return fixed_norm(spmv(m, x) - rhs) / rhs_norm
 
         method = None
-        if m._exact is None and np.all(m.diagonal() != 0):
-            x, iters = self._jacobi_bicgstab(m, rhs, rhs_norm)
+        diag = m.diagonal()
+        if m._exact is None and diag.all():  # no zero on the diagonal
+            x, iters = self._jacobi_bicgstab(m, rhs, rhs_norm, diag)
             residual = np.inf if x is None else relative_residual(x)
             # NaN compares false: a non-finite Krylov result falls back too
             if residual <= self.tol:
@@ -348,17 +352,18 @@ class LinearSolver:
             exact_solve, method = m._exact or (_lu_solve(m), "direct-lu(fallback)")
             x, iters = exact_solve(rhs), 0
             residual = relative_residual(x)
-        if residual > self.tol or not np.all(np.isfinite(x)):
+        if residual > self.tol or not np.isfinite(x).all():
             raise SolverError(
                 f"residual {residual:.3e} above tolerance {self.tol:.3e} "
                 f"(method {method}, n={m.n})"
             )
         return x, SolveReport(iters, residual, method)
 
-    def _jacobi_bicgstab(self, m, rhs, rhs_norm):
+    def _jacobi_bicgstab(self, m, rhs, rhs_norm, diag):
         """Right-Jacobi-preconditioned BiCGSTAB (van der Vorst 1992) from
         x = 0: (solution, full iterations), or (None, 0) when it breaks down
-        or runs out of iterations. ``rhs_norm`` is ``fixed_norm(rhs)``.
+        or runs out of iterations. ``rhs_norm`` is ``fixed_norm(rhs)`` and
+        ``diag`` is ``m.diagonal()``.
 
         The loop iterates on the right-scaled operator A·D⁻¹ (D the
         diagonal of A), whose data, built once per solve, is A's with
@@ -374,10 +379,9 @@ class LinearSolver:
         vectors live for the solve and are updated in place;
         s = r - alpha·v overwrites r.
         """
-        inv_diag = 1.0 / m.diagonal()
+        inv_diag = 1.0 / diag
         scaled = m.data * inv_diag
         atol = max(self.tol * 0.1, 1e-14) * rhs_norm
-        breakdown = np.finfo(float).eps ** 2
         y = np.zeros(m.n)
         r = rhs.copy()
         r_norm = rhs_norm
@@ -388,10 +392,10 @@ class LinearSolver:
             if r_norm < atol:
                 return np.multiply(y, inv_diag, out=y), iteration
             rho = fixed_dot(r_tilde, r)
-            if abs(rho) < breakdown:
+            if abs(rho) < _BREAKDOWN:
                 return None, 0
             if iteration > 0:
-                if abs(omega) < breakdown:
+                if abs(omega) < _BREAKDOWN:
                     return None, 0
                 p -= np.multiply(v, omega, out=work)
                 p *= (rho / rho_prev) * (alpha / omega)

@@ -125,13 +125,13 @@ def chem_source_value(spec: ModelSpec, u):
     arrays; rejects negative densities.
     """
     arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("cell density must be nonnegative")
     if spec.chem_source == SOURCE_SATURATED:
         out = arr / (arr + 1.0)
     else:
         out = arr
-    if np.ndim(u) == 0:
+    if arr.ndim == 0:
         return float(out)
     return out
 

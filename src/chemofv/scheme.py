@@ -135,7 +135,7 @@ def limiter_S(lim: FluxLimiter, x):
     lift = np.abs(out)
     lift *= np.abs(arr) > lim.threshold
     out += lift
-    if np.ndim(x) == 0:
+    if arr.ndim == 0:
         return float(out)
     return out
 
@@ -184,48 +184,39 @@ def beta_n(state: State, mesh: Mesh) -> float:
     return float(min(1.0, np.min(g_now[mask] / denom)))
 
 
-def _five_point_rows(mesh: Mesh, offsets: np.ndarray):
-    """A zeroed data array on ``mesh``'s DIA layout, whose sorted
-    ``offsets`` are ``mesh.adjacency_csr()``, and writable views of its
-    entries: ``(data, diag, upper, lower)``.
+def _operator_data(mesh: Mesh, offsets: np.ndarray, slack, plus, minus):
+    """A five-point operator's data on ``mesh``'s DIA layout, whose sorted
+    ``offsets`` are ``mesh.adjacency_csr()``, and a writable view of its
+    diagonal: ``(data, diag)``.
 
-    ``diag`` is the diagonal. ``upper`` and ``lower`` are each an
-    (x-normal, y-normal) pair of edge grids laid out as
-    ``Mesh.edge_grids``: for interior edge e joining a < b, ``upper``
-    holds entry (a, b) and ``lower`` entry (b, a). x-normal edges sit on
-    the +-1 diagonals and y-normal edges on the +-nx ones; entry (a, b)
-    sits at column b of its diagonal and (b, a) at column a, and every
-    other entry stays zero. A mesh one cell wide has empty grids for the
-    edges it lacks.
+    ``plus`` and ``minus`` are (x-normal, y-normal) pairs of edge weights
+    in cell layout, or scalars standing for them: edge (K, K+1) at K, the
+    slot of each mesh row's last cell a pad, and edge (K, K+nx) at K. For
+    the edge joining a < b, entry (b, a) is -tau plus and (a, b) is -tau
+    minus, each row written by one product; pads and entries outside the
+    matrix are +0.0. The diagonal is the column ``slack`` less the
+    column's off-diagonal sums, the lower rows' and then the upper rows',
+    so column K sums to ``slack`` up to round-off.
     """
-    nx, ny = mesh.nx, mesh.ny
-    data = np.zeros((offsets.size, mesh.n_cells))
+    nx, n = mesh.nx, mesh.n_cells
+    data = np.empty((offsets.size, n))
     rows = dict(zip(offsets.tolist(), data))  # offset -> its row, a view
-    upper = (
-        rows[1].reshape(ny, nx)[:, 1:] if nx > 1 else np.empty((ny, 0)),
-        rows[nx][nx:].reshape(ny - 1, nx) if ny > 1 else np.empty((0, nx)),
-    )
-    lower = (
-        rows[-1].reshape(ny, nx)[:, :-1] if nx > 1 else np.empty((ny, 0)),
-        rows[-nx][:-nx].reshape(ny - 1, nx) if ny > 1 else np.empty((0, nx)),
-    )
-    return data, rows[0], upper, lower
-
-
-def _add_outflow(diag: np.ndarray, mesh: Mesh, plus, minus):
-    """Add each cell K's outflow to ``diag``: ``plus`` over its edges to K+1
-    and K+nx, then ``minus`` over its edges from K-1 and K-nx, each sum
-    x-normal edge first. ``plus`` and ``minus`` are (x-normal, y-normal)
-    pairs of ``Mesh.edge_grids`` grids, or of scalars standing for them."""
-    (plus_x, plus_y), (minus_x, minus_y) = plus, minus
-    outflow = np.zeros((mesh.ny, mesh.nx))
-    outflow[:, :-1] = plus_x
-    outflow[:-1, :] += plus_y
-    diag += outflow.ravel()
-    outflow[:, 1:] = minus_x
-    outflow[:, 0] = 0.0  # no cell K-1 in the first column
-    outflow[1:, :] += minus_y
-    diag += outflow.ravel()
+    directions = ((1, mesh.tau_x, nx), (nx, mesh.tau_y, mesh.ny))
+    for (step, tau, width), w_plus, w_minus in zip(directions, plus, minus):
+        if width == 1:  # one cell wide: no edges in this direction
+            continue
+        below, above = rows[-step], rows[step]
+        np.multiply(w_plus, -tau, out=below[: n - step])  # (K+step, K) at column K
+        np.multiply(w_minus, -tau, out=above[step:])  # (K, K+step) at column K+step
+        below[n - step :] = above[:step] = 0.0
+    if nx > 1:
+        rows[-1][nx - 1 :: nx] = rows[1][::nx] = 0.0  # no edge from a row's last cell
+    zero = offsets.size // 2  # the offsets are symmetric about 0
+    diag = data[zero]
+    np.add.reduce(data[:zero], axis=0, out=diag)
+    np.subtract(slack, diag, out=diag)
+    diag -= np.add.reduce(data[zero + 1 :], axis=0)
+    return data, diag
 
 
 def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatrix:
@@ -245,12 +236,8 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     B (gamma = 0, elliptic) raises ``SolverError`` here.
     """
     m = mesh.cell_measures
-    taus = (mesh.tau_x, mesh.tau_y)
     offsets = mesh.adjacency_csr()
-    data, diag, upper, lower = _five_point_rows(mesh, offsets)
-    for row, tau in zip(upper + lower, taus + taus):
-        row[...] = -tau
-    _add_outflow(diag, mesh, taus, taus)
+    data, diag = _operator_data(mesh, offsets, 0.0, (1.0, 1.0), (1.0, 1.0))
     diag += chem_decay * m
     if dt is not None:
         diag += m / dt
@@ -400,24 +387,23 @@ def assemble_cell_system(
     m = mesh.cell_measures
     u = state.u
 
-    dc = mesh.edge_jumps(c_new)
+    # jumps, limiter and weights in the cell layout of ``_operator_data``
+    c = mesh.cell_field(c_new)
+    n_x = mesh.n_cells - 1
+    dc = np.empty(n_x + mesh.n_cells - mesh.nx)
+    np.subtract(c[1:], c[:-1], out=dc[:n_x])
+    np.subtract(c[mesh.nx :], c[: -mesh.nx], out=dc[n_x:])
     w_minus = limiter_S(plan.limiter, dc)  # S(dc) until w_plus is taken
     w_plus = np.multiply(w_minus, chi)
     w_plus += mu
-    mesh.scale_edges(w_plus)
     # S(-x) = S(x) - x holds exactly in floating point on every branch
     w_minus -= dc
     w_minus *= chi
     w_minus += mu
-    mesh.scale_edges(w_minus)
 
-    # -w_minus at (a, b) and -w_plus at (b, a) for edge e joining a < b
-    data, diag, upper, lower = _five_point_rows(mesh, plan.chem_matrix.offsets)
-    plus, minus = mesh.edge_grids(w_plus), mesh.edge_grids(w_minus)
-    for row, weights in zip(upper + lower, minus + plus):
-        np.negative(weights, out=row)
-    np.divide(m, dt, out=diag)
-    _add_outflow(diag, mesh, plus, minus)
+    slack = m / dt
+    data, diag = _operator_data(mesh, plan.chem_matrix.offsets, slack,
+                                (w_plus[:n_x], w_plus[n_x:]), (w_minus[:n_x], w_minus[n_x:]))
     rhs = m * u / dt
     growth = 0.0  # the growth term on the diagonal
     if model.growth == _model.GROWTH_QUADRATIC:
@@ -434,7 +420,7 @@ def assemble_cell_system(
     data.setflags(write=False)  # hand the fresh array over without a copy
     a_mat = plan.chem_matrix.with_data(data)
     if plan.check_matrices:
-        _check_operator("A", a_mat, m / dt + growth, state.step_index + 1)
+        _check_operator("A", a_mat, slack + growth, state.step_index + 1)
     return a_mat, rhs
 
 

@@ -8,7 +8,9 @@ agreement between the two sides is meaningful. The exceptions are
 out as the production ``SparseMatrix``, and ``five_point`` with the
 ``*_edge_list`` forms and ``assemble_cell_reference``, which keep
 earlier forms of the operators and norms, on the per-edge arrays of
-``edge_list``, on the production limiter and layout.
+``edge_list``, on the production limiter and layout offsets;
+``five_point`` writes each entry by index, sharing no code with the
+production assembly.
 ``write_snapshot_csv_per_row`` and ``write_vtk_per_value`` are the
 snapshot writers as they were before they streamed one mesh row per
 write: one ``csv.writer`` row per cell, one ``write`` per VTK value.
@@ -26,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from chemofv import SparseMatrix
 from chemofv import model as _model
-from chemofv.scheme import _five_point_rows, limiter_S
+from chemofv.scheme import limiter_S
 
 # mesh shapes for the layout references: degenerate, small, the desk grid
 # and the test1 and test4 preset grids
@@ -71,14 +73,15 @@ def edge_list(mesh) -> EdgeList:
 def five_point(mesh, diag, upper, lower) -> SparseMatrix:
     """The operator on ``mesh``'s DIA layout with ``diag`` on the diagonal
     and, for interior edge e joining a < b, ``upper[e]`` at (a, b) and
-    ``lower[e]`` at (b, a); each part is one slice write into the views of
-    ``_five_point_rows``."""
+    ``lower[e]`` at (b, a); every other entry is +0.0. Each entry is
+    written by index from ``edge_list``: entry (k, l) goes to column l of
+    the row for offset l - k."""
     offsets = mesh.adjacency_csr()
-    data, diag_row, upper_rows, lower_rows = _five_point_rows(mesh, offsets)
-    diag_row[:] = diag
-    values = mesh.edge_grids(upper) + mesh.edge_grids(lower)
-    for row, grid in zip(upper_rows + lower_rows, values):
-        row[...] = grid
+    data = np.zeros((offsets.size, mesh.n_cells))
+    data[np.searchsorted(offsets, 0)] = diag
+    a, b = edge_list(mesh)[:2]
+    data[np.searchsorted(offsets, b - a), b] = upper
+    data[np.searchsorted(offsets, a - b), a] = lower
     return SparseMatrix(offsets, data)
 
 

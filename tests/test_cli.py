@@ -168,7 +168,8 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "assignment",
-        ["domain.nx=6.9", "domain.ny=true", "output.snapshot_every=1.5", "ic.seed=2.5"],
+        ["domain.nx=6.9", "domain.ny=true", "output.snapshot_every=1.5", "ic.seed=2.5",
+         "domain.nx=abc", "domain.nx=[1,2]"],
     )
     def test_non_integral_integer_value_exits_2(self, tmp_path, assignment, capsys):
         cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")

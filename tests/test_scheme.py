@@ -437,22 +437,24 @@ class TestCellAssembly:
         # neither tau_x nor tau_y is a power of two, so products by them round
         mesh = build_uniform_rect_mesh((0.0, 0.7), (-2.0, 1.3), nx, ny)
         model = ModelSpec(0.25, 6.0, growth=growth, growth_rate=2.0)
-        plan = plan_of(mesh, model, dt=0.5, eps=0.05)  # threshold 1/15
-        rng = np.random.default_rng(nx * 1000 + ny)
-        # u(1 - u) <= 1/4 keeps the cubic kind's columns dominant at dt = 0.5;
-        # c on a 0.01 grid gives zero jumps and jumps on both sides of the
-        # threshold
-        u = rng.random(mesh.n_cells)
-        c = np.round(rng.normal(0.5, 0.1, mesh.n_cells), 2)
-        state = state_of(u, u_prev=rng.random(mesh.n_cells))
-        a, f = assemble_cell_system(state, c, plan)
-        a_ref, f_ref = assemble_cell_reference(state, c, plan)
-        assert a.offsets is plan.chem_matrix.offsets  # made on the plan's layout
-        np.testing.assert_array_equal(a.offsets, a_ref.offsets)
-        assert np.array_equal(a.data, a_ref.data)
-        assert np.array_equal(f, f_ref)
-        x = rng.standard_normal(mesh.n_cells)
-        assert np.array_equal(a.dia @ x, a_ref.dia @ x)
+        for eps in (0.05, 0.0):  # threshold 1/15, and 1/12 with weights down to 0
+            plan = plan_of(mesh, model, dt=0.5, eps=eps)
+            rng = np.random.default_rng(nx * 1000 + ny)
+            # u(1 - u) <= 1/4 keeps the cubic kind's columns dominant at dt = 0.5;
+            # c on a 0.01 grid gives zero jumps and jumps on both sides of the
+            # threshold
+            u = rng.random(mesh.n_cells)
+            c = np.round(rng.normal(0.5, 0.1, mesh.n_cells), 2)
+            state = state_of(u, u_prev=rng.random(mesh.n_cells))
+            a, f = assemble_cell_system(state, c, plan)
+            a_ref, f_ref = assemble_cell_reference(state, c, plan)
+            assert a.offsets is plan.chem_matrix.offsets  # made on the plan's layout
+            np.testing.assert_array_equal(a.offsets, a_ref.offsets)
+            # bytes, so a -0.0 where the reference holds +0.0 fails too
+            assert a.data.tobytes() == a_ref.data.tobytes()
+            assert f.tobytes() == f_ref.tobytes()
+            x = rng.standard_normal(mesh.n_cells)
+            assert np.array_equal(a.dia @ x, a_ref.dia @ x)
 
     def test_two_cell_hand_assembled_offdiagonals(self, mesh_2cell):
         # tau=1, mu=0.25, a=2, eps=0, Dc(cell 0) = 0.3:
@@ -765,13 +767,14 @@ class TestStep:
 
             monkeypatch.setattr(scheme, "limiter_S", negative_weight)
         else:
-            add_outflow = scheme._add_outflow
+            operator_data = scheme._operator_data
 
-            def weak_diagonal(diag, mesh, plus, minus):
-                add_outflow(diag, mesh, plus, minus)
-                diag[0] -= mesh.cell_measures[0] / (2.0 * dt)  # halves column 0's slack m/dt
+            def weak_diagonal(mesh, offsets, slack, plus, minus):
+                data, diag = operator_data(mesh, offsets, slack, plus, minus)
+                diag[0] -= 0.5 * slack[0]  # halves column 0's slack m/dt
+                return data, diag
 
-            monkeypatch.setattr(scheme, "_add_outflow", weak_diagonal)
+            monkeypatch.setattr(scheme, "_operator_data", weak_diagonal)
         match = "sign pattern" if broken == "positive off-diagonal" else "dominance slack"
         with pytest.raises(SchemeError, match=match):
             stepper(perturbed_state(mesh_small), plan)
