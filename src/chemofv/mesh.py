@@ -6,8 +6,7 @@ center-segment/edge orthogonality required by two-point flux
 approximations holds by construction. The centers are the tensor product
 of nx x- and ny y-coordinates, stored as those two vectors. The scheme's
 boundary condition is homogeneous Neumann, so a boundary edge carries no
-flux and is not stored; every edge array lists interior edges only, in the
-grid layout of ``Mesh.edge_grids``.
+flux and is not stored; the mesh holds no per-edge array at all.
 """
 
 from __future__ import annotations
@@ -30,10 +29,9 @@ class Mesh:
     Cell K = iy*nx + ix is centered at (``x_centers[ix]``, ``y_centers[iy]``),
     the read-only vectors x0 + (i + 1/2) dx and y0 + (j + 1/2) dy.
 
-    An edge array lists the interior edges: the x-normal edges (K, K+1),
-    then the y-normal edges (K, K+nx), each in row-major order of K. An
-    x-normal edge has measure hy and center distance hx, a y-normal one
-    measure hx and distance hy, so the edge geometry is two
+    ``n_interior_edges`` counts the x-normal edges (K, K+1) and the y-normal
+    edges (K, K+nx). An x-normal edge has measure hy and center distance hx,
+    a y-normal one measure hx and distance hy, so the edge geometry is two
     transmissibilities m(sigma)/d_sigma: ``tau_x`` = hy/hx, ``tau_y`` = hx/hy.
     """
 
@@ -92,34 +90,6 @@ class Mesh:
         """sum over cells of m(K) v_K, in ``fixed_dot``'s one-pass fixed
         order, so it does not depend on the BLAS thread count."""
         return fixed_dot(self.cell_measures, self.cell_field(values))
-
-    def edge_grids(self, values) -> tuple[np.ndarray, np.ndarray]:
-        """An interior-edge array as its x-normal part, a (ny, nx-1) grid,
-        and its y-normal part, a (ny-1, nx) grid; both are views."""
-        n_x = (self.nx - 1) * self.ny
-        return (
-            values[:n_x].reshape(self.ny, self.nx - 1),
-            values[n_x:].reshape(self.ny - 1, self.nx),
-        )
-
-    def edge_jumps(self, values) -> np.ndarray:
-        """v_b - v_a over every interior edge e joining a < b, in the edge
-        order (x-normal edges, then y-normal, each row-major), taken by
-        slices of the cell grid into one fresh array."""
-        grid = self.cell_field(values).reshape(self.ny, self.nx)
-        jumps = np.empty(self.n_interior_edges)
-        jump_x, jump_y = self.edge_grids(jumps)
-        np.subtract(grid[:, 1:], grid[:, :-1], out=jump_x)
-        np.subtract(grid[1:], grid[:-1], out=jump_y)
-        return jumps
-
-    def scale_edges(self, values) -> np.ndarray:
-        """Multiply an interior-edge array in place by its edges'
-        transmissibilities, ``tau_x`` on the x-normal part and ``tau_y`` on
-        the y-normal part; returns it."""
-        for grid, tau in zip(self.edge_grids(values), (self.tau_x, self.tau_y)):
-            grid *= tau
-        return values
 
     def adjacency_csr(self) -> np.ndarray:
         """DIA layout shared by all operators assembled on this mesh: the

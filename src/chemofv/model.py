@@ -70,6 +70,10 @@ class RectRegion:
     y_min: float
     y_max: float
 
+    def __post_init__(self):
+        if not (self.x_min < self.x_max and self.y_min < self.y_max):  # False on a NaN
+            raise ValueError(f"region needs x_min < x_max and y_min < y_max, none NaN: {self!r}")
+
     def contains(self, x, y) -> np.ndarray:
         """Membership of the points (x, y), with ``x`` and ``y`` broadcast."""
         return (
@@ -84,6 +88,10 @@ class DiskRegion:
     cx: float
     cy: float
     radius: float
+
+    def __post_init__(self):
+        if np.isnan([self.cx, self.cy]).any() or not self.radius > 0:
+            raise ValueError(f"region needs a radius > 0 and no NaN field: {self!r}")
 
     def contains(self, x, y) -> np.ndarray:
         """Membership of the points (x, y), with ``x`` and ``y`` broadcast."""

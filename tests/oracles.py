@@ -10,7 +10,11 @@ out as the production ``SparseMatrix``, and ``five_point`` with the
 earlier forms of the operators and norms, on the per-edge arrays of
 ``edge_list``, on the production limiter and layout offsets;
 ``five_point`` writes each entry by index, sharing no code with the
-production assembly.
+production assembly. ``h1_seminorm_edge_list`` and
+``gradient_energy_edge_list`` gather each edge's jump by its cell
+indices, where ``sim``'s one gradient sum slices the cell grid; both
+round a term as tau times the squared jump, and the energy is the sum
+under the seminorm's square root.
 ``write_snapshot_csv_per_row`` and ``write_vtk_per_value`` are the
 snapshot writers as they were before they streamed one mesh row per
 write: one ``csv.writer`` row per cell, one ``write`` per VTK value.
@@ -105,12 +109,12 @@ def h1_seminorm_edge_list(values, mesh):
 
 
 def gradient_energy_edge_list(values, mesh):
-    """sum over interior edges of (tau_sigma D_sigma v) D_sigma v."""
+    """sum over interior edges of tau_sigma (D_sigma v)^2, each term rounded
+    as tau times the squared jump: the sum under ``h1_seminorm_edge_list``'s
+    square root."""
     edges = edge_list(mesh)
     jumps = values[edges.cell_b] - values[edges.cell_a]
-    weighted = edges.tau * jumps
-    weighted *= jumps
-    return float(np.sum(weighted))
+    return float(np.sum(edges.tau * jumps**2))
 
 
 def from_dense(a) -> SparseMatrix:

@@ -402,6 +402,39 @@ class TestNonFiniteInputs:
         assert not out.exists()
 
 
+class TestMalformedRunInputs:
+    def test_step_count_overflow_exits_2(self, tmp_path, capsys):
+        # 1e318 steps: the step count used to overflow with a traceback, exit 1
+        out = tmp_path / "o1"
+        argv = ["run", "--preset", "test1", "--set", "domain.nx=4", "--set", "domain.ny=8",
+                "--set", "time.t_final=1e308", "--set", "time.dt=1e-10", "--output-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "t_final / dt is not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "region",
+        [
+            "{kind: rect, x_min: .nan, x_max: 0.5, y_min: -0.5, y_max: 0.5}",
+            "{kind: rect, x_min: 0.5, x_max: 0.5, y_min: -0.5, y_max: 0.5}",
+            "{kind: rect, x_min: -0.5, x_max: 0.5, y_min: 0.5, y_max: -0.5}",
+            "{kind: disk, cx: 0, cy: .nan, radius: 0.5}",
+            "{kind: disk, cx: 0, cy: 0, radius: 0}",
+            "{kind: disk, cx: 0, cy: 0, radius: -1}",
+        ],
+        ids=["rect-nan", "rect-empty-x", "rect-reversed-y", "disk-nan", "disk-zero-radius",
+             "disk-negative-radius"],
+    )
+    def test_malformed_region_exits_2(self, tmp_path, region, capsys):
+        # a negative radius used to run to the end, with only a warning
+        cfg = write_config(tmp_path / "run.yaml", tmp_path / "out")
+        assert main(["run", str(cfg), "--set", f"ic.region={region}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: region needs")
+        assert not (tmp_path / "out").exists()
+
+
 class TestRunExtras:
     def test_uncreatable_output_dir_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
         def no_run(*args, **kwargs):

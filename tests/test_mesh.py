@@ -21,7 +21,6 @@ def test_single_cell_mesh():
     assert mesh.n_interior_edges == 0
     edges = edge_list(mesh)
     assert edges.cell_a.size == edges.tau.size == 0
-    assert mesh.edge_jumps(np.ones(1)).size == 0
 
 
 def test_two_cell_interior_edge_geometry(mesh_2cell):
@@ -71,8 +70,10 @@ def test_tau_matches_measure_over_distance():
     edges = edge_list(mesh)
     for e in range(mesh.n_interior_edges):
         assert edges.tau[e] == edges.measures[e] / edges.distances[e]
-    # the mesh's two scalars are the per-edge tau of each edge direction
-    tau_x, tau_y = mesh.edge_grids(edges.tau)
+    # the mesh's two scalars are the per-edge tau of each edge direction:
+    # the x-normal edges come first, then the y-normal ones
+    n_x = (mesh.nx - 1) * mesh.ny
+    tau_x, tau_y = edges.tau[:n_x], edges.tau[n_x:]
     assert tau_x.size and np.all(tau_x == mesh.tau_x) and mesh.tau_x == mesh.dy / mesh.dx
     assert tau_y.size and np.all(tau_y == mesh.tau_y) and mesh.tau_y == mesh.dx / mesh.dy
     assert mesh.tau_x != mesh.tau_y
@@ -141,18 +142,6 @@ def test_dia_layout_matches_loop_reference(nx, ny):
     np.testing.assert_array_equal(operator.data, want)
 
 
-@pytest.mark.parametrize("nx,ny", LAYOUT_SHAPES)
-def test_edge_jumps_match_edge_list_gather(nx, ny):
-    mesh = build_uniform_rect_mesh((0.0, 1.0), (-2.0, 2.0), nx, ny)
-    v = np.random.default_rng(nx + 7 * ny).random(mesh.n_cells)
-    jumps = mesh.edge_jumps(v)
-    edges = edge_list(mesh)
-    assert np.array_equal(jumps, v[edges.cell_b] - v[edges.cell_a])
-    jump_x, jump_y = mesh.edge_grids(jumps)
-    assert jump_x.shape == (ny, nx - 1) and jump_y.shape == (ny - 1, nx)
-    assert np.shares_memory(jump_x, jumps) or jump_x.size == 0
-
-
 @pytest.mark.parametrize(
     "x_range,y_range",
     [
@@ -218,15 +207,6 @@ def test_row_major_indexing_x_fastest():
     np.testing.assert_allclose(center(0), [0.5, 0.5])
     np.testing.assert_allclose(center(1), [1.5, 0.5])
     np.testing.assert_allclose(center(3), [0.5, 1.5])
-
-
-@pytest.mark.parametrize("nx,ny", LAYOUT_SHAPES)
-def test_scale_edges_matches_per_edge_product(nx, ny):
-    mesh = build_uniform_rect_mesh((0.0, 0.7), (-2.0, 1.3), nx, ny)
-    v = np.random.default_rng(nx + 7 * ny).random(mesh.n_interior_edges)
-    scaled = v.copy()
-    assert mesh.scale_edges(scaled) is scaled
-    assert np.array_equal(scaled, edge_list(mesh).tau * v)
 
 
 def test_no_per_cell_array_but_the_measures():

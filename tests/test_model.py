@@ -145,6 +145,43 @@ class TestInitialState:
         assert state.c.tobytes() == c.tobytes()
 
 
+class TestRegionShape:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RectRegion(np.nan, 1.0, 0.0, 1.0),
+            lambda: RectRegion(0.0, 1.0, 0.0, np.nan),
+            lambda: RectRegion(1.0, 1.0, 0.0, 1.0),
+            lambda: RectRegion(2.0, 1.0, 0.0, 1.0),
+            lambda: RectRegion(0.0, 1.0, 1.0, 1.0),
+            lambda: RectRegion(0.0, 1.0, 1.0, -1.0),
+            lambda: RectRegion(np.inf, np.inf, 0.0, 1.0),
+            lambda: DiskRegion(np.nan, 0.0, 1.0),
+            lambda: DiskRegion(0.0, np.nan, 1.0),
+            lambda: DiskRegion(0.0, 0.0, np.nan),
+            lambda: DiskRegion(0.0, 0.0, 0.0),
+            lambda: DiskRegion(0.0, 0.0, -1.0),
+            lambda: DiskRegion(0.0, 0.0, -np.inf),
+        ],
+        ids=["rect-nan-x", "rect-nan-y", "rect-empty-x", "rect-reversed-x", "rect-empty-y",
+             "rect-reversed-y", "rect-inf-empty", "disk-nan-cx", "disk-nan-cy",
+             "disk-nan-radius", "disk-zero-radius", "disk-negative-radius",
+             "disk-negative-inf-radius"],
+    )
+    def test_malformed_shape_rejected(self, make):
+        # such a region used to be accepted and perturb no cell
+        with pytest.raises(ValueError, match="region needs"):
+            make()
+
+    @pytest.mark.parametrize(
+        "region",
+        [RectRegion(-np.inf, np.inf, -np.inf, 0.5), DiskRegion(0.5, 0.5, np.inf)],
+        ids=["rect", "disk"],
+    )
+    def test_infinite_bounds_accepted(self, region, mesh_small):
+        assert np.any(make_initial_state(mesh_small, InitialConditionSpec(region=region)).u > 1)
+
+
 class TestRegionMissesMesh:
     def warnings(self, caplog, mesh, ic):
         with caplog.at_level(logging.WARNING, logger="chemofv.model"):
@@ -162,6 +199,13 @@ class TestRegionMissesMesh:
         assert record.levelno == logging.WARNING
         assert repr(p.ic.region) in record.getMessage()
         assert "6x12 mesh" in record.getMessage()
+
+    def test_warns_for_a_valid_disk_between_the_centers(self, caplog):
+        mesh = build_uniform_rect_mesh((0.0, 2.0), (0.0, 2.0), 2, 2)
+        ic = InitialConditionSpec(region=DiskRegion(1.0, 1.0, 0.5))
+        state, [record] = self.warnings(caplog, mesh, ic)
+        assert np.all(state.u == ic.base_u)
+        assert "contains no cell center of the 2x2 mesh" in record.getMessage()
 
     def test_silent_when_the_region_hits(self, caplog):
         p = preset("test1")

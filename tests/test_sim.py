@@ -1,6 +1,7 @@
 import itertools
 import logging
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -164,11 +165,21 @@ class TestH1Seminorm:
         assert gradient_energy(v, mesh) == gradient_energy_edge_list(v, mesh)
 
     def test_gradient_energy_is_squared_h1(self, mesh_small):
+        # one sum serves both: the seminorm is the energy's square root, bit for bit
         rng = np.random.default_rng(3)
         v = rng.random(mesh_small.n_cells)
-        assert gradient_energy(v, mesh_small) == pytest.approx(
-            discrete_h1_seminorm(v, mesh_small) ** 2, rel=1e-13
-        )
+        assert discrete_h1_seminorm(v, mesh_small) == gradient_energy(v, mesh_small) ** 0.5
+
+    def test_seminorm_does_not_call_the_public_energy(self, mesh_small, monkeypatch):
+        # a tracer that wraps both public names records one span per call
+        v = np.random.default_rng(5).random(mesh_small.n_cells)
+        want = discrete_h1_seminorm(v, mesh_small)
+
+        def refuse(*args):
+            raise AssertionError("discrete_h1_seminorm called sim.gradient_energy")
+
+        monkeypatch.setattr(chemofv.sim, "gradient_energy", refuse)
+        assert discrete_h1_seminorm(v, mesh_small) == want
 
 
 class TestRelativeError:
@@ -244,6 +255,15 @@ class TestRun:
         times = {"dt": 0.1, "t_final": 0.5, name: value}
         with pytest.raises(ValueError, match=f"{name} must be .* finite"):
             desk_config(mesh_small, **times)
+
+    @pytest.mark.parametrize(
+        "t_final,dt", [(1e308, 1e-10), (1.0, 5e-324), (np.float64(1e300), 1e-9)]
+    )
+    def test_step_count_overflow_rejected(self, mesh_small, t_final, dt):
+        # n_steps used to raise OverflowError converting an infinite step count
+        want = re.escape(f"t_final / dt is not finite: t_final={t_final}, dt={dt}")
+        with pytest.raises(ValueError, match=want):
+            desk_config(mesh_small, dt=dt, t_final=t_final)
 
     def test_chem_operator_never_factored(self, splu_calls):
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8)
