@@ -11,11 +11,11 @@ is built in a run unless a solve falls back to LU. The structure check
 returns one sign verdict and the slacks; the scheme runs it, when a run
 asks for it, where each operator is assembled.
 
-Operators are made in two ways. The constructor validates offsets and
-data; a run does this once, for the chem operator, when its plan is
-built. Every later operator on the same layout (each step's cell
-operator) is made from that one by ``SparseMatrix.with_data``, which
-shares its offsets and checks only the new data, as the constructor does.
+An operator is made in one way, by its constructor, which validates the
+offsets and the data and takes over read-only arrays that own their
+memory instead of copying them; an operator is not changed once built.
+Each step's cell operator is built on the chem operator's offsets array,
+so every operator of a run shares that one array.
 
 The hot path calls three compiled kernels itself, each bound once at import:
 scipy's DIA product ``dia_matvec`` (which ``dia_matrix @ x`` runs), one
@@ -29,9 +29,9 @@ their own files (``_load_compiled``), so a run does not import
 The solve contract is a relative residual tolerance (``LinearSolver.tol``,
 1e-12), not a method. A solve takes one of two paths:
 
-- the chem operator, built once per run, keeps an exact solve by the 2-D
-  discrete cosine transform that diagonalises it (``keep_dct_solve``), and
-  every solve with it is that transform solve;
+- the chem operator, built once per run, is built with an exact solve by
+  the 2-D discrete cosine transform that diagonalises it (``dct_solve``),
+  and every solve with it is that transform solve;
 - any other matrix (the per-step cell operator) goes through
   right-Jacobi-preconditioned BiCGSTAB, which iterates on the scaled
   operator A·D⁻¹ (D the diagonal of A) and so applies no preconditioner
@@ -105,6 +105,9 @@ class SolveReport:
     method: str
 
 
+ExactSolve = tuple[Callable[[np.ndarray], np.ndarray], str]  # (solve, method label)
+
+
 def readonly_copy(a, dtype=np.int64) -> np.ndarray:
     """Read-only copy of ``a`` as ``dtype``."""
     out = np.array(a, dtype=dtype)
@@ -112,24 +115,22 @@ def readonly_copy(a, dtype=np.int64) -> np.ndarray:
     return out
 
 
-def _takes_over(data) -> bool:
-    """Whether an operator may keep ``data`` as it is: a read-only float64
+def _takes_over(a, dtype) -> bool:
+    """Whether an operator may keep ``a`` as it is: a read-only ``dtype``
     array that owns its memory, which no one can write through."""
     return (
-        isinstance(data, np.ndarray)
-        and data.base is None
-        and data.dtype == np.float64
-        and not data.flags.writeable
+        isinstance(a, np.ndarray)
+        and a.base is None
+        and a.dtype == dtype
+        and not a.flags.writeable
     )
 
 
-def _check_data(offsets: list[int], data: np.ndarray, n: int | None = None) -> None:
-    """Raise ``ValueError`` unless ``data`` holds one row per offset (of
-    ``n`` columns, when ``n`` is given) and no nonzero entry outside the
-    n-by-n matrix."""
-    if data.ndim != 2 or data.shape[0] != len(offsets) or n not in (None, data.shape[1]):
-        need = "n" if n is None else n
-        raise ValueError(f"data has shape {data.shape}, need ({len(offsets)}, {need})")
+def _check_data(offsets: list[int], data: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``data`` holds one row per offset and no
+    nonzero entry outside the n-by-n matrix, n its number of columns."""
+    if data.ndim != 2 or data.shape[0] != len(offsets):
+        raise ValueError(f"data has shape {data.shape}, need ({len(offsets)}, n)")
     n = data.shape[1]
     for offset, row in zip(offsets, data):
         # columns j with 0 <= j - offset < n lie inside the matrix: all but
@@ -148,53 +149,37 @@ class SparseMatrix:
     outside the matrix must be zero. Both arrays are read-only. A scipy
     ``dia_matrix`` on them, ``dia``, is built when it is first read;
     products with A read the arrays themselves (``_dia_product``), and
-    ``dia`` serves ``to_dense``, LU and tests. Instances are immutable; the
-    chem operator also keeps its exact transform solve, a (solve, method
-    label) pair, from ``keep_dct_solve``.
+    ``dia`` serves ``to_dense``, LU and tests. ``exact``, when given, is the
+    operator's exact solve, a (solve, method label) pair such as the chem
+    operator's ``dct_solve``. Instances are immutable.
 
-    There are two ways to make one. The constructor checks the offsets and
-    the data; ``data`` is copied unless it is already a read-only float64
-    array that owns its memory: such an array is taken over as it is, so the
-    caller hands it over and does not make it writable again. ``with_data``
-    makes an operator on the layout of one already built, for a step's cell
-    operator: it checks only the data, which it takes over and so refuses
-    unless it could be taken over, and shares both offsets arrays.
+    The constructor checks the offsets and the data. Each is copied unless
+    it is already a read-only array, int64 offsets and float64 data, that
+    owns its memory: such an array is taken over as it is, so the caller
+    hands it over and does not make it writable again. So a step's cell
+    operator, built on the chem operator's offsets, shares that array.
     """
 
-    def __init__(self, offsets, data):
-        offsets = readonly_copy(offsets)
-        if not _takes_over(data):
+    def __init__(self, offsets, data, exact: ExactSolve | None = None):
+        if not _takes_over(offsets, np.int64):
+            offsets = readonly_copy(offsets)
+        if not _takes_over(data, np.float64):
             data = readonly_copy(data, float)  # own copy keeps the operator immutable
         listed = offsets.tolist()
         if offsets.ndim != 1 or listed != sorted(set(listed)) or 0 not in listed:
             raise ValueError(f"offsets {offsets} must be sorted, unique and include 0")
         _check_data(listed, data)
-        n = data.shape[1]
-        self.n = n
+        self.n = data.shape[1]
         self.offsets = offsets
         self.data = data
         self.zero = listed.index(0)  # the diagonal's row of ``data``
-        self._dia_offsets = readonly_copy(offsets, np.int32)  # scipy's index type
-        self._exact: tuple[Callable[[np.ndarray], np.ndarray], str] | None = None
-
-    def with_data(self, data: np.ndarray) -> SparseMatrix:
-        """A new operator on this one's offsets and size holding ``data``,
-        which must be a read-only float64 array that owns its memory (it is
-        taken over, not copied) and passes the constructor's data checks.
-        No exact solve is carried over."""
-        if not _takes_over(data):
-            raise ValueError("data must be a read-only float64 array that owns its memory")
-        _check_data(self.offsets.tolist(), data, self.n)
-        out = object.__new__(SparseMatrix)
-        out.n, out.offsets, out.data, out.zero = self.n, self.offsets, data, self.zero
-        out._dia_offsets = self._dia_offsets
-        out._exact = None
-        return out
+        self._exact = exact
 
     @functools.cached_property
     def dia(self):  # built, and scipy.sparse imported, on first read
         import scipy.sparse
-        return scipy.sparse.dia_matrix((self.data, self._dia_offsets), shape=(self.n, self.n))
+        offsets = readonly_copy(self.offsets, np.int32)  # scipy's index type
+        return scipy.sparse.dia_matrix((self.data, offsets), shape=(self.n, self.n))
 
     def diagonal(self) -> np.ndarray:
         return self.data[self.zero]
@@ -282,11 +267,12 @@ def _lu_solve(m: SparseMatrix) -> Callable[[np.ndarray], np.ndarray]:
         raise SolverError(f"direct factorization failed: {exc}") from exc
 
 
-def keep_dct_solve(m: SparseMatrix, eigenvalues: np.ndarray) -> None:
-    """Keep on ``m`` its exact solve by the orthonormal 2-D DCT-II,
-    labelled ``direct-dct``.
+def dct_solve(eigenvalues: np.ndarray) -> ExactSolve:
+    """The exact solve by the orthonormal 2-D DCT-II of an operator with
+    ``eigenvalues``, labelled ``direct-dct``: the ``exact`` pair its
+    ``SparseMatrix`` is built with.
 
-    ``m`` must act on row-major cells of an (ny, nx) grid and be
+    The operator must act on row-major cells of an (ny, nx) grid and be
     diagonalised by the DCT-II along both axes, with ``eigenvalues`` (shape
     (ny, nx)) its eigenvalues: a constant-coefficient Neumann operator on a
     uniform rectangle. A solve is one pocketfft DCT-II over both axes, a
@@ -299,7 +285,7 @@ def keep_dct_solve(m: SparseMatrix, eigenvalues: np.ndarray) -> None:
     if not np.all(eigenvalues > 0):  # NaN fails too
         raise SolverError(
             f"operator is not positive definite: smallest eigenvalue "
-            f"{np.min(eigenvalues):.3e} (n={m.n})"
+            f"{np.min(eigenvalues):.3e} (n={eigenvalues.size})"
         )
 
     def solve(rhs):
@@ -307,15 +293,15 @@ def keep_dct_solve(m: SparseMatrix, eigenvalues: np.ndarray) -> None:
         coeffs /= eigenvalues
         return pocketfft_dct(coeffs, 3, inorm=1, out=coeffs, nthreads=1).ravel()
 
-    m._exact = (solve, "direct-dct")
+    return solve, "direct-dct"
 
 
 class LinearSolver:
     """Deterministic solver front end: an exact DCT solve, or Krylov with a
     per-solve LU fallback.
 
-    A matrix that keeps an exact solve, the chem operator's DCT solve
-    (``keep_dct_solve``), is solved with it. Any other matrix with a
+    A matrix built with an exact solve, the chem operator's DCT solve
+    (``dct_solve``), is solved with it. Any other matrix with a
     nonzero diagonal (the cell operator) goes through the in-house
     Jacobi-BiCGSTAB (``_jacobi_bicgstab``), whose loop iterates on A·D⁻¹
     and unscales its result once; when that breaks down, returns
@@ -324,7 +310,9 @@ class LinearSolver:
     as ``direct-lu(fallback)`` and keeps nothing on the matrix. The Krylov
     loop and the residual check reduce in a fixed order (``fixed_dot``) and
     the transforms run on one worker, so the result, its reported residual
-    and the path taken do not depend on the BLAS or FFT thread count.
+    and the path taken do not depend on the BLAS or FFT thread count. A
+    right-hand side whose norm overflows or is NaN raises ``SolverError``
+    before any path is taken.
     """
 
     tol = 1e-12  # relative residual every solve must reach
@@ -334,6 +322,11 @@ class LinearSolver:
         if rhs.shape != (m.n,):
             raise ValueError(f"rhs has shape {rhs.shape}, matrix is {m.n}x{m.n}")
         rhs_norm = fixed_norm(rhs)
+        if not math.isfinite(rhs_norm):  # no solve path can meet a residual relative to it
+            raise SolverError(
+                f"right-hand side norm {rhs_norm} is not finite: the data overflowed "
+                f"or holds NaN (n={m.n})"
+            )
         if rhs_norm == 0.0:
             return np.zeros(m.n), SolveReport(0, 0.0, "trivial")
 

@@ -53,6 +53,8 @@ class ModelSpec:
             )
         if self.chem_decay <= 0:
             raise ValueError(f"chem_decay must be > 0, got {self.chem_decay}")
+        if self.growth_rate < 0:  # r >= 0 keeps A's quadratic column slack positive
+            raise ValueError(f"growth_rate must be >= 0, got {self.growth_rate}")
         if self.chem_dynamics not in _CHEM_DYNAMICS:
             raise ValueError(f"unknown chem_dynamics {self.chem_dynamics!r}")
         if self.chem_source not in _CHEM_SOURCES:

@@ -23,7 +23,7 @@ from operator import ge, gt, lt, ne
 import numpy as np
 
 from . import model as _model
-from .linalg import LinearSolver, SparseMatrix, check_m_matrix_pattern, keep_dct_solve
+from .linalg import LinearSolver, SparseMatrix, check_m_matrix_pattern, dct_solve
 from .mesh import Mesh
 from .model import ModelSpec, chem_source_value
 from .state import State
@@ -225,13 +225,12 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     gamma*m(K) (and m(K)/dt when ``dt`` is given, for parabolic dynamics).
 
     B depends on nothing else, so a run's ``StepPlan`` builds it once and
-    every step solves with that object; each call builds a new B, the one
-    operator of a run that the ``SparseMatrix`` constructor validates. On the
+    every step solves with that object; each call builds a new B. On the
     uniform rectangle B is tau_x T_nx (x) I + tau_y I (x) T_ny plus
     (gamma + [1/dt]) hx hy I, with T_n the 1-D Neumann second difference,
     which the DCT-II diagonalises with eigenvalues 2(1 - cos(pi k / n)).
-    The eigenvalue grid is built here and B keeps its exact solve by the
-    transform (``keep_dct_solve``); B is never factorized. B stays
+    The eigenvalue grid is built here and B is built with its exact solve
+    by the transform (``dct_solve``); B is never factorized. B stays
     assembled for the residual check and the structure checks. A singular
     B (gamma = 0, elliptic) raises ``SolverError`` here.
     """
@@ -242,7 +241,6 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
     if dt is not None:
         diag += m / dt
     data.setflags(write=False)  # hand the fresh array over without a copy
-    b_mat = SparseMatrix(offsets, data)
 
     def neumann_eigenvalues(n):
         return 2.0 * (1.0 - np.cos(np.pi * np.arange(n) / n))
@@ -253,8 +251,7 @@ def chem_operator(mesh: Mesh, chem_decay: float, dt: float | None) -> SparseMatr
         + mesh.tau_y * neumann_eigenvalues(mesh.ny)[:, None]
         + shift * mesh.dx * mesh.dy
     )
-    keep_dct_solve(b_mat, eigenvalues)
-    return b_mat
+    return SparseMatrix(offsets, data, dct_solve(eigenvalues))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,13 +260,12 @@ class StepPlan:
     ``epsilon``, variant, dt, solver and matrix-check flag, and what they
     determine: the flux limiter (``limiter``, with the model's mu and chi),
     the chem operator B (``chem_matrix``, with its DCT solve) and the run's
-    ``invariants`` (``_invariants``). B is also the run's validated layout:
-    every step's cell operator has B's offsets and size, and is made on them
-    by ``B.with_data``. A state carries no dt; every step of it is the
-    plan's. Building the plan checks that dt is positive and finite, that
-    epsilon lies in [0, mu] and, with ``check_matrices``, B's sign pattern
-    and column slack (gamma + [1/dt]) m(K), once: B is the same at every
-    step.
+    ``invariants`` (``_invariants``). B's offsets array is the run's layout:
+    every step's cell operator is built on that same array. A state carries
+    no dt; every step of it is the plan's. Building the plan checks that dt
+    is positive and finite, that epsilon lies in [0, mu] and, with
+    ``check_matrices``, B's sign pattern and column slack
+    (gamma + [1/dt]) m(K), once: B is the same at every step.
     """
 
     mesh: Mesh
@@ -418,7 +414,7 @@ def assemble_cell_system(
                 dt=dt, admissible=1.0 / worst if worst else math.inf)
 
     data.setflags(write=False)  # hand the fresh array over without a copy
-    a_mat = plan.chem_matrix.with_data(data)
+    a_mat = SparseMatrix(plan.chem_matrix.offsets, data)
     if plan.check_matrices:
         _check_operator("A", a_mat, slack + growth, state.step_index + 1)
     return a_mat, rhs

@@ -183,7 +183,8 @@ def run(
 
     Diagnostics are recorded at step 0, every ``diagnostics_every`` steps
     and at the final step; snapshots follow ``snapshot_every`` with the
-    final snapshot always emitted. ``observer``, when given, is called with
+    final snapshot always emitted, and hold the state's own u and c arrays,
+    which nothing writes to. ``observer``, when given, is called with
     each new State. The run's ``StepPlan`` (``plan_for``) is built once.
     Each invariant, the step's and then the run's (``check_invariants``),
     is enforced by its policy in ``scheme.INVARIANTS``; the run keeps only
@@ -226,10 +227,10 @@ def run(
         if done or (config.diagnostics_every > 0 and (n + 1) % config.diagnostics_every == 0):
             diagnostics.append(_record(state, mesh, config.dt))
         if done or (config.snapshot_every > 0 and (n + 1) % config.snapshot_every == 0):
-            snapshots.append(Snapshot(state.step_index, state.u.copy(), state.c.copy()))
+            snapshots.append(Snapshot(state.step_index, state.u, state.c))
 
     if n_steps == 0:
-        snapshots.append(Snapshot(0, state.u.copy(), state.c.copy()))
+        snapshots.append(Snapshot(0, state.u, state.c))
     return state, diagnostics, snapshots
 
 

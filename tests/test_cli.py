@@ -413,6 +413,21 @@ class TestMalformedRunInputs:
         assert err.startswith("config error: ") and "t_final / dt is not finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("base_u", ["0.21", "0.19"])
+    def test_negative_growth_rate_exits_2(self, tmp_path, capsys, base_u):
+        # r < 0 takes the cell matrix out of the M-matrix class: at u = 0.21
+        # the run used to end with only a "c dips" warning, at 0.19 with u < 0
+        out = tmp_path / "o1"
+        argv = ["run", "--preset", "test3", "--output-dir", str(out)]
+        for assignment in ("domain.nx=20", "domain.ny=20", "time.dt=0.1", "time.t_final=0.5",
+                           "model.growth=quadratic_logistic", "model.growth_rate=-50",
+                           "ic.region=null", f"ic.base_u={base_u}"):
+            argv += ["--set", assignment]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "growth_rate must be >= 0, got -50" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "region",
         [

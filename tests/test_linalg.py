@@ -19,7 +19,7 @@ from chemofv import (
     spmv,
 )
 from chemofv import scheme
-from chemofv.linalg import _dia_product, _load_compiled, fixed_dot, keep_dct_solve
+from chemofv.linalg import _dia_product, _load_compiled, dct_solve, fixed_dot
 from chemofv.model import RectRegion
 from oracles import (
     abs_sum_slacks,
@@ -60,10 +60,14 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match=match):
             SparseMatrix(offsets, np.zeros((2, 3)))
 
-    def test_data_shape_must_match_offsets(self):
-        for data in ([1.0, 2.0], np.ones((2, 2)), np.ones((1, 2, 2))):
-            with pytest.raises(ValueError, match=r"need \(1, n\)"):
-                SparseMatrix([0], data)
+    @pytest.mark.parametrize(
+        "offsets,shape",
+        [([0], (2,)), ([0], (2, 2)), ([0], (1, 2, 2)),
+         ([-1, 0, 1], (2, 3)), ([-1, 0, 1], (3,)), ([-1, 0, 1], (1, 3, 3))],
+    )
+    def test_data_shape_must_match_offsets(self, offsets, shape):
+        with pytest.raises(ValueError, match=rf"data has shape .*, need \({len(offsets)}, n\)"):
+            SparseMatrix(offsets, np.zeros(shape))
 
     @pytest.mark.parametrize("offset,column", [(1, 0), (-1, 2), (2, 1), (-4, 0), (4, 2)])
     def test_entry_outside_matrix_rejected(self, offset, column):
@@ -75,15 +79,6 @@ class TestSparseMatrix:
             SparseMatrix(offsets, data)
         data[offsets.index(offset), column] = 0.0
         SparseMatrix(offsets, data)  # zeros outside the matrix are fine
-
-    def test_read_only_owned_data_is_taken_over(self):
-        offsets, data = np.array([-1, 0, 1]), np.ones((3, 3))
-        data[0, 2] = data[2, 0] = 0.0
-        data.setflags(write=False)
-        assert SparseMatrix(offsets, data).data is data
-        # a read-only view does not own its memory, so it is copied
-        view = data[:, :]
-        assert SparseMatrix(offsets, view).data is not view
 
     def test_arrays_read_only(self):
         offsets, data = np.array([-1, 0, 1]), np.ones((3, 3))
@@ -100,56 +95,44 @@ class TestSparseMatrix:
         np.testing.assert_array_equal(m.to_dense(), [[4.0, 3.0], [0.0, 0.0]])
         assert m.diagonal()[1] == 0.0
 
-
-class TestWithData:
-    """The operator made on a validated one's layout, as each step's cell
-    operator is."""
-
     @staticmethod
     def template():
         return from_dense([[3.0, -1.0, 0.0], [-2.0, 4.0, -1.0], [0.0, -1.0, 2.0]])
 
     @staticmethod
-    def frozen(data):
-        data = np.array(data, dtype=float)
-        data.setflags(write=False)
-        return data
+    def frozen(a, dtype=float):
+        a = np.array(a, dtype=dtype)
+        a.setflags(write=False)
+        return a
 
-    def test_shares_the_layout_and_takes_the_data_over(self):
+    def test_read_only_owned_arrays_are_taken_over(self):
+        # as each step's cell operator is built on the chem operator's offsets
         t = self.template()
-        keep_dct_solve(t, np.ones((1, 3)))
+        t = SparseMatrix(t.offsets, t.data, dct_solve(np.ones((1, 3))))
         data = self.frozen(2.0 * t.data)
-        m = t.with_data(data)
-        assert m.offsets is t.offsets and m.dia.offsets is t.dia.offsets
+        m = SparseMatrix(t.offsets, data)
+        assert m.offsets is t.offsets
         assert m.data is data and m.dia.data is data
-        assert m.n == 3 and m._exact is None  # the template's exact solve stays its own
+        assert m.n == 3 and m._exact is None  # t's exact solve stays its own
         np.testing.assert_array_equal(m.to_dense(), 2.0 * t.to_dense())
         x = np.array([1.0, -2.0, 0.5])
-        assert np.array_equal(spmv(m, x), SparseMatrix(t.offsets, data).dia @ x)
-        np.testing.assert_array_equal(t.to_dense()[0], [3.0, -1.0, 0.0])  # template unchanged
+        assert np.array_equal(spmv(m, x), m.dia @ x)
+        np.testing.assert_array_equal(t.to_dense()[0], [3.0, -1.0, 0.0])  # t unchanged
 
-    @pytest.mark.parametrize("shape", [(3, 4), (2, 3), (3,), (1, 3, 3)])
-    def test_wrong_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match=r"data has shape .*, need \(3, 3\)"):
-            self.template().with_data(self.frozen(np.zeros(shape)))
-
-    def test_data_it_cannot_take_over_rejected(self):
+    def test_arrays_it_cannot_take_over_are_copied(self):
         t = self.template()
-        writable = t.data.copy()
-        view = self.frozen(t.data)[:, :]
-        narrow = t.data.astype(np.float32)
-        narrow.setflags(write=False)
-        for data in (writable, view, narrow, t.data.tolist()):
-            with pytest.raises(ValueError, match="read-only float64 array"):
-                t.with_data(data)
-
-    @pytest.mark.parametrize("offset,column", [(1, 0), (-1, 2)])
-    def test_entry_outside_matrix_rejected(self, offset, column):
-        t = self.template()
-        data = t.data.copy()
-        data[list(t.offsets).index(offset), column] = -1.0
-        with pytest.raises(ValueError, match=f"outside the matrix on diagonal {offset}"):
-            t.with_data(self.frozen(data))
+        offsets = (t.offsets.copy(), self.frozen(np.r_[t.offsets, 9], np.int64)[:3],
+                   self.frozen(t.offsets, np.int32), t.offsets.tolist())
+        data = (t.data.copy(), self.frozen(t.data)[:, :],
+                self.frozen(t.data, np.float32), t.data.tolist())
+        for given_offsets, given_data in zip(offsets, data):  # writable, view, narrow, list
+            m = SparseMatrix(given_offsets, given_data)
+            assert m.offsets is not given_offsets and m.data is not given_data
+            assert m.offsets.dtype == np.int64 and m.data.dtype == np.float64
+            assert not (m.offsets.flags.writeable or m.data.flags.writeable)
+            np.testing.assert_array_equal(m.to_dense(), t.to_dense())
+            np.testing.assert_array_equal(given_data, t.data)  # the caller's array is untouched
+        assert offsets[0].flags.writeable and data[0].flags.writeable
 
     def test_desk_run_builds_no_dia_matrix(self, monkeypatch):
         # a run reads the operators' arrays, never ``dia``: strict and
@@ -296,6 +279,14 @@ class TestSolve:
         np.testing.assert_array_equal(x, np.zeros(2))
         assert report.method == "trivial"
 
+    @pytest.mark.parametrize("rhs", [[1e200, 1e200], [1.0, np.nan]])  # norm inf, NaN
+    def test_non_finite_rhs_norm_raises_naming_the_rhs(self, rhs):
+        m = from_dense([[3.0, -1.0], [-1.0, 3.0]])
+        exact = SparseMatrix(m.offsets, m.data, dct_solve([[2.0, 4.0]]))
+        for mat in (m, exact):  # before the Krylov and the exact path alike
+            with pytest.raises(SolverError, match="right-hand side norm (inf|nan) is not finite"):
+                LinearSolver().solve(mat, np.array(rhs))
+
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
         dense = random_dominant_m_matrix(rng, 30)
@@ -390,8 +381,8 @@ class TestSolve:
     def test_dct_solve_rejects_nonpositive_grid(self):
         m = from_dense([[3.0, -1.0], [-1.0, 3.0]])
         with pytest.raises(SolverError):
-            keep_dct_solve(m, [[2.0, np.nan]])
-        keep_dct_solve(m, [[2.0, 4.0]])  # T_2 + 2I: eigenvalues 2 and 4
+            dct_solve([[2.0, np.nan]])
+        m = SparseMatrix(m.offsets, m.data, dct_solve([[2.0, 4.0]]))  # T_2 + 2I: eigenvalues 2, 4
         x, report = LinearSolver().solve(m, np.array([1.0, 2.0]))
         assert report.method == "direct-dct"
         np.testing.assert_allclose(x, [5.0 / 8.0, 7.0 / 8.0], rtol=1e-15)
@@ -425,13 +416,13 @@ class TestKernelParity:
         it keeps, a nonsymmetric operator on B's layout, and a float, a
         strided and an integer vector of B's size."""
         kept = []
-        keep = scheme.keep_dct_solve
+        solve = scheme.dct_solve
 
-        def keeping(m, eigenvalues):
+        def keeping(eigenvalues):
             kept.append(eigenvalues)
-            keep(m, eigenvalues)
+            return solve(eigenvalues)
 
-        monkeypatch.setattr(scheme, "keep_dct_solve", keeping)
+        monkeypatch.setattr(scheme, "dct_solve", keeping)
         b_mat = scheme.chem_operator(Mesh((0.0, 2.0), (-1.0, 3.0), nx, ny), 0.5, 0.1)
         rng = np.random.default_rng(nx * 1000 + ny)
         factors = rng.uniform(0.5, 1.5, b_mat.data.shape)

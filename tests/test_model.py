@@ -245,6 +245,8 @@ class TestModelValidation:
             {"cell_diffusion": 1.0, "chemo_sensitivity": -2.0},
             {"cell_diffusion": 1.0, "chemo_sensitivity": 1.0, "chem_decay": 0.0},
             {"cell_diffusion": 1.0, "chemo_sensitivity": 1.0, "growth": "exp"},
+            {"cell_diffusion": 1.0, "chemo_sensitivity": 1.0,
+             "growth": "quadratic_logistic", "growth_rate": -50.0},
         ]
         + [
             {"cell_diffusion": 1.0, "chemo_sensitivity": 1.0, name: value}

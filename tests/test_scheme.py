@@ -199,13 +199,13 @@ class TestBetaN:
 class TestStepPlan:
     def test_alternating_plans_build_each_operator_once(self, monkeypatch):
         builds = []
-        keep = scheme.keep_dct_solve
+        solve = scheme.dct_solve
 
-        def counting_keep(m, eigenvalues):
-            builds.append(m.n)
-            keep(m, eigenvalues)
+        def counting_solve(eigenvalues):
+            builds.append(np.size(eigenvalues))
+            return solve(eigenvalues)
 
-        monkeypatch.setattr(scheme, "keep_dct_solve", counting_keep)
+        monkeypatch.setattr(scheme, "dct_solve", counting_solve)
         meshes = [
             build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 8, 8),
             build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 6, 10),

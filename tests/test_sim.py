@@ -296,8 +296,9 @@ class TestRun:
 
     def test_final_snapshot_always_written(self, mesh_small):
         cfg = desk_config(mesh_small, dt=0.1, t_final=0.5, snapshot_every=0)
-        _, _, snapshots = run(cfg)
+        final, _, snapshots = run(cfg)
         assert [s.step for s in snapshots] == [5]
+        assert snapshots[-1].u is final.u and snapshots[-1].c is final.c  # kept, not copied
 
     def test_inexact_horizon_warns(self, mesh_small, caplog):
         cfg = desk_config(mesh_small, dt=0.3, t_final=1.0)
@@ -410,9 +411,10 @@ class TestStepTraffic:
     @pytest.mark.parametrize("steps", [1, 4])
     def test_per_step_work_is_left_to_the_plan(self, monkeypatch, steps):
         plan_counts, run_counts = self.traffic(monkeypatch, steps)
-        # B: one operator on one layout; its check takes column sums, no product
+        # B: one operator on one layout; its check takes column sums, no
+        # product. Each step builds its cell operator on B's layout.
         assert plan_counts == {"operators": 1, "layouts": 1}
-        assert run_counts == {**plan_counts, "sources": 2 * steps}
+        assert run_counts == {**plan_counts, "operators": 1 + steps, "sources": 2 * steps}
 
     def test_recorded_operators_keep_their_own_data(self):
         probe = np.random.default_rng(3).standard_normal(64)
