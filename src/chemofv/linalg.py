@@ -8,8 +8,8 @@ its data rows, the structure check (``check_m_matrix_pattern``) takes their
 column sums, which are the dominance slacks, and the Krylov products use a
 column-scaled copy of the data on the same offsets; no CSR or CSC matrix
 is built in a run unless a solve falls back to LU. The structure check
-returns one sign verdict and the slacks; the scheme runs it, when a run
-asks for it, where each operator is assembled.
+returns one sign verdict and the slacks of an assembled operator; no run
+calls it, as each cell assembly checks its edge weights' signs instead.
 
 An operator is made in one way, by its constructor, which validates the
 offsets and the data and takes over read-only arrays that own their

@@ -4,7 +4,8 @@ diagnostics and convergence studies."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -24,6 +25,9 @@ EPSILON_REFERENCE = 0.0
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A run's inputs. ``check_matrices``, passed by the benchmark's desk
+    workload, is neither stored nor read: every run checks its matrices."""
+
     mesh: Mesh
     model: ModelSpec
     ic: InitialConditionSpec
@@ -34,9 +38,9 @@ class RunConfig:
     snapshot_every: int = 0  # 0 -> final snapshot only
     diagnostics_every: int = 1  # 0 -> initial and final records only
     strict: bool = False
-    check_matrices: bool = False
+    check_matrices: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, _):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (np.isfinite(self.t_final) and self.t_final >= 0):
@@ -49,6 +53,14 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer, got {every!r}")
             if every < 0:
                 raise ValueError(f"{name} must be >= 0, got {every}")
+        n_cells, limit = self.mesh.n_cells, _scheme.ORACLE_CELL_LIMIT
+        if self.variant.kind == _scheme.VARIANT_ORACLE and n_cells > limit:
+            raise ValueError(f"coupled oracle limited to {limit} cells, mesh has {n_cells}")
+        # step 0's mass and sum m u^2 are below area u_max^2; Python floats overflow silently
+        u_max = float(self.ic.base_u) + (self.ic.region is not None)  # a region adds < 1
+        if not math.isfinite(self.mesh.domain_area * u_max * u_max):
+            raise ValueError(f"ic.base_u={self.ic.base_u:g} overflows the initial mass or "
+                             f"L2 norm of u on this domain (area {self.mesh.domain_area:g})")
 
     @property
     def n_steps(self) -> int:
@@ -145,10 +157,8 @@ def _record(state: State, mesh: Mesh, dt: float) -> DiagnosticsRecord:
 def plan_for(config: RunConfig, solver: LinearSolver | None = None) -> StepPlan:
     """The ``StepPlan`` of a run of ``config``, solving with ``solver`` (a
     fresh ``LinearSolver`` by default)."""
-    return StepPlan(
-        config.mesh, config.model, config.epsilon, config.variant, config.dt,
-        solver or LinearSolver(), config.check_matrices,
-    )
+    return StepPlan(config.mesh, config.model, config.epsilon, config.variant, config.dt,
+                    solver or LinearSolver())
 
 
 def check_invariants(state: State, plan: StepPlan, mass0, mass_prev, logged, strict):

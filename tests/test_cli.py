@@ -381,9 +381,10 @@ class TestResolvedDocument:
 
     @pytest.mark.parametrize("name", ["test1", "test2", "test3", "test4"])
     def test_resolved_run_is_strict(self, name):
-        # the CLI raises on a broken run invariant; structure checks stay off
+        # the CLI raises on a broken run invariant; no key selects the
+        # matrix checks, which every run makes
         run = config.resolve({"preset": name}).run
-        assert run.strict and not run.check_matrices
+        assert run.strict and "check_matrices" not in vars(run)
 
 
 class TestNonFiniteInputs:
@@ -426,6 +427,29 @@ class TestMalformedRunInputs:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "growth_rate must be >= 0, got -50" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base_u", ["1e308", "1e160"])
+    def test_initial_state_whose_norm_overflows_exits_2(self, tmp_path, capsys, base_u):
+        # the step-0 diagnostics used to overflow, and the chem solve to end the run
+        out = tmp_path / "o1"
+        argv = ["run", "--preset", "test3", "--output-dir", str(out)]
+        for assignment in ("domain.nx=20", "domain.ny=20", "time.dt=0.1", "time.t_final=0.5",
+                           "ic.region=null", f"ic.base_u={base_u}"):
+            argv += ["--set", assignment]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: ic.base_u={float(base_u):g} overflows")
+        assert not out.exists()
+
+    def test_oracle_run_above_its_cell_limit_exits_2(self, tmp_path, capsys):
+        # test1 has 12 250 cells: the run used to make its directory and fail at step 1
+        out = tmp_path / "oo"
+        argv = ["run", "--preset", "test1", "--set", "scheme.variant=coupled-oracle",
+                "--set", "time.t_final=0.02", "--output-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: coupled oracle limited to 4096 cells, mesh has 12250")
         assert not out.exists()
 
     @pytest.mark.parametrize(

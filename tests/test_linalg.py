@@ -145,8 +145,7 @@ class TestSparseMatrix:
             mesh=Mesh((-3.5, 3.5), (-3.5, 3.5), 48, 48),
             model=ModelSpec(cell_diffusion=0.25, chemo_sensitivity=2.0),
             ic=InitialConditionSpec(base_u=1.0, region=RectRegion(-4.5, 4.5, -1.0, 1.0)),
-            variant=SchemeVariant(), dt=1e-4, t_final=20e-4, epsilon=0.0,
-            strict=True, check_matrices=True,
+            variant=SchemeVariant(), dt=1e-4, t_final=20e-4, epsilon=0.0, strict=True,
         ))
         assert final.step_index == 20
 

@@ -12,7 +12,6 @@ from chemofv import (
     SchemeError,
     SchemeVariant,
     SolverError,
-    SparseMatrix,
     State,
     StepPlan,
     assemble_cell_system,
@@ -28,7 +27,7 @@ from chemofv import (
     step,
     step_coupled_oracle,
 )
-from chemofv import linalg, scheme
+from chemofv import scheme
 from chemofv.model import (
     CHEM_PARABOLIC,
     GROWTH_CUBIC,
@@ -42,7 +41,6 @@ from chemofv.scheme import (
     BETA_FORMULA,
     ORACLE_CELL_LIMIT,
     VARIANT_CORRECTED,
-    VARIANT_KINDS,
     VARIANT_LAGGED,
     VARIANT_ORACLE,
     VARIANT_PLAIN,
@@ -233,26 +231,16 @@ class TestStepPlan:
         with pytest.raises(SchemeError, match="positive, finite dt"):
             plan_of(mesh_small, elliptic_model(), dt)
 
-    @pytest.mark.parametrize("dynamics", ["elliptic", CHEM_PARABOLIC])
-    def test_broken_chem_operator_caught_when_plan_built(
-        self, mesh_small, monkeypatch, dynamics
-    ):
-        # B's row slack is (gamma + [1/dt]) m; this halves it in row 0
-        model = elliptic_model(chem_dynamics=dynamics)
-        dt = 0.01
-        build = scheme.chem_operator
-
-        def broken_operator(mesh, chem_decay, dt_or_none):
-            b = build(mesh, chem_decay, dt_or_none)
-            slack = chem_decay + (0.0 if dt_or_none is None else 1.0 / dt_or_none)
-            data = b.data.copy()
-            data[np.searchsorted(b.offsets, 0), 0] -= 0.5 * slack * mesh.cell_measures[0]
-            return SparseMatrix(b.offsets, data)
-
-        monkeypatch.setattr(scheme, "chem_operator", broken_operator)
-        plan_of(mesh_small, model, dt)  # unchecked plans do not look
-        with pytest.raises(SchemeError, match="chem matrix dominance slack"):
-            plan_of(mesh_small, model, dt, check_matrices=True)
+    def test_fine_unit_square_chem_operator_is_an_m_matrix(self):
+        # gamma m = 1/22500 is a slack 1e5 times below B's diagonal, so a
+        # check that wants every column sum within 1e-12 of it refuses this
+        # valid B; its column sums are gamma m to round-off
+        mesh = build_uniform_rect_mesh((0.0, 1.0), (0.0, 1.0), 150, 150)
+        b = plan_of(mesh, elliptic_model(), 0.01, 1e-6).chem_matrix
+        signs_hold, slack = check_m_matrix_pattern(b)
+        assert signs_hold and slack.min() > 0.0
+        tol = 1e-14 * b.diagonal().max()
+        assert np.abs(slack - mesh.cell_measures).max() <= tol
 
     @pytest.mark.parametrize("name", ["test1", "test2", "test3", "test4"])
     @pytest.mark.parametrize("shape", ["preset", "12x9", "1x9", "12x1"])
@@ -741,56 +729,24 @@ class TestStep:
         c_expect, _ = solver.solve(b, g)
         np.testing.assert_allclose(new.c, c_expect, rtol=1e-12)
 
-    def test_check_matrices_mode_passes_on_valid_assembly(self, mesh_small, solver):
-        state = perturbed_state(mesh_small)
-        plan = plan_of(
-            mesh_small, elliptic_model(), 0.01, 1e-6, solver=solver, check_matrices=True
-        )
-        step(state, plan)
-
     @pytest.mark.parametrize("stepper", [step, step_coupled_oracle])
-    @pytest.mark.parametrize("broken", ["positive off-diagonal", "weak diagonal"])
-    def test_check_matrices_mode_catches_broken_cell_matrix(
-        self, mesh_small, solver, monkeypatch, broken, stepper
+    @pytest.mark.parametrize("weight", [-9.0, float("nan")], ids=["negative", "nan"])
+    def test_broken_edge_weight_caught_in_every_assembly(
+        self, mesh_small, solver, monkeypatch, weight, stepper
     ):
-        dt = 0.01
-        # B is built, and checked, before the fault inside the cell assembly is in place
-        plan = plan_of(mesh_small, elliptic_model(), dt, 1e-6, solver=solver,
-                       check_matrices=True)
-        if broken == "positive off-diagonal":
-            limiter = scheme.limiter_S
+        # the first edge's weight mu + a S becomes weight * mu: a positive
+        # off-diagonal, or a NaN one, in every plan's cell matrix
+        plan = plan_of(mesh_small, elliptic_model(), 0.01, 1e-6, solver=solver)
+        limiter = scheme.limiter_S
 
-            def negative_weight(lim, x):
-                s = limiter(lim, x)
-                s[0] = -10.0 * lim.mu / lim.a  # the first edge's weight mu + a S is -9 mu
-                return s
+        def broken(lim, x):
+            s = limiter(lim, x)
+            s[0] = (weight - 1.0) * lim.mu / lim.a
+            return s
 
-            monkeypatch.setattr(scheme, "limiter_S", negative_weight)
-        else:
-            operator_data = scheme._operator_data
-
-            def weak_diagonal(mesh, offsets, slack, plus, minus):
-                data, diag = operator_data(mesh, offsets, slack, plus, minus)
-                diag[0] -= 0.5 * slack[0]  # halves column 0's slack m/dt
-                return data, diag
-
-            monkeypatch.setattr(scheme, "_operator_data", weak_diagonal)
-        match = "sign pattern" if broken == "positive off-diagonal" else "dominance slack"
-        with pytest.raises(SchemeError, match=match):
+        monkeypatch.setattr(scheme, "limiter_S", broken)
+        with pytest.raises(SchemeError, match="sign pattern"):
             stepper(perturbed_state(mesh_small), plan)
-
-    @pytest.mark.parametrize("kind", VARIANT_KINDS)
-    def test_without_check_matrices_no_structure_check_runs(self, mesh_small, monkeypatch, kind):
-        def refuse(m):
-            raise AssertionError("structure check ran")
-
-        monkeypatch.setattr(scheme, "check_m_matrix_pattern", refuse)
-        monkeypatch.setattr(linalg, "check_m_matrix_pattern", refuse)
-        plan = plan_of(mesh_small, elliptic_model(), 0.01, 1e-6, SchemeVariant(kind))
-        state = perturbed_state(mesh_small)
-        for _ in range(2):
-            state = step(state, plan)
-        assert state.step_index == 2
 
 
 class TestCoupledOracle:

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import chemofv
 from chemofv import (
@@ -31,7 +30,7 @@ from chemofv import (
     relative_l2_error,
     run,
 )
-from chemofv import scheme
+from chemofv import linalg, scheme
 from chemofv.mesh import Mesh
 from chemofv.model import _CHEM_DYNAMICS, _CHEM_SOURCES, _GROWTHS, SOURCE_LINEAR, RectRegion
 from chemofv.scheme import (
@@ -265,6 +264,28 @@ class TestRun:
         with pytest.raises(ValueError, match=want):
             desk_config(mesh_small, dt=dt, t_final=t_final)
 
+    def test_oracle_above_its_cell_limit_rejected(self):
+        # refused before a run makes anything, not at its first step
+        at_limit = build_uniform_rect_mesh((0.0, 16.0), (0.0, 256.0), 16, 256)
+        above = build_uniform_rect_mesh((0.0, 17.0), (0.0, 241.0), 17, 241)
+        oracle = SchemeVariant(kind=VARIANT_ORACLE)
+        replace(desk_config(at_limit, dt=0.1, t_final=0.1), variant=oracle)
+        desk_config(above, dt=0.1, t_final=0.1)  # other variants have no limit
+        with pytest.raises(ValueError, match="coupled oracle limited to 4096 cells, mesh has 4097"):
+            replace(desk_config(above, dt=0.1, t_final=0.1), variant=oracle)
+
+    @pytest.mark.parametrize("base_u", [1e308, 1e160, np.float64(1e160)])
+    @pytest.mark.parametrize("region", [None, RectRegion(-1.0, 1.0, -1.0, 1.0)])
+    def test_initial_state_whose_norm_overflows_rejected(self, mesh_small, base_u, region):
+        # the step-0 L2 norm of u squares it: 1e160 overflows with no warning
+        ic = InitialConditionSpec(base_u=base_u, region=region)
+        with pytest.raises(ValueError, match=r"ic\.base_u=1e\+(308|160) overflows"):
+            replace(desk_config(mesh_small, dt=0.1, t_final=0.1), ic=ic)
+        ic = InitialConditionSpec(base_u=1e150, region=region)
+        cfg = replace(desk_config(mesh_small, dt=0.1, t_final=0.1), ic=ic)
+        record = run(replace(cfg, t_final=0.0))[1].records[0]
+        assert np.isfinite([record.mass, record.l2_u]).all()
+
     def test_chem_operator_never_factored(self, splu_calls):
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8)
         solver = TallySolver()
@@ -359,16 +380,14 @@ for p, dt, strict in ((preset("test1"), 1e-2, False), (preset("test4", chi=80.0)
 
 
 class TestStepTraffic:
-    """What a step leaves to the plan: a strict, matrix-checked corrected
-    run validates an operator and reads the mesh's layout only while its
-    plan is built, takes the chem source twice a step (g(u^n) once, and
-    g(u^{n-1})), and checks each matrix by column sums alone."""
+    """What a step leaves to the plan: a strict corrected run validates an
+    operator and reads the mesh's layout only while its plan is built, and
+    takes the chem source twice a step (g(u^n) once, and g(u^{n-1}))."""
 
     @staticmethod
     def traffic(monkeypatch, steps):
         """Call counts of building the plan of a run of ``steps`` steps,
-        and of the run; "row products" counts the products with a matrix
-        that a structure check makes."""
+        and of the run."""
         counts = Counter()
 
         def count(owner, attr, key):
@@ -383,25 +402,8 @@ class TestStepTraffic:
         count(SparseMatrix, "__init__", "operators")
         count(Mesh, "adjacency_csr", "layouts")
         count(scheme, "chem_source_value", "sources")
-        check, matmul = scheme.check_m_matrix_pattern, sp.dia_matrix.__matmul__
-        in_check = []
-
-        def checking(*args, **kwargs):
-            in_check.append(True)
-            try:
-                return check(*args, **kwargs)
-            finally:
-                in_check.pop()
-
-        def product(self, other):
-            if in_check:
-                counts["row products"] += 1
-            return matmul(self, other)
-
-        monkeypatch.setattr(scheme, "check_m_matrix_pattern", checking)
-        monkeypatch.setattr(sp.dia_matrix, "__matmul__", product)
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8)
-        cfg = desk_config(mesh, dt=1e-3, t_final=steps * 1e-3, strict=True, check_matrices=True)
+        cfg = desk_config(mesh, dt=1e-3, t_final=steps * 1e-3, strict=True)
         plan_for(cfg)
         plan_counts = dict(counts)
         counts.clear()
@@ -411,10 +413,26 @@ class TestStepTraffic:
     @pytest.mark.parametrize("steps", [1, 4])
     def test_per_step_work_is_left_to_the_plan(self, monkeypatch, steps):
         plan_counts, run_counts = self.traffic(monkeypatch, steps)
-        # B: one operator on one layout; its check takes column sums, no
-        # product. Each step builds its cell operator on B's layout.
+        # B: one operator on one layout. Each step builds its cell operator
+        # on B's layout.
         assert plan_counts == {"operators": 1, "layouts": 1}
         assert run_counts == {**plan_counts, "operators": 1 + steps, "sources": 2 * steps}
+
+    @pytest.mark.parametrize("keyword", [{}, {"check_matrices": True}, {"check_matrices": False}],
+                             ids=["no-keyword", "true", "false"])
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    def test_no_run_calls_the_structure_check(self, mesh_small, monkeypatch, kind, keyword):
+        # every run checks the cell matrix's signs on its edge weights; the
+        # RunConfig keyword is accepted and changes nothing
+        def refuse(m):
+            raise AssertionError("structure check ran")
+
+        monkeypatch.setattr(scheme, "check_m_matrix_pattern", refuse)
+        monkeypatch.setattr(linalg, "check_m_matrix_pattern", refuse)
+        cfg = desk_config(mesh_small, dt=0.01, t_final=0.02, strict=True, **keyword)
+        assert "check_matrices" not in vars(cfg)
+        final, _, _ = run(replace(cfg, variant=SchemeVariant(kind=kind)))
+        assert final.step_index == 2
 
     def test_recorded_operators_keep_their_own_data(self):
         probe = np.random.default_rng(3).standard_normal(64)
@@ -434,7 +452,7 @@ class TestStepTraffic:
 
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8)
         solver = RecordingSolver()
-        run(desk_config(mesh, dt=0.01, t_final=0.04, check_matrices=True), solver=solver)
+        run(desk_config(mesh, dt=0.01, t_final=0.04), solver=solver)
         assert len(solver.cell) == 4
         for (a, _, _), (b, _, _) in zip(solver.cell, solver.cell[1:]):
             assert a.offsets is b.offsets  # one layout for the run
@@ -675,9 +693,7 @@ class TestInvariantChecks:
     @pytest.mark.parametrize("kind", [VARIANT_PLAIN, VARIANT_LAGGED])
     def test_strict_uncorrected_desk_runs_pass(self, kind):
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 48, 48)
-        cfg = desk_config(
-            mesh, dt=1e-2, t_final=0.5, strict=True, check_matrices=True, epsilon=1e-6
-        )
+        cfg = desk_config(mesh, dt=1e-2, t_final=0.5, strict=True, epsilon=1e-6)
         final, _, _ = run(RunConfig(**{**cfg.__dict__, "variant": SchemeVariant(kind=kind)}))
         assert final.step_index == 50
         assert final.c.max() <= 1.0
@@ -689,6 +705,20 @@ class TestInvariantChecks:
         final, _, _ = run(RunConfig(**{**cfg.__dict__, "variant": oracle}))
         assert final.step_index == 5
 
+    def test_large_chi_and_dt_desk_run_passes(self):
+        # chi = 80, dt = 20: a valid run whose cell matrices' column sums
+        # miss m/dt by more than 1e-12 of it, which a check of the stored
+        # rows against the assembled slack refuses after step 1
+        mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 48, 48)
+        solver = TallySolver()
+        cfg = RunConfig(
+            mesh=mesh, model=ModelSpec(cell_diffusion=0.25, chemo_sensitivity=80.0),
+            ic=InitialConditionSpec(base_u=1.0, region=RectRegion(-4.5, 4.5, -1.0, 1.0)),
+            variant=CORRECTED, dt=20.0, t_final=100.0, epsilon=1e-6, strict=True,
+        )
+        assert run(cfg, solver=solver)[0].step_index == 5
+        assert max(r.residual for r in solver.reports) <= 1e-12
+
     def test_unit_gamma_keeps_the_published_bounds(self, mesh_small):
         invariants = plan_for(self._config(mesh_small, strict=True)).invariants
         assert invariants["c bound"] == (2.0, "2/gamma")
@@ -697,8 +727,7 @@ class TestInvariantChecks:
 
 def theory_invariants(dynamics, source, growth, kind):
     """The invariants the scheme's theory gives a model, with their policies."""
-    want = {"u >= 0": "hard", "c >= 0": "hard", "B signs": "hard", "B slack": "hard",
-            "A signs": "hard", "A slack": "hard"}
+    want = {"u >= 0": "hard", "c >= 0": "hard", "A signs": "hard"}
     # the chem right-hand side dips through the correction, or through
     # m c^n/dt where c^n >= 0 holds to 1e-12 only
     if kind == VARIANT_CORRECTED or dynamics == "parabolic":
@@ -737,12 +766,14 @@ class TestInvariantTable:
         model = ModelSpec(0.25, 2.0, chem_dynamics=dynamics, chem_source=source, growth=growth)
         cfg = replace(
             desk_config(build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8), dt=0.01,
-                        t_final=0.03, strict=True, check_matrices=True),
+                        t_final=0.03, strict=True),
             model=model, variant=SchemeVariant(kind=kind),
         )
         calls = recording_enforce(monkeypatch)
         assert run(cfg)[0].step_index == 3
         checked = {invariant for invariant, _, _ in calls}
+        # the cell matrix's signs, on every step's assembly
+        assert {n for invariant, _, n in calls if invariant == "A signs"} == {1, 2, 3}
         assert checked <= set(want)
         assert set(want) - checked <= {"c dip"}  # checked only where the side dips
         after_step = {name for name, policy in want.items() if policy == "strict"}
