@@ -351,7 +351,6 @@ def resolve(doc: dict) -> ResolvedRun:
             epsilon=scheme["epsilon"],
             snapshot_every=output["snapshot_every"],
             diagnostics_every=output["diagnostics_every"],
-            strict=True,
         )
     except ConfigError:
         raise

@@ -50,14 +50,14 @@ class SchemeError(RuntimeError):
 
 
 class InvariantError(RuntimeError):
-    """A ``strict`` invariant broke during a strict-mode run."""
+    """A run invariant broke: mass drifted, or c or its gradient energy left
+    the bound the theory gives. Every run raises it."""
 
 
-HARD, STRICT, WARN = "hard", "strict", "warn"
 _NEGATIVE = " went negative at step {step}: min={value:.3e}, allowed {bound:.3e} (assembly bug?)"
 
-# Every invariant checked: name -> (policy, break test, message); a check's
-# value and bound break it if ``test(value, bound)``. ``A signs``, checked on
+# Every invariant checked: name -> (error raised or None if only logged, break
+# test, message); ``test(value, bound)`` means a break. ``A signs``, checked on
 # every cell assembly, holds (True) when every edge weight w = mu + chi S is
 # >= 0, NaN failing, so A's off-diagonals -tau w are <= 0. A's column slack
 # m/dt + growth is positive (``ModelSpec`` refuses r < 0; cubic growth has
@@ -65,39 +65,38 @@ _NEGATIVE = " went negative at step {step}: min={value:.3e}, allowed {bound:.3e}
 # is strictly dominant. B needs no run-time check: its off-diagonals -tau_x,
 # -tau_y and slack (gamma + [1/dt]) m come from validated inputs.
 INVARIANTS = {
-    "u >= 0": (HARD, lt, "u" + _NEGATIVE),
-    "c >= 0": (HARD, lt, "c" + _NEGATIVE),
-    "c dip": (WARN, lt, "chem right-hand side had negative entries "
+    "u >= 0": (SchemeError, lt, "u" + _NEGATIVE),
+    "c >= 0": (SchemeError, lt, "c" + _NEGATIVE),
+    "c dip": (None, lt, "chem right-hand side had negative entries "
               "(min {rhs_min:.3e}); c dips to {value:.3e} this step"),
-    "A signs": (HARD, ne, "cell matrix lost the M-matrix sign pattern"),
-    "cubic dt": (HARD, ge, "cubic growth left a column of the cell matrix without "
+    "A signs": (SchemeError, ne, "cell matrix lost the M-matrix sign pattern"),
+    "cubic dt": (SchemeError, ge, "cubic growth left a column of the cell matrix without "
                  "dominance at step {step} (t={time:.6g}) with dt={dt:.6g}; reduce dt "
                  "below the largest admissible dt {admissible:.6g}"),
-    "step mass": (STRICT, gt, "mass drifted within step {step}: {prev} -> {mass}"),
-    "mass": (STRICT, gt, "mass drift at step {step}: {mass0} -> {mass}"),
-    "c bound": (STRICT, gt, "max c = {value} breaks the bound {name} = {limit} at step {step}"),
-    "energy": (STRICT, gt, "c's gradient energy {value} exceeds {name} = {bound} at step {step}"),
+    "step mass": (InvariantError, gt, "mass drifted within step {step}: {prev} -> {mass}"),
+    "mass": (InvariantError, gt, "mass drift at step {step}: {mass0} -> {mass}"),
+    "c bound": (InvariantError, gt,
+                "max c = {value} breaks the bound {name} = {limit} at step {step}"),
+    "energy": (InvariantError, gt,
+               "c's gradient energy {value} exceeds {name} = {bound} at step {step}"),
 }
 
 
-def enforce(invariant, value, bound, step, logged=None, strict=False, **fields):
-    """The one place that raises for an invariant or logs one: a ``hard``
-    break raises ``SchemeError``, a ``strict`` one ``InvariantError`` if the
-    run is ``strict``; else it is logged unless in ``logged``, the run's set
-    of invariants logged, which it joins. Formats a message only on a break."""
-    policy, breaks, message = INVARIANTS[invariant]
-    if not breaks(value, bound):
+def enforce(invariant, value, bound, step, logged=None, **fields):
+    """The one place that raises for an invariant or logs one: a break
+    raises the error its row of ``INVARIANTS`` names, in every run (no run
+    option changes that: ``RunConfig`` reads neither ``strict`` nor
+    ``check_matrices``); a row that names none is logged unless in ``logged``,
+    the run's set of invariants logged, which it joins. Formats a message
+    only on a break."""
+    error, breaks, message = INVARIANTS[invariant]
+    if not breaks(value, bound) or (error is None and invariant in (logged or ())):
         return
-    raises = policy == HARD or (strict and policy == STRICT)
-    if not raises and logged is not None:
-        if invariant in logged:
-            return
-        logged.add(invariant)
     text = message.format(value=value, bound=bound, step=step, **fields)
-    if policy == HARD:
-        raise SchemeError(text)
-    if raises:
-        raise InvariantError(text)
+    if error is not None:
+        raise error(text)
+    if logged is not None:
+        logged.add(invariant)
     log.warning("%s", text)
 
 

@@ -25,8 +25,10 @@ EPSILON_REFERENCE = 0.0
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A run's inputs. ``check_matrices``, passed by the benchmark's desk
-    workload, is neither stored nor read: every run checks its matrices."""
+    """A run's inputs; any whose first step would overflow raise ``ValueError``.
+    ``strict`` and ``check_matrices`` remain only because the benchmark's spots
+    and desk workloads pass them; neither is stored or read, as every run
+    raises on a broken invariant and checks its matrices."""
 
     mesh: Mesh
     model: ModelSpec
@@ -37,10 +39,10 @@ class RunConfig:
     epsilon: float = EPSILON_PRODUCTION
     snapshot_every: int = 0  # 0 -> final snapshot only
     diagnostics_every: int = 1  # 0 -> initial and final records only
-    strict: bool = False
+    strict: InitVar[bool] = True
     check_matrices: InitVar[bool] = True
 
-    def __post_init__(self, _):
+    def __post_init__(self, _strict, _check_matrices):
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not (np.isfinite(self.t_final) and self.t_final >= 0):
@@ -56,11 +58,21 @@ class RunConfig:
         n_cells, limit = self.mesh.n_cells, _scheme.ORACLE_CELL_LIMIT
         if self.variant.kind == _scheme.VARIANT_ORACLE and n_cells > limit:
             raise ValueError(f"coupled oracle limited to {limit} cells, mesh has {n_cells}")
-        # step 0's mass and sum m u^2 are below area u_max^2; Python floats overflow silently
-        u_max = float(self.ic.base_u) + (self.ic.region is not None)  # a region adds < 1
-        if not math.isfinite(self.mesh.domain_area * u_max * u_max):
-            raise ValueError(f"ic.base_u={self.ic.base_u:g} overflows the initial mass or "
-                             f"L2 norm of u on this domain (area {self.mesh.domain_area:g})")
+        # Python floats overflow silently. Step 0's mass and sum m u^2 are below
+        # area u_max^2; step 1's right-hand sides are m f, f below u/dt (+ r u) for the
+        # cell and g(u) (+ c/dt) for the chem, so their squared norms are below area m f^2
+        ic, model, dt = self.ic, self.model, float(self.dt)
+        area, m = float(self.mesh.domain_area), float(self.mesh.dx * self.mesh.dy)
+        u_max = float(ic.base_u) + (ic.region is not None)  # a region adds < 1
+        r = float(model.growth_rate) if model.growth == _model.GROWTH_QUADRATIC else 0.0
+        c_dt = float(ic.base_c) / dt if model.chem_dynamics == _model.CHEM_PARABOLIC else 0.0
+        g = _model.chem_source_value(model, u_max)
+        for what, cell, f in (("the initial mass or L2 norm of u", 1.0, u_max),
+                              ("step 1's cell right-hand side", m, u_max / dt + r * u_max),
+                              ("step 1's chem right-hand side", m, g + c_dt)):
+            if not math.isfinite(area * cell * f * f):
+                raise ValueError(f"ic.base_u={ic.base_u:g} overflows {what} with ic.base_c="
+                                 f"{ic.base_c:g} and dt={dt:g} (domain area {area:g})")
 
     @property
     def n_steps(self) -> int:
@@ -161,26 +173,22 @@ def plan_for(config: RunConfig, solver: LinearSolver | None = None) -> StepPlan:
                     solver or LinearSolver())
 
 
-def check_invariants(state: State, plan: StepPlan, mass0, mass_prev, logged, strict):
-    """Enforce ``plan.invariants`` on ``state`` as a run does (``logged`` and
-    ``strict`` as ``scheme.enforce`` takes them): mass against the last
-    state's ``mass_prev`` and step 0's ``mass0``, and the bounds on c and its
-    gradient energy. Returns the state's mass if mass is conserved."""
+def check_invariants(state: State, plan: StepPlan, mass0, mass_prev):
+    """Enforce ``plan.invariants`` on ``state`` as a run does: mass against
+    the last state's ``mass_prev`` and step 0's ``mass0``, and the bounds on
+    c and its gradient energy. Returns the state's mass if mass is conserved."""
     n, invariants, enforce = state.step_index, plan.invariants, _scheme.enforce
     mass = None
     if "mass" in invariants:
         mass = plan.mesh.integral(state.u)
         enforce("step mass", abs(mass - mass_prev), 1e-10 * max(abs(mass_prev), 1e-300), n,
-                logged, strict, prev=mass_prev, mass=mass)
-        enforce("mass", abs(mass - mass0), 1e-10 * abs(mass0), n, logged, strict,
-                mass0=mass0, mass=mass)
+                prev=mass_prev, mass=mass)
+        enforce("mass", abs(mass - mass0), 1e-10 * abs(mass0), n, mass0=mass0, mass=mass)
     if "c bound" in invariants:
         limit, name = invariants["c bound"]
-        enforce("c bound", float(state.c.max()), limit * (1.0 + 1e-12), n, logged, strict,
-                name=name, limit=limit)
+        enforce("c bound", float(state.c.max()), limit * (1.0 + 1e-12), n, name=name, limit=limit)
         limit, name = invariants["energy"]
-        enforce("energy", gradient_energy(state.c, plan.mesh), limit, n, logged, strict,
-                name=name)
+        enforce("energy", gradient_energy(state.c, plan.mesh), limit, n, name=name)
     return mass
 
 
@@ -197,23 +205,16 @@ def run(
     which nothing writes to. ``observer``, when given, is called with
     each new State. The run's ``StepPlan`` (``plan_for``) is built once.
     Each invariant, the step's and then the run's (``check_invariants``),
-    is enforced by its policy in ``scheme.INVARIANTS``; the run keeps only
-    step 0's mass and the set of invariants already logged.
+    raises the error its row in ``scheme.INVARIANTS`` names, or is logged
+    once; the run keeps only step 0's mass and the set of invariants logged.
     """
     n_steps = config.n_steps
     if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(config.t_final, config.dt):
-        log.warning(
-            "t_final=%g is not an integer multiple of dt=%g; running %d steps",
-            config.t_final,
-            config.dt,
-            n_steps,
-        )
+        log.warning("t_final=%g is not an integer multiple of dt=%g; running %d steps",
+                    config.t_final, config.dt, n_steps)
     if config.epsilon == 0.0 and 1.0 - 2.0 * config.model.chemo_sensitivity * config.dt < 0.0:
-        log.warning(
-            "time-step condition violated (1 - 2*a*dt < 0 with eps=0); "
-            "the scheme may still run fine, but the convergence theory "
-            "does not cover this step size"
-        )
+        log.warning("time-step condition violated (1 - 2*a*dt < 0 with eps=0); the scheme may "
+                    "still run fine, but the convergence theory does not cover this step size")
 
     if config.model.chem_source == _model.SOURCE_LINEAR:
         log.info("the chem source is linear: the theory gives no bound on c, so none is checked")
@@ -230,7 +231,7 @@ def run(
 
     for n in range(n_steps):
         state = step(state, plan, logged)
-        mass = check_invariants(state, plan, mass0, mass, logged, config.strict)
+        mass = check_invariants(state, plan, mass0, mass)
         if observer is not None:
             observer(state)
         done = n + 1 == n_steps

@@ -95,7 +95,7 @@ def desk_model(**kwargs):
 
 @pytest.fixture(scope="module")
 def desk_run():
-    """Criteria 1-2: 1000 strict steps at dt=1e-2, diagnostics every step."""
+    """Criteria 1-2: 1000 steps at dt=1e-2, diagnostics every step."""
     mesh = desk_mesh()
     cfg = RunConfig(
         mesh=mesh,
@@ -106,7 +106,6 @@ def desk_run():
         t_final=DESK_TFINAL,
         epsilon=1e-6,
         diagnostics_every=1,
-        strict=True,
     )
     energies = []
     t0 = time.perf_counter()
@@ -128,7 +127,6 @@ def desk_study():
         dt=1e-4,
         t_final=DESK_TFINAL,
         diagnostics_every=0,
-        strict=True,
     )
     t0 = time.perf_counter()
     report = convergence_study(base, STUDY_DTS, [CORRECTED, PLAIN])
@@ -147,7 +145,6 @@ def desk_study_parabolic():
         dt=1e-3,
         t_final=DESK_TFINAL,
         diagnostics_every=0,
-        strict=True,
     )
     t0 = time.perf_counter()
     report = convergence_study(base, STUDY_DTS, [CORRECTED, PLAIN, LAGGED])
@@ -378,7 +375,6 @@ def test_criterion_11a_ring_pattern(capsys):
         variant=CORRECTED,
         dt=1e-2,
         t_final=30.0,
-        strict=True,
         diagnostics_every=0,
     )
     with criterion(capsys, 11, "chemotaxis-growth run forms rings (radial maxima)"):
@@ -409,7 +405,6 @@ def test_criterion_11b_spot_pattern(capsys):
         variant=CORRECTED,
         dt=0.05,
         t_final=30.0,
-        strict=True,
         diagnostics_every=0,
     )
     with criterion(capsys, 11, "chi=80 run forms >= 10 disjoint spots"):

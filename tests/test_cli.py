@@ -381,10 +381,10 @@ class TestResolvedDocument:
 
     @pytest.mark.parametrize("name", ["test1", "test2", "test3", "test4"])
     def test_resolved_run_is_strict(self, name):
-        # the CLI raises on a broken run invariant; no key selects the
-        # matrix checks, which every run makes
+        # every run raises on a broken run invariant and checks its
+        # matrices; no key or stored option selects either
         run = config.resolve({"preset": name}).run
-        assert run.strict and "check_matrices" not in vars(run)
+        assert "strict" not in vars(run) and "check_matrices" not in vars(run)
 
 
 class TestNonFiniteInputs:
@@ -440,6 +440,19 @@ class TestMalformedRunInputs:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: ic.base_u={float(base_u):g} overflows")
+        assert not out.exists()
+
+    def test_first_step_whose_right_hand_side_overflows_exits_2(self, tmp_path, capsys):
+        # step 0 holds, but step 1's cell right-hand side m u/dt overflows its
+        # norm: the run used to make its directory and fail in the cell solve
+        out = tmp_path / "o1"
+        argv = ["run", "--preset", "test3", "--output-dir", str(out)]
+        for assignment in ("domain.nx=20", "domain.ny=20", "time.dt=0.1", "time.t_final=0.5",
+                           "ic.region=null", "ic.base_u=3e152"):
+            argv += ["--set", assignment]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ic.base_u=3e+152 overflows step 1's cell right-hand")
         assert not out.exists()
 
     def test_oracle_run_above_its_cell_limit_exits_2(self, tmp_path, capsys):

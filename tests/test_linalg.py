@@ -135,8 +135,8 @@ class TestSparseMatrix:
         assert offsets[0].flags.writeable and data[0].flags.writeable
 
     def test_desk_run_builds_no_dia_matrix(self, monkeypatch):
-        # a run reads the operators' arrays, never ``dia``: strict and
-        # matrix-checked, as the benchmark's desk run
+        # a run reads the operators' arrays, never ``dia``: the benchmark's
+        # desk run
         def refuse(*args, **kwargs):
             raise AssertionError("a run built a dia_matrix")
 
@@ -145,7 +145,7 @@ class TestSparseMatrix:
             mesh=Mesh((-3.5, 3.5), (-3.5, 3.5), 48, 48),
             model=ModelSpec(cell_diffusion=0.25, chemo_sensitivity=2.0),
             ic=InitialConditionSpec(base_u=1.0, region=RectRegion(-4.5, 4.5, -1.0, 1.0)),
-            variant=SchemeVariant(), dt=1e-4, t_final=20e-4, epsilon=0.0, strict=True,
+            variant=SchemeVariant(), dt=1e-4, t_final=20e-4, epsilon=0.0,
         ))
         assert final.step_index == 20
 

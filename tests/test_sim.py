@@ -18,6 +18,7 @@ from chemofv import (
     LinearSolver,
     ModelSpec,
     RunConfig,
+    SchemeError,
     SchemeVariant,
     SparseMatrix,
     State,
@@ -79,7 +80,6 @@ def spots_30x30_config():
         variant=CORRECTED,
         dt=0.05,
         t_final=0.25,
-        strict=True,
     )
 
 
@@ -214,7 +214,7 @@ class TestRun:
 
     def test_mass_series_constant_for_growth_none(self):
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 16, 16)
-        cfg = desk_config(mesh, dt=0.02, t_final=1.0, strict=True)
+        cfg = desk_config(mesh, dt=0.02, t_final=1.0)
         _, diagnostics, _ = run(cfg)
         mass = diagnostics.column("mass")
         assert np.all(np.abs(mass - mass[0]) <= 1e-10 * mass[0])
@@ -285,6 +285,35 @@ class TestRun:
         cfg = replace(desk_config(mesh_small, dt=0.1, t_final=0.1), ic=ic)
         record = run(replace(cfg, t_final=0.0))[1].records[0]
         assert np.isfinite([record.mass, record.l2_u]).all()
+
+    @pytest.mark.parametrize("side", ["cell", "chem"])
+    def test_first_step_right_hand_side_overflow_rejected(self, mesh_small, side):
+        # 16 cells of area 1/16 at dt = 0.1: the cell side m u/dt, and the
+        # parabolic chem side m (g(u) + c/dt), have norms that overflow
+        # between 4e153 and 8e153, where step 0's mass and L2 norm do not
+        model = ModelSpec(0.25, 2.0, chem_dynamics="parabolic")
+        key = "base_u" if side == "cell" else "base_c"
+
+        def config(value):
+            ic = InitialConditionSpec(**{key: value})
+            return replace(desk_config(mesh_small, dt=0.1, t_final=0.1), model=model, ic=ic)
+
+        plan, n = plan_for(config(4e153)), mesh_small.n_cells
+
+        def rhs_norm(value):
+            u = np.full(n, value) if side == "cell" else np.ones(n)
+            c = np.full(n, value) if side == "chem" else np.zeros(n)
+            state = State(u, c, u, 0)
+            if side == "cell":
+                rhs = scheme.assemble_cell_system(state, state.c, plan)[1]
+            else:
+                rhs = scheme.assemble_chem_system(state, plan, beta=1.0)[1]
+            with np.errstate(over="ignore"):
+                return linalg.fixed_norm(rhs)
+
+        assert np.isfinite(rhs_norm(4e153)) and rhs_norm(8e153) == np.inf
+        with pytest.raises(ValueError, match=f"overflows step 1's {side} right-hand side"):
+            config(8e153)
 
     def test_chem_operator_never_factored(self, splu_calls):
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8)
@@ -359,20 +388,19 @@ class TestRun:
         assert final.step_index == 3
 
 
-# Runs 4 steps of test1 (dt=1e-2) and of test4 at chi=80 (dt=0.05,
-# strict), both from seed 42, and prints a digest of each final u and c and
+# Runs 4 steps of test1 (dt=1e-2) and of test4 at chi=80 (dt=0.05),
+# both from seed 42, and prints a digest of each final u and c and
 # of the recorded mass column.
 THREAD_PROBE = """
 from dataclasses import replace
 import hashlib
 from chemofv import RunConfig, SchemeVariant, build_uniform_rect_mesh, preset, run
 
-for p, dt, strict in ((preset("test1"), 1e-2, False), (preset("test4", chi=80.0), 0.05, True)):
+for p, dt in ((preset("test1"), 1e-2), (preset("test4", chi=80.0), 0.05)):
     final, diagnostics, _ = run(RunConfig(
         mesh=build_uniform_rect_mesh(p.x_range, p.y_range, p.nx, p.ny),
         model=p.model, ic=replace(p.ic, rng_seed=42),
         variant=SchemeVariant(kind="corrected-decoupled"), dt=dt, t_final=4 * dt,
-        strict=strict,
     ))
     arrays = (final.u, final.c, diagnostics.column("mass"))
     print(p.name, *(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays))
@@ -380,7 +408,7 @@ for p, dt, strict in ((preset("test1"), 1e-2, False), (preset("test4", chi=80.0)
 
 
 class TestStepTraffic:
-    """What a step leaves to the plan: a strict corrected run validates an
+    """What a step leaves to the plan: a corrected run validates an
     operator and reads the mesh's layout only while its plan is built, and
     takes the chem source twice a step (g(u^n) once, and g(u^{n-1}))."""
 
@@ -403,7 +431,7 @@ class TestStepTraffic:
         count(Mesh, "adjacency_csr", "layouts")
         count(scheme, "chem_source_value", "sources")
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8)
-        cfg = desk_config(mesh, dt=1e-3, t_final=steps * 1e-3, strict=True)
+        cfg = desk_config(mesh, dt=1e-3, t_final=steps * 1e-3)
         plan_for(cfg)
         plan_counts = dict(counts)
         counts.clear()
@@ -418,19 +446,24 @@ class TestStepTraffic:
         assert plan_counts == {"operators": 1, "layouts": 1}
         assert run_counts == {**plan_counts, "operators": 1 + steps, "sources": 2 * steps}
 
-    @pytest.mark.parametrize("keyword", [{}, {"check_matrices": True}, {"check_matrices": False}],
-                             ids=["no-keyword", "true", "false"])
+    @pytest.mark.parametrize(
+        "keyword",
+        [{}, {"check_matrices": True}, {"check_matrices": False},
+         {"strict": True, "check_matrices": True}],
+        ids=["no-keyword", "true", "false", "desk-workload"],
+    )
     @pytest.mark.parametrize("kind", VARIANT_KINDS)
     def test_no_run_calls_the_structure_check(self, mesh_small, monkeypatch, kind, keyword):
         # every run checks the cell matrix's signs on its edge weights; the
-        # RunConfig keyword is accepted and changes nothing
+        # RunConfig keywords the benchmark's desk workload passes are
+        # accepted, not stored, and change nothing
         def refuse(m):
             raise AssertionError("structure check ran")
 
         monkeypatch.setattr(scheme, "check_m_matrix_pattern", refuse)
         monkeypatch.setattr(linalg, "check_m_matrix_pattern", refuse)
-        cfg = desk_config(mesh_small, dt=0.01, t_final=0.02, strict=True, **keyword)
-        assert "check_matrices" not in vars(cfg)
+        cfg = desk_config(mesh_small, dt=0.01, t_final=0.02, **keyword)
+        assert not {"strict", "check_matrices"} & set(vars(cfg))
         final, _, _ = run(replace(cfg, variant=SchemeVariant(kind=kind)))
         assert final.step_index == 2
 
@@ -505,7 +538,6 @@ p = preset("test1")
 mesh = build_uniform_rect_mesh(p.x_range, p.y_range, 8, 80)
 run(RunConfig(
     mesh=mesh, model=p.model, ic=p.ic, variant=SchemeVariant(), dt=1e-2, t_final=5e-2,
-    strict=True,
 ))
 print(*(name in sys.modules for name in
         ("scipy.fft", "scipy.special", "scipy.sparse", "scipy.sparse.linalg")))
@@ -578,20 +610,20 @@ print("hashlib" in sys.modules)
 def invariant_checker(cfg, mass0):
     """Checks states in turn with ``check_invariants``, as a run of ``cfg``
     whose step-0 mass is ``mass0`` does."""
-    plan, logged, mass = plan_for(cfg), set(), [mass0]
+    plan, mass = plan_for(cfg), [mass0]
 
     def check(state):
-        mass[0] = check_invariants(state, plan, mass0, mass[0], logged, cfg.strict)
+        mass[0] = check_invariants(state, plan, mass0, mass[0])
 
     return check
 
 
 class TestInvariantChecks:
-    def _config(self, mesh, strict):
-        return desk_config(mesh, dt=0.1, t_final=1.0, strict=strict)
+    def _config(self, mesh):
+        return desk_config(mesh, dt=0.1, t_final=1.0)
 
     def test_strict_raises_on_chem_bound_violation(self, mesh_small):
-        cfg = self._config(mesh_small, strict=True)
+        cfg = self._config(mesh_small)
         check = invariant_checker(cfg, mass0=float(mesh_small.n_cells))
         n = mesh_small.n_cells
         bad = State(
@@ -601,25 +633,21 @@ class TestInvariantChecks:
         with pytest.raises(InvariantError, match="bound"):
             check(bad)
 
-    def test_non_strict_logs_instead(self, mesh_small, caplog):
-        cfg = self._config(mesh_small, strict=False)
-        check = invariant_checker(cfg, mass0=float(mesh_small.n_cells))
+    @pytest.mark.parametrize("u,c_top,match", [(1.0, 2.5, "bound 2/gamma"),
+                                               (17.0, 0.5, "within step 1")])
+    def test_config_without_keywords_raises(self, mesh_small, u, c_top, match):
+        # a RunConfig built with no keyword raises on a broken run invariant:
+        # the chem bound, or mass drifting
+        cfg = RunConfig(mesh_small, ModelSpec(0.25, 2.0), InitialConditionSpec(), CORRECTED,
+                        0.1, 1.0)
+        check = invariant_checker(cfg, mass0=mesh_small.domain_area)  # u = 1
         n = mesh_small.n_cells
-        checker = (np.arange(n) + np.arange(n) // 4) % 2  # steep, non-uniform c
-        with caplog.at_level(logging.WARNING, logger="chemofv.scheme"):
-            for k, (u, c_top) in enumerate([(17.0, 2.5), (18.0, 3.0), (19.0, 3.5)]):
-                # every step breaks all four invariants, each with new values
-                bad = State(
-                    u=np.full(n, u), c=c_top * checker, u_prev=np.full(n, u),
-                    step_index=k + 1,
-                )
-                check(bad)
-        for invariant in ("within step", "mass drift at", "bound", "gradient energy"):
-            hits = [r for r in caplog.records if invariant in r.message]
-            assert len(hits) == 1, invariant
+        bad = State(u=np.full(n, u), c=np.full(n, c_top), u_prev=np.full(n, u), step_index=1)
+        with pytest.raises(InvariantError, match=match):
+            check(bad)
 
     def test_strict_raises_on_mass_drift_within_one_step(self, mesh_small):
-        cfg = self._config(mesh_small, strict=True)
+        cfg = self._config(mesh_small)
         mass0 = float(mesh_small.n_cells)
         check = invariant_checker(cfg, mass0=mass0)
         n = mesh_small.n_cells
@@ -643,14 +671,13 @@ class TestInvariantChecks:
             variant=CORRECTED,
             dt=0.01,
             t_final=0.1,
-            strict=True,
         )
         final, _, _ = run(cfg)
         np.testing.assert_allclose(final.c, 3.0, rtol=1e-12)
 
     def test_large_gamma_tightens_the_chem_bound(self, mesh_small):
         # gamma = 4: c <= 2/gamma = 0.5, so max c = 1 breaks it
-        cfg = desk_config(mesh_small, dt=0.1, t_final=1.0, strict=True)
+        cfg = desk_config(mesh_small, dt=0.1, t_final=1.0)
         cfg = RunConfig(**{**cfg.__dict__, "model": ModelSpec(0.25, 2.0, chem_decay=4.0)})
         check = invariant_checker(cfg, mass0=mesh_small.domain_area)  # u = 1
         n = mesh_small.n_cells
@@ -668,7 +695,7 @@ class TestInvariantChecks:
         state = State(
             u=np.ones(n), c=np.full(n, 1.5), u_prev=np.ones(n), step_index=1,
         )
-        cfg = desk_config(mesh_small, dt=0.1, t_final=1.0, strict=True)
+        cfg = desk_config(mesh_small, dt=0.1, t_final=1.0)
         invariant_checker(cfg, mass0=mesh_small.domain_area)(state)
         cfg = RunConfig(**{**cfg.__dict__, "variant": SchemeVariant(kind=kind)})
         check = invariant_checker(cfg, mass0=mesh_small.domain_area)
@@ -683,7 +710,7 @@ class TestInvariantChecks:
             u=np.ones(n), c=0.5 + 0.15 * checker, u_prev=np.ones(n), step_index=1,
         )
         assert gradient_energy(state.c, mesh_small) == pytest.approx(0.54)
-        cfg = desk_config(mesh_small, dt=0.1, t_final=1.0, strict=True)
+        cfg = desk_config(mesh_small, dt=0.1, t_final=1.0)
         invariant_checker(cfg, mass0=mesh_small.domain_area)(state)
         cfg = RunConfig(**{**cfg.__dict__, "variant": PLAIN})
         check = invariant_checker(cfg, mass0=mesh_small.domain_area)
@@ -693,14 +720,14 @@ class TestInvariantChecks:
     @pytest.mark.parametrize("kind", [VARIANT_PLAIN, VARIANT_LAGGED])
     def test_strict_uncorrected_desk_runs_pass(self, kind):
         mesh = build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 48, 48)
-        cfg = desk_config(mesh, dt=1e-2, t_final=0.5, strict=True, epsilon=1e-6)
+        cfg = desk_config(mesh, dt=1e-2, t_final=0.5, epsilon=1e-6)
         final, _, _ = run(RunConfig(**{**cfg.__dict__, "variant": SchemeVariant(kind=kind)}))
         assert final.step_index == 50
         assert final.c.max() <= 1.0
 
     def test_strict_coupled_oracle_run_passes(self):
         mesh = build_uniform_rect_mesh((-1.0, 1.0), (-1.0, 1.0), 12, 12)
-        cfg = desk_config(mesh, dt=0.05, t_final=0.25, strict=True)
+        cfg = desk_config(mesh, dt=0.05, t_final=0.25)
         oracle = SchemeVariant(kind=VARIANT_ORACLE)
         final, _, _ = run(RunConfig(**{**cfg.__dict__, "variant": oracle}))
         assert final.step_index == 5
@@ -714,30 +741,31 @@ class TestInvariantChecks:
         cfg = RunConfig(
             mesh=mesh, model=ModelSpec(cell_diffusion=0.25, chemo_sensitivity=80.0),
             ic=InitialConditionSpec(base_u=1.0, region=RectRegion(-4.5, 4.5, -1.0, 1.0)),
-            variant=CORRECTED, dt=20.0, t_final=100.0, epsilon=1e-6, strict=True,
+            variant=CORRECTED, dt=20.0, t_final=100.0, epsilon=1e-6,
         )
         assert run(cfg, solver=solver)[0].step_index == 5
         assert max(r.residual for r in solver.reports) <= 1e-12
 
     def test_unit_gamma_keeps_the_published_bounds(self, mesh_small):
-        invariants = plan_for(self._config(mesh_small, strict=True)).invariants
+        invariants = plan_for(self._config(mesh_small)).invariants
         assert invariants["c bound"] == (2.0, "2/gamma")
         assert invariants["energy"] == (4.0 * mesh_small.domain_area, "4*area/gamma")
 
 
 def theory_invariants(dynamics, source, growth, kind):
-    """The invariants the scheme's theory gives a model, with their policies."""
-    want = {"u >= 0": "hard", "c >= 0": "hard", "A signs": "hard"}
+    """The invariants the scheme's theory gives a model, each with the error
+    it raises, or None where it is only logged."""
+    want = {"u >= 0": SchemeError, "c >= 0": SchemeError, "A signs": SchemeError}
     # the chem right-hand side dips through the correction, or through
     # m c^n/dt where c^n >= 0 holds to 1e-12 only
     if kind == VARIANT_CORRECTED or dynamics == "parabolic":
-        want["c dip"] = "warn"
+        want["c dip"] = None
     if growth == "cubic_logistic":
-        want["cubic dt"] = "hard"
+        want["cubic dt"] = SchemeError
     if growth == "none":
-        want |= {"step mass": "strict", "mass": "strict"}
+        want |= {"step mass": InvariantError, "mass": InvariantError}
     if (dynamics, source) == ("elliptic", "saturated"):
-        want |= {"c bound": "strict", "energy": "strict"}
+        want |= {"c bound": InvariantError, "energy": InvariantError}
     return want
 
 
@@ -766,7 +794,7 @@ class TestInvariantTable:
         model = ModelSpec(0.25, 2.0, chem_dynamics=dynamics, chem_source=source, growth=growth)
         cfg = replace(
             desk_config(build_uniform_rect_mesh((-3.5, 3.5), (-3.5, 3.5), 8, 8), dt=0.01,
-                        t_final=0.03, strict=True),
+                        t_final=0.03),
             model=model, variant=SchemeVariant(kind=kind),
         )
         calls = recording_enforce(monkeypatch)
@@ -776,7 +804,7 @@ class TestInvariantTable:
         assert {n for invariant, _, n in calls if invariant == "A signs"} == {1, 2, 3}
         assert checked <= set(want)
         assert set(want) - checked <= {"c dip"}  # checked only where the side dips
-        after_step = {name for name, policy in want.items() if policy == "strict"}
+        after_step = {name for name, error in want.items() if error is InvariantError}
         assert set(plan_for(cfg).invariants) == after_step
 
     def test_c_dip_is_logged_once_per_run(self, monkeypatch, caplog):
@@ -787,7 +815,7 @@ class TestInvariantTable:
             mesh=mesh, model=ModelSpec(0.25, 2.0, chem_decay=100.0),
             ic=InitialConditionSpec(base_u=0.0, region=RectRegion(-0.3, 0.3, -0.3, 0.3),
                                     rng_seed=1),
-            variant=CORRECTED, dt=1.0, t_final=8.0, epsilon=1e-6, strict=True,
+            variant=CORRECTED, dt=1.0, t_final=8.0, epsilon=1e-6,
         )
         calls = recording_enforce(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="chemofv.scheme"):
